@@ -31,7 +31,6 @@ from .model import (
     RelaxedDecision,
     build_p2,
     build_p3,
-    dimension_report,
     expected_energy,
     expected_latency,
     worst_case_distributions,
@@ -47,7 +46,6 @@ __all__ = [
     "build_p3",
     "compare_methods",
     "default_config",
-    "dimension_report",
     "do_solve",
     "exhaustive_solve",
     "expected_energy",

@@ -27,6 +27,8 @@ class SampleSpace:
     def __post_init__(self):
         if len(self.atoms) < 1:
             raise ConfigError("sample space needs at least one atom")
+        if not all(a > 0 for a in self.atoms):
+            raise ConfigError(f"task-size atoms must be > 0 bits, got {self.atoms}")
         if len(self.bin_edges) != len(self.atoms) + 1:
             raise ConfigError("need exactly K+1 bin edges for K atoms")
         if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
@@ -95,7 +97,7 @@ class AmbiguitySet:
     def __post_init__(self):
         if self.space.num_atoms != self.reference.num_atoms:
             raise ShapeError("reference distribution does not match sample space")
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
 
     def contains(self, dist: Distribution, tol: float = PROB_TOL) -> bool:
@@ -115,17 +117,6 @@ class HistoryLog:
     @property
     def num_samples(self) -> int:
         return len(self.samples)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for s in self.samples:
-                fh.write(f"{int(round(s))}\n")
-
-    @classmethod
-    def load(cls, path) -> "HistoryLog":
-        with open(path, encoding="utf-8") as fh:
-            samples = tuple(float(line) for line in fh if line.strip())
-        return cls(samples=samples)
 
 
 def empirical_distribution(history: HistoryLog, space: SampleSpace) -> Distribution:

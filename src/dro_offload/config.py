@@ -70,8 +70,12 @@ class AmbiguityConfig:
             raise ConfigError(f"history_len must be >= 1, got {self.history_len}")
         if (self.epsilon is None) == (self.confidence is None):
             raise ConfigError("set exactly one of 'epsilon' and 'confidence'")
-        if self.epsilon is not None and self.epsilon < 0:
+        if self.epsilon is not None and not self.epsilon >= 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        try:
+            self.sample_space()
+        except ConfigError as exc:
+            raise ConfigError(f"ambiguity.atoms_mbit: {exc}") from exc
 
     def sample_space(self) -> SampleSpace:
         return SampleSpace.with_midpoint_edges([a * MBIT for a in self.atoms_mbit])

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: ConfigError -> 2,
-InfeasibleProblemError -> 3, everything else unexpected -> 4.
+The CLI maps these onto exit codes: ConfigError and its subclass
+SizeError -> 2, InfeasibleProblemError -> 3, everything else
+unexpected -> 4.
 """
 
 
@@ -17,8 +18,8 @@ class ShapeError(ValueError):
     """Dimension mismatch between coupled arrays."""
 
 
-class SizeError(ValueError):
-    """Instance too large for an enumeration-based routine."""
+class SizeError(ConfigError):
+    """Instance too large for an enumeration-based routine (a bad method choice)."""
 
 
 class SolverError(RuntimeError):

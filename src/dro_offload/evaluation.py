@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,31 +305,32 @@ class EvaluationReport:
             fh.write(self.summary())
 
 
+def _evaluate_all(tasks: list[tuple], jobs: int) -> EvaluationReport:
+    """Evaluate (config, seed, param_name, param_value) tasks, in one pool when jobs > 1."""
+    if jobs > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_seed_worker, tasks))
+    else:
+        chunks = [evaluate_seed(*t) for t in tasks]
+    return EvaluationReport(rows=tuple(r for chunk in chunks for r in chunk))
+
+
 def compare_methods(
     config: RunConfig, param_name: str = "", param_value: float | None = None
 ) -> EvaluationReport:
     """Evaluate every (seed, method) pair of the experiment block."""
-    seeds = config.experiment.seeds
-    args = [(config, s, param_name, param_value) for s in seeds]
-    if config.experiment.jobs > 1 and len(seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.experiment.jobs
-        ) as pool:
-            chunks = list(pool.map(_seed_worker, args))
-    else:
-        chunks = [evaluate_seed(*a) for a in args]
-    rows = tuple(r for chunk in chunks for r in chunk)
-    return EvaluationReport(rows=rows)
+    tasks = [(config, s, param_name, param_value) for s in config.experiment.seeds]
+    return _evaluate_all(tasks, config.experiment.jobs)
 
 
 def sweep(config: RunConfig, param: str, values) -> EvaluationReport:
-    """Repeat the comparison for each parameter value.
+    """Repeat the comparison for each parameter value, all (value, seed) pairs in one pool.
 
     Sweeping Q under a fixed confidence level re-derives epsilon per
     value, since the config stores the confidence, not the radius.
     """
-    rows: list[EvaluationRow] = []
-    for value in values:
-        cfg = config.with_override(param, float(value))
-        rows.extend(compare_methods(cfg, param_name=param, param_value=float(value)).rows)
-    return EvaluationReport(rows=tuple(rows))
+    tasks = []
+    for value in map(float, values):
+        cfg = config.with_override(param, value)
+        tasks += [(cfg, s, param, value) for s in cfg.experiment.seeds]
+    return _evaluate_all(tasks, config.experiment.jobs)

@@ -6,7 +6,6 @@ dB-to-linear conversion happens at config-parse time, never here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -218,32 +217,6 @@ class Scenario:
             "rate_td_uav": self.rate_td_uav.tolist(),
             "rate_uav_hap": self.rate_uav_hap.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            tds=tuple(Position3D(*p) for p in data["tds"]),
-            uavs=tuple(Position3D(*p) for p in data["uavs"]),
-            hap=Position3D(*data["hap"]),
-            radio=RadioParams(**data["radio"]),
-            compute=ComputeParams(**data["compute"]),
-            energy=EnergyParams(**data["energy"]),
-            quota_uav=int(data["quota_uav"]),
-            quota_hap=int(data["quota_hap"]),
-            rate_td_uav=np.array(data["rate_td_uav"], dtype=float),
-            rate_uav_hap=np.array(data["rate_uav_hap"], dtype=float),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Scenario":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class DelayEnergyCoeffs:

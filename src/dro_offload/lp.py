@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,11 @@ LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 _PIVOT_TOL = 1e-9
+_FEAS_TOL = 1e-8  # phase-1 infeasibility threshold, scaled by the largest |b|
+_OPT_TOL = 1e-9  # most negative reduced cost still counted as optimal
+_BOUND_TOL = 1e-7  # distance at which check_solution treats x as sitting on a bound
+RESIDUAL_TOL = 1e-8  # certificate: primal, dual and complementarity residuals
+GAP_TOL = 1e-7  # certificate: relative duality gap
 
 
 class LpStatus(enum.Enum):
@@ -100,12 +105,12 @@ class CertificationReport:
     max_complementarity: float
     duality_gap_rel: float
 
-    def ok(self, residual_tol: float = 1e-8, gap_tol: float = 1e-7) -> bool:
+    def ok(self) -> bool:
         return (
-            self.max_primal_residual <= residual_tol
-            and self.max_dual_residual <= residual_tol
-            and self.max_complementarity <= residual_tol
-            and self.duality_gap_rel <= gap_tol
+            self.max_primal_residual <= RESIDUAL_TOL
+            and self.max_dual_residual <= RESIDUAL_TOL
+            and self.max_complementarity <= RESIDUAL_TOL
+            and self.duality_gap_rel <= GAP_TOL
         )
 
 
@@ -134,8 +139,8 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _choose_entering(costrow: np.ndarray, opt_tol: float, bland: bool) -> int | None:
-    candidates = np.nonzero(costrow < -opt_tol)[0]
+def _choose_entering(costrow: np.ndarray, bland: bool) -> int | None:
+    candidates = np.nonzero(costrow < -_OPT_TOL)[0]
     if candidates.size == 0:
         return None
     if bland:
@@ -156,17 +161,11 @@ def _choose_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int | No
     return int(ties[np.argmin([basis[r] for r in ties])])
 
 
-def _run_simplex(
-    tableau: np.ndarray,
-    basis: list[int],
-    opt_tol: float,
-    bland_after: int,
-    max_iter: int,
-) -> str:
+def _run_simplex(tableau: np.ndarray, basis: list[int], bland_after: int, max_iter: int) -> str:
     """Iterate to optimality. Returns 'optimal' or 'unbounded'."""
     iters = 0
     while True:
-        entering = _choose_entering(tableau[-1, :-1], opt_tol, bland=iters >= bland_after)
+        entering = _choose_entering(tableau[-1, :-1], bland=iters >= bland_after)
         if entering is None:
             return "optimal"
         leaving = _choose_leaving(tableau, basis, entering)
@@ -301,12 +300,7 @@ class _Transform:
         return x
 
 
-def solve_lp(
-    lp: LinearProgram,
-    feas_tol: float = 1e-8,
-    opt_tol: float = 1e-9,
-    certify: bool = True,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the program, returning a certified status.
 
     Optimal solutions carry duals, reduced costs, and a residual
@@ -328,11 +322,11 @@ def solve_lp(
         phase1_costs = np.zeros(n_total)
         phase1_costs[tr.first_artificial:] = 1.0
         tableau = _build_tableau(a_work, b_work, phase1_costs, basis)
-        status = _run_simplex(tableau, basis, opt_tol, bland_after, max_iter)
+        status = _run_simplex(tableau, basis, bland_after, max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise SolverError("phase-1 simplex reported unbounded")
         scale = max(1.0, float(np.abs(b_work).max(initial=0.0)))
-        if -tableau[-1, -1] > feas_tol * scale * 10.0:
+        if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0:
             return LpSolution(status=LpStatus.INFEASIBLE)
         # drive artificials out of the basis or drop redundant rows
         drop_rows = []
@@ -365,7 +359,7 @@ def solve_lp(
         tableau[:-1, -1] = xb
         tableau[-1, :-1] = costs - costs[basis] @ tableau[:-1, :-1]
         tableau[-1, -1] = -float(costs[basis] @ xb)
-        status = _run_simplex(tableau, basis, opt_tol, bland_after, max_iter)
+        status = _run_simplex(tableau, basis, bland_after, max_iter)
         if status == "unbounded":
             return LpSolution(status=LpStatus.UNBOUNDED)
         # recompute from the final basis; loop again if roundoff fooled us
@@ -373,7 +367,7 @@ def solve_lp(
         xb = np.linalg.solve(matrix_b, b_work)
         y = np.linalg.solve(matrix_b.T, costs[basis])
         reduced = costs - y @ a_real
-        if reduced.min(initial=0.0) >= -max(opt_tol * 100.0, 1e-7):
+        if reduced.min(initial=0.0) >= -max(_OPT_TOL * 100.0, 1e-7):
             break
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
@@ -387,14 +381,7 @@ def solve_lp(
     y_rows = np.zeros(tr.a_full.shape[0])
     y_rows[kept] = y
     y_signed = y_rows[: tr.num_orig_rows] * tr.row_flip[: tr.num_orig_rows]
-    duals = np.zeros(lp.num_constraints)
-    for r, rel in enumerate(lp.relations):
-        if rel == LE:
-            duals[r] = -y_signed[r]
-        elif rel == GE:
-            duals[r] = y_signed[r]
-        else:
-            duals[r] = y_signed[r] if lp.sense == "min" else -y_signed[r]
+    duals = _dual_signs(lp) * y_signed
 
     c_min = lp.objective if lp.sense == "min" else -lp.objective
     reduced_orig = c_min - lp.row_matrix().T @ y_signed
@@ -408,17 +395,7 @@ def solve_lp(
         duals=duals,
         reduced_costs=reduced_orig,
     )
-    if certify:
-        report = check_solution(lp, solution)
-        solution = LpSolution(
-            status=LpStatus.OPTIMAL,
-            x=x,
-            objective_value=objective_value,
-            duals=duals,
-            reduced_costs=reduced_orig,
-            certificate=report,
-        )
-    return solution
+    return replace(solution, certificate=check_solution(lp, solution))
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +403,13 @@ def solve_lp(
 # ---------------------------------------------------------------------------
 
 
-def check_solution(
-    lp: LinearProgram, solution: LpSolution, bound_tol: float = 1e-7
-) -> CertificationReport:
+def _dual_signs(lp: LinearProgram) -> np.ndarray:
+    """Per-row +-1 mapping min-form multipliers to the documented duals, and back."""
+    sign = {LE: -1.0, GE: 1.0, EQ: 1.0 if lp.sense == "min" else -1.0}
+    return np.array([sign[rel] for rel in lp.relations])
+
+
+def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationReport:
     """Residual report for a claimed-optimal solution."""
     if solution.status is not LpStatus.OPTIMAL:
         raise ConfigError("check_solution requires an Optimal solution")
@@ -456,22 +437,15 @@ def check_solution(
     # work in min form
     c_min = lp.objective if lp.sense == "min" else -lp.objective
     duals = solution.duals
-    y_signed = np.zeros(lp.num_constraints)
-    for r, rel in enumerate(relations):
-        if rel == LE:
-            y_signed[r] = -duals[r]
-        elif rel == GE:
-            y_signed[r] = duals[r]
-        else:
-            y_signed[r] = duals[r] if lp.sense == "min" else -duals[r]
+    y_signed = _dual_signs(lp) * duals
     reduced = solution.reduced_costs if lp.sense == "min" else -solution.reduced_costs
 
     dual = 0.0
     for r, rel in enumerate(relations):
         if rel != EQ:
             dual = max(dual, -duals[r])
-    at_lo = finite_lo & (x <= lp.lower + bound_tol)
-    at_hi = finite_hi & (x >= lp.upper - bound_tol)
+    at_lo = finite_lo & (x <= lp.lower + _BOUND_TOL)
+    at_hi = finite_hi & (x >= lp.upper - _BOUND_TOL)
     for j in range(lp.num_vars):
         if at_lo[j] and at_hi[j]:
             continue
@@ -558,45 +532,3 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     for j in range(lp.num_vars):
         dual.add_constraint(coeff[:, j], EQ if free[j] else LE, lp.objective[j])
     return dual
-
-
-# ---------------------------------------------------------------------------
-# text interchange dump
-# ---------------------------------------------------------------------------
-
-
-def to_lp_format(lp: LinearProgram) -> str:
-    """Render the program in CPLEX LP text format for external cross-checks."""
-
-    def expr(coeffs) -> str:
-        terms = []
-        for j, v in enumerate(coeffs):
-            if v == 0:
-                continue
-            sign = "-" if v < 0 else "+"
-            terms.append(f"{sign} {abs(v):.17g} x{j}")
-        if not terms:
-            return "0 x0"
-        out = " ".join(terms)
-        return out[2:] if out.startswith("+ ") else out
-
-    lines = ["Maximize" if lp.sense == "max" else "Minimize"]
-    lines.append(f" obj: {expr(lp.objective)}")
-    lines.append("Subject To")
-    rhs = lp.rhs_vector()
-    for r, (row, rel) in enumerate(zip(lp.row_matrix(), lp.relations)):
-        lines.append(f" c{r}: {expr(row)} {rel} {rhs[r]:.17g}")
-    lines.append("Bounds")
-    for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if not math.isfinite(lo) and not math.isfinite(hi):
-            lines.append(f" x{j} free")
-        elif not math.isfinite(lo):
-            lines.append(f" -inf <= x{j} <= {hi:.17g}")
-        elif not math.isfinite(hi):
-            if lo != 0.0:
-                lines.append(f" {lo:.17g} <= x{j}")
-        else:
-            lines.append(f" {lo:.17g} <= x{j} <= {hi:.17g}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

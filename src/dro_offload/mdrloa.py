@@ -57,21 +57,16 @@ class SolveResult:
         }
 
 
-def select_branch(matrix: np.ndarray, tol: float = INTEGRALITY_TOL):
+def select_branch(matrix: np.ndarray):
     """Index of the entry farthest from integrality, or None if all integral.
 
     Ties break to the lexicographically smallest (i, j).
     """
     scores = np.minimum(matrix, 1.0 - matrix)
-    if scores.max(initial=0.0) <= tol:
+    if scores.max(initial=0.0) <= INTEGRALITY_TOL:
         return None
     flat = int(np.argmax(scores))
     return tuple(int(v) for v in np.unravel_index(flat, matrix.shape))
-
-
-# the access and compute phases use the identical most-fractional rule
-select_branch_x = select_branch
-select_branch_y = select_branch
 
 
 def _solve_fixed(base: LinearProgram, fixed: dict[int, float]) -> LpSolution:
@@ -155,28 +150,8 @@ def _dive(scenario: Scenario, mean_sizes: np.ndarray):
     return decision, bound, count
 
 
-def mdrloa_solve(scenario: Scenario, ambiguity_sets: list[AmbiguitySet]) -> SolveResult:
-    """Distributionally robust solve: worst-case distributions, then dive."""
-    if len(ambiguity_sets) != scenario.num_tds:
-        raise ShapeError("need one ambiguity set per TD")
-    _, means = worst_case_distributions(ambiguity_sets)
-    decision, bound, count = _dive(scenario, means)
-    return SolveResult(
-        decision=decision,
-        worst_case_expected_latency=expected_latency(decision, scenario, means),
-        relaxation_bound=bound,
-        lp_solve_count=count,
-        method=METHOD_MDRLOA,
-    )
-
-
-def baseline_deterministic(
-    scenario: Scenario, estimate_bits: float, method: str = METHOD_DO
-) -> SolveResult:
-    """Dive with every task size replaced by one point estimate."""
-    if not estimate_bits > 0:
-        raise ShapeError(f"estimate must be > 0, got {estimate_bits}")
-    means = np.full(scenario.num_tds, float(estimate_bits))
+def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
+    """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here."""
     decision, bound, count = _dive(scenario, means)
     return SolveResult(
         decision=decision,
@@ -187,14 +162,19 @@ def baseline_deterministic(
     )
 
 
+def mdrloa_solve(scenario: Scenario, ambiguity_sets: list[AmbiguitySet]) -> SolveResult:
+    """Distributionally robust solve: means of the worst-case distributions."""
+    return _solve(scenario, worst_case_distributions(ambiguity_sets)[1], METHOD_MDRLOA)
+
+
 def do_solve(scenario: Scenario, space: SampleSpace) -> SolveResult:
-    """Deterministic baseline: estimate at the average atom."""
-    return baseline_deterministic(scenario, float(np.mean(space.atoms)), METHOD_DO)
+    """Deterministic baseline: every task size estimated at the average atom."""
+    return _solve(scenario, np.full(scenario.num_tds, float(np.mean(space.atoms))), METHOD_DO)
 
 
 def ro_solve(scenario: Scenario, space: SampleSpace) -> SolveResult:
-    """Robust baseline: estimate at the largest atom."""
-    return baseline_deterministic(scenario, float(max(space.atoms)), METHOD_RO)
+    """Robust baseline: every task size estimated at the largest atom."""
+    return _solve(scenario, np.full(scenario.num_tds, float(max(space.atoms))), METHOD_RO)
 
 
 def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, Distribution, SampleSpace, worst_case_mean_distribution
+from .ambiguity import AmbiguitySet, Distribution, worst_case_mean_distribution
 from .errors import ShapeError
 from .geometry import Scenario, per_bit_coefficients
 from .lp import EQ, GE, LE, LinearProgram, dual_of
@@ -61,14 +61,6 @@ class OffloadDecision:
             "z": self.z.astype(int).tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "OffloadDecision":
-        return cls(
-            x=np.asarray(data["x"], dtype=int),
-            y=np.asarray(data["y"], dtype=int),
-            z=np.asarray(data["z"], dtype=int),
-        )
-
 
 @dataclass(frozen=True)
 class RelaxedDecision:
@@ -89,27 +81,6 @@ class RelaxedDecision:
             y=values[ij : 2 * ij].reshape(shape),
             z=values[2 * ij :].reshape(shape),
         )
-
-
-@dataclass(frozen=True)
-class ModelDimensions:
-    num_vars: int
-    num_constraints: int
-    reference_num_vars: int
-    reference_num_constraints: int
-
-    @property
-    def vars_match(self) -> bool:
-        return self.num_vars == self.reference_num_vars
-
-    @property
-    def constraints_match(self) -> bool:
-        return self.num_constraints == self.reference_num_constraints
-
-
-def mean_task_sizes(space: SampleSpace, distributions: list[Distribution]) -> np.ndarray:
-    """Expected task size in bits per TD."""
-    return np.array([d.mean(space) for d in distributions])
 
 
 def _path_cost_matrices(scenario: Scenario):
@@ -155,17 +126,6 @@ def expected_energy(
     )
     hap = en.hap_basic + weighted_z.sum() * coeffs.hap_compute_energy
     return uav, float(hap)
-
-
-def energy_feasible(
-    decision, scenario: Scenario, mean_sizes: np.ndarray, rel_tol: float = 1e-6
-) -> bool:
-    """Budget check with a small relative slack for solver roundoff."""
-    uav, hap = expected_energy(decision, scenario, mean_sizes)
-    en = scenario.energy
-    if (uav > en.uav_budget * (1.0 + rel_tol) + 1e-9).any():
-        return False
-    return hap <= en.hap_budget * (1.0 + rel_tol) + 1e-9
 
 
 def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
@@ -252,15 +212,3 @@ def worst_case_distributions(
         dists.append(dist)
         means.append(mean)
     return dists, np.asarray(means)
-
-
-def dimension_report(scenario: Scenario) -> ModelDimensions:
-    """Actual P2 dimensions next to the reference formulas 3IJ and 6IJ+2J+I."""
-    i, j = scenario.num_tds, scenario.num_uavs
-    lp = build_p2(scenario, np.ones(i))
-    return ModelDimensions(
-        num_vars=lp.num_vars,
-        num_constraints=lp.num_constraints,
-        reference_num_vars=3 * i * j,
-        reference_num_constraints=6 * i * j + 2 * j + i,
-    )

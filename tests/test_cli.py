@@ -123,3 +123,9 @@ def test_bad_argument_exit_2(cfg_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--config", str(cfg_path), "--method", "nope"])
     assert exc.value.code == 2
+
+
+def test_exhaustive_over_size_limit_exit_2(cfg_path, capsys):
+    # the default 10 x 3 instance is past the exhaustive 6 x 3 limit
+    assert main(["solve", "--config", str(cfg_path), "--method", "exhaustive"]) == EXIT_CONFIG
+    assert "exhaustive search limited" in capsys.readouterr().err

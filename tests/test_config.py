@@ -65,6 +65,14 @@ class TestStrictParsing:
             0.06622896708185044, abs=1e-12
         )
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ConfigError, match="epsilon"):
+            parse_config({"ambiguity": {"epsilon": float("nan")}})
+
+    def test_nonpositive_atom_rejected(self):
+        with pytest.raises(ConfigError, match="atoms_mbit"):
+            parse_config({"ambiguity": {"atoms_mbit": [0]}})
+
     def test_categorical_truth(self):
         cfg = parse_config(
             {"ambiguity": {"truth": {"kind": "categorical", "probs": [0.1, 0.1, 0.2, 0.3, 0.3]}}}

@@ -11,7 +11,6 @@ from dro_offload.lp import (
     check_solution,
     dual_of,
     solve_lp,
-    to_lp_format,
 )
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -224,12 +223,3 @@ class TestDualOf:
         lp = LinearProgram([-1.0], sense="min", lower=[0])
         assert solve_lp(lp).status is LpStatus.UNBOUNDED
         assert solve_lp(dual_of(lp)).status is LpStatus.INFEASIBLE
-
-
-class TestLpFormat:
-    def test_contains_sections(self):
-        lp = LinearProgram([1.0, 2.0], sense="min", lower=[0, 0], upper=[1, np.inf])
-        lp.add_constraint([1, 1], LE, 3)
-        text = to_lp_format(lp)
-        for token in ("Minimize", "Subject To", "Bounds", "End"):
-            assert token in text

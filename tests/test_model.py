@@ -13,11 +13,8 @@ from dro_offload.model import (
     RelaxedDecision,
     build_p2,
     build_p3,
-    dimension_report,
-    energy_feasible,
     expected_energy,
     expected_latency,
-    mean_task_sizes,
     worst_case_distributions,
 )
 
@@ -66,8 +63,9 @@ class TestOffloadDecision:
 
     def test_round_trip(self):
         d = _all_local(2, 2)
-        again = OffloadDecision.from_dict(d.to_dict())
+        again = OffloadDecision(**{k: np.asarray(v) for k, v in d.to_dict().items()})
         np.testing.assert_array_equal(d.x, again.x)
+        np.testing.assert_array_equal(d.y, again.y)
 
     def test_relaxed_from_vector(self):
         vec = np.arange(12, dtype=float) / 12.0
@@ -110,25 +108,12 @@ class TestExpectedCosts:
         assert uav[1] == pytest.approx(0.0, abs=1e-15)
         assert hap == pytest.approx(0.0, abs=1e-15)
 
-    def test_energy_feasibility_flips_with_budget(self):
-        sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
-        sizes = np.array([1e6, 2e6])
-        d = _all_local(2, 2)
-        assert energy_feasible(d, sc, sizes)
-        tight = dataclasses.replace(sc, energy=dataclasses.replace(sc.energy, uav_budget=1e-9))
-        assert not energy_feasible(d, tight, sizes)
-
 
 class TestP2:
     def test_dimensions(self):
-        report = dimension_report(_scenario())
-        assert report.num_vars == 90
-        assert report.reference_num_vars == 90
-        assert report.vars_match
-        # I + 2J + IJ + 2 actual rows vs the 6IJ + 2J + I reference count
-        assert report.num_constraints == 48
-        assert report.reference_num_constraints == 196
-        assert not report.constraints_match
+        lp = build_p2(_scenario(), np.ones(10))
+        assert lp.num_vars == 90  # 3IJ
+        assert lp.num_constraints == 48  # I + J + 1 + IJ + J + 1
 
     def test_relaxation_bounds_every_decision(self):
         sc = _scenario(num_tds=3, num_uavs=2, quota_uav=2, seed=4)
@@ -182,7 +167,3 @@ class TestWorstCaseDistributions:
         dists, means = worst_case_distributions(sets)
         assert len(dists) == 4
         np.testing.assert_allclose(means, 18.6e6, rtol=1e-12)
-
-    def test_mean_task_sizes(self):
-        dists = [Distribution.uniform(5), Distribution.point_mass(5, 4)]
-        np.testing.assert_allclose(mean_task_sizes(SPACE, dists), [15e6, 27e6], rtol=1e-12)
