@@ -59,8 +59,8 @@ class Distribution:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
-        if (arr < -PROB_TOL).any() or (arr > 1.0 + PROB_TOL).any():
-            raise ConfigError("probabilities must lie in [0, 1]")
+        if not ((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL)).all():  # NaN fails both
+            raise ConfigError(f"probabilities must be finite and lie in [0, 1], got {self.probs}")
         if abs(arr.sum() - 1.0) > PROB_TOL:
             raise ConfigError(f"probabilities must sum to 1, got {arr.sum()!r}")
 

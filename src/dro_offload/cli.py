@@ -71,8 +71,6 @@ def _load(args) -> RunConfig:
             cfg, experiment=dataclasses.replace(cfg.experiment, seeds=(args.seed,))
         )
     if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = dataclasses.replace(
             cfg, experiment=dataclasses.replace(cfg.experiment, jobs=args.jobs)
         )

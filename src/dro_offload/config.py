@@ -4,13 +4,23 @@ Configs are strict: unknown keys are rejected and everything is parsed
 and validated before any work starts. Radio parameters are written in
 dB in the file (matching how link budgets are usually quoted) and
 converted to linear values here, once.
+
+Each JSON object has one table of `json key -> (attribute, kind,
+default)` rows. A row's kind type-checks and converts the value on the
+way in and writes it back on the way out, so parsing, defaults,
+`RunConfig.to_dict` and sweep overrides all read the same row. Range
+checks live in each dataclass's `__post_init__`, so that
+`dataclasses.replace` runs them too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+import sys
+from dataclasses import dataclass, replace
+from typing import Any, Callable, NamedTuple
 
 from .ambiguity import Distribution, SampleSpace, tolerance_from_confidence
 from .errors import ConfigError
@@ -18,7 +28,6 @@ from .geometry import ComputeParams, EnergyParams, Position3D, RadioParams, Scen
 
 MBIT = 1e6
 
-SWEEP_PARAMS = ("Q", "eps", "quota-hap", "quota-uav")
 METHODS = ("dro", "do", "ro", "exhaustive")
 
 
@@ -26,21 +35,12 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _take(data: dict, context: str, defaults: dict) -> dict:
-    unknown = set(data) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {context} key(s): {', '.join(sorted(unknown))}")
-    merged = dict(defaults)
-    merged.update(data)
-    return merged
-
-
 @dataclass(frozen=True)
 class TruthSpec:
     """Ground-truth task-size distribution used for histories and realizations."""
 
-    kind: str = "uniform"
-    probs: tuple[float, ...] = ()
+    kind: str
+    probs: tuple[float, ...]
 
     def __post_init__(self):
         if self.kind not in ("uniform", "categorical"):
@@ -53,17 +53,17 @@ class TruthSpec:
             return Distribution.uniform(space.num_atoms)
         if len(self.probs) != space.num_atoms:
             raise ConfigError("truth probs length must equal the number of atoms")
-        return Distribution(probs=tuple(float(p) for p in self.probs))
+        return Distribution(probs=self.probs)
 
 
 @dataclass(frozen=True)
 class AmbiguityConfig:
-    atoms_mbit: tuple[float, ...] = (3.0, 9.0, 15.0, 21.0, 27.0)
-    history_len: int = 200
-    epsilon: float | None = 0.3
-    confidence: float | None = None
-    truth: TruthSpec = field(default_factory=TruthSpec)
-    per_device_history: bool = False
+    atoms_mbit: tuple[float, ...]
+    history_len: int
+    epsilon: float | None
+    confidence: float | None
+    truth: TruthSpec
+    per_device_history: bool
 
     def __post_init__(self):
         if self.history_len < 1:
@@ -82,23 +82,23 @@ class AmbiguityConfig:
 
     def effective_epsilon(self) -> float:
         if self.epsilon is not None:
-            return float(self.epsilon)
-        return tolerance_from_confidence(
-            len(self.atoms_mbit), self.history_len, float(self.confidence)
-        )
+            return self.epsilon
+        return tolerance_from_confidence(len(self.atoms_mbit), self.history_len, self.confidence)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seeds: tuple[int, ...] = tuple(range(1, 21))
-    methods: tuple[str, ...] = ("dro", "do", "ro")
-    jobs: int = 1
-    sweep_param: str | None = None
-    sweep_values: tuple[float, ...] = ()
+    seeds: tuple[int, ...]
+    methods: tuple[str, ...]
+    jobs: int
+    sweep_param: str | None
+    sweep_values: tuple[float, ...]
 
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("experiment needs at least one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
@@ -115,209 +115,206 @@ class RunConfig:
     experiment: ExperimentConfig
 
     def to_dict(self) -> dict:
-        sc = self.scenario
-        return {
-            "scenario": {
-                "num_tds": sc.num_tds,
-                "num_uavs": sc.num_uavs,
-                "area_size_m": sc.area_size,
-                "uav_altitude_m": sc.uav_altitude,
-                "hap_position_m": list(sc.hap_position.to_tuple()),
-                "quota_uav": sc.quota_uav,
-                "quota_hap": sc.quota_hap,
-                "radio": {
-                    "ref_gain_td_uav_db": _linear_to_db(sc.radio.ref_gain_td_uav),
-                    "ref_gain_uav_hap_db": _linear_to_db(sc.radio.ref_gain_uav_hap),
-                    "bandwidth_td_uav_hz": sc.radio.bandwidth_td_uav,
-                    "bandwidth_uav_hap_hz": sc.radio.bandwidth_uav_hap,
-                    "noise_power_db": _linear_to_db(sc.radio.noise_power),
-                    "tx_power_td_w": sc.radio.tx_power_td,
-                    "tx_power_uav_w": sc.radio.tx_power_uav,
-                },
-                "compute": {
-                    "uav_capability_cps": sc.compute.uav_capability,
-                    "hap_capability_cps": sc.compute.hap_capability,
-                    "uav_cycles_per_bit": sc.compute.uav_cycles_per_bit,
-                    "hap_cycles_per_bit": sc.compute.hap_cycles_per_bit,
-                },
-                "energy": {
-                    "uav_basic_j": sc.energy.uav_basic,
-                    "hap_basic_j": sc.energy.hap_basic,
-                    "uav_chip_coeff": sc.energy.uav_chip_coeff,
-                    "hap_chip_coeff": sc.energy.hap_chip_coeff,
-                    "uav_budget_j": sc.energy.uav_budget,
-                    "hap_budget_j": sc.energy.hap_budget,
-                    "uav_relay_power_w": sc.energy.uav_relay_power,
-                },
-            },
-            "ambiguity": {
-                "atoms_mbit": list(self.ambiguity.atoms_mbit),
-                "history_len": self.ambiguity.history_len,
-                "epsilon": self.ambiguity.epsilon,
-                "confidence": self.ambiguity.confidence,
-                "truth": {"kind": self.ambiguity.truth.kind, "probs": list(self.ambiguity.truth.probs)},
-                "per_device_history": self.ambiguity.per_device_history,
-            },
-            "experiment": {
-                "seeds": list(self.experiment.seeds),
-                "methods": list(self.experiment.methods),
-                "jobs": self.experiment.jobs,
-                "sweep_param": self.experiment.sweep_param,
-                "sweep_values": list(self.experiment.sweep_values),
-            },
-        }
+        return _RUN.dump(self)
 
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def with_override(self, param: str, value: float) -> "RunConfig":
-        """Apply one sweep-parameter override, returning a new config."""
-        if param == "Q":
-            return replace(self, ambiguity=replace(self.ambiguity, history_len=int(value)))
-        if param == "eps":
-            return replace(
-                self, ambiguity=replace(self.ambiguity, epsilon=float(value), confidence=None)
-            )
-        if param == "quota-hap":
-            return replace(self, scenario=replace(self.scenario, quota_hap=int(value)))
-        if param == "quota-uav":
-            return replace(self, scenario=replace(self.scenario, quota_uav=int(value)))
-        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
+        """Apply one sweep-parameter override, parsed by its row's kind."""
+        if param not in _SWEEP:
+            raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
+        block, key, resets = _SWEEP[param]
+        block_attr, block_kind, _ = _RUN.rows[block]
+        attr, kind, _ = block_kind.rows[key]
+        updated = replace(
+            getattr(self, block_attr), **{attr: kind.parse(value, f"{block}.{key}")}, **resets
+        )
+        return replace(self, **{block_attr: updated})
 
 
-def _linear_to_db(linear: float) -> float:
-    import math
-
-    return 10.0 * math.log10(linear)
+# -- kinds: how one JSON value is read in and written back out ------------------
 
 
-_SCENARIO_DEFAULTS = {
-    "num_tds": 10,
-    "num_uavs": 3,
-    "area_size_m": 10000.0,
-    "uav_altitude_m": 2000.0,
-    "hap_position_m": [5000.0, 5000.0, 20000.0],
-    "quota_uav": 4,
-    "quota_hap": 4,
-    "radio": {},
-    "compute": {},
-    "energy": {},
+class _Kind(NamedTuple):
+    parse: Callable[[Any, str], Any]  # (json value, dotted path) -> attribute value
+    dump: Callable[[Any], Any] = lambda value: value
+
+
+def _real(value, path: str) -> float:
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max  # NaN fails too
+    if finite and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{path} must be a finite number, got {value!r}")
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
+def _db_in(value, path: str) -> float:
+    try:
+        return db_to_linear(_real(value, path))
+    except OverflowError:
+        raise ConfigError(f"{path} is out of range, got {value!r}") from None
+
+
+def _db_out(linear: float) -> float:
+    """10·log10(linear), or, where a parse would dump that differently (3 dB is written
+    2.999999999999999, then 2.9999999999999987), a dB value that parses back to `linear`."""
+    db = 10.0 * math.log10(linear)
+    if 10.0 * math.log10(db_to_linear(db)) == db:
+        return db
+    down = up = db
+    for _ in range(2):
+        down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+        for near in (down, up):
+            if db_to_linear(near) == linear:
+                return near
+    return db
+
+
+def _instance(cls: type, expected: str) -> _Kind:
+    def parse(value, path: str):
+        if not isinstance(value, cls):
+            raise ConfigError(f"{path} must be {expected}, got {value!r}")
+        return value
+
+    return _Kind(parse)
+
+
+def _optional(kind: _Kind) -> _Kind:
+    return _Kind(
+        lambda value, path: None if value is None else kind.parse(value, path),
+        lambda value: None if value is None else kind.dump(value),
+    )
+
+
+def _list_of(kind: _Kind) -> _Kind:
+    def parse(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return tuple(kind.parse(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return _Kind(parse, lambda values: [kind.dump(v) for v in values])
+
+
+def _point(value, path: str) -> Position3D:
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ConfigError(f"{path} must be a list of 3 numbers, got {value!r}")
+    return Position3D(*(_real(v, f"{path}[{i}]") for i, v in enumerate(value)))
+
+
+@dataclass(frozen=True)
+class _Object:
+    """A JSON object read into `cls`; `rows` maps json key -> (attribute, kind, default)."""
+
+    cls: type
+    rows: dict[str, tuple[str, Any, Any]]
+
+    def parse(self, value, path: str):
+        where = path or "config root"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        unknown = set(value) - set(self.rows)
+        if unknown:
+            raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+        return self.cls(
+            **{
+                attr: kind.parse(value.get(key, default), f"{path}.{key}" if path else key)
+                for key, (attr, kind, default) in self.rows.items()
+            }
+        )
+
+    def dump(self, obj) -> dict:
+        return {key: kind.dump(getattr(obj, attr)) for key, (attr, kind, _) in self.rows.items()}
+
+
+_REAL = _Kind(_real)
+_INTEGER = _Kind(_integer)
+_DB = _Kind(_db_in, _db_out)
+_BOOL = _instance(bool, "true or false")
+_STRING = _instance(str, "a string")
+_POINT = _Kind(_point, lambda p: list(p.to_tuple()))
+
+_RADIO = _Object(RadioParams, {
+    "ref_gain_td_uav_db": ("ref_gain_td_uav", _DB, -60.0),
+    "ref_gain_uav_hap_db": ("ref_gain_uav_hap", _DB, -60.0),
+    "bandwidth_td_uav_hz": ("bandwidth_td_uav", _REAL, 1e6),
+    "bandwidth_uav_hap_hz": ("bandwidth_uav_hap", _REAL, 2e7),
+    "noise_power_db": ("noise_power", _DB, -100.0),
+    "tx_power_td_w": ("tx_power_td", _REAL, 0.5),
+    "tx_power_uav_w": ("tx_power_uav", _REAL, 10.0),
+})
+_COMPUTE = _Object(ComputeParams, {
+    "uav_capability_cps": ("uav_capability", _REAL, 3e9),
+    "hap_capability_cps": ("hap_capability", _REAL, 5e10),
+    "uav_cycles_per_bit": ("uav_cycles_per_bit", _REAL, 270.0),
+    "hap_cycles_per_bit": ("hap_cycles_per_bit", _REAL, 1100.0),
+})
+_ENERGY = _Object(EnergyParams, {
+    "uav_basic_j": ("uav_basic", _REAL, 0.0),
+    "hap_basic_j": ("hap_basic", _REAL, 0.0),
+    "uav_chip_coeff": ("uav_chip_coeff", _REAL, 1e-28),
+    "hap_chip_coeff": ("hap_chip_coeff", _REAL, 1e-28),
+    "uav_budget_j": ("uav_budget", _REAL, 1e5),
+    "hap_budget_j": ("hap_budget", _REAL, 1e6),
+    "uav_relay_power_w": ("uav_relay_power", _REAL, 10.0),
+})
+_SCENARIO = _Object(ScenarioConfig, {
+    "num_tds": ("num_tds", _INTEGER, 10),
+    "num_uavs": ("num_uavs", _INTEGER, 3),
+    "area_size_m": ("area_size", _REAL, 10000.0),
+    "uav_altitude_m": ("uav_altitude", _REAL, 2000.0),
+    "hap_position_m": ("hap_position", _POINT, [5000.0, 5000.0, 20000.0]),
+    "quota_uav": ("quota_uav", _INTEGER, 4),
+    "quota_hap": ("quota_hap", _INTEGER, 4),
+    "radio": ("radio", _RADIO, {}),
+    "compute": ("compute", _COMPUTE, {}),
+    "energy": ("energy", _ENERGY, {}),
+})
+_TRUTH = _Object(TruthSpec, {
+    "kind": ("kind", _STRING, "uniform"),
+    "probs": ("probs", _list_of(_REAL), []),
+})
+_AMBIGUITY = _Object(AmbiguityConfig, {
+    "atoms_mbit": ("atoms_mbit", _list_of(_REAL), [3.0, 9.0, 15.0, 21.0, 27.0]),
+    "history_len": ("history_len", _INTEGER, 200),
+    "epsilon": ("epsilon", _optional(_REAL), 0.3),
+    "confidence": ("confidence", _optional(_REAL), None),
+    "truth": ("truth", _TRUTH, {}),
+    "per_device_history": ("per_device_history", _BOOL, False),
+})
+_EXPERIMENT = _Object(ExperimentConfig, {
+    "seeds": ("seeds", _list_of(_INTEGER), list(range(1, 21))),
+    "methods": ("methods", _list_of(_STRING), ["dro", "do", "ro"]),
+    "jobs": ("jobs", _INTEGER, 1),
+    "sweep_param": ("sweep_param", _optional(_STRING), None),
+    "sweep_values": ("sweep_values", _list_of(_REAL), []),
+})
+_RUN = _Object(RunConfig, {
+    "scenario": ("scenario", _SCENARIO, {}),
+    "ambiguity": ("ambiguity", _AMBIGUITY, {}),
+    "experiment": ("experiment", _EXPERIMENT, {}),
+})
+
+# sweep parameter -> (block, json key, attributes the override resets)
+_SWEEP = {
+    "Q": ("ambiguity", "history_len", {}),
+    "eps": ("ambiguity", "epsilon", {"confidence": None}),
+    "quota-hap": ("scenario", "quota_hap", {}),
+    "quota-uav": ("scenario", "quota_uav", {}),
 }
-
-_RADIO_DEFAULTS = {
-    "ref_gain_td_uav_db": -60.0,
-    "ref_gain_uav_hap_db": -60.0,
-    "bandwidth_td_uav_hz": 1e6,
-    "bandwidth_uav_hap_hz": 2e7,
-    "noise_power_db": -100.0,
-    "tx_power_td_w": 0.5,
-    "tx_power_uav_w": 10.0,
-}
-
-_COMPUTE_DEFAULTS = {
-    "uav_capability_cps": 3e9,
-    "hap_capability_cps": 5e10,
-    "uav_cycles_per_bit": 270.0,
-    "hap_cycles_per_bit": 1100.0,
-}
-
-_ENERGY_DEFAULTS = {
-    "uav_basic_j": 0.0,
-    "hap_basic_j": 0.0,
-    "uav_chip_coeff": 1e-28,
-    "hap_chip_coeff": 1e-28,
-    "uav_budget_j": 1e5,
-    "hap_budget_j": 1e6,
-    "uav_relay_power_w": 10.0,
-}
-
-_AMBIGUITY_DEFAULTS = {
-    "atoms_mbit": [3.0, 9.0, 15.0, 21.0, 27.0],
-    "history_len": 200,
-    "epsilon": 0.3,
-    "confidence": None,
-    "truth": {},
-    "per_device_history": False,
-}
-
-_TRUTH_DEFAULTS = {"kind": "uniform", "probs": []}
-
-_EXPERIMENT_DEFAULTS = {
-    "seeds": list(range(1, 21)),
-    "methods": ["dro", "do", "ro"],
-    "jobs": 1,
-    "sweep_param": None,
-    "sweep_values": [],
-}
+SWEEP_PARAMS = tuple(_SWEEP)
 
 
 def parse_config(data: dict) -> RunConfig:
-    top = _take(data, "top-level", {"scenario": {}, "ambiguity": {}, "experiment": {}})
-
-    sc = _take(top["scenario"], "scenario", _SCENARIO_DEFAULTS)
-    radio_d = _take(sc["radio"], "scenario.radio", _RADIO_DEFAULTS)
-    compute_d = _take(sc["compute"], "scenario.compute", _COMPUTE_DEFAULTS)
-    energy_d = _take(sc["energy"], "scenario.energy", _ENERGY_DEFAULTS)
-    if radio_d["bandwidth_td_uav_hz"] <= 0 or radio_d["bandwidth_uav_hap_hz"] <= 0:
-        raise ConfigError("radio bandwidths (bandwidth_*_hz) must be positive")
-    radio = RadioParams(
-        ref_gain_td_uav=db_to_linear(radio_d["ref_gain_td_uav_db"]),
-        ref_gain_uav_hap=db_to_linear(radio_d["ref_gain_uav_hap_db"]),
-        bandwidth_td_uav=float(radio_d["bandwidth_td_uav_hz"]),
-        bandwidth_uav_hap=float(radio_d["bandwidth_uav_hap_hz"]),
-        noise_power=db_to_linear(radio_d["noise_power_db"]),
-        tx_power_td=float(radio_d["tx_power_td_w"]),
-        tx_power_uav=float(radio_d["tx_power_uav_w"]),
-    )
-    compute = ComputeParams(
-        uav_capability=float(compute_d["uav_capability_cps"]),
-        hap_capability=float(compute_d["hap_capability_cps"]),
-        uav_cycles_per_bit=float(compute_d["uav_cycles_per_bit"]),
-        hap_cycles_per_bit=float(compute_d["hap_cycles_per_bit"]),
-    )
-    energy = EnergyParams(
-        uav_basic=float(energy_d["uav_basic_j"]),
-        hap_basic=float(energy_d["hap_basic_j"]),
-        uav_chip_coeff=float(energy_d["uav_chip_coeff"]),
-        hap_chip_coeff=float(energy_d["hap_chip_coeff"]),
-        uav_budget=float(energy_d["uav_budget_j"]),
-        hap_budget=float(energy_d["hap_budget_j"]),
-        uav_relay_power=float(energy_d["uav_relay_power_w"]),
-    )
-    scenario = ScenarioConfig(
-        num_tds=int(sc["num_tds"]),
-        num_uavs=int(sc["num_uavs"]),
-        area_size=float(sc["area_size_m"]),
-        uav_altitude=float(sc["uav_altitude_m"]),
-        hap_position=Position3D(*[float(v) for v in sc["hap_position_m"]]),
-        radio=radio,
-        compute=compute,
-        energy=energy,
-        quota_uav=int(sc["quota_uav"]),
-        quota_hap=int(sc["quota_hap"]),
-    )
-
-    amb = _take(top["ambiguity"], "ambiguity", _AMBIGUITY_DEFAULTS)
-    truth_d = _take(amb["truth"], "ambiguity.truth", _TRUTH_DEFAULTS)
-    ambiguity = AmbiguityConfig(
-        atoms_mbit=tuple(float(a) for a in amb["atoms_mbit"]),
-        history_len=int(amb["history_len"]),
-        epsilon=None if amb["epsilon"] is None else float(amb["epsilon"]),
-        confidence=None if amb["confidence"] is None else float(amb["confidence"]),
-        truth=TruthSpec(kind=truth_d["kind"], probs=tuple(truth_d["probs"])),
-        per_device_history=bool(amb["per_device_history"]),
-    )
-
-    exp = _take(top["experiment"], "experiment", _EXPERIMENT_DEFAULTS)
-    experiment = ExperimentConfig(
-        seeds=tuple(int(s) for s in exp["seeds"]),
-        methods=tuple(exp["methods"]),
-        jobs=int(exp["jobs"]),
-        sweep_param=exp["sweep_param"],
-        sweep_values=tuple(float(v) for v in exp["sweep_values"]),
-    )
-    return RunConfig(scenario=scenario, ambiguity=ambiguity, experiment=experiment)
+    return _RUN.parse(data, "")
 
 
 def default_config() -> RunConfig:
@@ -330,8 +327,6 @@ def load_config(path) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer literal
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
     return parse_config(data)

@@ -59,6 +59,10 @@ class TestDistribution:
         with pytest.raises(ConfigError):
             Distribution(probs=(1.2, -0.2))
 
+    def test_no_nan_probs(self):
+        with pytest.raises(ConfigError, match="finite"):
+            Distribution(probs=(float("nan"), 0.5, 0.5))
+
 
 class TestEmpirical:
     def test_hand_histogram(self, space):

@@ -129,3 +129,31 @@ def test_exhaustive_over_size_limit_exit_2(cfg_path, capsys):
     # the default 10 x 3 instance is past the exhaustive 6 x 3 limit
     assert main(["solve", "--config", str(cfg_path), "--method", "exhaustive"]) == EXIT_CONFIG
     assert "exhaustive search limited" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_2(capsys):
+    assert main(["solve", "--seed", "-1"]) == EXIT_CONFIG
+    assert "seeds must be >= 0" in capsys.readouterr().err
+
+
+def test_zero_jobs_exit_2(cfg_path, tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = ["evaluate", "--config", str(cfg_path), "--jobs", "0", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_bandwidth_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bw.json"
+    cfg.write_text(json.dumps({"scenario": {"radio": {"bandwidth_td_uav_hz": 0}}}), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--seed", "1"]) == EXIT_CONFIG
+    assert "bandwidth_td_uav must be > 0" in capsys.readouterr().err
+
+
+def test_sweep_non_integral_quota_exit_2(cfg_path, tmp_path, capsys):
+    out = tmp_path / "s"
+    argv = ["sweep", "--config", str(cfg_path), "--param", "quota-uav", "--values", "4", "4.9"]
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "scenario.quota_uav must be an integer, got 4.9" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,14 +1,52 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dro_offload.config import (
+    METHODS,
+    SWEEP_PARAMS,
     db_to_linear,
     default_config,
     load_config,
     parse_config,
 )
 from dro_offload.errors import ConfigError
+
+# (config file text, dotted path of the field the error must name)
+MALFORMED = [
+    ('{"scenario": {"num_tds": "x"}}', "scenario.num_tds"),
+    ('{"scenario": {"hap_position_m": [1, 2]}}', "scenario.hap_position_m"),
+    ('{"experiment": {"seeds": 5}}', "experiment.seeds"),
+    ('{"experiment": {"sweep_values": 5}}', "experiment.sweep_values"),
+    ('{"scenario": {"radio": null}}', "scenario.radio"),
+    ('{"scenario": {"radio": {"bandwidth_td_uav_hz": "1e6"}}}', "scenario.radio.bandwidth_td_uav_hz"),
+    ('{"scenario": {"radio": {"noise_power_db": "x"}}}', "scenario.radio.noise_power_db"),
+    ('{"scenario": {"radio": {"noise_power_db": 4000}}}', "scenario.radio.noise_power_db"),
+    ('{"scenario": {"area_size_m": 1e999}}', "scenario.area_size_m"),
+    pytest.param(
+        '{"scenario": {"area_size_m": 1' + "0" * 400 + "}}",
+        "scenario.area_size_m",
+        id="area_size_m-past-float-range",
+    ),
+    (
+        '{"ambiguity": {"truth": {"kind": "categorical", "probs": [NaN, 0.5, 0.5, 0, 0]}}}',
+        "ambiguity.truth.probs",
+    ),
+    ('{"scenario": []}', "scenario"),
+    ('{"scenario": {"radio": []}}', "scenario.radio"),
+    ('{"ambiguity": {"atoms_mbit": "3"}}', "ambiguity.atoms_mbit"),
+    ('{"ambiguity": {"per_device_history": "false"}}', "ambiguity.per_device_history"),
+    ('{"ambiguity": {"history_len": 30.9}}', "ambiguity.history_len"),
+    ('{"ambiguity": {"history_len": "30"}}', "ambiguity.history_len"),
+    ('{"experiment": {"jobs": 1.5}}', "experiment.jobs"),
+    ('{"experiment": {"seeds": [1.7]}}', "experiment.seeds"),
+    ('{"scenario": {"num_uavs": 3.9}}', "scenario.num_uavs"),
+    ('{"scenario": {"quota_uav": 2.7}}', "scenario.quota_uav"),
+    ('{"scenario": {"quota_uav": true}}', "scenario.quota_uav"),
+]
 
 
 class TestDefaults:
@@ -73,6 +111,20 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="atoms_mbit"):
             parse_config({"ambiguity": {"atoms_mbit": [0]}})
 
+    @pytest.mark.parametrize("text, path", MALFORMED)
+    def test_malformed_field_is_named(self, text, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[\d+\])? (must|is)"):
+            parse_config(json.loads(text))
+
+    def test_integral_floats_read_as_integers(self):
+        cfg = parse_config({"scenario": {"quota_uav": 4.0}, "experiment": {"seeds": [2.0]}})
+        assert cfg.scenario.quota_uav == 4 and isinstance(cfg.scenario.quota_uav, int)
+        assert cfg.experiment.seeds == (2,) and isinstance(cfg.experiment.seeds[0], int)
+
+    def test_integer_probs_read_as_floats(self):
+        cfg = parse_config({"ambiguity": {"truth": {"kind": "categorical", "probs": [0, 0, 1, 0, 0]}}})
+        assert all(type(p) is float for p in cfg.ambiguity.truth.probs)
+
     def test_categorical_truth(self):
         cfg = parse_config(
             {"ambiguity": {"truth": {"kind": "categorical", "probs": [0.1, 0.1, 0.2, 0.3, 0.3]}}}
@@ -97,9 +149,70 @@ class TestStrictParsing:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{nope", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        # bad syntax, an integer literal over 4300 digits, bad UTF-8
+        for raw in (b"{nope", b"1" * 5000, b'{"scenario": "\xff"}'):
+            path.write_bytes(raw)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load_config(path)
+
+
+def _block(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_DB = st.floats(-150.0, 30.0)
+_POSITIVE = st.floats(1e-3, 1e12)
+_OVERRIDES = _block(
+    scenario=_block(
+        num_tds=st.integers(1, 100),
+        num_uavs=st.integers(1, 20),
+        area_size_m=_POSITIVE,
+        uav_altitude_m=_POSITIVE,
+        hap_position_m=st.lists(st.floats(0.0, 1e5), min_size=3, max_size=3),
+        quota_uav=st.integers(0, 50),
+        quota_hap=st.integers(0, 50),
+        radio=_block(
+            ref_gain_td_uav_db=_DB,
+            ref_gain_uav_hap_db=_DB,
+            bandwidth_td_uav_hz=_POSITIVE,
+            bandwidth_uav_hap_hz=_POSITIVE,
+            noise_power_db=_DB,
+            tx_power_td_w=_POSITIVE,
+            tx_power_uav_w=_POSITIVE,
+        ),
+        compute=_block(
+            uav_capability_cps=_POSITIVE,
+            hap_capability_cps=_POSITIVE,
+            uav_cycles_per_bit=_POSITIVE,
+            hap_cycles_per_bit=_POSITIVE,
+        ),
+        energy=_block(
+            uav_chip_coeff=st.floats(0.0, 1e-20),
+            hap_chip_coeff=st.floats(0.0, 1e-20),
+            uav_budget_j=_POSITIVE,
+            hap_budget_j=_POSITIVE,
+            uav_relay_power_w=_POSITIVE,
+        ),
+    ),
+    ambiguity=_block(
+        atoms_mbit=st.lists(st.integers(1, 400), min_size=1, max_size=6, unique=True).map(
+            lambda quarters: [q / 4 for q in sorted(quarters)]
+        ),
+        history_len=st.integers(1, 10**4),
+        epsilon=st.floats(0.0, 2.0),
+        truth=st.fixed_dictionaries(
+            {"kind": st.just("categorical"), "probs": st.lists(st.floats(0.0, 1.0), min_size=1)}
+        ),
+        per_device_history=st.booleans(),
+    ),
+    experiment=_block(
+        seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5),
+        methods=st.lists(st.sampled_from(METHODS), max_size=4),
+        jobs=st.integers(1, 64),
+        sweep_param=st.none() | st.sampled_from(SWEEP_PARAMS),
+        sweep_values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+    ),
+)
 
 
 class TestHashAndOverrides:
@@ -123,6 +236,30 @@ class TestHashAndOverrides:
         assert cfg.with_override("quota-uav", 5).scenario.quota_uav == 5
         with pytest.raises(ConfigError):
             cfg.with_override("nope", 1)
+
+    def test_overrides_use_the_field_kind(self):
+        cfg = default_config()
+        assert cfg.with_override("Q", 30.0).ambiguity.history_len == 30
+        with pytest.raises(ConfigError, match="ambiguity.history_len must be an integer"):
+            cfg.with_override("Q", 30.9)
+        with pytest.raises(ConfigError, match="scenario.quota_uav must be an integer"):
+            cfg.with_override("quota-uav", 4.9)
+        with pytest.raises(ConfigError, match="ambiguity.epsilon must be a finite number"):
+            cfg.with_override("eps", float("nan"))
+
+    def test_db_round_trip_keeps_hash(self):
+        # 10*log10(10**0.3) is 2.999999999999999, which parses and dumps
+        # again as 2.9999999999999987
+        cfg = parse_config({"scenario": {"radio": {"ref_gain_td_uav_db": 3}}})
+        assert cfg.to_dict()["scenario"]["radio"]["ref_gain_td_uav_db"] == 3.0
+        assert parse_config(cfg.to_dict()).hash() == cfg.hash()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(overrides=_OVERRIDES)
+    def test_round_trip_through_dict_keeps_hash(self, overrides):
+        cfg = parse_config(overrides)
+        again = parse_config(json.loads(json.dumps(cfg.to_dict())))
+        assert again.hash() == cfg.hash()
 
     def test_eps_override_clears_confidence(self):
         cfg = parse_config({"ambiguity": {"epsilon": None, "confidence": 0.95}})
