@@ -51,8 +51,6 @@ class TruthSpec:
     def distribution(self, space: SampleSpace) -> Distribution:
         if self.kind == "uniform":
             return Distribution.uniform(space.num_atoms)
-        if len(self.probs) != space.num_atoms:
-            raise ConfigError("truth probs length must equal the number of atoms")
         return Distribution(probs=self.probs)
 
 
@@ -72,10 +70,22 @@ class AmbiguityConfig:
             raise ConfigError("set exactly one of 'epsilon' and 'confidence'")
         if self.epsilon is not None and not self.epsilon >= 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.confidence is not None and not 0.0 < self.confidence < 1.0:
+            raise ConfigError(f"ambiguity.confidence must be in (0, 1), got {self.confidence}")
         try:
-            self.sample_space()
+            space = self.sample_space()
         except ConfigError as exc:
             raise ConfigError(f"ambiguity.atoms_mbit: {exc}") from exc
+        if self.truth.kind == "categorical":
+            if len(self.truth.probs) != space.num_atoms:
+                raise ConfigError(
+                    f"ambiguity.truth.probs must have one entry per atom ({space.num_atoms}), "
+                    f"got {len(self.truth.probs)}"
+                )
+            try:
+                self.truth.distribution(space)
+            except ConfigError as exc:
+                raise ConfigError(f"ambiguity.truth.probs is not a distribution: {exc}") from exc
 
     def sample_space(self) -> SampleSpace:
         return SampleSpace.with_midpoint_edges([a * MBIT for a in self.atoms_mbit])

@@ -235,6 +235,14 @@ class DelayEnergyCoeffs:
     hap_compute_energy: float
 
 
+def _compute_energy_per_bit(chip_coeff: float, capability: float, cycles_per_bit: float) -> float:
+    """beta * C^3 * (lambda/C) = beta * C^2 * lambda joules per bit; inf past the float range."""
+    try:
+        return chip_coeff * capability**2 * cycles_per_bit
+    except OverflowError:
+        return math.inf
+
+
 def per_bit_coefficients(scenario: Scenario) -> DelayEnergyCoeffs:
     """Collapse rates, capabilities, and chip coefficients into per-bit costs."""
     cp, en = scenario.compute, scenario.energy
@@ -243,12 +251,13 @@ def per_bit_coefficients(scenario: Scenario) -> DelayEnergyCoeffs:
     )
     hap_compute_delay = cp.hap_cycles_per_bit / cp.hap_capability
     relay_path_delay = 1.0 / scenario.rate_uav_hap + hap_compute_delay
-    # beta * C^3 * (lambda/C) = beta * C^2 * lambda joules per bit
     uav_compute_energy = np.full(
         scenario.num_uavs,
-        en.uav_chip_coeff * cp.uav_capability**2 * cp.uav_cycles_per_bit,
+        _compute_energy_per_bit(en.uav_chip_coeff, cp.uav_capability, cp.uav_cycles_per_bit),
     )
-    hap_compute_energy = en.hap_chip_coeff * cp.hap_capability**2 * cp.hap_cycles_per_bit
+    hap_compute_energy = _compute_energy_per_bit(
+        en.hap_chip_coeff, cp.hap_capability, cp.hap_cycles_per_bit
+    )
     return DelayEnergyCoeffs(
         access_delay=1.0 / scenario.rate_td_uav,
         uav_compute_delay=uav_compute_delay,
@@ -283,6 +292,17 @@ class ScenarioConfig:
             raise ConfigError(f"area_size must be > 0, got {self.area_size}")
         if not self.uav_altitude > 0:
             raise ConfigError(f"uav_altitude must be > 0, got {self.uav_altitude}")
+        cp, en = self.compute, self.energy
+        for node, chip, capability, cycles in (
+            ("uav", en.uav_chip_coeff, cp.uav_capability, cp.uav_cycles_per_bit),
+            ("hap", en.hap_chip_coeff, cp.hap_capability, cp.hap_cycles_per_bit),
+        ):
+            if not math.isfinite(_compute_energy_per_bit(chip, capability, cycles)):
+                raise ConfigError(
+                    f"scenario.compute.{node}_capability_cps is out of range: the per-bit "
+                    f"compute energy {node}_chip_coeff * capability**2 * cycles_per_bit = "
+                    f"{chip} * {capability}**2 * {cycles} J/bit is not finite"
+                )
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:

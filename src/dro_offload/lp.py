@@ -1,11 +1,17 @@
 """Dense linear-program representation and a deterministic simplex solver.
 
-The solver is a two-phase tableau simplex with a Dantzig pivot rule that
-falls back to Bland's rule after a bounded number of iterations, so every
-solve terminates and identical inputs give bit-identical outputs. After
-the tableau reports optimality, the primal point, dual values, and
-reduced costs are recomputed from the final basis with a fresh
-factorization to keep residuals tight.
+The solver is a bounded-variable two-phase tableau simplex (Chvátal,
+Linear Programming, 1983, ch. 8). Box bounds stay out of the tableau:
+the ratio test also stops when a basic variable reaches its upper bound,
+or flips the entering variable to its own upper bound without a pivot.
+Variables with `lower == upper` get no column; their values are folded
+into the right-hand side. The pivot rule is Dantzig's, falling back to
+Bland's after a bounded number of iterations, so every solve terminates
+and identical inputs give bit-identical outputs. After the tableau
+reports optimality, the primal point, dual values, and reduced costs are
+recomputed from the final basis and the set of variables at their upper
+bounds, with a fresh factorization and one step of iterative refinement
+to keep residuals tight.
 
 Dual-value convention: the reported dual of an inequality row is the
 nonnegative Lagrange multiplier (for both senses of the objective);
@@ -127,176 +133,164 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 # simplex internals
 # ---------------------------------------------------------------------------
+#
+# Every tableau column is a variable t in [0, ub]. A nonbasic variable sits
+# at 0 or at ub; one at ub is held complemented (t' = ub - t: its column and
+# cost negated, the rhs shifted), so the tableau always reads "nonbasic at 0"
+# and the entering rule is the textbook one. `flipped` marks the columns held
+# complemented.
+
+_FLIP = -1  # _choose_leaving: the entering variable reaches its own bound first
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    tableau[:, col] = 0.0
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    tableau[rows] -= np.outer(tableau[rows, col], tableau[row])
+    tableau[rows, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
 
+def _flip(tableau: np.ndarray, ub: np.ndarray, flipped: np.ndarray, col: int) -> None:
+    """Move nonbasic `col` to its other bound: substitute t = ub - t'."""
+    tableau[:, -1] -= ub[col] * tableau[:, col]
+    tableau[:, col] *= -1.0
+    flipped[col] = not flipped[col]
+
+
+def _flip_basic(
+    tableau: np.ndarray, basis: np.ndarray, ub: np.ndarray, flipped: np.ndarray, row: int
+) -> None:
+    """Complement the basic variable of `row`, so that leaving at ub reads as leaving at 0."""
+    col = basis[row]
+    tableau[row, :-1] *= -1.0
+    tableau[row, col] = 1.0
+    tableau[row, -1] = ub[col] - tableau[row, -1]
+    flipped[col] = not flipped[col]
+
+
 def _choose_entering(costrow: np.ndarray, bland: bool) -> int | None:
-    candidates = np.nonzero(costrow < -_OPT_TOL)[0]
-    if candidates.size == 0:
-        return None
-    if bland:
-        return int(candidates[0])
-    return int(candidates[np.argmin(costrow[candidates])])
+    # Dantzig: the most negative reduced cost, ties to the lowest index; Bland: the lowest index
+    col = int(np.argmax(costrow < -_OPT_TOL) if bland else np.argmin(costrow))
+    return col if costrow[col] < -_OPT_TOL else None
 
 
-def _choose_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int | None:
+def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, ub: np.ndarray, col: int) -> int | None:
+    """Bounded ratio test: the row whose basic variable reaches 0 or its ub first,
+    `_FLIP` when the entering variable reaches its own ub first, None if unbounded."""
     column = tableau[:-1, col]
     rhs = tableau[:-1, -1]
-    rows = np.nonzero(column > _PIVOT_TOL)[0]
-    if rows.size == 0:
-        return None
-    ratios = rhs[rows] / column[rows]
-    best = ratios.min()
+    ub_basic = ub[basis]
+    down = np.flatnonzero(column > _PIVOT_TOL)
+    up = np.flatnonzero((column < -_PIVOT_TOL) & (ub_basic < np.inf))
+    rows = np.concatenate([down, up])
+    ratios = np.concatenate([rhs[down] / column[down], (ub_basic[up] - rhs[up]) / -column[up]])
+    best = ratios.min(initial=np.inf)
+    if ub[col] <= best:
+        return _FLIP if ub[col] < np.inf else None
     ties = rows[ratios <= best + 1e-12]
     # smallest basis index among ties: Bland-compatible and deterministic
-    return int(ties[np.argmin([basis[r] for r in ties])])
+    return int(ties[np.argmin(basis[ties])])
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], bland_after: int, max_iter: int) -> str:
+def _run_simplex(
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    ub: np.ndarray,
+    flipped: np.ndarray,
+    bland_after: int,
+    max_iter: int,
+) -> str:
     """Iterate to optimality. Returns 'optimal' or 'unbounded'."""
     iters = 0
     while True:
         entering = _choose_entering(tableau[-1, :-1], bland=iters >= bland_after)
         if entering is None:
             return "optimal"
-        leaving = _choose_leaving(tableau, basis, entering)
+        leaving = _choose_leaving(tableau, basis, ub, entering)
         if leaving is None:
             return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
+        if leaving == _FLIP:
+            _flip(tableau, ub, flipped, entering)
+        else:
+            if tableau[leaving, entering] < 0.0:  # the basic variable leaves at its ub
+                _flip_basic(tableau, basis, ub, flipped, leaving)
+            _pivot(tableau, basis, leaving, entering)
         iters += 1
         if iters > max_iter:
             raise SolverError(f"simplex exceeded {max_iter} iterations")
 
 
-def _build_tableau(
-    a: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int]
-) -> np.ndarray:
-    m, n = a.shape
-    tableau = np.zeros((m + 1, n + 1))
-    tableau[:m, :n] = a
-    tableau[:m, -1] = b
-    tableau[-1, :n] = costs
-    for i, col in enumerate(basis):
-        if costs[col] != 0.0:
-            tableau[-1] -= costs[col] * tableau[i]
-    return tableau
-
-
 class _Transform:
-    """Bookkeeping for the reduction to `A x = b, x >= 0` standard form."""
+    """Reduction to `A t = b, 0 <= t <= ub` with slack and artificial columns.
+
+    Per variable: fixed (`lower == upper`) gets no column and its value is
+    folded into `b`; a finite lower bound gives `x = lower + t`; only a
+    finite upper bound gives the mirrored `x = upper - t`; a free variable
+    gives `x = t_plus - t_minus`. Columns keep the variables' order.
+    """
 
     def __init__(self, lp: LinearProgram):
-        n = lp.num_vars
+        lo, hi = lp.lower, lp.upper
+        empty = np.flatnonzero(lo > hi)
+        if empty.size:
+            j = int(empty[0])
+            raise ConfigError(f"variable {j} has empty bound interval [{lo[j]}, {hi[j]}]")
         a = lp.row_matrix()
-        rhs = lp.rhs_vector()
+        m = a.shape[0]
         sign = 1.0 if lp.sense == "min" else -1.0
         c = sign * lp.objective
 
-        # per-variable transform: x = offset + col_sign * t  (+ optional
-        # second column for free variables, entering with coefficient -1)
-        cols: list[np.ndarray] = []
-        costs: list[float] = []
-        self.var_main: list[int] = []
-        self.var_neg: list[int | None] = []
-        self.offset = np.zeros(n)
-        self.col_sign = np.ones(n)
-        bound_rows: list[tuple[int, float]] = []  # (transformed column, ub)
-        for j in range(n):
-            lo, hi = lp.lower[j], lp.upper[j]
-            if lo > hi:
-                raise ConfigError(f"variable {j} has empty bound interval [{lo}, {hi}]")
-            if math.isfinite(lo):
-                self.offset[j] = lo
-                self.var_main.append(len(cols))
-                self.var_neg.append(None)
-                cols.append(a[:, j].copy())
-                costs.append(c[j])
-                if math.isfinite(hi):
-                    bound_rows.append((len(cols) - 1, hi - lo))
-            elif math.isfinite(hi):
-                # mirrored: x = hi - t, t >= 0
-                self.offset[j] = hi
-                self.col_sign[j] = -1.0
-                self.var_main.append(len(cols))
-                self.var_neg.append(None)
-                cols.append(-a[:, j])
-                costs.append(-c[j])
-            else:
-                # free: x = t_plus - t_minus
-                self.var_main.append(len(cols))
-                self.var_neg.append(len(cols) + 1)
-                cols.append(a[:, j].copy())
-                costs.append(c[j])
-                cols.append(-a[:, j])
-                costs.append(-c[j])
+        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+        fixed = has_lo & (lo == hi)
+        free = ~has_lo & ~has_hi
+        self.offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        self.col_sign = np.where(~has_lo & has_hi, -1.0, 1.0)
+        width = np.where(fixed, 0, np.where(free, 2, 1))
+        first = np.cumsum(width) - width
+        self.var_src = np.flatnonzero(~fixed)  # variables with a column
+        self.var_main = first[self.var_src]
+        self.free_src = np.flatnonzero(free)
+        self.var_neg = first[self.free_src] + 1
+        n_struct = int(width.sum())
 
-        a_t = np.column_stack(cols) if cols else np.zeros((a.shape[0], 0))
-        b_t = rhs - a @ self.offset
-        relations = lp.relations
-        for col, ub in bound_rows:
-            extra = np.zeros(a_t.shape[1])
-            extra[col] = 1.0
-            a_t = np.vstack([a_t, extra])
-            b_t = np.append(b_t, ub)
-            relations.append(LE)
+        b = lp.rhs_vector() - a @ self.offset
+        self.row_flip = np.where(b < 0, -1.0, 1.0)
+        relations = np.array(lp.relations, dtype=str)
+        le = np.where(self.row_flip < 0, relations == GE, relations == LE)
+        slack_rows = np.flatnonzero(relations != EQ)
+        art_rows = np.flatnonzero(~le)
+        n_slack, n_art = slack_rows.size, art_rows.size
+        self.n_real = n_struct + n_slack
 
-        self.num_orig_rows = a.shape[0]
-        self.row_flip = np.ones(len(relations))
-        for r in range(len(relations)):
-            if b_t[r] < 0:
-                a_t[r] *= -1.0
-                b_t[r] *= -1.0
-                self.row_flip[r] = -1.0
-                relations[r] = {LE: GE, GE: LE, EQ: EQ}[relations[r]]
+        a_full = np.zeros((m, self.n_real + n_art))
+        a_full[:, self.var_main] = a[:, self.var_src] * self.col_sign[self.var_src]
+        a_full[:, self.var_neg] = -a[:, self.free_src]
+        a_full[:, :n_struct] *= self.row_flip[:, None]
+        slack_cols = n_struct + np.arange(n_slack)
+        slack_le = le[slack_rows]
+        a_full[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
+        art_cols = self.n_real + np.arange(n_art)
+        a_full[art_rows, art_cols] = 1.0
+        self.basis = np.empty(m, dtype=int)
+        self.basis[slack_rows[slack_le]] = slack_cols[slack_le]
+        self.basis[art_rows] = art_cols
 
-        # slack/surplus and artificial columns
-        n_struct = a_t.shape[1]
-        m = a_t.shape[0]
-        slack_cols = []
-        art_rows = []
-        for r, rel in enumerate(relations):
-            if rel == LE:
-                slack_cols.append((r, 1.0))
-            elif rel == GE:
-                slack_cols.append((r, -1.0))
-                art_rows.append(r)
-            else:
-                art_rows.append(r)
-        a_full = np.zeros((m, n_struct + len(slack_cols) + len(art_rows)))
-        a_full[:, :n_struct] = a_t
-        basis = [-1] * m
-        for k, (r, s) in enumerate(slack_cols):
-            a_full[r, n_struct + k] = s
-            if s > 0:
-                basis[r] = n_struct + k
-        self.first_artificial = n_struct + len(slack_cols)
-        for k, r in enumerate(art_rows):
-            a_full[r, self.first_artificial + k] = 1.0
-            basis[r] = self.first_artificial + k
-
+        self.costs = np.zeros(self.n_real)
+        self.costs[self.var_main] = c[self.var_src] * self.col_sign[self.var_src]
+        self.costs[self.var_neg] = -c[self.free_src]
+        self.ub = np.full(a_full.shape[1], np.inf)
+        boxed = np.flatnonzero(has_lo & has_hi & ~fixed)
+        self.ub[first[boxed]] = hi[boxed] - lo[boxed]
         self.a_full = a_full
-        self.b = b_t
-        self.costs = np.concatenate([np.asarray(costs), np.zeros(len(slack_cols))])
-        self.n_struct = n_struct
-        self.n_real = n_struct + len(slack_cols)
-        self.basis = basis
-        self.sense_sign = sign
+        self.b = b * self.row_flip
 
-    def primal_from(self, t_values: np.ndarray, lp: LinearProgram) -> np.ndarray:
+    def primal_from(self, t_values: np.ndarray) -> np.ndarray:
         x = self.offset.copy()
-        for j in range(lp.num_vars):
-            x[j] += self.col_sign[j] * t_values[self.var_main[j]]
-            if self.var_neg[j] is not None:
-                x[j] -= t_values[self.var_neg[j]]
+        x[self.var_src] += self.col_sign[self.var_src] * t_values[self.var_main]
+        x[self.free_src] -= t_values[self.var_neg]
         return x
 
 
@@ -308,79 +302,90 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     basis too ill-conditioned to certify.
     """
     tr = _Transform(lp)
-    m = tr.a_full.shape[0]
-    n_total = tr.a_full.shape[1]
+    m, n_total = tr.a_full.shape
     bland_after = 5 * (m + n_total)
     max_iter = 200 * (m + n_total) + 2000
 
-    basis = list(tr.basis)
-    kept = list(range(m))
+    basis = tr.basis.copy()
+    flipped = np.zeros(n_total, dtype=bool)
+    kept = np.arange(m)
     a_work = tr.a_full
     b_work = tr.b
 
-    if tr.first_artificial < n_total:
-        phase1_costs = np.zeros(n_total)
-        phase1_costs[tr.first_artificial:] = 1.0
-        tableau = _build_tableau(a_work, b_work, phase1_costs, basis)
-        status = _run_simplex(tableau, basis, bland_after, max_iter)
+    if tr.n_real < n_total:
+        tableau = np.zeros((m + 1, n_total + 1))
+        tableau[:m, :n_total] = a_work
+        tableau[:m, -1] = b_work
+        tableau[-1, tr.n_real : n_total] = 1.0
+        tableau[-1] -= tableau[:m][basis >= tr.n_real].sum(axis=0)
+        status = _run_simplex(tableau, basis, tr.ub, flipped, bland_after, max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise SolverError("phase-1 simplex reported unbounded")
         scale = max(1.0, float(np.abs(b_work).max(initial=0.0)))
         if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0:
             return LpSolution(status=LpStatus.INFEASIBLE)
         # drive artificials out of the basis or drop redundant rows
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= tr.first_artificial:
-                row = tableau[i, : tr.n_real]
-                nonzero = np.nonzero(np.abs(row) > 1e-7)[0]
-                if nonzero.size:
-                    _pivot(tableau, basis, i, int(nonzero[0]))
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep_mask = [i for i in range(m) if i not in drop_rows]
-            kept = [kept[i] for i in keep_mask]
-            basis = [basis[i] for i in keep_mask]
-            a_work = a_work[keep_mask]
-            b_work = b_work[keep_mask]
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(basis >= tr.n_real):
+            nonzero = np.flatnonzero(np.abs(tableau[i, : tr.n_real]) > 1e-7)
+            if nonzero.size:
+                _pivot(tableau, basis, i, int(nonzero[0]))
+            else:
+                keep[i] = False
+        if not keep.all():
+            kept, basis = kept[keep], basis[keep]
+            a_work, b_work = a_work[keep], b_work[keep]
 
     a_real = a_work[:, : tr.n_real]
     costs = tr.costs
+    ub = tr.ub[: tr.n_real]
+    flipped = flipped[: tr.n_real]
+    tol = max(_OPT_TOL * 100.0, 1e-7)
 
     for _attempt in range(6):
+        # refactor from the basis and the set of nonbasic variables at their ub
+        flipped[basis] = False
+        at_ub = np.flatnonzero(flipped)
         matrix_b = a_real[:, basis]
         try:
-            xb = np.linalg.solve(matrix_b, b_work)
+            xb = np.linalg.solve(matrix_b, b_work - a_real[:, at_ub] @ ub[at_ub])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis matrix: {exc}") from exc
-        tableau = np.zeros((len(basis) + 1, tr.n_real + 1))
+        tableau = np.empty((basis.size + 1, tr.n_real + 1))
         tableau[:-1, :-1] = np.linalg.solve(matrix_b, a_real)
         tableau[:-1, -1] = xb
         tableau[-1, :-1] = costs - costs[basis] @ tableau[:-1, :-1]
-        tableau[-1, -1] = -float(costs[basis] @ xb)
-        status = _run_simplex(tableau, basis, bland_after, max_iter)
+        tableau[-1, -1] = -float(costs[basis] @ xb + costs[at_ub] @ ub[at_ub])
+        tableau[:, at_ub] *= -1.0
+        status = _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter)
         if status == "unbounded":
             return LpSolution(status=LpStatus.UNBOUNDED)
         # recompute from the final basis; loop again if roundoff fooled us
+        flipped[basis] = False
+        at_ub = np.flatnonzero(flipped)
         matrix_b = a_real[:, basis]
-        xb = np.linalg.solve(matrix_b, b_work)
+        rhs = b_work - a_real[:, at_ub] @ ub[at_ub]
+        xb = np.linalg.solve(matrix_b, rhs)
+        xb += np.linalg.solve(matrix_b, rhs - matrix_b @ xb)
         y = np.linalg.solve(matrix_b.T, costs[basis])
+        y += np.linalg.solve(matrix_b.T, costs[basis] - matrix_b.T @ y)
         reduced = costs - y @ a_real
-        if reduced.min(initial=0.0) >= -max(_OPT_TOL * 100.0, 1e-7):
+        signed = np.where(flipped, -reduced, reduced)
+        if signed.min(initial=0.0) >= -tol:
             break
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
 
     t_values = np.zeros(tr.n_real)
-    t_values[basis] = np.maximum(xb, 0.0)
-    x = tr.primal_from(t_values[: tr.n_struct], lp)
+    t_values[at_ub] = ub[at_ub]
+    t_values[basis] = np.clip(xb, 0.0, ub[basis])
+    x = tr.primal_from(t_values)
     objective_value = float(lp.objective @ x)
 
     # duals per original constraint row, in the documented convention
-    y_rows = np.zeros(tr.a_full.shape[0])
+    y_rows = np.zeros(m)
     y_rows[kept] = y
-    y_signed = y_rows[: tr.num_orig_rows] * tr.row_flip[: tr.num_orig_rows]
+    y_signed = y_rows * tr.row_flip
     duals = _dual_signs(lp) * y_signed
 
     c_min = lp.objective if lp.sense == "min" else -lp.objective
@@ -414,25 +419,20 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
     if solution.status is not LpStatus.OPTIMAL:
         raise ConfigError("check_solution requires an Optimal solution")
     x = solution.x
-    a = lp.row_matrix()
+    lo, hi = lp.lower, lp.upper
     rhs = lp.rhs_vector()
-    relations = lp.relations
-    ax = a @ x if lp.num_constraints else np.zeros(0)
+    relations = np.array(lp.relations, dtype=str)
+    eq = relations == EQ
+    ax = lp.row_matrix() @ x
+    slack = np.where(relations == LE, rhs - ax, ax - rhs)  # >= 0 on a satisfied inequality
+    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
 
-    primal = 0.0
-    for r, rel in enumerate(relations):
-        if rel == LE:
-            primal = max(primal, ax[r] - rhs[r])
-        elif rel == GE:
-            primal = max(primal, rhs[r] - ax[r])
-        else:
-            primal = max(primal, abs(ax[r] - rhs[r]))
-    finite_lo = np.isfinite(lp.lower)
-    finite_hi = np.isfinite(lp.upper)
-    if finite_lo.any():
-        primal = max(primal, float((lp.lower - x)[finite_lo].max(initial=0.0)))
-    if finite_hi.any():
-        primal = max(primal, float((x - lp.upper)[finite_hi].max(initial=0.0)))
+    primal = max(
+        0.0,
+        float(np.where(eq, np.abs(ax - rhs), -slack).max(initial=0.0)),
+        float((lo - x)[finite_lo].max(initial=0.0)),
+        float((x - hi)[finite_hi].max(initial=0.0)),
+    )
 
     # work in min form
     c_min = lp.objective if lp.sense == "min" else -lp.objective
@@ -440,47 +440,34 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
     y_signed = _dual_signs(lp) * duals
     reduced = solution.reduced_costs if lp.sense == "min" else -solution.reduced_costs
 
-    dual = 0.0
-    for r, rel in enumerate(relations):
-        if rel != EQ:
-            dual = max(dual, -duals[r])
-    at_lo = finite_lo & (x <= lp.lower + _BOUND_TOL)
-    at_hi = finite_hi & (x >= lp.upper - _BOUND_TOL)
-    for j in range(lp.num_vars):
-        if at_lo[j] and at_hi[j]:
-            continue
-        if at_lo[j]:
-            dual = max(dual, -reduced[j])
-        elif at_hi[j]:
-            dual = max(dual, reduced[j])
-        else:
-            dual = max(dual, abs(reduced[j]))
+    at_lo = finite_lo & (x <= lo + _BOUND_TOL)
+    at_hi = finite_hi & (x >= hi - _BOUND_TOL)
+    # a variable on both bounds (fixed) may take any reduced cost
+    off_bound = np.where(at_lo, -reduced, np.where(at_hi, reduced, np.abs(reduced)))
+    dual = max(
+        0.0,
+        float((-duals[~eq]).max(initial=0.0)),
+        float(off_bound[~(at_lo & at_hi)].max(initial=0.0)),
+    )
 
-    comp = 0.0
-    for r, rel in enumerate(relations):
-        if rel == LE:
-            comp = max(comp, abs(duals[r] * (rhs[r] - ax[r])))
-        elif rel == GE:
-            comp = max(comp, abs(duals[r] * (ax[r] - rhs[r])))
-    for j in range(lp.num_vars):
-        if reduced[j] > 0 and math.isfinite(lp.lower[j]):
-            comp = max(comp, reduced[j] * abs(x[j] - lp.lower[j]))
-        elif reduced[j] < 0 and math.isfinite(lp.upper[j]):
-            comp = max(comp, -reduced[j] * abs(lp.upper[j] - x[j]))
+    # the bound a nonzero reduced cost prices: lower when positive, upper when negative
+    on_lo = (reduced > 0) & finite_lo
+    on_hi = (reduced < 0) & finite_hi
+    comp = max(
+        0.0,
+        float(np.abs(duals[~eq] * slack[~eq]).max(initial=0.0)),
+        float((reduced[on_lo] * np.abs(x[on_lo] - lo[on_lo])).max(initial=0.0)),
+        float((-reduced[on_hi] * np.abs(hi[on_hi] - x[on_hi])).max(initial=0.0)),
+    )
 
     primal_obj = float(c_min @ x)
-    dual_obj = float(y_signed @ rhs) if lp.num_constraints else 0.0
-    for j in range(lp.num_vars):
-        if reduced[j] > 0 and math.isfinite(lp.lower[j]):
-            dual_obj += reduced[j] * lp.lower[j]
-        elif reduced[j] < 0 and math.isfinite(lp.upper[j]):
-            dual_obj += reduced[j] * lp.upper[j]
+    dual_obj = float(y_signed @ rhs + reduced[on_lo] @ lo[on_lo] + reduced[on_hi] @ hi[on_hi])
     gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
 
     return CertificationReport(
-        max_primal_residual=float(primal),
-        max_dual_residual=float(dual),
-        max_complementarity=float(comp),
+        max_primal_residual=primal,
+        max_dual_residual=dual,
+        max_complementarity=comp,
         duality_gap_rel=float(gap),
     )
 
@@ -500,20 +487,13 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     """
     if lp.sense != "min":
         raise ConfigError("dual_of expects a minimization program")
-    a = lp.row_matrix()
-    rhs = lp.rhs_vector()
-    relations = lp.relations
-    free = []
-    for j in range(lp.num_vars):
-        if math.isfinite(lp.lower[j]) and lp.lower[j] != 0.0:
-            raise ConfigError("dual_of supports lower bounds of 0 or -inf only")
-        free.append(not math.isfinite(lp.lower[j]))
-        if math.isfinite(lp.upper[j]):
-            row = np.zeros(lp.num_vars)
-            row[j] = 1.0
-            a = np.vstack([a, row]) if a.size else row[None, :]
-            rhs = np.append(rhs, lp.upper[j])
-            relations.append(LE)
+    free = ~np.isfinite(lp.lower)
+    if (lp.lower[~free] != 0.0).any():
+        raise ConfigError("dual_of supports lower bounds of 0 or -inf only")
+    bounded = np.flatnonzero(np.isfinite(lp.upper))
+    a = np.vstack([lp.row_matrix(), np.eye(lp.num_vars)[bounded]])
+    rhs = np.concatenate([lp.rhs_vector(), lp.upper[bounded]])
+    relations = lp.relations + [LE] * bounded.size
 
     m = len(relations)
     obj = np.empty(m)

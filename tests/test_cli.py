@@ -157,3 +157,23 @@ def test_sweep_non_integral_quota_exit_2(cfg_path, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
     assert "scenario.quota_uav must be an integer, got 4.9" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"scenario": {"compute": {"uav_capability_cps": 1e308}}}, "uav_capability_cps"),
+        ({"scenario": {"compute": {"hap_capability_cps": 1e308}}}, "hap_capability_cps"),
+        ({"ambiguity": {"epsilon": None, "confidence": 1.5}}, "ambiguity.confidence"),
+        (
+            {"ambiguity": {"truth": {"kind": "categorical", "probs": [0.2, 0.3, 0.5]}}},
+            "ambiguity.truth.probs",
+        ),
+    ],
+)
+def test_out_of_range_config_exit_2_on_every_command(tmp_path, capsys, config, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    for argv in (["generate"], ["solve", "--seed", "1"]):
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err

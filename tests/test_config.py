@@ -46,6 +46,23 @@ MALFORMED = [
     ('{"scenario": {"num_uavs": 3.9}}', "scenario.num_uavs"),
     ('{"scenario": {"quota_uav": 2.7}}', "scenario.quota_uav"),
     ('{"scenario": {"quota_uav": true}}', "scenario.quota_uav"),
+    ('{"ambiguity": {"epsilon": null, "confidence": 1.5}}', "ambiguity.confidence"),
+    (
+        '{"ambiguity": {"truth": {"kind": "categorical", "probs": [0.2, 0.3, 0.5]}}}',
+        "ambiguity.truth.probs",
+    ),
+    (
+        '{"ambiguity": {"truth": {"kind": "categorical", "probs": [1, 1, 1, 1, 1]}}}',
+        "ambiguity.truth.probs",
+    ),
+    (
+        '{"scenario": {"compute": {"uav_capability_cps": 1e308}}}',
+        "scenario.compute.uav_capability_cps",
+    ),
+    (
+        '{"scenario": {"compute": {"hap_capability_cps": 1e308}}}',
+        "scenario.compute.hap_capability_cps",
+    ),
 ]
 
 
@@ -160,6 +177,28 @@ def _block(**fields):
     return st.fixed_dictionaries({}, optional=fields)
 
 
+@st.composite
+def _ambiguity_block(draw):
+    """Ambiguity overrides; a categorical truth gets one probability per atom, summing to 1."""
+    block = draw(
+        _block(
+            atoms_mbit=st.lists(st.integers(1, 400), min_size=1, max_size=6, unique=True).map(
+                lambda quarters: [q / 4 for q in sorted(quarters)]
+            ),
+            history_len=st.integers(1, 10**4),
+            epsilon=st.floats(0.0, 2.0),
+            per_device_history=st.booleans(),
+        )
+    )
+    if draw(st.booleans()):
+        num_atoms = len(block.get("atoms_mbit", default_config().ambiguity.atoms_mbit))
+        weights = draw(
+            st.lists(st.floats(0.0, 1.0), min_size=num_atoms, max_size=num_atoms).filter(any)
+        )
+        block["truth"] = {"kind": "categorical", "probs": [w / sum(weights) for w in weights]}
+    return block
+
+
 _DB = st.floats(-150.0, 30.0)
 _POSITIVE = st.floats(1e-3, 1e12)
 _OVERRIDES = _block(
@@ -194,17 +233,7 @@ _OVERRIDES = _block(
             uav_relay_power_w=_POSITIVE,
         ),
     ),
-    ambiguity=_block(
-        atoms_mbit=st.lists(st.integers(1, 400), min_size=1, max_size=6, unique=True).map(
-            lambda quarters: [q / 4 for q in sorted(quarters)]
-        ),
-        history_len=st.integers(1, 10**4),
-        epsilon=st.floats(0.0, 2.0),
-        truth=st.fixed_dictionaries(
-            {"kind": st.just("categorical"), "probs": st.lists(st.floats(0.0, 1.0), min_size=1)}
-        ),
-        per_device_history=st.booleans(),
-    ),
+    ambiguity=_ambiguity_block(),
     experiment=_block(
         seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5),
         methods=st.lists(st.sampled_from(METHODS), max_size=4),

@@ -1,17 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dro_offload.config import default_config
 from dro_offload.errors import ConfigError
+from dro_offload.geometry import generate_scenario
 from dro_offload.lp import (
+    _BOUND_TOL,
     EQ,
     GE,
     LE,
     LinearProgram,
     LpStatus,
+    _dual_signs,
     check_solution,
     dual_of,
     solve_lp,
 )
+from dro_offload.model import build_p2
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -179,13 +186,172 @@ class TestFuzzAgainstScipy:
                 assert sol.status is status_map[ref.status]
 
 
+def _bounded_lp(rng):
+    """Random LP mixing fixed, shifted-box, (-inf, hi], free and [0, inf) variables."""
+    n = int(rng.integers(3, 9))
+    m = int(rng.integers(2, 8))
+    # fixed, shifted box, (-inf, hi], free, [0, inf)
+    kind = rng.choice(5, size=n, p=[0.2, 0.35, 0.15, 0.1, 0.2])
+    base = rng.uniform(-3.0, 3.0, n)
+    width = rng.uniform(0.5, 4.0, n)
+    lower = np.select([kind <= 1, kind == 4], [base, 0.0], -np.inf)
+    upper = np.select([kind == 0, kind == 1, kind == 2], [base, base + width, base], np.inf)
+    x0 = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 4],
+        [base, base + width / 2.0, base - width / 2.0, width / 2.0],
+        rng.normal(size=n),
+    )
+    c = rng.normal(size=n)
+    lp = LinearProgram(c, sense=str(rng.choice(["min", "max"])), lower=lower, upper=upper)
+    for _ in range(m):
+        a = rng.normal(size=n)
+        v = float(a @ x0)
+        rel = rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.1])
+        lp.add_constraint(a, rel, v + {LE: 1.0, GE: -1.0, EQ: 0.0}[rel] * abs(rng.normal()))
+    return lp
+
+
+class TestBoundedVariables:
+    def test_fuzz_against_highs(self):
+        rng = np.random.default_rng(4242)
+        optimal = at_upper = 0
+        for _ in range(150):
+            lp = _bounded_lp(rng)
+            sol = solve_lp(lp)
+            ref = _scipy_solve(lp)
+            status_map = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+            assert sol.status is status_map[ref.status]
+            if ref.status != 0:
+                continue
+            ref_obj = ref.fun if lp.sense == "min" else -ref.fun
+            assert abs(sol.objective_value - ref_obj) / max(1.0, abs(ref_obj)) < 1e-7
+            assert sol.certificate.ok()
+            fixed = lp.lower == lp.upper
+            np.testing.assert_array_equal(sol.x[fixed], lp.lower[fixed])
+            optimal += 1
+            boxed = np.isfinite(lp.upper) & (lp.lower < lp.upper)
+            at_upper += int((boxed & (np.abs(sol.x - lp.upper) < 1e-9)).any())
+        # the instances exercise the bound flips, not only the interior
+        assert optimal >= 100 and at_upper >= 50
+
+    def test_all_variables_fixed(self):
+        lp = LinearProgram([1.0, -2.0], lower=[1.5, -1.0], upper=[1.5, -1.0])
+        lp.add_constraint([1.0, 1.0], LE, 1.0)
+        lp.add_constraint([1.0, -1.0], EQ, 2.5)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        np.testing.assert_array_equal(sol.x, [1.5, -1.0])
+        assert sol.objective_value == pytest.approx(3.5, abs=1e-12)
+        assert sol.certificate.ok()
+        lp.add_constraint([1.0, 0.0], GE, 2.0)
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+    def test_p2_with_dive_fixings_at_30x5(self):
+        cfg = dataclasses.replace(default_config().scenario, num_tds=30, num_uavs=5, quota_uav=8)
+        scenario = generate_scenario(cfg, 1)
+        lp = build_p2(scenario, np.linspace(3e6, 27e6, 30))
+        ij = 30 * 5
+        fixings = {i * 5 + (2 * i) % 5: 1.0 for i in range(12)}  # access of TDs 0-11
+        fixings.update({i * 5 + i % 5: 0.0 for i in range(12, 20)})
+        fixings.update({ij + i * 5 + (2 * i) % 5: 0.0 for i in range(3)})  # relay TDs 0-2
+        fixings.update({ij + i * 5 + (2 * i) % 5: 1.0 for i in range(3, 8)})
+        for col, value in fixings.items():
+            lp.lower[col] = lp.upper[col] = value
+        sol = solve_lp(lp)
+        ref = _scipy_solve(lp)
+        assert sol.status is LpStatus.OPTIMAL and ref.status == 0
+        assert abs(sol.objective_value - ref.fun) / abs(ref.fun) < 1e-9
+        assert sol.certificate.ok()
+
+
+def _check_solution_loops(lp, solution):
+    """Per-row and per-variable loops that check_solution's array form must reproduce."""
+    x = solution.x
+    a = lp.row_matrix()
+    rhs = lp.rhs_vector()
+    relations = lp.relations
+    ax = a @ x
+    primal = 0.0
+    for r, rel in enumerate(relations):
+        if rel == LE:
+            primal = max(primal, ax[r] - rhs[r])
+        elif rel == GE:
+            primal = max(primal, rhs[r] - ax[r])
+        else:
+            primal = max(primal, abs(ax[r] - rhs[r]))
+    for j in range(lp.num_vars):
+        if np.isfinite(lp.lower[j]):
+            primal = max(primal, lp.lower[j] - x[j])
+        if np.isfinite(lp.upper[j]):
+            primal = max(primal, x[j] - lp.upper[j])
+    c_min = lp.objective if lp.sense == "min" else -lp.objective
+    duals = solution.duals
+    y_signed = _dual_signs(lp) * duals
+    reduced = solution.reduced_costs if lp.sense == "min" else -solution.reduced_costs
+    dual = 0.0
+    for r, rel in enumerate(relations):
+        if rel != EQ:
+            dual = max(dual, -duals[r])
+    for j in range(lp.num_vars):
+        at_lo = np.isfinite(lp.lower[j]) and x[j] <= lp.lower[j] + _BOUND_TOL
+        at_hi = np.isfinite(lp.upper[j]) and x[j] >= lp.upper[j] - _BOUND_TOL
+        if at_lo and at_hi:
+            continue
+        if at_lo:
+            dual = max(dual, -reduced[j])
+        elif at_hi:
+            dual = max(dual, reduced[j])
+        else:
+            dual = max(dual, abs(reduced[j]))
+    comp = 0.0
+    for r, rel in enumerate(relations):
+        if rel == LE:
+            comp = max(comp, abs(duals[r] * (rhs[r] - ax[r])))
+        elif rel == GE:
+            comp = max(comp, abs(duals[r] * (ax[r] - rhs[r])))
+    dual_obj = float(y_signed @ rhs)
+    for j in range(lp.num_vars):
+        if reduced[j] > 0 and np.isfinite(lp.lower[j]):
+            comp = max(comp, reduced[j] * abs(x[j] - lp.lower[j]))
+            dual_obj += reduced[j] * lp.lower[j]
+        elif reduced[j] < 0 and np.isfinite(lp.upper[j]):
+            comp = max(comp, -reduced[j] * abs(lp.upper[j] - x[j]))
+            dual_obj += reduced[j] * lp.upper[j]
+    primal_obj = float(c_min @ x)
+    gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
+    return primal, dual, comp, gap
+
+
 class TestCertification:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(9)
+        checked = 0
+        for k in range(120):
+            lp = _random_lp(rng) if k % 2 else _bounded_lp(rng)
+            sol = solve_lp(lp)
+            if sol.status is not LpStatus.OPTIMAL:
+                continue
+            # perturb the point so that every residual is nonzero somewhere
+            noisy = dataclasses.replace(
+                sol,
+                x=sol.x + 1e-6 * rng.normal(size=sol.x.size),
+                duals=sol.duals + 1e-6 * rng.normal(size=sol.duals.size),
+            )
+            for solution in (sol, noisy):
+                report = check_solution(lp, solution)
+                primal, dual, comp, gap = _check_solution_loops(lp, solution)
+                assert report.max_primal_residual == primal
+                assert report.max_dual_residual == dual
+                assert report.max_complementarity == comp
+                assert report.duality_gap_rel == pytest.approx(gap, rel=1e-9, abs=1e-12)
+            checked += 1
+        assert checked >= 80
+
+
     def test_corrupted_solution_flagged(self):
         lp = LinearProgram([1.0, 1.0], sense="min", lower=[0, 0])
         lp.add_constraint([1, 1], GE, 2)
         sol = solve_lp(lp)
-        import dataclasses
-
         bad = dataclasses.replace(sol, x=sol.x + 1.0)
         report = check_solution(lp, bad)
         assert not report.ok()
