@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .ambiguity import (
     AmbiguitySet,
     Distribution,
-    HistoryLog,
     SampleSpace,
     empirical_distribution,
-    l1_distance,
     tolerance_from_confidence,
     worst_case_mean_distribution,
 )
@@ -24,13 +22,11 @@ from .geometry import (
 )
 from .config import RunConfig, default_config, load_config, parse_config
 from .evaluation import EvaluationReport, compare_methods, sweep
-from .lp import LinearProgram, LpSolution, LpStatus, check_solution, dual_of, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, check_solution, solve_lp
 from .mdrloa import SolveResult, do_solve, exhaustive_solve, mdrloa_solve, ro_solve
 from .model import (
     OffloadDecision,
-    RelaxedDecision,
     build_p2,
-    build_p3,
     expected_energy,
     expected_latency,
     worst_case_distributions,
@@ -39,11 +35,9 @@ from .model import (
 __all__ = [
     "EvaluationReport",
     "OffloadDecision",
-    "RelaxedDecision",
     "RunConfig",
     "SolveResult",
     "build_p2",
-    "build_p3",
     "compare_methods",
     "default_config",
     "do_solve",
@@ -60,7 +54,6 @@ __all__ = [
     "ComputeParams",
     "Distribution",
     "EnergyParams",
-    "HistoryLog",
     "LinearProgram",
     "LpSolution",
     "LpStatus",
@@ -70,10 +63,8 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "check_solution",
-    "dual_of",
     "empirical_distribution",
     "generate_scenario",
-    "l1_distance",
     "per_bit_coefficients",
     "solve_lp",
     "tolerance_from_confidence",

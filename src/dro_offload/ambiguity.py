@@ -81,12 +81,6 @@ class Distribution:
     def uniform(cls, num_atoms: int) -> "Distribution":
         return cls(probs=tuple([1.0 / num_atoms] * num_atoms))
 
-    @classmethod
-    def point_mass(cls, num_atoms: int, index: int) -> "Distribution":
-        probs = [0.0] * num_atoms
-        probs[index] = 1.0
-        return cls(probs=tuple(probs))
-
 
 @dataclass(frozen=True)
 class AmbiguitySet:
@@ -100,41 +94,18 @@ class AmbiguitySet:
         if not self.radius >= 0:
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
 
-    def contains(self, dist: Distribution, tol: float = PROB_TOL) -> bool:
-        return l1_distance(self.reference, dist) <= self.radius + tol
 
-
-@dataclass(frozen=True)
-class HistoryLog:
-    """Observed task sizes in bits, one entry per past task."""
-
-    samples: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.samples) < 1:
-            raise DataError("history must contain at least one sample")
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.samples)
-
-
-def empirical_distribution(history: HistoryLog, space: SampleSpace) -> Distribution:
-    """Histogram of the history over the sample-space bins, normalized by Q."""
-    edges = np.asarray(space.bin_edges)
-    counts = np.zeros(space.num_atoms, dtype=int)
-    for sample in history.samples:
-        k = int(np.searchsorted(edges, sample, side="right")) - 1
-        if k < 0 or k >= space.num_atoms:
-            raise DataError(f"history sample {sample} falls outside every bin")
-        counts[k] += 1
-    return Distribution(probs=tuple(counts / history.num_samples))
-
-
-def l1_distance(a: Distribution, b: Distribution) -> float:
-    if a.num_atoms != b.num_atoms:
-        raise ShapeError("distributions have different lengths")
-    return float(np.abs(a.as_array() - b.as_array()).sum())
+def empirical_distribution(samples, space: SampleSpace) -> Distribution:
+    """Histogram of the history (task sizes in bits) over the sample-space bins, normalized by Q."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < 1:
+        raise DataError("history must contain at least one sample")
+    bins = np.searchsorted(space.bin_edges, samples, side="right") - 1
+    outside = (bins < 0) | (bins >= space.num_atoms)  # NaN sorts past the last edge
+    if outside.any():
+        raise DataError(f"history sample {samples[outside][0]} falls outside every bin")
+    counts = np.bincount(bins, minlength=space.num_atoms)
+    return Distribution(probs=tuple(counts / samples.size))
 
 
 def tolerance_from_confidence(num_atoms: int, num_samples: int, confidence: float) -> float:
@@ -144,15 +115,6 @@ def tolerance_from_confidence(num_atoms: int, num_samples: int, confidence: floa
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
     return num_atoms / (2.0 * num_samples) * math.log(2.0 * num_atoms / (1.0 - confidence))
-
-
-def confidence_from_tolerance(num_atoms: int, num_samples: int, radius: float) -> float:
-    """Inverse map: confidence = 1 - 2K * exp(-2Q*eps/K)."""
-    if num_atoms < 1 or num_samples < 1:
-        raise ConfigError("num_atoms and num_samples must be >= 1")
-    if radius < 0:
-        raise ConfigError(f"radius must be >= 0, got {radius}")
-    return 1.0 - 2.0 * num_atoms * math.exp(-2.0 * num_samples * radius / num_atoms)
 
 
 def worst_case_mean_distribution(amb: AmbiguitySet) -> tuple[Distribution, float]:
@@ -180,12 +142,11 @@ def worst_case_mean_distribution(amb: AmbiguitySet) -> tuple[Distribution, float
 
 def generate_history(
     truth: Distribution, space: SampleSpace, num_samples: int, seed
-) -> HistoryLog:
-    """Draw num_samples i.i.d. atom values under the truth distribution."""
+) -> np.ndarray:
+    """Draw num_samples i.i.d. atom values (bits) under the truth distribution."""
     if num_samples < 1:
         raise DataError(f"num_samples must be >= 1, got {num_samples}")
     if truth.num_atoms != space.num_atoms:
         raise ShapeError("truth distribution does not match sample space")
     rng = np.random.default_rng(seed)
-    draws = rng.choice(np.asarray(space.atoms), size=num_samples, p=truth.as_array())
-    return HistoryLog(samples=tuple(float(v) for v in draws))
+    return rng.choice(np.asarray(space.atoms), size=num_samples, p=truth.as_array())

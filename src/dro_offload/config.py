@@ -76,6 +76,11 @@ class AmbiguityConfig:
             space = self.sample_space()
         except ConfigError as exc:
             raise ConfigError(f"ambiguity.atoms_mbit: {exc}") from exc
+        if self.truth.kind == "uniform" and self.truth.probs:
+            raise ConfigError(
+                "ambiguity.truth.probs must be left out for a uniform truth "
+                "(use kind \"categorical\" to give weights)"
+            )
         if self.truth.kind == "categorical":
             if len(self.truth.probs) != space.num_atoms:
                 raise ConfigError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, SampleSpace, empirical_distribution, generate_history
+from .ambiguity import AmbiguitySet, empirical_distribution, generate_history
 from .config import RunConfig
 from .errors import InfeasibleProblemError, ShapeError
 from .geometry import Scenario, generate_scenario
@@ -55,25 +55,18 @@ CSV_COLUMNS = (
     "feasible",
 )
 
+# row order within one (param, seed) group, and in the summary
+METHOD_ORDER = (METHOD_MDRLOA, METHOD_DO, METHOD_RO, METHOD_EXHAUSTIVE)
+_METHOD_RANK = {m: k for k, m in enumerate(METHOD_ORDER)}
+
 ENERGY_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One drawn task size per TD, in bits; every size is a space atom."""
-
-    task_sizes: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.task_sizes, dtype=float)
-
-
-def draw_realization(config: RunConfig, seed: int) -> Realization:
+def draw_realization(config: RunConfig, seed: int) -> np.ndarray:
+    """One task size per TD (bits, each a space atom), drawn from the truth."""
     space = config.ambiguity.sample_space()
     truth = config.ambiguity.truth.distribution(space)
-    rng = np.random.default_rng([int(seed), REALIZATION_STREAM])
-    draws = rng.choice(np.asarray(space.atoms), size=config.scenario.num_tds, p=truth.as_array())
-    return Realization(task_sizes=tuple(float(v) for v in draws))
+    return generate_history(truth, space, config.scenario.num_tds, [int(seed), REALIZATION_STREAM])
 
 
 def build_ambiguity_sets(config: RunConfig, seed: int) -> list[AmbiguitySet]:
@@ -87,31 +80,22 @@ def build_ambiguity_sets(config: RunConfig, seed: int) -> list[AmbiguitySet]:
     truth = amb.truth.distribution(space)
     eps = amb.effective_epsilon()
     num_tds = config.scenario.num_tds
-    if amb.per_device_history:
-        refs = [
-            empirical_distribution(
-                generate_history(truth, space, amb.history_len, [int(seed), HISTORY_STREAM, i]),
-                space,
-            )
-            for i in range(num_tds)
-        ]
-    else:
-        shared = empirical_distribution(
-            generate_history(truth, space, amb.history_len, [int(seed), HISTORY_STREAM]),
-            space,
+    streams = (
+        [[int(seed), HISTORY_STREAM, i] for i in range(num_tds)]
+        if amb.per_device_history
+        else [[int(seed), HISTORY_STREAM]]
+    )
+    sets = [
+        AmbiguitySet(
+            space=space,
+            reference=empirical_distribution(
+                generate_history(truth, space, amb.history_len, stream), space
+            ),
+            radius=eps,
         )
-        refs = [shared] * num_tds
-    return [AmbiguitySet(space=space, reference=r, radius=eps) for r in refs]
-
-
-def realized_latency(decision, scenario: Scenario, realization: Realization) -> float:
-    """Latency for the sizes that actually occurred (point-mass expectation)."""
-    return expected_latency(decision, scenario, realization.as_array())
-
-
-def realized_energy(decision, scenario: Scenario, realization: Realization):
-    """(per-UAV vector, HAP total) joules under the realized sizes, basics included."""
-    return expected_energy(decision, scenario, realization.as_array())
+        for stream in streams
+    ]
+    return sets * (num_tds // len(sets))  # a shared history's one set, once per TD
 
 
 def solve_with_method(
@@ -141,9 +125,9 @@ class EvaluationRow:
     hap_energy: float  # J above the basic cost
     feasible: bool
 
-    def sort_key(self, method_order: dict[str, int]):
+    def sort_key(self):
         pv = -math.inf if self.param_value is None else self.param_value
-        return (self.param_name, pv, self.seed, method_order.get(self.method, 99))
+        return (self.param_name, pv, self.seed, _METHOD_RANK.get(self.method, 99))
 
 
 def _fmt(value: float) -> str:
@@ -158,7 +142,7 @@ def evaluate_seed(
     """Solve every configured method on one seeded instance and score it."""
     scenario = generate_scenario(config.scenario, seed)
     sets = build_ambiguity_sets(config, seed)
-    realization = draw_realization(config, seed)
+    sizes = draw_realization(config, seed)
     en = config.scenario.energy
     rows = []
     for method in config.experiment.methods:
@@ -179,8 +163,8 @@ def evaluate_seed(
                 )
             )
             continue
-        latency = realized_latency(result.decision, scenario, realization)
-        uav, hap = realized_energy(result.decision, scenario, realization)
+        latency = expected_latency(result.decision, scenario, sizes)
+        uav, hap = expected_energy(result.decision, scenario, sizes)
         ok = bool(
             (uav <= en.uav_budget + ENERGY_SLACK).all() and hap <= en.hap_budget + ENERGY_SLACK
         )
@@ -199,18 +183,12 @@ def evaluate_seed(
     return rows
 
 
-def _seed_worker(args) -> list[EvaluationRow]:
-    return evaluate_seed(*args)
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     rows: tuple[EvaluationRow, ...]
-    method_order: tuple[str, ...] = (METHOD_MDRLOA, METHOD_DO, METHOD_RO, METHOD_EXHAUSTIVE)
 
     def sorted_rows(self) -> list[EvaluationRow]:
-        order = {m: k for k, m in enumerate(self.method_order)}
-        return sorted(self.rows, key=lambda r: r.sort_key(order))
+        return sorted(self.rows, key=EvaluationRow.sort_key)
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -246,7 +224,7 @@ class EvaluationReport:
         out: dict = {}
         for key, rows in self.groups():
             per_method: dict = {}
-            for method in self.method_order:
+            for method in METHOD_ORDER:
                 mrows = [r for r in rows if r.method == method]
                 if not mrows:
                     continue
@@ -309,7 +287,7 @@ def _evaluate_all(tasks: list[tuple], jobs: int) -> EvaluationReport:
     """Evaluate (config, seed, param_name, param_value) tasks, in one pool when jobs > 1."""
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_seed_worker, tasks))
+            chunks = list(pool.map(evaluate_seed, *zip(*tasks)))
     else:
         chunks = [evaluate_seed(*t) for t in tasks]
     return EvaluationReport(rows=tuple(r for chunk in chunks for r in chunk))

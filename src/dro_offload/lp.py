@@ -1,4 +1,5 @@
-"""Dense linear-program representation and a deterministic simplex solver.
+"""Dense linear-program representation, a deterministic simplex solver, and
+the certificate that checks its answer.
 
 The solver is a bounded-variable two-phase tableau simplex (Chvátal,
 Linear Programming, 1983, ch. 8). Box bounds stay out of the tableau:
@@ -24,7 +25,6 @@ sitting at its lower bound has reduced cost >= 0 for "min" (<= 0 for
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +35,7 @@ LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 _PIVOT_TOL = 1e-9
-_FEAS_TOL = 1e-8  # phase-1 infeasibility threshold, scaled by the largest |b|
+_FEAS_TOL = 1e-8  # phase-1 infeasibility threshold, scaled by the largest |b| and per row
 _OPT_TOL = 1e-9  # most negative reduced cost still counted as optimal
 _BOUND_TOL = 1e-7  # distance at which check_solution treats x as sitting on a bound
 RESIDUAL_TOL = 1e-8  # certificate: primal, dual and complementarity residuals
@@ -95,13 +95,23 @@ class LinearProgram:
             raise ShapeError(
                 f"constraint has {coeffs.size} coefficients, expected {self.num_vars}"
             )
-        if not np.isfinite(coeffs).all() or not math.isfinite(rhs):
+        self.add_constraints(coeffs[None, :], relation, rhs)
+
+    def add_constraints(self, coeffs, relation: str, rhs) -> None:
+        """One row per row of `coeffs`, all with `relation`; `rhs` is one value or one per row."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[1] != self.num_vars:
+            raise ShapeError(
+                f"constraint block has shape {coeffs.shape}, expected (m, {self.num_vars})"
+            )
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), coeffs.shape[:1])
+        if not np.isfinite(coeffs).all() or not np.isfinite(rhs).all():
             raise ConfigError("constraint coefficients and rhs must be finite")
         if relation not in _RELATIONS:
             raise ConfigError(f"relation must be one of {_RELATIONS}, got {relation!r}")
-        self._rows.append(coeffs)
-        self._relations.append(relation)
-        self._rhs.append(float(rhs))
+        self._rows.extend(coeffs)
+        self._relations.extend([relation] * len(coeffs))
+        self._rhs.extend(rhs.tolist())
 
 
 @dataclass(frozen=True)
@@ -274,6 +284,7 @@ class _Transform:
         a_full[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
         art_cols = self.n_real + np.arange(n_art)
         a_full[art_rows, art_cols] = 1.0
+        self.art_rows = art_rows
         self.basis = np.empty(m, dtype=int)
         self.basis[slack_rows[slack_le]] = slack_cols[slack_le]
         self.basis[art_rows] = art_cols
@@ -322,7 +333,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise SolverError("phase-1 simplex reported unbounded")
         scale = max(1.0, float(np.abs(b_work).max(initial=0.0)))
-        if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0:
+        # and each basic artificial against its own row's |b|, so that one large rhs
+        # (a 1e6 J HAP budget) cannot hide a row with rhs 1 that is still off by 1e-2
+        art = np.flatnonzero(basis >= tr.n_real)
+        own_scale = np.maximum(1.0, np.abs(b_work[tr.art_rows[basis[art] - tr.n_real]]))
+        if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0 or (
+            tableau[art, -1] > _FEAS_TOL * own_scale * 10.0
+        ).any():
             return LpSolution(status=LpStatus.INFEASIBLE)
         # drive artificials out of the basis or drop redundant rows
         keep = np.ones(m, dtype=bool)
@@ -470,45 +487,3 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
         max_complementarity=comp,
         duality_gap_rel=float(gap),
     )
-
-
-# ---------------------------------------------------------------------------
-# mechanical dualization
-# ---------------------------------------------------------------------------
-
-
-def dual_of(lp: LinearProgram) -> LinearProgram:
-    """Explicit dual of a minimization program.
-
-    Finite upper bounds are first materialized as `x_j <= u` rows so the
-    primal has only `x >= 0` or free variables. The dual is a
-    maximization whose inequality-row multipliers are nonnegative
-    variables; strong duality makes its optimum equal the primal's.
-    """
-    if lp.sense != "min":
-        raise ConfigError("dual_of expects a minimization program")
-    free = ~np.isfinite(lp.lower)
-    if (lp.lower[~free] != 0.0).any():
-        raise ConfigError("dual_of supports lower bounds of 0 or -inf only")
-    bounded = np.flatnonzero(np.isfinite(lp.upper))
-    a = np.vstack([lp.row_matrix(), np.eye(lp.num_vars)[bounded]])
-    rhs = np.concatenate([lp.rhs_vector(), lp.upper[bounded]])
-    relations = lp.relations + [LE] * bounded.size
-
-    m = len(relations)
-    obj = np.empty(m)
-    lower = np.empty(m)
-    col_sign = np.empty(m)
-    for r, rel in enumerate(relations):
-        if rel == LE:
-            obj[r], lower[r], col_sign[r] = -rhs[r], 0.0, -1.0
-        elif rel == GE:
-            obj[r], lower[r], col_sign[r] = rhs[r], 0.0, 1.0
-        else:
-            obj[r], lower[r], col_sign[r] = rhs[r], -np.inf, 1.0
-
-    dual = LinearProgram(obj, sense="max", lower=lower, upper=np.full(m, np.inf))
-    coeff = a * col_sign[:, None]  # signed multiplier enters stationarity
-    for j in range(lp.num_vars):
-        dual.add_constraint(coeff[:, j], EQ if free[j] else LE, lp.objective[j])
-    return dual

@@ -24,7 +24,6 @@ from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .model import (
     INTEGRALITY_TOL,
     OffloadDecision,
-    RelaxedDecision,
     build_p2,
     expected_latency,
     worst_case_distributions,
@@ -96,42 +95,24 @@ def _dive(scenario: Scenario, mean_sizes: np.ndarray):
 
     pinned = {}
     for offset in (0, ij):  # access block first, then compute block
-        while True:
-            rel = RelaxedDecision.from_lp_vector(current.x, i, j)
-            matrix = rel.x if offset == 0 else rel.y
-            pick = select_branch(matrix)
-            if pick is None:
-                break
+        while (pick := select_branch(current.x[offset : offset + ij].reshape(i, j))) is not None:
             col = offset + pick[0] * j + pick[1]
-            children = {}
-            for value in (0.0, 1.0):
-                trial = dict(fixed)
-                trial[col] = value
-                children[value] = _solve_fixed(base, trial)
-                count += 1
-            lat0 = (
-                children[0.0].objective_value
-                if children[0.0].status is LpStatus.OPTIMAL
-                else np.inf
-            )
-            lat1 = (
-                children[1.0].objective_value
-                if children[1.0].status is LpStatus.OPTIMAL
-                else np.inf
+            children = [_solve_fixed(base, {**fixed, col: value}) for value in (0.0, 1.0)]
+            count += 2
+            lat0, lat1 = (
+                c.objective_value if c.status is LpStatus.OPTIMAL else np.inf for c in children
             )
             if not np.isfinite(lat0) and not np.isfinite(lat1):
                 raise InfeasibleProblemError(
                     f"both children infeasible after fixings {sorted(fixed.items())} "
                     f"at variable column {col}"
                 )
-            chosen = 0.0 if lat0 < lat1 else 1.0
-            fixed[col] = chosen
+            chosen = 0 if lat0 < lat1 else 1  # ties go to 1
+            fixed[col] = float(chosen)
             current = children[chosen]
         # pin the whole block at its (integral) relaxed values and re-solve so
         # the next phase branches from a consistent point
-        rel = RelaxedDecision.from_lp_vector(current.x, i, j)
-        matrix = rel.x if offset == 0 else rel.y
-        rounded = np.rint(matrix)
+        rounded = np.rint(current.x[offset : offset + ij].reshape(i, j))
         pinned[offset] = rounded.astype(int)
         if offset == 0:
             for col, value in enumerate(rounded.ravel()):

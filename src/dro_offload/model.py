@@ -1,4 +1,4 @@
-"""Offloading decision model: expected costs, LP relaxation, and its dual.
+"""Offloading decision model: expected costs and the LP relaxation P2.
 
 Decision variables per (TD i, UAV j): x (access), y (compute on the
 UAV), z (relay to the HAP). The LP relaxation P2 stacks them as
@@ -21,7 +21,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, Distribution, worst_case_mean_distribution
 from .errors import ShapeError
 from .geometry import Scenario, per_bit_coefficients
-from .lp import EQ, GE, LE, LinearProgram, dual_of
+from .lp import EQ, LE, LinearProgram
 
 INTEGRALITY_TOL = 1e-6
 
@@ -60,27 +60,6 @@ class OffloadDecision:
             "y": self.y.astype(int).tolist(),
             "z": self.z.astype(int).tolist(),
         }
-
-
-@dataclass(frozen=True)
-class RelaxedDecision:
-    """Fractional decision in [0, 1], as returned by the LP relaxation."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def from_lp_vector(cls, values: np.ndarray, num_tds: int, num_uavs: int) -> "RelaxedDecision":
-        ij = num_tds * num_uavs
-        if values.shape != (3 * ij,):
-            raise ShapeError("LP vector has wrong length")
-        shape = (num_tds, num_uavs)
-        return cls(
-            x=values[:ij].reshape(shape),
-            y=values[ij : 2 * ij].reshape(shape),
-            z=values[2 * ij :].reshape(shape),
-        )
 
 
 def _path_cost_matrices(scenario: Scenario):
@@ -129,7 +108,12 @@ def expected_energy(
 
 
 def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
-    """LP relaxation of the offloading problem for fixed expected sizes."""
+    """LP relaxation of the offloading problem for fixed expected sizes.
+
+    Six row blocks, in order: one access link per TD, the UAV access
+    quotas, the HAP quota, flow conservation y + z = x, the UAV energy
+    budgets and the HAP energy budget.
+    """
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     if mean_sizes.shape != (scenario.num_tds,):
         raise ShapeError("mean_sizes must have one entry per TD")
@@ -147,54 +131,37 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     )
     lp = LinearProgram(objective, sense="min", lower=np.zeros(n), upper=np.ones(n))
 
-    def x_col(ii, jj):
-        return ii * j + jj
+    def none(rows):
+        return np.zeros((rows, ij))
 
-    # single access link per TD
-    for ii in range(i):
-        row = np.zeros(n)
-        row[[x_col(ii, jj) for jj in range(j)]] = 1.0
-        lp.add_constraint(row, EQ, 1.0)
-    # UAV access quota
-    for jj in range(j):
-        row = np.zeros(n)
-        row[[x_col(ii, jj) for ii in range(i)]] = 1.0
-        lp.add_constraint(row, LE, float(scenario.quota_uav))
-    # HAP quota (one global row)
-    row = np.zeros(n)
-    row[2 * ij :] = 1.0
-    lp.add_constraint(row, LE, float(scenario.quota_hap))
-    # flow conservation y + z = x
-    for ii in range(i):
-        for jj in range(j):
-            row = np.zeros(n)
-            row[x_col(ii, jj)] = -1.0
-            row[ij + x_col(ii, jj)] = 1.0
-            row[2 * ij + x_col(ii, jj)] = 1.0
-            lp.add_constraint(row, EQ, 0.0)
-    # per-UAV energy budget: relay transmissions plus on-board compute
+    eye_ij = np.eye(ij)
+    # row j, column (i, j'): E[phi_i] when j' == j, else 0
+    size_on_uav = np.kron(mean_sizes, np.eye(j))
     en = scenario.energy
-    for jj in range(j):
-        row = np.zeros(n)
-        for ii in range(i):
-            row[ij + x_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_compute_energy[jj]
-            row[2 * ij + x_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_relay_energy[jj]
-        lp.add_constraint(row, LE, en.uav_budget - en.uav_basic)
-    # HAP energy budget (one global row)
-    row = np.zeros(n)
-    row[2 * ij :] = (mean_sizes[:, None] * np.full((i, j), coeffs.hap_compute_energy)).ravel()
-    lp.add_constraint(row, LE, en.hap_budget - en.hap_basic)
+    blocks = (  # (x, y, z) coefficients, relation, rhs
+        (np.kron(np.eye(i), np.ones(j)), none(i), none(i), EQ, 1.0),  # access
+        (np.kron(np.ones(i), np.eye(j)), none(j), none(j), LE, float(scenario.quota_uav)),
+        (none(1), none(1), np.ones((1, ij)), LE, float(scenario.quota_hap)),
+        # flow; -I written with +0.0, not -0.0, off the diagonal
+        (np.diag(np.full(ij, -1.0)), eye_ij, eye_ij, EQ, 0.0),
+        (  # UAV energy
+            none(j),
+            size_on_uav * coeffs.uav_compute_energy[:, None],
+            size_on_uav * coeffs.uav_relay_energy[:, None],
+            LE,
+            en.uav_budget - en.uav_basic,
+        ),
+        (  # HAP energy
+            none(1),
+            none(1),
+            np.repeat(mean_sizes * coeffs.hap_compute_energy, j)[None, :],
+            LE,
+            en.hap_budget - en.hap_basic,
+        ),
+    )
+    for x, y, z, relation, rhs in blocks:
+        lp.add_constraints(np.hstack([x, y, z]), relation, rhs)
     return lp
-
-
-def build_p3(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
-    """Dual of the relaxation, derived mechanically from build_p2.
-
-    Inequality multipliers are nonnegative variables; the multiplier of
-    the per-TD access equality is unrestricted. Strong duality against
-    build_p2 is enforced by the test suite rather than assumed.
-    """
-    return dual_of(build_p2(scenario, mean_sizes))
 
 
 def worst_case_distributions(

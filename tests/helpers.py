@@ -1,0 +1,73 @@
+"""Reference helpers that only the tests need: the explicit LP dual, the
+inverse confidence map, and L1 distance and membership for distributions."""
+
+import math
+
+import numpy as np
+
+from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
+from dro_offload.errors import ConfigError, ShapeError
+from dro_offload.lp import EQ, GE, LE, LinearProgram
+
+
+def dual_of(lp: LinearProgram) -> LinearProgram:
+    """Explicit dual of a minimization program.
+
+    Finite upper bounds are first materialized as `x_j <= u` rows so the
+    primal has only `x >= 0` or free variables. The dual is a
+    maximization whose inequality-row multipliers are nonnegative
+    variables; strong duality makes its optimum equal the primal's.
+    """
+    if lp.sense != "min":
+        raise ConfigError("dual_of expects a minimization program")
+    free = ~np.isfinite(lp.lower)
+    if (lp.lower[~free] != 0.0).any():
+        raise ConfigError("dual_of supports lower bounds of 0 or -inf only")
+    bounded = np.flatnonzero(np.isfinite(lp.upper))
+    a = np.vstack([lp.row_matrix(), np.eye(lp.num_vars)[bounded]])
+    rhs = np.concatenate([lp.rhs_vector(), lp.upper[bounded]])
+    relations = lp.relations + [LE] * bounded.size
+
+    m = len(relations)
+    obj = np.empty(m)
+    lower = np.empty(m)
+    col_sign = np.empty(m)
+    for r, rel in enumerate(relations):
+        if rel == LE:
+            obj[r], lower[r], col_sign[r] = -rhs[r], 0.0, -1.0
+        elif rel == GE:
+            obj[r], lower[r], col_sign[r] = rhs[r], 0.0, 1.0
+        else:
+            obj[r], lower[r], col_sign[r] = rhs[r], -np.inf, 1.0
+
+    dual = LinearProgram(obj, sense="max", lower=lower, upper=np.full(m, np.inf))
+    coeff = a * col_sign[:, None]  # signed multiplier enters stationarity
+    for j in range(lp.num_vars):
+        dual.add_constraint(coeff[:, j], EQ if free[j] else LE, lp.objective[j])
+    return dual
+
+
+def confidence_from_tolerance(num_atoms: int, num_samples: int, radius: float) -> float:
+    """Inverse of the radius map: confidence = 1 - 2K * exp(-2Q*eps/K)."""
+    if num_atoms < 1 or num_samples < 1:
+        raise ConfigError("num_atoms and num_samples must be >= 1")
+    if radius < 0:
+        raise ConfigError(f"radius must be >= 0, got {radius}")
+    return 1.0 - 2.0 * num_atoms * math.exp(-2.0 * num_samples * radius / num_atoms)
+
+
+def l1_distance(a: Distribution, b: Distribution) -> float:
+    if a.num_atoms != b.num_atoms:
+        raise ShapeError("distributions have different lengths")
+    return float(np.abs(a.as_array() - b.as_array()).sum())
+
+
+def in_ball(amb: AmbiguitySet, dist: Distribution, tol: float = PROB_TOL) -> bool:
+    """Whether `dist` lies in the L1 ball of `amb`."""
+    return l1_distance(amb.reference, dist) <= amb.radius + tol
+
+
+def point_mass(num_atoms: int, index: int) -> Distribution:
+    probs = [0.0] * num_atoms
+    probs[index] = 1.0
+    return Distribution(probs=tuple(probs))

@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from dro_offload.ambiguity import (
     AmbiguitySet,
     Distribution,
-    HistoryLog,
     SampleSpace,
-    confidence_from_tolerance,
     empirical_distribution,
     generate_history,
-    l1_distance,
     tolerance_from_confidence,
     worst_case_mean_distribution,
 )
 from dro_offload.errors import ConfigError, DataError
+from helpers import confidence_from_tolerance, in_ball, l1_distance, point_mass
 
 ATOMS = [3e6, 9e6, 15e6, 21e6, 27e6]
 
@@ -48,7 +46,7 @@ class TestDistribution:
         assert Distribution.uniform(5).mean(space) == pytest.approx(15e6, rel=1e-12)
 
     def test_point_mass(self, space):
-        d = Distribution.point_mass(5, 4)
+        d = point_mass(5, 4)
         assert d.mean(space) == 27e6
 
     def test_must_sum_to_one(self):
@@ -66,18 +64,33 @@ class TestDistribution:
 
 class TestEmpirical:
     def test_hand_histogram(self, space):
-        hist = HistoryLog(samples=(3e6, 3e6, 14e6, 27e6))
-        dist = empirical_distribution(hist, space)
+        dist = empirical_distribution([3e6, 3e6, 14e6, 27e6], space)
         assert dist.probs == (0.5, 0.0, 0.25, 0.0, 0.25)
 
     def test_edge_sample_goes_right(self, space):
         # a sample exactly on edge d_k belongs to bin k (right-open bins)
-        dist = empirical_distribution(HistoryLog(samples=(6e6,)), space)
+        dist = empirical_distribution([6e6], space)
         assert dist.probs[1] == 1.0
 
     def test_sample_below_first_edge_rejected(self, space):
         with pytest.raises(DataError):
-            empirical_distribution(HistoryLog(samples=(-1.0,)), space)
+            empirical_distribution([-1.0], space)
+
+    def test_empty_history_rejected(self, space):
+        with pytest.raises(DataError, match="at least one sample"):
+            empirical_distribution([], space)
+
+    def test_matches_per_sample_binning(self, space):
+        # edges, atoms and points between them, binned one sample at a time
+        rng = np.random.default_rng(77)
+        points = np.concatenate([space.bin_edges[:-1], space.atoms, rng.uniform(0, 40e6, 50)])
+        for _ in range(150):
+            samples = rng.choice(points, size=int(rng.integers(1, 60)))
+            counts = [0] * space.num_atoms
+            for v in samples:
+                counts[max(k for k, edge in enumerate(space.bin_edges[:-1]) if edge <= v)] += 1
+            expected = tuple(c / samples.size for c in counts)
+            assert empirical_distribution(samples, space).probs == expected
 
 
 class TestDistanceAndRadius:
@@ -147,7 +160,7 @@ class TestWorstCase:
         ref = Distribution(probs=tuple(v / total for v in raw))
         amb = AmbiguitySet(space, ref, radius)
         dist, mean = worst_case_mean_distribution(amb)
-        assert amb.contains(dist)
+        assert in_ball(amb, dist)
         assert mean >= ref.mean(space) - 1e-9
 
     def test_matches_lp_oracle(self, space):
@@ -185,11 +198,11 @@ class TestHistoryGeneration:
         truth = Distribution.uniform(5)
         a = generate_history(truth, space, 50, [7, 1])
         b = generate_history(truth, space, 50, [7, 1])
-        assert a.samples == b.samples
+        assert (a == b).all()
 
     def test_samples_are_atoms(self, space):
         hist = generate_history(Distribution.uniform(5), space, 100, 3)
-        assert set(hist.samples) <= set(space.atoms)
+        assert set(hist.tolist()) <= set(space.atoms)
 
     def test_empirical_converges_to_truth(self, space):
         truth = Distribution(probs=(0.1, 0.1, 0.2, 0.3, 0.3))

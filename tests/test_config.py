@@ -56,6 +56,10 @@ MALFORMED = [
         "ambiguity.truth.probs",
     ),
     (
+        '{"ambiguity": {"truth": {"kind": "uniform", "probs": [0.1, 0.9]}}}',
+        "ambiguity.truth.probs",
+    ),
+    (
         '{"scenario": {"compute": {"uav_capability_cps": 1e308}}}',
         "scenario.compute.uav_capability_cps",
     ),

@@ -13,8 +13,6 @@ from dro_offload.evaluation import (
     compare_methods,
     draw_realization,
     evaluate_seed,
-    realized_energy,
-    realized_latency,
     sweep,
 )
 from dro_offload.geometry import generate_scenario
@@ -57,25 +55,29 @@ class TestInstanceGeneration:
         cfg = default_config()
         a = draw_realization(cfg, 5)
         b = draw_realization(cfg, 5)
-        assert a == b
+        assert (a == b).all()
         atoms = set(cfg.ambiguity.sample_space().atoms)
-        assert set(a.task_sizes) <= atoms
-        assert len(a.task_sizes) == 10
+        assert set(a.tolist()) <= atoms
+        assert a.shape == (10,)
 
 
 class TestRealizedMetrics:
     def test_point_mass_equivalence(self):
+        # a row scores its decision at the drawn sizes, i.e. the expectation under point masses
         cfg = default_config()
         scenario = generate_scenario(cfg.scenario, 1)
         sets = build_ambiguity_sets(cfg, 1)
-        real = draw_realization(cfg, 1)
+        sizes = draw_realization(cfg, 1)
         decision = mdrloa_solve(scenario, sets).decision
-        assert realized_latency(decision, scenario, real) == pytest.approx(
-            expected_latency(decision, scenario, real.as_array()), rel=1e-15
+        row = evaluate_seed(cfg, 1)[0]
+        assert row.method == "MDRLOA"
+        assert row.realized_latency == pytest.approx(
+            expected_latency(decision, scenario, sizes), rel=1e-15
         )
-        uav, hap = realized_energy(decision, scenario, real)
-        uav2, hap2 = expected_energy(decision, scenario, real.as_array())
-        assert hap == hap2 and (uav == uav2).all()
+        en = cfg.scenario.energy
+        uav, hap = expected_energy(decision, scenario, sizes)
+        assert row.hap_energy == hap - en.hap_basic
+        assert row.max_uav_energy == uav.max() - en.uav_basic
 
 
 class TestEvaluateSeed:

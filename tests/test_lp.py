@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dro_offload.config import default_config
-from dro_offload.errors import ConfigError
+from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import (
     _BOUND_TOL,
@@ -15,10 +15,10 @@ from dro_offload.lp import (
     LpStatus,
     _dual_signs,
     check_solution,
-    dual_of,
     solve_lp,
 )
 from dro_offload.model import build_p2
+from helpers import dual_of
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -89,6 +89,15 @@ class TestKnownSolutions:
         lp.add_constraint([1.0], LE, -1.0)
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
+    def test_infeasible_beside_a_large_rhs(self):
+        # x = 1 and x <= 0.99 leave an artificial at 0.01; a row with rhs 1e6 must
+        # not scale the phase-1 threshold past that
+        lp = LinearProgram([1.0, 0.0], sense="min")
+        lp.add_constraint([1.0, 0.0], EQ, 1.0)
+        lp.add_constraint([1.0, 0.0], LE, 0.99)
+        lp.add_constraint([1.0, 1.0], LE, 1e6)
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
     def test_unbounded(self):
         lp = LinearProgram([-1.0], sense="min", lower=[0])
         assert solve_lp(lp).status is LpStatus.UNBOUNDED
@@ -102,6 +111,18 @@ class TestKnownSolutions:
         lp = LinearProgram([1.0])
         with pytest.raises(ConfigError):
             lp.add_constraint([1.0], "<", 1.0)
+
+    def test_constraint_block_is_its_rows(self):
+        rows = LinearProgram([1.0, 2.0])
+        rows.add_constraint([1.0, 0.0], LE, 3.0)
+        rows.add_constraint([0.0, 1.0], LE, 3.0)
+        block = LinearProgram([1.0, 2.0])
+        block.add_constraints(np.eye(2), LE, 3.0)
+        assert block.relations == rows.relations
+        np.testing.assert_array_equal(block.row_matrix(), rows.row_matrix())
+        np.testing.assert_array_equal(block.rhs_vector(), rows.rhs_vector())
+        with pytest.raises(ShapeError):
+            block.add_constraints(np.ones(2), LE, 1.0)
 
 
 class TestDualConvention:

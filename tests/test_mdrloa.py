@@ -1,11 +1,15 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
-from dro_offload.config import default_config
+from dro_offload.config import default_config, parse_config
 from dro_offload.errors import InfeasibleProblemError, SizeError
+from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
 from dro_offload.mdrloa import (
     METHOD_DO,
@@ -17,7 +21,7 @@ from dro_offload.mdrloa import (
     ro_solve,
     select_branch,
 )
-from dro_offload.model import expected_latency, worst_case_distributions
+from dro_offload.model import expected_energy, expected_latency, worst_case_distributions
 
 SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
 
@@ -141,3 +145,87 @@ class TestBaselines:
         data = result.to_dict()
         assert data["method"] == METHOD_DO
         assert set(data["decision"]) == {"x", "y", "z"}
+
+
+@st.composite
+def _small_instances(draw):
+    """A run config with I <= 6 and J <= 3, and a scenario seed."""
+    i = draw(st.integers(2, 6))
+    j = draw(st.integers(1, 3))
+    cfg = parse_config(
+        {
+            "scenario": {
+                "num_tds": i,
+                "num_uavs": j,
+                "quota_uav": draw(st.integers(-(-i // j), i)),  # room for every TD
+                "quota_hap": draw(st.integers(0, i)),
+                "radio": {"ref_gain_uav_hap_db": draw(st.sampled_from([-60.0, -10.0]))},
+                "energy": {
+                    "uav_budget_j": draw(st.integers(25, 100)),
+                    # up to 5x the default per-bit compute energy, so that budgets bind
+                    "uav_chip_coeff": draw(st.integers(1, 5)) * 1e-28,
+                },
+            },
+            "ambiguity": {
+                "history_len": draw(st.sampled_from([30, 200])),
+                "per_device_history": draw(st.booleans()),
+                "epsilon": draw(st.floats(0.0, 1.0)),
+            },
+        }
+    )
+    return cfg, draw(st.integers(0, 10_000))
+
+
+# all three TDs on UAV 2 need 25.08 J of a 25 J budget; phase 1 once called that child
+# LP feasible and the dive returned it, below its own relaxation bound
+_INFEASIBLE_CHILD_REPORTED_OPTIMAL = (
+    parse_config(
+        {
+            "scenario": {
+                "num_tds": 3,
+                "num_uavs": 2,
+                "quota_uav": 3,
+                "quota_hap": 0,
+                "energy": {"uav_budget_j": 25, "uav_chip_coeff": 2e-28},
+            },
+            "ambiguity": {"history_len": 30, "epsilon": 0.5},
+        }
+    ),
+    415,
+)
+
+
+def test_dive_between_relaxation_bound_and_exhaustive_optimum():
+    outcomes = collections.Counter()
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_small_instances())
+    @example(_INFEASIBLE_CHILD_REPORTED_OPTIMAL)
+    def check(instance):
+        cfg, seed = instance
+        scenario = generate_scenario(cfg.scenario, seed)
+        sets = build_ambiguity_sets(cfg, seed)
+        means = worst_case_distributions(sets)[1]
+        try:
+            best = exhaustive_solve(scenario, means)
+        except InfeasibleProblemError:
+            outcomes["infeasible"] += 1
+            return
+        try:
+            dive = mdrloa_solve(scenario, sets)
+        except InfeasibleProblemError:
+            outcomes["dead end"] += 1
+            return
+        outcomes["checked"] += 1
+        best.decision.validate(scenario)
+        dive.decision.validate(scenario)
+        opt, lat = best.worst_case_expected_latency, dive.worst_case_expected_latency
+        assert dive.relaxation_bound <= opt + 1e-9 * abs(opt)
+        assert opt <= lat + 1e-9 * abs(lat)
+        uav, hap = expected_energy(dive.decision, scenario, means)
+        en = scenario.energy
+        assert (uav <= en.uav_budget * (1 + 1e-9)).all() and hap <= en.hap_budget * (1 + 1e-9)
+
+    check()
+    print(f"dive vs exhaustive: {dict(outcomes)}")  # 83 checked, 18 infeasible when written
+    assert outcomes["checked"] >= 50

@@ -1,22 +1,23 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
-from dro_offload.config import default_config
+from dro_offload.config import default_config, load_config
 from dro_offload.errors import ShapeError
+from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
-from dro_offload.lp import LpStatus, solve_lp
+from dro_offload.lp import EQ, LE, LinearProgram, LpStatus, solve_lp
 from dro_offload.model import (
     OffloadDecision,
-    RelaxedDecision,
     build_p2,
-    build_p3,
     expected_energy,
     expected_latency,
     worst_case_distributions,
 )
+from helpers import dual_of
 
 SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
 
@@ -66,12 +67,6 @@ class TestOffloadDecision:
         again = OffloadDecision(**{k: np.asarray(v) for k, v in d.to_dict().items()})
         np.testing.assert_array_equal(d.x, again.x)
         np.testing.assert_array_equal(d.y, again.y)
-
-    def test_relaxed_from_vector(self):
-        vec = np.arange(12, dtype=float) / 12.0
-        rel = RelaxedDecision.from_lp_vector(vec, 2, 2)
-        assert rel.x.shape == rel.y.shape == rel.z.shape == (2, 2)
-        assert rel.y[0, 0] == vec[4]
 
 
 class TestExpectedCosts:
@@ -137,11 +132,86 @@ class TestP2:
         sizes = np.full(10, 18.6e6)
         sol = solve_lp(build_p2(sc, sizes))
         assert sol.status is LpStatus.OPTIMAL
-        rel = RelaxedDecision.from_lp_vector(sol.x, 10, 3)
-        np.testing.assert_allclose(rel.x.sum(axis=1), 1.0, atol=1e-8)
-        np.testing.assert_allclose(rel.y + rel.z, rel.x, atol=1e-8)
-        assert (rel.x.sum(axis=0) <= sc.quota_uav + 1e-8).all()
+        x, y, z = sol.x.reshape(3, 10, 3)
+        np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-8)
+        np.testing.assert_allclose(y + z, x, atol=1e-8)
+        assert (x.sum(axis=0) <= sc.quota_uav + 1e-8).all()
         assert sol.certificate.ok()
+
+
+def _build_p2_loops(scenario, mean_sizes) -> LinearProgram:
+    """P2 built one zero-filled row at a time: the reference for build_p2's row blocks."""
+    coeffs = per_bit_coefficients(scenario)
+    access = coeffs.access_delay
+    i, j = scenario.num_tds, scenario.num_uavs
+    uav_cp = np.broadcast_to(coeffs.uav_compute_delay, (i, j))
+    relay = np.broadcast_to(coeffs.relay_path_delay, (i, j))
+    ij = i * j
+    n = 3 * ij
+    objective = np.concatenate(
+        [
+            (mean_sizes[:, None] * access).ravel(),
+            (mean_sizes[:, None] * uav_cp).ravel(),
+            (mean_sizes[:, None] * relay).ravel(),
+        ]
+    )
+    lp = LinearProgram(objective, sense="min", lower=np.zeros(n), upper=np.ones(n))
+
+    def x_col(ii, jj):
+        return ii * j + jj
+
+    for ii in range(i):
+        row = np.zeros(n)
+        row[[x_col(ii, jj) for jj in range(j)]] = 1.0
+        lp.add_constraint(row, EQ, 1.0)
+    for jj in range(j):
+        row = np.zeros(n)
+        row[[x_col(ii, jj) for ii in range(i)]] = 1.0
+        lp.add_constraint(row, LE, float(scenario.quota_uav))
+    row = np.zeros(n)
+    row[2 * ij :] = 1.0
+    lp.add_constraint(row, LE, float(scenario.quota_hap))
+    for ii in range(i):
+        for jj in range(j):
+            row = np.zeros(n)
+            row[x_col(ii, jj)] = -1.0
+            row[ij + x_col(ii, jj)] = 1.0
+            row[2 * ij + x_col(ii, jj)] = 1.0
+            lp.add_constraint(row, EQ, 0.0)
+    en = scenario.energy
+    for jj in range(j):
+        row = np.zeros(n)
+        for ii in range(i):
+            row[ij + x_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_compute_energy[jj]
+            row[2 * ij + x_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_relay_energy[jj]
+        lp.add_constraint(row, LE, en.uav_budget - en.uav_basic)
+    row = np.zeros(n)
+    row[2 * ij :] = (mean_sizes[:, None] * np.full((i, j), coeffs.hap_compute_energy)).ravel()
+    lp.add_constraint(row, LE, en.hap_budget - en.hap_basic)
+    return lp
+
+
+PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+@pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
+def test_p2_row_blocks_match_row_loops(name):
+    cfg = load_config(PERFBENCH_CONFIGS / f"{name}.json")
+    for seed in (1, 2, 3):
+        scenario = generate_scenario(cfg.scenario, seed)
+        _, wc_means = worst_case_distributions(build_ambiguity_sets(cfg, seed))
+        atoms = cfg.ambiguity.sample_space().atoms
+        for means in (wc_means, np.full(scenario.num_tds, max(atoms))):
+            ours, ref = build_p2(scenario, means), _build_p2_loops(scenario, means)
+            for got, want in [
+                (ours.row_matrix(), ref.row_matrix()),
+                (ours.rhs_vector(), ref.rhs_vector()),
+                (ours.objective, ref.objective),
+                (ours.lower, ref.lower),
+                (ours.upper, ref.upper),
+            ]:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert ours.relations == ref.relations
 
 
 class TestP3:
@@ -150,14 +220,14 @@ class TestP3:
         sc = _scenario(seed=seed)
         sizes = np.full(10, 18.6e6)
         p = solve_lp(build_p2(sc, sizes))
-        d = solve_lp(build_p3(sc, sizes))
+        d = solve_lp(dual_of(build_p2(sc, sizes)))
         assert p.status is LpStatus.OPTIMAL and d.status is LpStatus.OPTIMAL
         scale = max(1.0, abs(p.objective_value))
         assert abs(p.objective_value - d.objective_value) / scale < 1e-8
 
     def test_dual_is_maximization(self):
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
-        assert build_p3(sc, np.full(2, 1e6)).sense == "max"
+        assert dual_of(build_p2(sc, np.full(2, 1e6))).sense == "max"
 
 
 class TestWorstCaseDistributions:
