@@ -146,37 +146,28 @@ def evaluate_seed(
     en = config.scenario.energy
     rows = []
     for method in config.experiment.methods:
-        label = METHOD_LABELS[method]
         try:
             result = solve_with_method(method, scenario, sets)
         except InfeasibleProblemError:
-            rows.append(
-                EvaluationRow(
-                    method=label,
-                    seed=seed,
-                    param_name=param_name,
-                    param_value=param_value,
-                    realized_latency=math.nan,
-                    max_uav_energy=math.nan,
-                    hap_energy=math.nan,
-                    feasible=False,
-                )
+            latency = max_uav = hap = math.nan
+            ok = False
+        else:
+            latency = expected_latency(result.decision, scenario, sizes)
+            uav, hap = expected_energy(result.decision, scenario, sizes)
+            ok = bool(
+                (uav <= en.uav_budget + ENERGY_SLACK).all()
+                and hap <= en.hap_budget + ENERGY_SLACK
             )
-            continue
-        latency = expected_latency(result.decision, scenario, sizes)
-        uav, hap = expected_energy(result.decision, scenario, sizes)
-        ok = bool(
-            (uav <= en.uav_budget + ENERGY_SLACK).all() and hap <= en.hap_budget + ENERGY_SLACK
-        )
+            max_uav, hap = float(uav.max() - en.uav_basic), hap - en.hap_basic
         rows.append(
             EvaluationRow(
-                method=label,
+                method=METHOD_LABELS[method],
                 seed=seed,
                 param_name=param_name,
                 param_value=param_value,
                 realized_latency=latency,
-                max_uav_energy=float(uav.max() - en.uav_basic),
-                hap_energy=hap - en.hap_basic,
+                max_uav_energy=max_uav,
+                hap_energy=hap,
                 feasible=ok,
             )
         )

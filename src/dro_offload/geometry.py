@@ -116,8 +116,8 @@ def link_rate(bandwidth: float, tx_power: float, gain: float, noise: float) -> f
 class Scenario:
     """Immutable snapshot of the physical network.
 
-    Rate matrices are precomputed from geometry at construction and shared
-    read-only by all solvers and evaluation workers.
+    `generate_scenario` derives the rate matrices from the geometry; they are
+    shared read-only by all solvers and evaluation workers.
     """
 
     tds: tuple[Position3D, ...]
@@ -152,57 +152,6 @@ class Scenario:
     @property
     def num_uavs(self) -> int:
         return len(self.uavs)
-
-    @classmethod
-    def build(
-        cls,
-        tds: list[Position3D],
-        uavs: list[Position3D],
-        hap: Position3D,
-        radio: RadioParams,
-        compute: ComputeParams,
-        energy: EnergyParams,
-        quota_uav: int,
-        quota_hap: int,
-    ) -> "Scenario":
-        """Construct a scenario, deriving the rate matrices from geometry."""
-        rate_td_uav = np.array(
-            [
-                [
-                    link_rate(
-                        radio.bandwidth_td_uav,
-                        radio.tx_power_td,
-                        channel_gain(radio.ref_gain_td_uav, euclidean_distance(td, uav)),
-                        radio.noise_power,
-                    )
-                    for uav in uavs
-                ]
-                for td in tds
-            ]
-        )
-        rate_uav_hap = np.array(
-            [
-                link_rate(
-                    radio.bandwidth_uav_hap,
-                    radio.tx_power_uav,
-                    channel_gain(radio.ref_gain_uav_hap, euclidean_distance(uav, hap)),
-                    radio.noise_power,
-                )
-                for uav in uavs
-            ]
-        )
-        return cls(
-            tds=tuple(tds),
-            uavs=tuple(uavs),
-            hap=hap,
-            radio=radio,
-            compute=compute,
-            energy=energy,
-            quota_uav=quota_uav,
-            quota_hap=quota_hap,
-            rate_td_uav=rate_td_uav,
-            rate_uav_hap=rate_uav_hap,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -313,15 +262,44 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     rng = np.random.default_rng([int(seed), 0x6E0])
     td_xy = rng.uniform(0.0, config.area_size, size=(config.num_tds, 2))
     uav_xy = rng.uniform(0.0, config.area_size, size=(config.num_uavs, 2))
-    tds = [Position3D(x, y, 0.0) for x, y in td_xy]
-    uavs = [Position3D(x, y, config.uav_altitude) for x, y in uav_xy]
-    return Scenario.build(
+    tds = tuple(Position3D(x, y, 0.0) for x, y in td_xy)
+    uavs = tuple(Position3D(x, y, config.uav_altitude) for x, y in uav_xy)
+    hap, radio = config.hap_position, config.radio
+    # scalar math per link: numpy's log2 and power differ from math's in the last bit
+    rate_td_uav = np.array(
+        [
+            [
+                link_rate(
+                    radio.bandwidth_td_uav,
+                    radio.tx_power_td,
+                    channel_gain(radio.ref_gain_td_uav, euclidean_distance(td, uav)),
+                    radio.noise_power,
+                )
+                for uav in uavs
+            ]
+            for td in tds
+        ]
+    )
+    rate_uav_hap = np.array(
+        [
+            link_rate(
+                radio.bandwidth_uav_hap,
+                radio.tx_power_uav,
+                channel_gain(radio.ref_gain_uav_hap, euclidean_distance(uav, hap)),
+                radio.noise_power,
+            )
+            for uav in uavs
+        ]
+    )
+    return Scenario(
         tds=tds,
         uavs=uavs,
-        hap=config.hap_position,
-        radio=config.radio,
+        hap=hap,
+        radio=radio,
         compute=config.compute,
         energy=config.energy,
         quota_uav=config.quota_uav,
         quota_hap=config.quota_hap,
+        rate_td_uav=rate_td_uav,
+        rate_uav_hap=rate_uav_hap,
     )

@@ -1,6 +1,12 @@
 """Dense linear-program representation, a deterministic simplex solver, and
 the certificate that checks its answer.
 
+A `LinearProgram` is an immutable record of read-only arrays (objective,
+constraint matrix, relations, rhs, bounds) plus the objective sense,
+validated once when it is built. The solver and the certificate read
+those arrays as stored; a program that differs only in its bounds is
+built with `dataclasses.replace`.
+
 The solver is a bounded-variable two-phase tableau simplex (Chvátal,
 Linear Programming, 1983, ch. 8). Box bounds stay out of the tableau:
 the ratio test also stops when a basic variable reaches its upper bound,
@@ -48,26 +54,55 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-class LinearProgram:
-    """min/max c'x subject to rows (a, relation, b) and box bounds on x."""
+def _frozen(values, dtype=float) -> np.ndarray:
+    """`values` as an array no one can write to; an input that is already read-only is kept."""
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
 
-    def __init__(self, objective, sense: str = "min", lower=None, upper=None):
-        self.objective = np.asarray(objective, dtype=float)
-        if self.objective.ndim != 1:
-            raise ShapeError("objective must be a vector")
-        if not np.isfinite(self.objective).all():
-            raise ConfigError("objective coefficients must be finite")
-        if sense not in ("min", "max"):
-            raise ConfigError(f"sense must be 'min' or 'max', got {sense!r}")
-        self.sense = sense
-        n = self.objective.size
-        self.lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-        self.upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ShapeError("bounds must match the number of variables")
-        self._rows: list[np.ndarray] = []
-        self._relations: list[str] = []
-        self._rhs: list[float] = []
+
+@dataclass(frozen=True, eq=False)
+class LinearProgram:
+    """min/max c'x subject to rows `matrix[r] @ x relations[r] rhs[r]` and box bounds on x.
+
+    Immutable: the constructor validates every array once and stores it
+    read-only, so a program that differs only in its bounds is
+    `dataclasses.replace(lp, lower=..., upper=...)` and shares the rest.
+    `matrix=None` means no rows; `lower` defaults to 0 and `upper` to +inf.
+    """
+
+    objective: np.ndarray
+    matrix: np.ndarray | None = None
+    relations: np.ndarray = ()
+    rhs: np.ndarray = ()
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    sense: str = "min"
+
+    def __post_init__(self):
+        n = np.size(self.objective)
+        defaults = {"matrix": np.zeros((0, n)), "lower": np.zeros(n), "upper": np.full(n, np.inf)}
+        for name in ("objective", "matrix", "relations", "rhs", "lower", "upper"):
+            value = getattr(self, name)
+            value = defaults[name] if value is None else value
+            object.__setattr__(self, name, _frozen(value, str if name == "relations" else float))
+        m = self.rhs.size
+        if not self.objective.shape == self.lower.shape == self.upper.shape == (n,):
+            raise ShapeError("objective, lower and upper must be vectors of one length")
+        if self.matrix.shape != (m, n) or not self.relations.shape == self.rhs.shape == (m,):
+            raise ShapeError(
+                f"constraint matrix {self.matrix.shape}, relations {self.relations.shape} "
+                f"and rhs {self.rhs.shape} do not fit {n} variables"
+            )
+        if not all(np.isfinite(a).all() for a in (self.objective, self.matrix, self.rhs)):
+            raise ConfigError("objective, constraint coefficients and rhs must be finite")
+        if self.sense not in ("min", "max"):
+            raise ConfigError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        unknown = sorted(set(self.relations.tolist()) - set(_RELATIONS))
+        if unknown:
+            raise ConfigError(f"relations must be one of {_RELATIONS}, got {unknown}")
 
     @property
     def num_vars(self) -> int:
@@ -75,43 +110,15 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows)
-
-    @property
-    def relations(self) -> list[str]:
-        return list(self._relations)
+        return self.matrix.shape[0]
 
     def row_matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.num_vars))
-        return np.vstack(self._rows)
+        """The constraint matrix; the same read-only array as `matrix`."""
+        return self.matrix
 
     def rhs_vector(self) -> np.ndarray:
-        return np.asarray(self._rhs, dtype=float)
-
-    def add_constraint(self, coeffs, relation: str, rhs: float) -> None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.num_vars,):
-            raise ShapeError(
-                f"constraint has {coeffs.size} coefficients, expected {self.num_vars}"
-            )
-        self.add_constraints(coeffs[None, :], relation, rhs)
-
-    def add_constraints(self, coeffs, relation: str, rhs) -> None:
-        """One row per row of `coeffs`, all with `relation`; `rhs` is one value or one per row."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[1] != self.num_vars:
-            raise ShapeError(
-                f"constraint block has shape {coeffs.shape}, expected (m, {self.num_vars})"
-            )
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), coeffs.shape[:1])
-        if not np.isfinite(coeffs).all() or not np.isfinite(rhs).all():
-            raise ConfigError("constraint coefficients and rhs must be finite")
-        if relation not in _RELATIONS:
-            raise ConfigError(f"relation must be one of {_RELATIONS}, got {relation!r}")
-        self._rows.extend(coeffs)
-        self._relations.extend([relation] * len(coeffs))
-        self._rhs.extend(rhs.tolist())
+        """The right-hand sides; the same read-only array as `rhs`."""
+        return self.rhs
 
 
 @dataclass(frozen=True)
@@ -121,13 +128,21 @@ class CertificationReport:
     max_complementarity: float
     duality_gap_rel: float
 
+    def failures(self) -> list[str]:
+        """One 'name = value > tolerance' entry per residual over its tolerance."""
+        return [
+            f"{name} = {value!r} > {tol!r}"
+            for name, value, tol in (
+                ("max_primal_residual", self.max_primal_residual, RESIDUAL_TOL),
+                ("max_dual_residual", self.max_dual_residual, RESIDUAL_TOL),
+                ("max_complementarity", self.max_complementarity, RESIDUAL_TOL),
+                ("duality_gap_rel", self.duality_gap_rel, GAP_TOL),
+            )
+            if not value <= tol
+        ]
+
     def ok(self) -> bool:
-        return (
-            self.max_primal_residual <= RESIDUAL_TOL
-            and self.max_dual_residual <= RESIDUAL_TOL
-            and self.max_complementarity <= RESIDUAL_TOL
-            and self.duality_gap_rel <= GAP_TOL
-        )
+        return not self.failures()
 
 
 @dataclass(frozen=True)
@@ -248,7 +263,7 @@ class _Transform:
         if empty.size:
             j = int(empty[0])
             raise ConfigError(f"variable {j} has empty bound interval [{lo[j]}, {hi[j]}]")
-        a = lp.row_matrix()
+        a = lp.matrix
         m = a.shape[0]
         sign = 1.0 if lp.sense == "min" else -1.0
         c = sign * lp.objective
@@ -266,9 +281,9 @@ class _Transform:
         self.var_neg = first[self.free_src] + 1
         n_struct = int(width.sum())
 
-        b = lp.rhs_vector() - a @ self.offset
+        b = lp.rhs - a @ self.offset
         self.row_flip = np.where(b < 0, -1.0, 1.0)
-        relations = np.array(lp.relations, dtype=str)
+        relations = lp.relations
         le = np.where(self.row_flip < 0, relations == GE, relations == LE)
         slack_rows = np.flatnonzero(relations != EQ)
         art_rows = np.flatnonzero(~le)
@@ -406,7 +421,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     duals = _dual_signs(lp) * y_signed
 
     c_min = lp.objective if lp.sense == "min" else -lp.objective
-    reduced_orig = c_min - lp.row_matrix().T @ y_signed
+    reduced_orig = c_min - lp.matrix.T @ y_signed
     if lp.sense == "max":
         reduced_orig = -reduced_orig
 
@@ -427,8 +442,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 def _dual_signs(lp: LinearProgram) -> np.ndarray:
     """Per-row +-1 mapping min-form multipliers to the documented duals, and back."""
-    sign = {LE: -1.0, GE: 1.0, EQ: 1.0 if lp.sense == "min" else -1.0}
-    return np.array([sign[rel] for rel in lp.relations])
+    eq_sign = 1.0 if lp.sense == "min" else -1.0
+    return np.where(lp.relations == LE, -1.0, np.where(lp.relations == GE, 1.0, eq_sign))
 
 
 def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationReport:
@@ -437,10 +452,9 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
         raise ConfigError("check_solution requires an Optimal solution")
     x = solution.x
     lo, hi = lp.lower, lp.upper
-    rhs = lp.rhs_vector()
-    relations = np.array(lp.relations, dtype=str)
+    rhs, relations = lp.rhs, lp.relations
     eq = relations == EQ
-    ax = lp.row_matrix() @ x
+    ax = lp.matrix @ x
     slack = np.where(relations == LE, rhs - ax, ax - rhs)  # >= 0 on a satisfied inequality
     finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
 

@@ -11,9 +11,8 @@ than assumed.
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,13 +68,21 @@ def select_branch(matrix: np.ndarray):
 
 
 def _solve_fixed(base: LinearProgram, fixed: dict[int, float]) -> LpSolution:
-    lp = copy.copy(base)
-    lp.lower = base.lower.copy()
-    lp.upper = base.upper.copy()
+    """Solve `base` with each fixed column's bounds pinned to its value.
+
+    Raises SolverError when an optimal answer fails its certificate, so that
+    a wrong LP never becomes a decision.
+    """
+    lower, upper = base.lower.copy(), base.upper.copy()
     for col, value in fixed.items():
-        lp.lower[col] = value
-        lp.upper[col] = value
-    return solve_lp(lp)
+        lower[col] = upper[col] = value
+    solution = solve_lp(replace(base, lower=lower, upper=upper))
+    if solution.status is LpStatus.OPTIMAL and not solution.certificate.ok():
+        raise SolverError(
+            f"LP with {len(fixed)} fixed columns fails its certificate: "
+            + "; ".join(solution.certificate.failures())
+        )
+    return solution
 
 
 def _dive(scenario: Scenario, mean_sizes: np.ndarray):

@@ -129,7 +129,6 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
             (mean_sizes[:, None] * relay).ravel(),
         ]
     )
-    lp = LinearProgram(objective, sense="min", lower=np.zeros(n), upper=np.ones(n))
 
     def none(rows):
         return np.zeros((rows, ij))
@@ -159,9 +158,16 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
             en.hap_budget - en.hap_basic,
         ),
     )
-    for x, y, z, relation, rhs in blocks:
-        lp.add_constraints(np.hstack([x, y, z]), relation, rhs)
-    return lp
+    x, y, z, relations, rhs = zip(*blocks)
+    rows = [len(block) for block in x]
+    return LinearProgram(
+        objective,
+        np.hstack([np.vstack(x), np.vstack(y), np.vstack(z)]),
+        np.repeat(relations, rows),
+        np.repeat(rhs, rows),
+        lower=np.zeros(n),
+        upper=np.ones(n),
+    )
 
 
 def worst_case_distributions(

@@ -1,5 +1,6 @@
-"""Reference helpers that only the tests need: the explicit LP dual, the
-inverse confidence map, and L1 distance and membership for distributions."""
+"""Reference helpers that only the tests need: an LP built from rows, the
+explicit LP dual, the inverse confidence map, and L1 distance and
+membership for distributions."""
 
 import math
 
@@ -8,6 +9,13 @@ import numpy as np
 from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
 from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.lp import EQ, GE, LE, LinearProgram
+
+
+def lp_from_rows(objective, rows=(), **kwargs) -> LinearProgram:
+    """LinearProgram from a list of (coefficients, relation, rhs) rows."""
+    coeffs, relations, rhs = zip(*rows) if rows else ((), (), ())
+    matrix = np.reshape(np.asarray(coeffs, dtype=float), (len(rows), len(objective)))
+    return LinearProgram(objective, matrix, relations, rhs, **kwargs)
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:
@@ -26,7 +34,7 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     bounded = np.flatnonzero(np.isfinite(lp.upper))
     a = np.vstack([lp.row_matrix(), np.eye(lp.num_vars)[bounded]])
     rhs = np.concatenate([lp.rhs_vector(), lp.upper[bounded]])
-    relations = lp.relations + [LE] * bounded.size
+    relations = np.concatenate([lp.relations, np.full(bounded.size, LE)])
 
     m = len(relations)
     obj = np.empty(m)
@@ -40,11 +48,11 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
         else:
             obj[r], lower[r], col_sign[r] = rhs[r], -np.inf, 1.0
 
-    dual = LinearProgram(obj, sense="max", lower=lower, upper=np.full(m, np.inf))
     coeff = a * col_sign[:, None]  # signed multiplier enters stationarity
-    for j in range(lp.num_vars):
-        dual.add_constraint(coeff[:, j], EQ if free[j] else LE, lp.objective[j])
-    return dual
+    # one row per primal variable j: coeff[:, j] @ y (= if j is free, else <=) c_j
+    return LinearProgram(
+        obj, coeff.T, np.where(free, EQ, LE), lp.objective, lower=lower, sense="max"
+    )
 
 
 def confidence_from_tolerance(num_atoms: int, num_samples: int, radius: float) -> float:

@@ -18,7 +18,7 @@ from dro_offload.lp import (
     solve_lp,
 )
 from dro_offload.model import build_p2
-from helpers import dual_of
+from helpers import dual_of, lp_from_rows
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -58,9 +58,7 @@ def _scipy_solve(lp: LinearProgram):
 class TestKnownSolutions:
     def test_two_var_max(self):
         # max 3x + 2y st x + y <= 4, x <= 2 -> x=2, y=2, obj 10
-        lp = LinearProgram([3.0, 2.0], sense="max", lower=[0, 0])
-        lp.add_constraint([1, 1], LE, 4)
-        lp.add_constraint([1, 0], LE, 2)
+        lp = lp_from_rows([3.0, 2.0], [([1, 1], LE, 4), ([1, 0], LE, 2)], sense="max")
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(10.0, abs=1e-9)
@@ -69,33 +67,28 @@ class TestKnownSolutions:
 
     def test_equality_and_ge(self):
         # min x + 2y st x + y = 3, x >= 1 -> x=3? no: y free to 0 => x=3,obj 3
-        lp = LinearProgram([1.0, 2.0], sense="min", lower=[0, 0])
-        lp.add_constraint([1, 1], EQ, 3)
-        lp.add_constraint([1, 0], GE, 1)
+        lp = lp_from_rows([1.0, 2.0], [([1, 1], EQ, 3), ([1, 0], GE, 1)])
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_free_variable(self):
         # min x st x >= -5 with x free below: use lower=-inf, constraint x >= -5
-        lp = LinearProgram([1.0], sense="min", lower=[-np.inf])
-        lp.add_constraint([1.0], GE, -5.0)
+        lp = lp_from_rows([1.0], [([1.0], GE, -5.0)], lower=[-np.inf])
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
 
     def test_infeasible(self):
-        lp = LinearProgram([1.0], sense="min", lower=[0])
-        lp.add_constraint([1.0], LE, -1.0)
+        lp = lp_from_rows([1.0], [([1.0], LE, -1.0)])
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_infeasible_beside_a_large_rhs(self):
         # x = 1 and x <= 0.99 leave an artificial at 0.01; a row with rhs 1e6 must
         # not scale the phase-1 threshold past that
-        lp = LinearProgram([1.0, 0.0], sense="min")
-        lp.add_constraint([1.0, 0.0], EQ, 1.0)
-        lp.add_constraint([1.0, 0.0], LE, 0.99)
-        lp.add_constraint([1.0, 1.0], LE, 1e6)
+        lp = lp_from_rows(
+            [1.0, 0.0], [([1.0, 0.0], EQ, 1.0), ([1.0, 0.0], LE, 0.99), ([1.0, 1.0], LE, 1e6)]
+        )
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
@@ -108,28 +101,88 @@ class TestKnownSolutions:
         assert sol.objective_value == pytest.approx(-0.75, abs=1e-9)
 
     def test_bad_relation_rejected(self):
-        lp = LinearProgram([1.0])
-        with pytest.raises(ConfigError):
-            lp.add_constraint([1.0], "<", 1.0)
+        with pytest.raises(ConfigError, match="'<'"):
+            LinearProgram([1.0], [[1.0]], ["<"], [1.0])
 
     def test_constraint_block_is_its_rows(self):
-        rows = LinearProgram([1.0, 2.0])
-        rows.add_constraint([1.0, 0.0], LE, 3.0)
-        rows.add_constraint([0.0, 1.0], LE, 3.0)
-        block = LinearProgram([1.0, 2.0])
-        block.add_constraints(np.eye(2), LE, 3.0)
-        assert block.relations == rows.relations
+        rows = lp_from_rows([1.0, 2.0], [([1.0, 0.0], LE, 3.0), ([0.0, 1.0], LE, 3.0)])
+        block = LinearProgram([1.0, 2.0], np.eye(2), [LE, LE], [3.0, 3.0])
+        assert block.relations.tolist() == rows.relations.tolist() == [LE, LE]
         np.testing.assert_array_equal(block.row_matrix(), rows.row_matrix())
         np.testing.assert_array_equal(block.rhs_vector(), rows.rhs_vector())
+        assert block.row_matrix() is block.matrix and block.num_constraints == 2
         with pytest.raises(ShapeError):
-            block.add_constraints(np.ones(2), LE, 1.0)
+            LinearProgram([1.0, 2.0], np.ones(2), [LE], [1.0])
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "matrix, relations, rhs",
+        [
+            (np.ones((1, 3)), [LE], [1.0]),  # three coefficients for two variables
+            (np.eye(2), [LE], [3.0, 3.0]),  # one relation for two rows
+            (np.eye(2), [LE, LE], [3.0]),  # one rhs for two rows
+            (np.eye(2), [LE, LE], 3.0),  # a scalar rhs is not broadcast
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, matrix, relations, rhs):
+        with pytest.raises(ShapeError):
+            LinearProgram([1.0, 2.0], matrix, relations, rhs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"objective": [[1.0, 2.0]]}, {"lower": [0.0]}, {"upper": [1.0, 1.0, 1.0]}],
+    )
+    def test_objective_and_bounds_are_vectors_of_one_length(self, kwargs):
+        with pytest.raises(ShapeError):
+            LinearProgram(**{"objective": [1.0, 2.0], **kwargs})
+
+    @pytest.mark.parametrize(
+        "objective, matrix, rhs",
+        [
+            ([np.nan, 1.0], np.eye(2), [1.0, 1.0]),
+            ([1.0, 1.0], [[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([1.0, 1.0], np.eye(2), [1.0, -np.inf]),
+        ],
+    )
+    def test_non_finite_data_rejected(self, objective, matrix, rhs):
+        with pytest.raises(ConfigError):
+            LinearProgram(objective, matrix, [LE, GE], rhs)
+
+    def test_bad_sense_rejected(self):
+        with pytest.raises(ConfigError):
+            LinearProgram([1.0], sense="maximize")
+
+    def test_defaults_no_rows_and_nonnegative_variables(self):
+        lp = LinearProgram([1.0, 2.0])
+        assert (lp.num_vars, lp.num_constraints) == (2, 0)
+        assert lp.row_matrix().shape == (0, 2) and lp.rhs_vector().shape == (0,)
+        np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
+        np.testing.assert_array_equal(lp.upper, [np.inf, np.inf])
+
+    def test_immutable(self):
+        coeffs = np.eye(2)
+        lp = LinearProgram([1.0, 2.0], coeffs, [LE, GE], [3.0, 1.0], upper=[5.0, 5.0])
+        coeffs[0, 0] = 7.0  # the program keeps its own copy
+        assert lp.matrix[0, 0] == 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lp.upper = np.ones(2)
+        for name in ("objective", "matrix", "relations", "rhs", "lower", "upper"):
+            array = getattr(lp, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+
+    def test_replace_shares_what_it_does_not_change(self):
+        lp = LinearProgram([1.0, 2.0], np.eye(2), [LE, GE], [3.0, 1.0])
+        child = dataclasses.replace(lp, lower=[1.0, 0.0], upper=[1.0, np.inf])
+        assert child.matrix is lp.matrix and child.relations is lp.relations
+        np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
+        assert solve_lp(child).objective_value == pytest.approx(3.0, abs=1e-12)
 
 
 class TestDualConvention:
     def test_le_duals_nonnegative_and_tight(self):
-        lp = LinearProgram([3.0, 2.0], sense="max", lower=[0, 0])
-        lp.add_constraint([1, 1], LE, 4)
-        lp.add_constraint([1, 0], LE, 2)
+        lp = lp_from_rows([3.0, 2.0], [([1, 1], LE, 4), ([1, 0], LE, 2)], sense="max")
         sol = solve_lp(lp)
         assert (sol.duals >= -1e-9).all()
         # shadow prices: relaxing row 0 by 1 gains 2, row 1 gains 1
@@ -137,9 +190,7 @@ class TestDualConvention:
         assert sol.duals[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_inactive_constraint_zero_dual(self):
-        lp = LinearProgram([1.0], sense="min", lower=[0])
-        lp.add_constraint([1.0], LE, 100.0)
-        lp.add_constraint([1.0], GE, 2.0)
+        lp = lp_from_rows([1.0], [([1.0], LE, 100.0), ([1.0], GE, 2.0)])
         sol = solve_lp(lp)
         assert sol.duals[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -151,7 +202,7 @@ def _random_lp(rng, force_feasible=True, force_min=False):
     c = rng.normal(size=n)
     lower = np.where(rng.random(n) < 0.8, 0.0, -np.inf)
     upper = np.where(rng.random(n) < 0.6, rng.uniform(0.5, 5.0, n), np.inf)
-    lp = LinearProgram(c, sense=sense, lower=lower, upper=upper)
+    rows = []
     # build rows around a known interior point so feasibility is guaranteed
     x0 = np.empty(n)
     for k in range(n):
@@ -170,12 +221,12 @@ def _random_lp(rng, force_feasible=True, force_min=False):
         if not force_feasible:
             v += rng.normal()
         if kind < 0.4:
-            lp.add_constraint(a, LE, v + abs(rng.normal()))
+            rows.append((a, LE, v + abs(rng.normal())))
         elif kind < 0.8:
-            lp.add_constraint(a, GE, v - abs(rng.normal()))
+            rows.append((a, GE, v - abs(rng.normal())))
         else:
-            lp.add_constraint(a, EQ, v)
-    return lp
+            rows.append((a, EQ, v))
+    return lp_from_rows(c, rows, sense=sense, lower=lower, upper=upper)
 
 
 class TestFuzzAgainstScipy:
@@ -223,13 +274,14 @@ def _bounded_lp(rng):
         rng.normal(size=n),
     )
     c = rng.normal(size=n)
-    lp = LinearProgram(c, sense=str(rng.choice(["min", "max"])), lower=lower, upper=upper)
+    sense = str(rng.choice(["min", "max"]))
+    rows = []
     for _ in range(m):
         a = rng.normal(size=n)
         v = float(a @ x0)
         rel = rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.1])
-        lp.add_constraint(a, rel, v + {LE: 1.0, GE: -1.0, EQ: 0.0}[rel] * abs(rng.normal()))
-    return lp
+        rows.append((a, rel, v + {LE: 1.0, GE: -1.0, EQ: 0.0}[rel] * abs(rng.normal())))
+    return lp_from_rows(c, rows, sense=sense, lower=lower, upper=upper)
 
 
 class TestBoundedVariables:
@@ -256,28 +308,29 @@ class TestBoundedVariables:
         assert optimal >= 100 and at_upper >= 50
 
     def test_all_variables_fixed(self):
-        lp = LinearProgram([1.0, -2.0], lower=[1.5, -1.0], upper=[1.5, -1.0])
-        lp.add_constraint([1.0, 1.0], LE, 1.0)
-        lp.add_constraint([1.0, -1.0], EQ, 2.5)
-        sol = solve_lp(lp)
+        rows = [([1.0, 1.0], LE, 1.0), ([1.0, -1.0], EQ, 2.5)]
+        bounds = {"lower": [1.5, -1.0], "upper": [1.5, -1.0]}
+        sol = solve_lp(lp_from_rows([1.0, -2.0], rows, **bounds))
         assert sol.status is LpStatus.OPTIMAL
         np.testing.assert_array_equal(sol.x, [1.5, -1.0])
         assert sol.objective_value == pytest.approx(3.5, abs=1e-12)
         assert sol.certificate.ok()
-        lp.add_constraint([1.0, 0.0], GE, 2.0)
+        lp = lp_from_rows([1.0, -2.0], [*rows, ([1.0, 0.0], GE, 2.0)], **bounds)
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_p2_with_dive_fixings_at_30x5(self):
         cfg = dataclasses.replace(default_config().scenario, num_tds=30, num_uavs=5, quota_uav=8)
         scenario = generate_scenario(cfg, 1)
-        lp = build_p2(scenario, np.linspace(3e6, 27e6, 30))
+        p2 = build_p2(scenario, np.linspace(3e6, 27e6, 30))
         ij = 30 * 5
         fixings = {i * 5 + (2 * i) % 5: 1.0 for i in range(12)}  # access of TDs 0-11
         fixings.update({i * 5 + i % 5: 0.0 for i in range(12, 20)})
         fixings.update({ij + i * 5 + (2 * i) % 5: 0.0 for i in range(3)})  # relay TDs 0-2
         fixings.update({ij + i * 5 + (2 * i) % 5: 1.0 for i in range(3, 8)})
+        lower, upper = p2.lower.copy(), p2.upper.copy()
         for col, value in fixings.items():
-            lp.lower[col] = lp.upper[col] = value
+            lower[col] = upper[col] = value
+        lp = dataclasses.replace(p2, lower=lower, upper=upper)
         sol = solve_lp(lp)
         ref = _scipy_solve(lp)
         assert sol.status is LpStatus.OPTIMAL and ref.status == 0
@@ -370,16 +423,14 @@ class TestCertification:
 
 
     def test_corrupted_solution_flagged(self):
-        lp = LinearProgram([1.0, 1.0], sense="min", lower=[0, 0])
-        lp.add_constraint([1, 1], GE, 2)
+        lp = lp_from_rows([1.0, 1.0], [([1, 1], GE, 2)])
         sol = solve_lp(lp)
         bad = dataclasses.replace(sol, x=sol.x + 1.0)
         report = check_solution(lp, bad)
         assert not report.ok()
 
     def test_report_fields_finite(self):
-        lp = LinearProgram([1.0, 2.0], sense="min", lower=[0, 0])
-        lp.add_constraint([1, 1], GE, 1)
+        lp = lp_from_rows([1.0, 2.0], [([1, 1], GE, 1)])
         sol = solve_lp(lp)
         r = sol.certificate
         for v in (

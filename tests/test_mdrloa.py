@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
 from dro_offload.config import default_config, parse_config
-from dro_offload.errors import InfeasibleProblemError, SizeError
+from dro_offload import mdrloa
+from dro_offload.cli import EXIT_INTERNAL, main
+from dro_offload.errors import InfeasibleProblemError, SizeError, SolverError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
+from dro_offload.lp import LpStatus
 from dro_offload.mdrloa import (
     METHOD_DO,
     METHOD_MDRLOA,
@@ -88,6 +92,72 @@ class TestMdrloaSolve:
         sc = _scenario(num_tds=3, num_uavs=1, quota_uav=2)
         with pytest.raises(InfeasibleProblemError):
             mdrloa_solve(sc, _uniform_sets(3))
+
+
+def _binding_scenario(seed):
+    """The binding preset: the relay is worth using and the UAV energy rows bind."""
+    scenario = {"radio": {"ref_gain_uav_hap_db": -10}, "energy": {"uav_budget_j": 25}}
+    return generate_scenario(parse_config({"scenario": scenario}).scenario, seed)
+
+
+def _lp_bytes(lp):
+    fields = ("objective", "matrix", "relations", "rhs", "lower", "upper")
+    return [getattr(lp, name).tobytes() for name in fields]
+
+
+class TestDiveLps:
+    def test_children_leave_the_base_p2_unchanged(self, monkeypatch):
+        built, solved = [], []
+        build, solve = mdrloa.build_p2, mdrloa.solve_lp
+
+        def capture_build(*args):
+            lp = build(*args)
+            built.append((lp, _lp_bytes(lp)))
+            return lp
+
+        def capture_solve(lp):
+            solved.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(mdrloa, "build_p2", capture_build)
+        monkeypatch.setattr(mdrloa, "solve_lp", capture_solve)
+        # worst case = the largest atom: this dive branches on seed 3
+        result = mdrloa_solve(_binding_scenario(3), _uniform_sets(10, radius=2.0))
+        assert result.lp_solve_count == len(solved) > 2
+        [(base, snapshot)] = built
+        assert _lp_bytes(base) == snapshot
+        assert (base.lower == 0.0).all() and (base.upper == 1.0).all()
+        for child in solved:
+            assert child.matrix is base.matrix and child.objective is base.objective
+        assert any((child.lower == child.upper).any() for child in solved)
+
+    @pytest.fixture
+    def failing_certificate(self, monkeypatch):
+        """Every optimal dive LP reports a dual residual of 1e-3."""
+        solve = mdrloa.solve_lp
+
+        def wrong(lp):
+            solution = solve(lp)
+            if solution.status is LpStatus.OPTIMAL:
+                bad = dataclasses.replace(solution.certificate, max_dual_residual=1e-3)
+                solution = dataclasses.replace(solution, certificate=bad)
+            return solution
+
+        monkeypatch.setattr(mdrloa, "solve_lp", wrong)
+
+    @pytest.mark.usefixtures("failing_certificate")
+    def test_uncertified_lp_raises(self):
+        with pytest.raises(SolverError, match="max_dual_residual = 0.001 > 1e-08"):
+            mdrloa_solve(_scenario(), _uniform_sets(10))
+
+    @pytest.mark.usefixtures("failing_certificate")
+    def test_uncertified_lp_exits_4(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"experiment": {"seeds": [1]}}), encoding="utf-8")
+        assert main(["solve", "--config", str(config)]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SolverError" in captured.err and "max_dual_residual" in captured.err
 
 
 class TestAgainstExhaustive:
