@@ -4,8 +4,8 @@ The main routine follows the greedy scheme of the source algorithm: fix
 the worst-case distributions, solve the LP relaxation, then repeatedly
 branch on the most fractional access variable, keep the cheaper child,
 and never backtrack; afterwards repeat for the compute variables. The
-relay matrix is derived from flow conservation. Because the dive is
-greedy, optimality is measured against the exhaustive oracle rather
+decision is read from the last LP, whose x is integral. Because the dive
+is greedy, optimality is measured against the exhaustive oracle rather
 than assumed.
 """
 
@@ -85,11 +85,15 @@ def _solve_fixed(base: LinearProgram, fixed: dict[int, float]) -> LpSolution:
     return solution
 
 
-def _dive(scenario: Scenario, mean_sizes: np.ndarray):
-    """Greedy integerization. Returns (decision, root bound, lp count)."""
+def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
+    """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here.
+
+    Branch on the access block until it is integral, keep it fixed, then
+    branch on the compute block; the decision is the last LP's rounded x.
+    """
     i, j = scenario.num_tds, scenario.num_uavs
     ij = i * j
-    base = build_p2(scenario, mean_sizes)
+    base = build_p2(scenario, means)
     fixed: dict[int, float] = {}
     current = _solve_fixed(base, fixed)
     count = 1
@@ -100,7 +104,6 @@ def _dive(scenario: Scenario, mean_sizes: np.ndarray):
         )
     bound = current.objective_value
 
-    pinned = {}
     for offset in (0, ij):  # access block first, then compute block
         while (pick := select_branch(current.x[offset : offset + ij].reshape(i, j))) is not None:
             col = offset + pick[0] * j + pick[1]
@@ -114,33 +117,16 @@ def _dive(scenario: Scenario, mean_sizes: np.ndarray):
                     f"both children infeasible after fixings {sorted(fixed.items())} "
                     f"at variable column {col}"
                 )
-            chosen = 0 if lat0 < lat1 else 1  # ties go to 1
+            # objectives within 1e-12 relative tie, and ties go to 1
+            chosen = 1 if lat1 <= lat0 + 1e-12 * max(1.0, abs(lat0)) else 0
             fixed[col] = float(chosen)
             current = children[chosen]
-        # pin the whole block at its (integral) relaxed values and re-solve so
-        # the next phase branches from a consistent point
-        rounded = np.rint(current.x[offset : offset + ij].reshape(i, j))
-        pinned[offset] = rounded.astype(int)
-        if offset == 0:
-            for col, value in enumerate(rounded.ravel()):
-                fixed[col] = float(value)
-            current = _solve_fixed(base, fixed)
-            count += 1
-            if current.status is not LpStatus.OPTIMAL:  # pragma: no cover
-                raise SolverError("re-solve after pinning the access block failed")
+        # every later child keeps the block at its integral values
+        block = np.rint(current.x[offset : offset + ij]).tolist()
+        fixed.update(zip(range(offset, offset + ij), block))
 
-    x_mat, y_mat = pinned[0], pinned[ij]
-    z_mat = x_mat - y_mat
-    if not np.isin(z_mat, (0, 1)).all():
-        raise SolverError("derived relay matrix is not binary")
-    decision = OffloadDecision(x=x_mat, y=y_mat, z=z_mat)
+    decision = OffloadDecision(*np.rint(current.x).astype(int).reshape(3, i, j))
     decision.validate(scenario)
-    return decision, bound, count
-
-
-def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
-    """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here."""
-    decision, bound, count = _dive(scenario, means)
     return SolveResult(
         decision=decision,
         worst_case_expected_latency=expected_latency(decision, scenario, means),

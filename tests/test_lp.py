@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dro_offload.config import default_config
+from dro_offload.config import default_config, parse_config
 from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import (
@@ -336,6 +336,40 @@ class TestBoundedVariables:
         assert sol.status is LpStatus.OPTIMAL and ref.status == 0
         assert abs(sol.objective_value - ref.fun) / abs(ref.fun) < 1e-9
         assert sol.certificate.ok()
+
+
+def _permutation_cases():
+    """P2 on default and binding seeds, then LPs from the fuzz generators."""
+    binding = {"radio": {"ref_gain_uav_hap_db": -10}, "energy": {"uav_budget_j": 25}}
+    for scenario_cfg in (default_config().scenario, parse_config({"scenario": binding}).scenario):
+        for seed in (1, 2, 3):
+            scenario = generate_scenario(scenario_cfg, seed)
+            yield build_p2(scenario, np.linspace(3e6, 27e6, scenario.num_tds))
+            yield build_p2(scenario, np.full(scenario.num_tds, 27e6))
+    rng = np.random.default_rng(31)
+    for k in range(150):
+        yield (_random_lp(rng), _random_lp(rng, force_feasible=False), _bounded_lp(rng))[k % 3]
+
+
+class TestRowPermutation:
+    def test_permuted_rows_give_the_same_result(self):
+        rng = np.random.default_rng(5)
+        statuses = []
+        for lp in _permutation_cases():
+            perm = rng.permutation(lp.relations.size)
+            permuted = dataclasses.replace(
+                lp, matrix=lp.matrix[perm], relations=lp.relations[perm], rhs=lp.rhs[perm]
+            )
+            want, got = solve_lp(lp), solve_lp(permuted)
+            assert got.status is want.status
+            statuses.append(got.status)
+            if got.status is LpStatus.OPTIMAL:
+                scale = max(1.0, abs(want.objective_value))
+                assert abs(got.objective_value - want.objective_value) / scale <= 1e-9
+                assert got.certificate.ok() and want.certificate.ok()
+        # x and the duals may differ at alternative optima, so only these are compared
+        assert statuses.count(LpStatus.OPTIMAL) >= 100
+        assert LpStatus.INFEASIBLE in statuses
 
 
 def _check_solution_loops(lp, solution):

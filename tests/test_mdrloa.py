@@ -11,7 +11,7 @@ from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
 from dro_offload.config import default_config, parse_config
 from dro_offload import mdrloa
 from dro_offload.cli import EXIT_INTERNAL, main
-from dro_offload.errors import InfeasibleProblemError, SizeError, SolverError
+from dro_offload.errors import InfeasibleProblemError, ShapeError, SizeError, SolverError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import LpStatus
@@ -64,7 +64,7 @@ class TestMdrloaSolve:
         result = mdrloa_solve(sc, _uniform_sets(10))
         result.decision.validate(sc)
         assert result.method == METHOD_MDRLOA
-        assert result.lp_solve_count >= 2
+        assert result.lp_solve_count >= 1
         assert result.worst_case_expected_latency >= result.relaxation_bound - 1e-9
 
     def test_deterministic(self):
@@ -85,7 +85,7 @@ class TestMdrloaSolve:
         )
 
     def test_set_count_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeError):
             mdrloa_solve(_scenario(), _uniform_sets(3))
 
     def test_pigeonhole_infeasible(self):
@@ -105,31 +105,113 @@ def _lp_bytes(lp):
     return [getattr(lp, name).tobytes() for name in fields]
 
 
+def _fixings(lp):
+    """{column: value} of every column whose bounds pin it."""
+    return {int(c): float(lp.lower[c]) for c in np.flatnonzero(lp.lower == lp.upper)}
+
+
+def _decision_vector(result):
+    d = result.decision
+    return np.concatenate([d.x.ravel(), d.y.ravel(), d.z.ravel()])
+
+
+# 5x3 with tight access quotas: the dive branches 4 times on access, then 3 times on compute
+_ACCESS_AND_COMPUTE_BRANCHINGS = (
+    parse_config(
+        {
+            "scenario": {
+                "num_tds": 5,
+                "num_uavs": 3,
+                "quota_uav": 3,
+                "quota_hap": 2,
+                "radio": {"ref_gain_uav_hap_db": -10},
+                "energy": {"uav_budget_j": 31, "uav_chip_coeff": 4e-28},
+            },
+            "ambiguity": {"per_device_history": True, "history_len": 30, "epsilon": 0.5},
+        }
+    ),
+    9925,
+)
+
+
+@pytest.fixture
+def dive_lps(monkeypatch):
+    """Every (LP, solution) pair the dive solves, in order."""
+    solved = []
+    solve = mdrloa.solve_lp
+
+    def capture(lp):
+        solution = solve(lp)
+        solved.append((lp, solution))
+        return solution
+
+    monkeypatch.setattr(mdrloa, "solve_lp", capture)
+    return solved
+
+
 class TestDiveLps:
-    def test_children_leave_the_base_p2_unchanged(self, monkeypatch):
-        built, solved = [], []
-        build, solve = mdrloa.build_p2, mdrloa.solve_lp
+    def test_children_leave_the_base_p2_unchanged(self, monkeypatch, dive_lps):
+        built = []
+        build = mdrloa.build_p2
 
         def capture_build(*args):
             lp = build(*args)
             built.append((lp, _lp_bytes(lp)))
             return lp
 
-        def capture_solve(lp):
-            solved.append(lp)
-            return solve(lp)
-
         monkeypatch.setattr(mdrloa, "build_p2", capture_build)
-        monkeypatch.setattr(mdrloa, "solve_lp", capture_solve)
         # worst case = the largest atom: this dive branches on seed 3
         result = mdrloa_solve(_binding_scenario(3), _uniform_sets(10, radius=2.0))
-        assert result.lp_solve_count == len(solved) > 2
+        assert result.lp_solve_count == len(dive_lps) > 2
         [(base, snapshot)] = built
         assert _lp_bytes(base) == snapshot
         assert (base.lower == 0.0).all() and (base.upper == 1.0).all()
-        for child in solved:
+        for child, _ in dive_lps:
             assert child.matrix is base.matrix and child.objective is base.objective
-        assert any((child.lower == child.upper).any() for child in solved)
+        assert any((child.lower == child.upper).any() for child, _ in dive_lps)
+
+    def test_root_integral_dive_solves_one_lp(self, dive_lps):
+        sc = _scenario()
+        result = mdrloa_solve(sc, _uniform_sets(10))
+        assert result.lp_solve_count == len(dive_lps) == 1
+        [(_, root)] = dive_lps
+        np.testing.assert_array_equal(_decision_vector(result), np.rint(root.x))
+
+    def test_a_root_then_one_pair_of_children_per_branching(self, dive_lps):
+        result = mdrloa_solve(_binding_scenario(3), _uniform_sets(10, radius=2.0))
+        (root_lp, root), children = dive_lps[0], dive_lps[1:]
+        assert _fixings(root_lp) == {} and root.status is LpStatus.OPTIMAL
+        branchings = len(children) // 2
+        assert branchings > 0 and result.lp_solve_count == len(dive_lps) == 1 + 2 * branchings
+        decision = _decision_vector(result)
+        for (lp0, _), (lp1, _) in zip(children[::2], children[1::2]):
+            fix0, fix1 = _fixings(lp0), _fixings(lp1)
+            [col] = [c for c in fix0 if fix0[c] != fix1.get(c)]
+            assert fix0.keys() == fix1.keys() and (fix0[col], fix1[col]) == (0.0, 1.0)
+        # the last pair's chosen child agrees with the decision on its branching column
+        [last] = [sol for lp, sol in children[-2:] if _fixings(lp)[col] == decision[col]]
+        np.testing.assert_array_equal(decision, np.rint(last.x))
+        assert result.worst_case_expected_latency == pytest.approx(last.objective_value, rel=1e-12)
+
+    def test_every_lp_after_the_access_phase_fixes_the_access_block(self, dive_lps):
+        cfg, seed = _ACCESS_AND_COMPUTE_BRANCHINGS
+        scenario = generate_scenario(cfg.scenario, seed)
+        result = mdrloa_solve(scenario, build_ambiguity_sets(cfg, seed))
+        ij = scenario.num_tds * scenario.num_uavs
+        pairs = list(zip(dive_lps[1::2], dive_lps[2::2]))
+        assert result.lp_solve_count == len(dive_lps) == 1 + 2 * len(pairs)
+        # a pair's branching column is the one its two children fix differently
+        columns = [
+            next(c for c, v in _fixings(lp0).items() if v != _fixings(lp1)[c])
+            for (lp0, _), (lp1, _) in pairs
+        ]
+        access = sum(col < ij for col in columns)
+        assert 0 < access < len(columns) and all(col < ij for col in columns[:access])
+        access_block = _decision_vector(result)[:ij]
+        for (lp0, _), (lp1, _) in pairs[access:]:
+            for lp in (lp0, lp1):
+                assert set(range(ij)) <= _fixings(lp).keys()
+                np.testing.assert_array_equal(lp.lower[:ij], access_block)
 
     @pytest.fixture
     def failing_certificate(self, monkeypatch):
@@ -158,6 +240,33 @@ class TestDiveLps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "SolverError" in captured.err and "max_dual_residual" in captured.err
+
+
+class TestTieRobustChoice:
+    def test_two_ulp_nudges_keep_the_decision(self, monkeypatch, dive_lps):
+        scenario = _binding_scenario(52)  # RO: every size at the largest atom
+        decision = ro_solve(scenario, SPACE).decision.to_dict()
+        children = [sol.objective_value for _, sol in dive_lps[1:]]
+        assert any(
+            lat0 is not None and lat1 is not None and abs(lat0 - lat1) <= 1e-12 * abs(lat0)
+            for lat0, lat1 in zip(children[::2], children[1::2])
+        )
+        solve = mdrloa.solve_lp
+        for direction in (1, -1):
+
+            def nudged(lp, direction=direction):
+                solution = solve(lp)
+                if solution.status is not LpStatus.OPTIMAL:
+                    return solution
+                # two children differ by one column fixed at 1, so they move apart
+                sign = direction * (-1) ** int((lp.lower == 1.0).sum())
+                value = solution.objective_value
+                return dataclasses.replace(
+                    solution, objective_value=float(value + sign * 2 * np.spacing(value))
+                )
+
+            monkeypatch.setattr(mdrloa, "solve_lp", nudged)
+            assert ro_solve(scenario, SPACE).decision.to_dict() == decision
 
 
 class TestAgainstExhaustive:
