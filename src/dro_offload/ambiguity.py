@@ -59,8 +59,8 @@ class Distribution:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
-        if not ((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL)).all():  # NaN fails both
-            raise ConfigError(f"probabilities must be finite and lie in [0, 1], got {self.probs}")
+        if not (arr >= 0.0).all():  # NaN fails too; with the sum, no entry passes 1 + PROB_TOL
+            raise ConfigError(f"probabilities must be finite and non-negative, got {self.probs}")
         if abs(arr.sum() - 1.0) > PROB_TOL:
             raise ConfigError(f"probabilities must sum to 1, got {arr.sum()!r}")
 

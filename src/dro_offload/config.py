@@ -114,6 +114,11 @@ class ExperimentConfig:
             raise ConfigError("experiment needs at least one seed")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ConfigError(
+                f"experiment.methods must be a non-empty list of distinct methods, "
+                f"got {list(self.methods)}"
+            )
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
@@ -222,7 +227,11 @@ def _list_of(kind: _Kind) -> _Kind:
 def _point(value, path: str) -> Position3D:
     if not (isinstance(value, list) and len(value) == 3):
         raise ConfigError(f"{path} must be a list of 3 numbers, got {value!r}")
-    return Position3D(*(_real(v, f"{path}[{i}]") for i, v in enumerate(value)))
+    coordinates = [_real(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    try:
+        return Position3D(*coordinates)
+    except ConfigError as exc:
+        raise ConfigError(f"{path} is out of range: {exc}") from exc
 
 
 @dataclass(frozen=True)

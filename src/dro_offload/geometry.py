@@ -134,8 +134,6 @@ class Scenario:
     def __post_init__(self):
         if len(self.tds) < 1 or len(self.uavs) < 1:
             raise ConfigError("scenario needs at least one TD and one UAV")
-        if self.quota_uav < 0 or self.quota_hap < 0:
-            raise ConfigError("quotas must be >= 0")
         if self.rate_td_uav.shape != (self.num_tds, self.num_uavs):
             raise ShapeError("rate_td_uav shape mismatch")
         if self.rate_uav_hap.shape != (self.num_uavs,):
@@ -241,6 +239,9 @@ class ScenarioConfig:
             raise ConfigError(f"area_size must be > 0, got {self.area_size}")
         if not self.uav_altitude > 0:
             raise ConfigError(f"uav_altitude must be > 0, got {self.uav_altitude}")
+        for name in ("quota_uav", "quota_hap"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"scenario.{name} must be >= 0, got {getattr(self, name)}")
         cp, en = self.compute, self.energy
         for node, chip, capability, cycles in (
             ("uav", en.uav_chip_coeff, cp.uav_capability, cp.uav_cycles_per_bit),

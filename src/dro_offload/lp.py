@@ -12,13 +12,16 @@ Linear Programming, 1983, ch. 8). Box bounds stay out of the tableau:
 the ratio test also stops when a basic variable reaches its upper bound,
 or flips the entering variable to its own upper bound without a pivot.
 Variables with `lower == upper` get no column; their values are folded
-into the right-hand side. The pivot rule is Dantzig's, falling back to
-Bland's after a bounded number of iterations, so every solve terminates
-and identical inputs give bit-identical outputs. After the tableau
-reports optimality, the primal point, dual values, and reduced costs are
-recomputed from the final basis and the set of variables at their upper
-bounds, with a fresh factorization and one step of iterative refinement
-to keep residuals tight.
+into the right-hand side. Phase 2 continues on the phase-1 tableau with
+the artificials fixed at zero and never priced; one left basic on a
+redundant row gives that row a dual of 0. The pivot rule is Dantzig's,
+falling back to Bland's after a bounded number of iterations, so every
+solve terminates and identical inputs give bit-identical outputs. After
+the tableau reports optimality, the primal point, dual values, and
+reduced costs are recomputed from the final basis and the set of
+variables at their upper bounds, with a fresh factorization and one step
+of iterative refinement to keep residuals tight; a negative reduced cost
+there rebuilds the tableau from that basis and phase 2 goes on.
 
 Dual-value convention: the reported dual of an inequality row is the
 nonnegative Lagrange multiplier (for both senses of the objective);
@@ -198,6 +201,8 @@ def _flip_basic(
 
 def _choose_entering(costrow: np.ndarray, bland: bool) -> int | None:
     # Dantzig: the most negative reduced cost, ties to the lowest index; Bland: the lowest index
+    if not costrow.size:
+        return None
     col = int(np.argmax(costrow < -_OPT_TOL) if bland else np.argmin(costrow))
     return col if costrow[col] < -_OPT_TOL else None
 
@@ -225,13 +230,14 @@ def _run_simplex(
     basis: np.ndarray,
     ub: np.ndarray,
     flipped: np.ndarray,
+    priced: int,
     bland_after: int,
     max_iter: int,
 ) -> str:
-    """Iterate to optimality. Returns 'optimal' or 'unbounded'."""
+    """Iterate to optimality over the first `priced` columns. Returns 'optimal' or 'unbounded'."""
     iters = 0
     while True:
-        entering = _choose_entering(tableau[-1, :-1], bland=iters >= bland_after)
+        entering = _choose_entering(tableau[-1, :priced], bland=iters >= bland_after)
         if entering is None:
             return "optimal"
         leaving = _choose_leaving(tableau, basis, ub, entering)
@@ -329,95 +335,76 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     tr = _Transform(lp)
     m, n_total = tr.a_full.shape
+    n = tr.n_real
     bland_after = 5 * (m + n_total)
     max_iter = 200 * (m + n_total) + 2000
 
+    # phase 1 minimises the sum of the artificials; with none, the start is optimal
     basis = tr.basis.copy()
     flipped = np.zeros(n_total, dtype=bool)
-    kept = np.arange(m)
-    a_work = tr.a_full
-    b_work = tr.b
+    tableau = np.zeros((m + 1, n_total + 1))
+    tableau[:m, :n_total] = tr.a_full
+    tableau[:m, -1] = tr.b
+    tableau[-1, n:n_total] = 1.0
+    tableau[-1] -= tableau[:m][basis >= n].sum(axis=0)
+    status = _run_simplex(tableau, basis, tr.ub, flipped, n_total, bland_after, max_iter)
+    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+        raise SolverError("phase-1 simplex reported unbounded")
+    scale = max(1.0, float(np.abs(tr.b).max(initial=0.0)))
+    # and each basic artificial against its own row's |b|, so that one large rhs
+    # (a 1e6 J HAP budget) cannot hide a row with rhs 1 that is still off by 1e-2
+    art = np.flatnonzero(basis >= n)
+    own_scale = np.maximum(1.0, np.abs(tr.b[tr.art_rows[basis[art] - n]]))
+    if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0 or (
+        tableau[art, -1] > _FEAS_TOL * own_scale * 10.0
+    ).any():
+        return LpSolution(status=LpStatus.INFEASIBLE)
 
-    if tr.n_real < n_total:
-        tableau = np.zeros((m + 1, n_total + 1))
-        tableau[:m, :n_total] = a_work
-        tableau[:m, -1] = b_work
-        tableau[-1, tr.n_real : n_total] = 1.0
-        tableau[-1] -= tableau[:m][basis >= tr.n_real].sum(axis=0)
-        status = _run_simplex(tableau, basis, tr.ub, flipped, bland_after, max_iter)
-        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-            raise SolverError("phase-1 simplex reported unbounded")
-        scale = max(1.0, float(np.abs(b_work).max(initial=0.0)))
-        # and each basic artificial against its own row's |b|, so that one large rhs
-        # (a 1e6 J HAP budget) cannot hide a row with rhs 1 that is still off by 1e-2
-        art = np.flatnonzero(basis >= tr.n_real)
-        own_scale = np.maximum(1.0, np.abs(b_work[tr.art_rows[basis[art] - tr.n_real]]))
-        if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0 or (
-            tableau[art, -1] > _FEAS_TOL * own_scale * 10.0
-        ).any():
-            return LpSolution(status=LpStatus.INFEASIBLE)
-        # drive artificials out of the basis or drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(basis >= tr.n_real):
-            nonzero = np.flatnonzero(np.abs(tableau[i, : tr.n_real]) > 1e-7)
-            if nonzero.size:
-                _pivot(tableau, basis, i, int(nonzero[0]))
-            else:
-                keep[i] = False
-        if not keep.all():
-            kept, basis = kept[keep], basis[keep]
-            a_work, b_work = a_work[keep], b_work[keep]
-
-    a_real = a_work[:, : tr.n_real]
-    costs = tr.costs
-    ub = tr.ub[: tr.n_real]
-    flipped = flipped[: tr.n_real]
+    # phase 2 goes on from this tableau, with the artificials fixed at zero and unpriced
+    ub = tr.ub.copy()
+    ub[n:] = 0.0
+    costs = np.pad(tr.costs, (0, n_total - n))
+    held = np.where(flipped, -costs, costs)  # the cost of each column as the tableau holds it
+    tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
+    tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
     tol = max(_OPT_TOL * 100.0, 1e-7)
 
     for _attempt in range(6):
-        # refactor from the basis and the set of nonbasic variables at their ub
-        flipped[basis] = False
-        at_ub = np.flatnonzero(flipped)
-        matrix_b = a_real[:, basis]
-        try:
-            xb = np.linalg.solve(matrix_b, b_work - a_real[:, at_ub] @ ub[at_ub])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular basis matrix: {exc}") from exc
-        tableau = np.empty((basis.size + 1, tr.n_real + 1))
-        tableau[:-1, :-1] = np.linalg.solve(matrix_b, a_real)
-        tableau[:-1, -1] = xb
-        tableau[-1, :-1] = costs - costs[basis] @ tableau[:-1, :-1]
-        tableau[-1, -1] = -float(costs[basis] @ xb + costs[at_ub] @ ub[at_ub])
-        tableau[:, at_ub] *= -1.0
-        status = _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter)
+        status = _run_simplex(tableau, basis, ub, flipped, n, bland_after, max_iter)
         if status == "unbounded":
             return LpSolution(status=LpStatus.UNBOUNDED)
-        # recompute from the final basis; loop again if roundoff fooled us
+        # certify: factorize the final basis, with one step of refinement
         flipped[basis] = False
         at_ub = np.flatnonzero(flipped)
-        matrix_b = a_real[:, basis]
-        rhs = b_work - a_real[:, at_ub] @ ub[at_ub]
-        xb = np.linalg.solve(matrix_b, rhs)
+        matrix_b = tr.a_full[:, basis]
+        rhs = tr.b - tr.a_full[:, at_ub] @ ub[at_ub]
+        try:
+            xb = np.linalg.solve(matrix_b, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular basis matrix: {exc}") from exc
         xb += np.linalg.solve(matrix_b, rhs - matrix_b @ xb)
         y = np.linalg.solve(matrix_b.T, costs[basis])
         y += np.linalg.solve(matrix_b.T, costs[basis] - matrix_b.T @ y)
-        reduced = costs - y @ a_real
-        signed = np.where(flipped, -reduced, reduced)
-        if signed.min(initial=0.0) >= -tol:
+        reduced = costs - y @ tr.a_full
+        if np.where(flipped, -reduced, reduced)[:n].min(initial=0.0) >= -tol:
             break
+        # roundoff fooled the tableau: the one place a tableau is built from a basis
+        tableau[:m, :-1] = np.linalg.solve(matrix_b, tr.a_full)
+        tableau[:m, -1] = xb
+        tableau[-1, :-1] = reduced
+        tableau[-1, -1] = -float(costs[basis] @ xb + costs[at_ub] @ ub[at_ub])
+        tableau[:, at_ub] *= -1.0
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
 
-    t_values = np.zeros(tr.n_real)
+    t_values = np.zeros(n_total)
     t_values[at_ub] = ub[at_ub]
     t_values[basis] = np.clip(xb, 0.0, ub[basis])
     x = tr.primal_from(t_values)
     objective_value = float(lp.objective @ x)
 
     # duals per original constraint row, in the documented convention
-    y_rows = np.zeros(m)
-    y_rows[kept] = y
-    y_signed = y_rows * tr.row_flip
+    y_signed = y * tr.row_flip
     duals = _dual_signs(lp) * y_signed
 
     c_min = lp.objective if lp.sense == "min" else -lp.objective

@@ -54,8 +54,10 @@ class TestDistribution:
             Distribution(probs=(0.5, 0.4))
 
     def test_no_negative_probs(self):
-        with pytest.raises(ConfigError):
-            Distribution(probs=(1.2, -0.2))
+        # the second sums to 1 within PROB_TOL, but no sampler takes a negative weight
+        for probs in ((1.2, -0.2), (-1e-10, 0.5, 0.5000000001, 0.0, 0.0)):
+            with pytest.raises(ConfigError, match="non-negative"):
+                Distribution(probs=probs)
 
     def test_no_nan_probs(self):
         with pytest.raises(ConfigError, match="finite"):

@@ -67,6 +67,15 @@ MALFORMED = [
         '{"scenario": {"compute": {"hap_capability_cps": 1e308}}}',
         "scenario.compute.hap_capability_cps",
     ),
+    (
+        '{"ambiguity": {"truth": {"kind": "categorical", "probs": [-1e-10, 0.5, 0.5000000001, 0, 0]}}}',
+        "ambiguity.truth.probs",
+    ),
+    ('{"experiment": {"methods": []}}', "experiment.methods"),
+    ('{"experiment": {"methods": ["dro", "dro"]}}', "experiment.methods"),
+    ('{"scenario": {"quota_uav": -1}}', "scenario.quota_uav"),
+    ('{"scenario": {"quota_hap": -1}}', "scenario.quota_hap"),
+    ('{"scenario": {"hap_position_m": [5000, 5000, -1]}}', "scenario.hap_position_m"),
 ]
 
 
@@ -240,7 +249,7 @@ _OVERRIDES = _block(
     ambiguity=_ambiguity_block(),
     experiment=_block(
         seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5),
-        methods=st.lists(st.sampled_from(METHODS), max_size=4),
+        methods=st.lists(st.sampled_from(METHODS), min_size=1, max_size=4, unique=True),
         jobs=st.integers(1, 64),
         sweep_param=st.none() | st.sampled_from(SWEEP_PARAMS),
         sweep_values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
@@ -277,6 +286,8 @@ class TestHashAndOverrides:
             cfg.with_override("Q", 30.9)
         with pytest.raises(ConfigError, match="scenario.quota_uav must be an integer"):
             cfg.with_override("quota-uav", 4.9)
+        with pytest.raises(ConfigError, match="^scenario.quota_hap must be >= 0"):
+            cfg.with_override("quota-hap", -1)
         with pytest.raises(ConfigError, match="ambiguity.epsilon must be a finite number"):
             cfg.with_override("eps", float("nan"))
 

@@ -1,10 +1,12 @@
 """Golden results CSVs: `evaluate` on the benchmark configs, seeds 1-5.
 
 A change that moves a row must list the moved rows in CHANGES.md and
-rewrite the files with `PYTHONPATH=src python tests/test_golden.py`.
+rewrite the files with `PYTHONPATH=src python tests/test_golden.py`,
+which prints each changed row's old and new line, per file.
 """
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
@@ -30,4 +32,15 @@ def test_results_csv_matches_golden(name):
 
 if __name__ == "__main__":
     for name in NAMES:
-        (GOLDEN / f"{name}.csv").write_bytes(_csv(name).encode())
+        path = GOLDEN / f"{name}.csv"
+        old = path.read_text().splitlines() if path.exists() else []
+        new = _csv(name)
+        changed = [
+            (before, after)
+            for before, after in itertools.zip_longest(old, new.splitlines(), fillvalue="")
+            if before != after
+        ]
+        print(f"{path.name}: {len(changed)} rows changed")
+        for before, after in changed:
+            print(f"  - {before}\n  + {after}")
+        path.write_bytes(new.encode())

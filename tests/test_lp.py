@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dro_offload import lp as lp_module
 from dro_offload.config import default_config, parse_config
-from dro_offload.errors import ConfigError, ShapeError
+from dro_offload.errors import ConfigError, ShapeError, SolverError
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import (
     _BOUND_TOL,
@@ -90,6 +91,11 @@ class TestKnownSolutions:
             [1.0, 0.0], [([1.0, 0.0], EQ, 1.0), ([1.0, 0.0], LE, 0.99), ([1.0, 1.0], LE, 1e6)]
         )
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+    def test_every_variable_fixed_and_no_rows(self):
+        sol = solve_lp(LinearProgram([2.0], lower=[1.5], upper=[1.5]))
+        assert sol.status is LpStatus.OPTIMAL and sol.objective_value == 3.0
+        assert sol.certificate.ok()
 
     def test_unbounded(self):
         lp = LinearProgram([-1.0], sense="min", lower=[0])
@@ -336,6 +342,51 @@ class TestBoundedVariables:
         assert sol.status is LpStatus.OPTIMAL and ref.status == 0
         assert abs(sol.objective_value - ref.fun) / abs(ref.fun) < 1e-9
         assert sol.certificate.ok()
+
+
+def _binding_p2(seed):
+    binding = {"radio": {"ref_gain_uav_hap_db": -10}, "energy": {"uav_budget_j": 25}}
+    scenario = generate_scenario(parse_config({"scenario": binding}).scenario, seed)
+    return build_p2(scenario, np.linspace(3e6, 27e6, scenario.num_tds))
+
+
+def _assert_matches_highs(lp, sol):
+    ref = _scipy_solve(lp)
+    assert sol.status is LpStatus.OPTIMAL and ref.status == 0
+    assert abs(sol.objective_value - ref.fun) / max(1.0, abs(ref.fun)) < 1e-9
+    assert sol.certificate.ok()
+
+
+class TestPhaseTwo:
+    def test_a_stopped_phase_two_is_finished_from_the_certified_basis(self, monkeypatch):
+        calls = []
+        run = lp_module._run_simplex
+
+        def stop_first_phase_two(*args):
+            calls.append(args)
+            if len(calls) != 2:  # phase 1 always runs first
+                return run(*args)
+            try:
+                return run(*args[:-1], 2)  # max_iter 2: stops after three pivots
+            except SolverError:
+                return "optimal"
+
+        monkeypatch.setattr(lp_module, "_run_simplex", stop_first_phase_two)
+        lp = _binding_p2(1)
+        sol = solve_lp(lp)
+        assert len(calls) == 3  # phase 1, the stopped phase 2, the retry
+        _assert_matches_highs(lp, sol)
+
+    def test_a_row_folded_to_zero_keeps_its_artificial(self):
+        # every access column of TD 0 fixed: its access row reads 0 = 0, and
+        # the row's artificial stays basic through both phases
+        lp = _binding_p2(2)
+        lower, upper = lp.lower.copy(), lp.upper.copy()
+        lower[:3] = upper[:3] = [0.0, 1.0, 0.0]
+        lp = dataclasses.replace(lp, lower=lower, upper=upper)
+        sol = solve_lp(lp)
+        _assert_matches_highs(lp, sol)
+        assert sol.duals[0] == 0.0
 
 
 def _permutation_cases():

@@ -244,7 +244,7 @@ class TestDiveLps:
 
 class TestTieRobustChoice:
     def test_two_ulp_nudges_keep_the_decision(self, monkeypatch, dive_lps):
-        scenario = _binding_scenario(52)  # RO: every size at the largest atom
+        scenario = _binding_scenario(39)  # RO: every size at the largest atom
         decision = ro_solve(scenario, SPACE).decision.to_dict()
         children = [sol.objective_value for _, sol in dive_lps[1:]]
         assert any(
