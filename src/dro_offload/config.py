@@ -65,7 +65,7 @@ class AmbiguityConfig:
 
     def __post_init__(self):
         if self.history_len < 1:
-            raise ConfigError(f"history_len must be >= 1, got {self.history_len}")
+            raise ConfigError(f"ambiguity.history_len must be >= 1, got {self.history_len}")
         if (self.epsilon is None) == (self.confidence is None):
             raise ConfigError("set exactly one of 'epsilon' and 'confidence'")
         if self.epsilon is not None and not self.epsilon >= 0:
@@ -111,9 +111,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ConfigError("experiment needs at least one seed")
+            raise ConfigError("experiment.seeds must list at least one seed")
         if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+            raise ConfigError(f"experiment.seeds must be >= 0, got {min(self.seeds)}")
         if not self.methods or len(set(self.methods)) < len(self.methods):
             raise ConfigError(
                 f"experiment.methods must be a non-empty list of distinct methods, "
@@ -121,11 +121,13 @@ class ExperimentConfig:
             )
         for m in self.methods:
             if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+                raise ConfigError(f"experiment.methods must be drawn from {METHODS}, got {m!r}")
         if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+            raise ConfigError(f"experiment.jobs must be >= 1, got {self.jobs}")
         if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMS:
-            raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {self.sweep_param!r}")
+            raise ConfigError(
+                f"experiment.sweep_param must be one of {SWEEP_PARAMS}, got {self.sweep_param!r}"
+            )
 
 
 @dataclass(frozen=True)

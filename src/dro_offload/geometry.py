@@ -232,13 +232,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.num_tds < 1:
-            raise ConfigError(f"num_tds must be >= 1, got {self.num_tds}")
+            raise ConfigError(f"scenario.num_tds must be >= 1, got {self.num_tds}")
         if self.num_uavs < 1:
-            raise ConfigError(f"num_uavs must be >= 1, got {self.num_uavs}")
+            raise ConfigError(f"scenario.num_uavs must be >= 1, got {self.num_uavs}")
         if not self.area_size > 0:
-            raise ConfigError(f"area_size must be > 0, got {self.area_size}")
+            raise ConfigError(f"scenario.area_size_m must be > 0, got {self.area_size}")
         if not self.uav_altitude > 0:
-            raise ConfigError(f"uav_altitude must be > 0, got {self.uav_altitude}")
+            raise ConfigError(f"scenario.uav_altitude_m must be > 0, got {self.uav_altitude}")
         for name in ("quota_uav", "quota_hap"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"scenario.{name} must be >= 0, got {getattr(self, name)}")

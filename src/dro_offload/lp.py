@@ -11,17 +11,28 @@ The solver is a bounded-variable two-phase tableau simplex (Chvátal,
 Linear Programming, 1983, ch. 8). Box bounds stay out of the tableau:
 the ratio test also stops when a basic variable reaches its upper bound,
 or flips the entering variable to its own upper bound without a pivot.
-Variables with `lower == upper` get no column; their values are folded
-into the right-hand side. Phase 2 continues on the phase-1 tableau with
-the artificials fixed at zero and never priced; one left basic on a
-redundant row gives that row a dual of 0. The pivot rule is Dantzig's,
-falling back to Bland's after a bounded number of iterations, so every
-solve terminates and identical inputs give bit-identical outputs. After
-the tableau reports optimality, the primal point, dual values, and
-reduced costs are recomputed from the final basis and the set of
-variables at their upper bounds, with a fresh factorization and one step
-of iterative refinement to keep residuals tight; a negative reduced cost
-there rebuilds the tableau from that basis and phase 2 goes on.
+Every variable has a column; one with `lower == upper` gets upper bound
+0, so the column layout depends only on the matrix, the relations and
+which bounds are finite, and a basis of one program means the same in
+another that differs from it only in its bounds. Only columns with an
+upper bound above 0 are priced: fixed variables never enter, and neither
+do the artificials, which phase 2 keeps in the phase-1 tableau fixed at
+zero (one left basic on a redundant row gives that row a dual of 0). The
+pivot rule is Dantzig's, falling back to Bland's after a bounded number
+of iterations, so every solve terminates and identical inputs give
+bit-identical outputs. After the tableau reports optimality, the primal
+point, dual values, and reduced costs are recomputed from the final basis
+and the set of variables at their upper bounds, with a fresh
+factorization and one step of iterative refinement to keep residuals
+tight; a negative reduced cost there rebuilds the tableau from that basis
+and phase 2 goes on.
+
+An optimal solution returns its final `Basis`. Given one as `start`, a
+solve skips phase 1, builds the tableau from that basis and restores
+primal feasibility with a bounded dual simplex (Chvátal 1983, ch. 10;
+Koberstein 2005) before phase 2: after a bound is tightened, the old
+optimal basis stays dual feasible and is usually a few pivots from the
+new optimum.
 
 Dual-value convention: the reported dual of an inequality row is the
 nonnegative Lagrange multiplier (for both senses of the objective);
@@ -149,6 +160,21 @@ class CertificationReport:
 
 
 @dataclass(frozen=True)
+class Basis:
+    """A simplex basis, for `solve_lp(..., start=...)` on a program with the same matrix,
+    relations and pattern of finite bounds.
+
+    `basic` has one column per row and `at_upper` lists the nonbasic columns held at
+    their upper bounds. Ids number the structural columns, then one slack per
+    inequality row; the next ids, one per row in row order, stand for the rows'
+    artificials.
+    """
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
+@dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
     x: np.ndarray | None = None
@@ -156,6 +182,7 @@ class LpSolution:
     duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     certificate: CertificationReport | None = field(default=None, compare=False)
+    basis: Basis | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +257,20 @@ def _run_simplex(
     basis: np.ndarray,
     ub: np.ndarray,
     flipped: np.ndarray,
-    priced: int,
     bland_after: int,
     max_iter: int,
 ) -> str:
-    """Iterate to optimality over the first `priced` columns. Returns 'optimal' or 'unbounded'."""
+    """Iterate to optimality over the columns with ub > 0. Returns 'optimal' or 'unbounded'."""
+    priced = np.flatnonzero(ub > 0.0)
+    # priced columns that form a prefix (nothing fixed) are read through a view, not a copy
+    prefix = priced.size > 0 and priced[-1] == priced.size - 1
+    view = slice(priced.size) if prefix else priced
     iters = 0
     while True:
-        entering = _choose_entering(tableau[-1, :priced], bland=iters >= bland_after)
-        if entering is None:
+        k = _choose_entering(tableau[-1, view], bland=iters >= bland_after)
+        if k is None:
             return "optimal"
+        entering = int(priced[k])
         leaving = _choose_leaving(tableau, basis, ub, entering)
         if leaving is None:
             return "unbounded"
@@ -254,13 +285,43 @@ def _run_simplex(
             raise SolverError(f"simplex exceeded {max_iter} iterations")
 
 
+def _dual_simplex(
+    tableau: np.ndarray, basis: np.ndarray, ub: np.ndarray, flipped: np.ndarray, max_iter: int
+) -> bool:
+    """Bounded dual simplex from a dual feasible tableau (Chvátal 1983, ch. 10).
+
+    Returns True once every basic variable is within its bounds, False when the
+    program is infeasible: a violated row that no priced column can repair.
+    """
+    priced = ub > 0.0
+    for _ in range(max_iter):
+        xb = tableau[:-1, -1]
+        ub_basic = ub[basis]
+        # each row against its own |x_B|: one large basic value must not hide a small
+        # violation elsewhere
+        violation = np.maximum(-xb, xb - ub_basic) / np.maximum(1.0, np.abs(xb))
+        if violation.max(initial=0.0) <= _FEAS_TOL:
+            return True
+        row = int(np.argmax(violation))
+        if xb[row] > ub_basic[row]:  # leaves at its ub: complemented, it leaves at 0
+            _flip_basic(tableau, basis, ub, flipped, row)
+        alpha = tableau[row, :-1]
+        eligible = np.flatnonzero(priced & (alpha < -_PIVOT_TOL))
+        if not eligible.size:
+            return False
+        ratios = np.maximum(tableau[-1, eligible], 0.0) / -alpha[eligible]
+        _pivot(tableau, basis, row, int(eligible[np.argmin(ratios)]))
+    raise SolverError(f"dual simplex exceeded {max_iter} iterations")
+
+
 class _Transform:
     """Reduction to `A t = b, 0 <= t <= ub` with slack and artificial columns.
 
-    Per variable: fixed (`lower == upper`) gets no column and its value is
-    folded into `b`; a finite lower bound gives `x = lower + t`; only a
-    finite upper bound gives the mirrored `x = upper - t`; a free variable
-    gives `x = t_plus - t_minus`. Columns keep the variables' order.
+    Per variable: a finite lower bound gives `x = lower + t` (with `ub = 0`
+    when the variable is fixed); only a finite upper bound gives the mirrored
+    `x = upper - t`; a free variable gives `x = t_plus - t_minus`. Columns
+    keep the variables' order, then come one slack per inequality row and
+    the artificials of the rows whose slack cannot start basic.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -275,16 +336,13 @@ class _Transform:
         c = sign * lp.objective
 
         has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-        fixed = has_lo & (lo == hi)
         free = ~has_lo & ~has_hi
         self.offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
         self.col_sign = np.where(~has_lo & has_hi, -1.0, 1.0)
-        width = np.where(fixed, 0, np.where(free, 2, 1))
-        first = np.cumsum(width) - width
-        self.var_src = np.flatnonzero(~fixed)  # variables with a column
-        self.var_main = first[self.var_src]
+        width = np.where(free, 2, 1)
+        self.var_main = np.cumsum(width) - width
         self.free_src = np.flatnonzero(free)
-        self.var_neg = first[self.free_src] + 1
+        self.var_neg = self.var_main[self.free_src] + 1
         n_struct = int(width.sum())
 
         b = lp.rhs - a @ self.offset
@@ -297,7 +355,7 @@ class _Transform:
         self.n_real = n_struct + n_slack
 
         a_full = np.zeros((m, self.n_real + n_art))
-        a_full[:, self.var_main] = a[:, self.var_src] * self.col_sign[self.var_src]
+        a_full[:, self.var_main] = a * self.col_sign
         a_full[:, self.var_neg] = -a[:, self.free_src]
         a_full[:, :n_struct] *= self.row_flip[:, None]
         slack_cols = n_struct + np.arange(n_slack)
@@ -309,68 +367,126 @@ class _Transform:
         self.basis = np.empty(m, dtype=int)
         self.basis[slack_rows[slack_le]] = slack_cols[slack_le]
         self.basis[art_rows] = art_cols
+        # the column standing for row r's artificial in a start basis: its own
+        # artificial, or, on a row that has none, its slack (the same unit column)
+        self.stand_in = np.empty(m, dtype=int)
+        self.stand_in[slack_rows] = slack_cols
+        self.stand_in[art_rows] = art_cols
 
         self.costs = np.zeros(self.n_real)
-        self.costs[self.var_main] = c[self.var_src] * self.col_sign[self.var_src]
+        self.costs[self.var_main] = c * self.col_sign
         self.costs[self.var_neg] = -c[self.free_src]
         self.ub = np.full(a_full.shape[1], np.inf)
-        boxed = np.flatnonzero(has_lo & has_hi & ~fixed)
-        self.ub[first[boxed]] = hi[boxed] - lo[boxed]
+        boxed = np.flatnonzero(has_lo & has_hi)
+        self.ub[self.var_main[boxed]] = hi[boxed] - lo[boxed]
         self.a_full = a_full
         self.b = b * self.row_flip
 
     def primal_from(self, t_values: np.ndarray) -> np.ndarray:
-        x = self.offset.copy()
-        x[self.var_src] += self.col_sign[self.var_src] * t_values[self.var_main]
+        x = self.offset + self.col_sign * t_values[self.var_main]
         x[self.free_src] -= t_values[self.var_neg]
         return x
 
+    def basis_of(self, basis: np.ndarray, at_ub: np.ndarray) -> Basis:
+        """`basis` and `at_ub` with each artificial named by its row (see `Basis`)."""
+        ids = basis.copy()
+        art = ids >= self.n_real
+        ids[art] = self.n_real + self.art_rows[ids[art] - self.n_real]
+        return Basis(basic=ids, at_upper=at_ub[at_ub < self.n_real])
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+    def basis_from(self, start: Basis) -> tuple[np.ndarray, np.ndarray]:
+        """Tableau basis and at-upper columns of `start`; ConfigError if it does not fit."""
+        m, n = self.b.size, self.n_real
+        basic = np.asarray(start.basic, dtype=int)
+        at_upper = np.asarray(start.at_upper, dtype=int)
+        fits = (
+            basic.shape == (m,)
+            and at_upper.ndim == 1
+            and ((0 <= basic) & (basic < n + m)).all()
+            and ((0 <= at_upper) & (at_upper < n)).all()
+            and np.unique(np.concatenate([basic, at_upper])).size == m + at_upper.size
+        )
+        if not fits:
+            raise ConfigError("start basis does not fit this program's columns")
+        unbounded = at_upper[~np.isfinite(self.ub[at_upper])]
+        if unbounded.size:
+            raise ConfigError(
+                f"start basis holds column {int(unbounded[0])} at an infinite upper bound"
+            )
+        art = basic >= n
+        basis = basic.copy()
+        basis[art] = self.stand_in[basic[art] - n]
+        return basis, at_upper
+
+
+def _load_tableau(tableau, tr: _Transform, ub, costs, basis, at_ub) -> None:
+    """Write B⁻¹A, x_B and the reduced costs of `basis` into `tableau`, with the `at_ub`
+    columns at their upper bounds and held complemented: the one place a tableau is
+    built from a basis."""
+    m = basis.size
+    rhs = tr.b - tr.a_full[:, at_ub] @ ub[at_ub]
+    try:
+        tableau[:m] = np.linalg.solve(tr.a_full[:, basis], np.column_stack([tr.a_full, rhs]))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular basis matrix: {exc}") from exc
+    tableau[-1, :-1] = costs - costs[basis] @ tableau[:m, :-1]
+    tableau[-1, -1] = -float(costs[basis] @ tableau[:m, -1] + costs[at_ub] @ ub[at_ub])
+    tableau[:, at_ub] *= -1.0
+
+
+def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Solve the program, returning a certified status.
 
-    Optimal solutions carry duals, reduced costs, and a residual
-    certificate. Raises SolverError on iteration blow-up or on a final
-    basis too ill-conditioned to certify.
+    Optimal solutions carry duals, reduced costs, a residual certificate and
+    their final basis. With `start` (the basis of a program that differs from
+    this one only in its bounds, none of its at-upper columns unbounded here)
+    the solve runs from that basis instead of from phase 1. Raises SolverError
+    on iteration blow-up or on a basis too ill-conditioned to certify, and
+    ConfigError on a `start` that does not fit.
     """
     tr = _Transform(lp)
     m, n_total = tr.a_full.shape
     n = tr.n_real
     bland_after = 5 * (m + n_total)
     max_iter = 200 * (m + n_total) + 2000
-
-    # phase 1 minimises the sum of the artificials; with none, the start is optimal
-    basis = tr.basis.copy()
+    costs = np.pad(tr.costs, (0, n_total - n))
+    ub = tr.ub.copy()
+    ub[n:] = 0.0  # phase 2 keeps the artificials fixed at zero
     flipped = np.zeros(n_total, dtype=bool)
     tableau = np.zeros((m + 1, n_total + 1))
-    tableau[:m, :n_total] = tr.a_full
-    tableau[:m, -1] = tr.b
-    tableau[-1, n:n_total] = 1.0
-    tableau[-1] -= tableau[:m][basis >= n].sum(axis=0)
-    status = _run_simplex(tableau, basis, tr.ub, flipped, n_total, bland_after, max_iter)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise SolverError("phase-1 simplex reported unbounded")
-    scale = max(1.0, float(np.abs(tr.b).max(initial=0.0)))
-    # and each basic artificial against its own row's |b|, so that one large rhs
-    # (a 1e6 J HAP budget) cannot hide a row with rhs 1 that is still off by 1e-2
-    art = np.flatnonzero(basis >= n)
-    own_scale = np.maximum(1.0, np.abs(tr.b[tr.art_rows[basis[art] - n]]))
-    if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0 or (
-        tableau[art, -1] > _FEAS_TOL * own_scale * 10.0
-    ).any():
-        return LpSolution(status=LpStatus.INFEASIBLE)
 
-    # phase 2 goes on from this tableau, with the artificials fixed at zero and unpriced
-    ub = tr.ub.copy()
-    ub[n:] = 0.0
-    costs = np.pad(tr.costs, (0, n_total - n))
-    held = np.where(flipped, -costs, costs)  # the cost of each column as the tableau holds it
-    tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
-    tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
+    if start is None:
+        # phase 1 minimises the sum of the artificials; with none, the start is optimal
+        basis = tr.basis.copy()
+        tableau[:m, :n_total] = tr.a_full
+        tableau[:m, -1] = tr.b
+        tableau[-1, n:n_total] = 1.0
+        tableau[-1] -= tableau[:m][basis >= n].sum(axis=0)
+        status = _run_simplex(tableau, basis, tr.ub, flipped, bland_after, max_iter)
+        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+            raise SolverError("phase-1 simplex reported unbounded")
+        scale = max(1.0, float(np.abs(tr.b).max(initial=0.0)))
+        # and each basic artificial against its own row's |b|, so that one large rhs
+        # (a 1e6 J HAP budget) cannot hide a row with rhs 1 that is still off by 1e-2
+        art = np.flatnonzero(basis >= n)
+        own_scale = np.maximum(1.0, np.abs(tr.b[tr.art_rows[basis[art] - n]]))
+        if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0 or (
+            tableau[art, -1] > _FEAS_TOL * own_scale * 10.0
+        ).any():
+            return LpSolution(status=LpStatus.INFEASIBLE)
+        held = np.where(flipped, -costs, costs)  # the cost of each column as the tableau holds it
+        tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
+        tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
+    else:
+        basis, at_ub = tr.basis_from(start)
+        flipped[at_ub] = True
+        _load_tableau(tableau, tr, ub, costs, basis, at_ub)
+        if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
+            return LpSolution(status=LpStatus.INFEASIBLE)
     tol = max(_OPT_TOL * 100.0, 1e-7)
 
     for _attempt in range(6):
-        status = _run_simplex(tableau, basis, ub, flipped, n, bland_after, max_iter)
+        status = _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter)
         if status == "unbounded":
             return LpSolution(status=LpStatus.UNBOUNDED)
         # certify: factorize the final basis, with one step of refinement
@@ -386,14 +502,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         y = np.linalg.solve(matrix_b.T, costs[basis])
         y += np.linalg.solve(matrix_b.T, costs[basis] - matrix_b.T @ y)
         reduced = costs - y @ tr.a_full
-        if np.where(flipped, -reduced, reduced)[:n].min(initial=0.0) >= -tol:
+        if np.where(flipped, -reduced, reduced)[ub > 0.0].min(initial=0.0) >= -tol:
             break
-        # roundoff fooled the tableau: the one place a tableau is built from a basis
-        tableau[:m, :-1] = np.linalg.solve(matrix_b, tr.a_full)
-        tableau[:m, -1] = xb
-        tableau[-1, :-1] = reduced
-        tableau[-1, -1] = -float(costs[basis] @ xb + costs[at_ub] @ ub[at_ub])
-        tableau[:, at_ub] *= -1.0
+        # roundoff fooled the tableau: rebuild it from the certified basis
+        _load_tableau(tableau, tr, ub, costs, basis, at_ub)
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
 
@@ -418,6 +530,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         objective_value=objective_value,
         duals=duals,
         reduced_costs=reduced_orig,
+        basis=tr.basis_of(basis, at_ub),
     )
     return replace(solution, certificate=check_solution(lp, solution))
 

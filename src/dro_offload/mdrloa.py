@@ -4,9 +4,11 @@ The main routine follows the greedy scheme of the source algorithm: fix
 the worst-case distributions, solve the LP relaxation, then repeatedly
 branch on the most fractional access variable, keep the cheaper child,
 and never backtrack; afterwards repeat for the compute variables. The
-decision is read from the last LP, whose x is integral. Because the dive
-is greedy, optimality is measured against the exhaustive oracle rather
-than assumed.
+root LP is solved cold; each child differs from the LP it branches from
+by its fixings only, so it is re-optimised from that LP's final basis
+with the dual simplex. The decision is read from the last LP, whose x is
+integral. Because the dive is greedy, optimality is measured against the
+exhaustive oracle rather than assumed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, SampleSpace
 from .errors import InfeasibleProblemError, ShapeError, SizeError, SolverError
 from .geometry import Scenario, per_bit_coefficients
-from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import Basis, LinearProgram, LpSolution, LpStatus, solve_lp
 from .model import (
     INTEGRALITY_TOL,
     OffloadDecision,
@@ -67,8 +69,11 @@ def select_branch(matrix: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(flat, matrix.shape))
 
 
-def _solve_fixed(base: LinearProgram, fixed: dict[int, float]) -> LpSolution:
-    """Solve `base` with each fixed column's bounds pinned to its value.
+def _solve_fixed(
+    base: LinearProgram, fixed: dict[int, float], start: Basis | None = None
+) -> LpSolution:
+    """Solve `base` with each fixed column's bounds pinned to its value, from the
+    basis `start` when one is given.
 
     Raises SolverError when an optimal answer fails its certificate, so that
     a wrong LP never becomes a decision.
@@ -76,7 +81,7 @@ def _solve_fixed(base: LinearProgram, fixed: dict[int, float]) -> LpSolution:
     lower, upper = base.lower.copy(), base.upper.copy()
     for col, value in fixed.items():
         lower[col] = upper[col] = value
-    solution = solve_lp(replace(base, lower=lower, upper=upper))
+    solution = solve_lp(replace(base, lower=lower, upper=upper), start=start)
     if solution.status is LpStatus.OPTIMAL and not solution.certificate.ok():
         raise SolverError(
             f"LP with {len(fixed)} fixed columns fails its certificate: "
@@ -107,7 +112,9 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     for offset in (0, ij):  # access block first, then compute block
         while (pick := select_branch(current.x[offset : offset + ij].reshape(i, j))) is not None:
             col = offset + pick[0] * j + pick[1]
-            children = [_solve_fixed(base, {**fixed, col: value}) for value in (0.0, 1.0)]
+            children = [
+                _solve_fixed(base, {**fixed, col: value}, current.basis) for value in (0.0, 1.0)
+            ]
             count += 2
             lat0, lat1 = (
                 c.objective_value if c.status is LpStatus.OPTIMAL else np.inf for c in children

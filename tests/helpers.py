@@ -1,12 +1,14 @@
 """Reference helpers that only the tests need: an LP built from rows, the
-explicit LP dual, the inverse confidence map, and L1 distance and
-membership for distributions."""
+explicit LP dual, the inverse confidence map, L1 distance and membership
+for distributions, and a pinned instance whose dive meets an infeasible
+child."""
 
 import math
 
 import numpy as np
 
 from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
+from dro_offload.config import parse_config
 from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.lp import EQ, GE, LE, LinearProgram
 
@@ -79,3 +81,23 @@ def point_mass(num_atoms: int, index: int) -> Distribution:
     probs = [0.0] * num_atoms
     probs[index] = 1.0
     return Distribution(probs=tuple(probs))
+
+
+# all three TDs on UAV 2 need 25.08 J of a 25 J budget; phase 1 once called that child
+# LP feasible and the dive returned it, below its own relaxation bound. Its dive fixes
+# P2 columns 2 and 4 at 0, then meets that child by fixing column 0 at 0.
+INFEASIBLE_CHILD_REPORTED_OPTIMAL = (
+    parse_config(
+        {
+            "scenario": {
+                "num_tds": 3,
+                "num_uavs": 2,
+                "quota_uav": 3,
+                "quota_hap": 0,
+                "energy": {"uav_budget_j": 25, "uav_chip_coeff": 2e-28},
+            },
+            "ambiguity": {"history_len": 30, "epsilon": 0.5},
+        }
+    ),
+    415,
+)

@@ -3,16 +3,19 @@
 perfbench times the program by replacing module globals (`spans.PATCH_POINTS`)
 and checks root LPs against HiGHS through the `LinearProgram` accessors, so a
 refactor that renames or bypasses one of them breaks the benchmark while the
-rest of this suite stays green.
+rest of this suite stays green. The dive's warm-started children, which
+perfbench never checks, are checked against HiGHS here.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dro_offload import evaluation
+from dro_offload import evaluation, mdrloa
+from dro_offload import lp as lp_module
 from dro_offload.config import load_config
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
@@ -60,3 +63,64 @@ def test_highs_objective_matches_solve_lp(name):
             assert ours.status is LpStatus.OPTIMAL and reference is not None
             rel = abs(ours.objective_value - reference) / max(1.0, abs(reference))
             assert rel <= checks.ORACLE_RTOL
+
+
+def _eval_binding_seeds_1_to_5():
+    cfg = load_config(PERFBENCH / "configs" / "eval-binding.json")
+    experiment = dataclasses.replace(cfg.experiment, seeds=(1, 2, 3, 4, 5))
+    return dataclasses.replace(cfg, experiment=experiment)
+
+
+def test_traced_pass_forwards_the_warm_start(monkeypatch):
+    starts = []
+    solve = mdrloa.solve_lp
+
+    def record(program, **kwargs):
+        starts.append(kwargs.get("start") is not None)
+        return solve(program, **kwargs)
+
+    monkeypatch.setattr(mdrloa, "solve_lp", record)  # the tracer wraps this in turn
+    with spans.Tracer(capture=True) as tracer:
+        evaluation.compare_methods(_eval_binding_seeds_1_to_5())
+    for decision in tracer.decisions:
+        assert len(decision.lps) == decision.lp_count == decision.result.lp_solve_count
+    assert len(starts) == sum(len(d.lps) for d in tracer.decisions)
+    assert any(starts)
+
+
+def test_warm_dive_children_match_highs(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    pivots = 0
+    pivot = lp_module._pivot
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args)
+
+    children = []  # (program, solution, pivots) of every LP solved from a start basis
+    solve = mdrloa.solve_lp
+
+    def record(program, **kwargs):
+        before = pivots
+        solution = solve(program, **kwargs)
+        if kwargs.get("start") is not None:
+            children.append((program, solution, pivots - before))
+        return solution
+
+    monkeypatch.setattr(lp_module, "_pivot", counting)
+    monkeypatch.setattr(mdrloa, "solve_lp", record)
+    evaluation.compare_methods(_eval_binding_seeds_1_to_5())
+    statuses = set()
+    for program, solution, _ in children:
+        reference = checks.highs_objective(program)
+        statuses.add(solution.status)
+        if solution.status is LpStatus.OPTIMAL:
+            assert reference is not None and solution.certificate.ok()
+            rel = abs(solution.objective_value - reference) / max(1.0, abs(reference))
+            assert rel <= checks.ORACLE_RTOL
+        else:
+            assert solution.status is LpStatus.INFEASIBLE and reference is None
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+    # cold, these children took 46.5 pivots each on average
+    assert sum(count for *_, count in children) / len(children) <= 10

@@ -76,6 +76,15 @@ MALFORMED = [
     ('{"scenario": {"quota_uav": -1}}', "scenario.quota_uav"),
     ('{"scenario": {"quota_hap": -1}}', "scenario.quota_hap"),
     ('{"scenario": {"hap_position_m": [5000, 5000, -1]}}', "scenario.hap_position_m"),
+    ('{"scenario": {"num_tds": 0}}', "scenario.num_tds"),
+    ('{"scenario": {"num_uavs": 0}}', "scenario.num_uavs"),
+    ('{"scenario": {"area_size_m": 0}}', "scenario.area_size_m"),
+    ('{"scenario": {"uav_altitude_m": 0}}', "scenario.uav_altitude_m"),
+    ('{"ambiguity": {"history_len": 0}}', "ambiguity.history_len"),
+    ('{"experiment": {"jobs": 0}}', "experiment.jobs"),
+    ('{"experiment": {"seeds": []}}', "experiment.seeds"),
+    ('{"experiment": {"methods": ["dro", "foo"]}}', "experiment.methods"),
+    ('{"experiment": {"sweep_param": "foo"}}', "experiment.sweep_param"),
 ]
 
 
@@ -288,6 +297,8 @@ class TestHashAndOverrides:
             cfg.with_override("quota-uav", 4.9)
         with pytest.raises(ConfigError, match="^scenario.quota_hap must be >= 0"):
             cfg.with_override("quota-hap", -1)
+        with pytest.raises(ConfigError, match="^ambiguity.history_len must be >= 1"):
+            cfg.with_override("Q", 0)
         with pytest.raises(ConfigError, match="ambiguity.epsilon must be a finite number"):
             cfg.with_override("eps", float("nan"))
 

@@ -6,20 +6,22 @@ import pytest
 from dro_offload import lp as lp_module
 from dro_offload.config import default_config, parse_config
 from dro_offload.errors import ConfigError, ShapeError, SolverError
+from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import (
     _BOUND_TOL,
     EQ,
     GE,
     LE,
+    Basis,
     LinearProgram,
     LpStatus,
     _dual_signs,
     check_solution,
     solve_lp,
 )
-from dro_offload.model import build_p2
-from helpers import dual_of, lp_from_rows
+from dro_offload.model import build_p2, worst_case_distributions
+from helpers import INFEASIBLE_CHILD_REPORTED_OPTIMAL, dual_of, lp_from_rows
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -387,6 +389,68 @@ class TestPhaseTwo:
         sol = solve_lp(lp)
         _assert_matches_highs(lp, sol)
         assert sol.duals[0] == 0.0
+
+
+def _with_bounds(lp, cols, lower, upper):
+    lo, hi = lp.lower.copy(), lp.upper.copy()
+    lo[cols], hi[cols] = lower, upper
+    return dataclasses.replace(lp, lower=lo, upper=hi)
+
+
+class TestWarmStart:
+    def test_tightened_bound_against_highs(self):
+        rng = np.random.default_rng(2024)  # the LPs of TestFuzzAgainstScipy
+        tighten = np.random.default_rng(1)
+        statuses = []
+        for _ in range(120):
+            lp = _random_lp(rng)
+            parent = solve_lp(lp)
+            boxed = np.flatnonzero(np.isfinite(lp.lower) & np.isfinite(lp.upper))
+            if parent.status is not LpStatus.OPTIMAL or not boxed.size:
+                continue
+            j = int(tighten.choice(boxed))
+            lo, hi = np.sort(tighten.uniform(lp.lower[j], lp.upper[j], 2))
+            if tighten.random() < 0.5:  # fix the variable at a value inside its box
+                lo = hi
+            child = _with_bounds(lp, j, lo, hi)
+            warm, cold, ref = solve_lp(child, start=parent.basis), solve_lp(child), _scipy_solve(child)
+            status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
+            assert warm.status is cold.status is status
+            statuses.append(status)
+            if status is LpStatus.OPTIMAL:
+                ref_obj = ref.fun if lp.sense == "min" else -ref.fun
+                for sol in (warm, cold):
+                    assert abs(sol.objective_value - ref_obj) / max(1.0, abs(ref_obj)) < 1e-9
+                assert warm.certificate.ok()
+        assert statuses.count(LpStatus.OPTIMAL) >= 50 and LpStatus.INFEASIBLE in statuses
+
+    def test_pinned_infeasible_child_from_its_parents_basis(self):
+        cfg, seed = INFEASIBLE_CHILD_REPORTED_OPTIMAL
+        scenario = generate_scenario(cfg.scenario, seed)
+        p2 = build_p2(scenario, worst_case_distributions(build_ambiguity_sets(cfg, seed))[1])
+        parent = solve_lp(_with_bounds(p2, [2, 4], 0.0, 0.0))
+        assert parent.status is LpStatus.OPTIMAL
+        child = _with_bounds(p2, [0, 2, 4], 0.0, 0.0)
+        assert solve_lp(child, start=parent.basis).status is LpStatus.INFEASIBLE
+        assert _scipy_solve(child).status == 2
+
+    def test_a_basic_artificial_of_a_flipped_row_becomes_its_slack(self):
+        # with every variable fixed, both rows keep their artificials basic at 0; the
+        # child's fixing turns row 0 to x0 >= 0 with rhs 0 - 1 < 0, which has no artificial
+        lp = lp_from_rows([1.0, 2.0], [([1.0, 0.0], GE, 0.0), ([1.0, 1.0], EQ, 1.0)])
+        parent = solve_lp(_with_bounds(lp, [0, 1], [0.0, 1.0], [0.0, 1.0]))
+        n_real = 3  # two structural columns and row 0's slack
+        np.testing.assert_array_equal(np.sort(parent.basis.basic), [n_real, n_real + 1])
+        child = solve_lp(_with_bounds(lp, [0, 1], [1.0, 0.0], [1.0, 0.0]), start=parent.basis)
+        assert child.status is LpStatus.OPTIMAL and child.certificate.ok()
+        np.testing.assert_array_equal(child.x, [1.0, 0.0])
+
+    def test_start_at_an_infinite_upper_bound_rejected(self):
+        # columns: x in [0, 2], y in [0, inf), the row's slack
+        lp = lp_from_rows([1.0, -1.0], [([1.0, 1.0], LE, 3.0)], upper=[2.0, np.inf])
+        assert solve_lp(lp, start=Basis(np.array([2]), np.array([0]))).objective_value == -3.0
+        with pytest.raises(ConfigError, match="column 1 at an infinite upper bound"):
+            solve_lp(lp, start=Basis(np.array([2]), np.array([1])))
 
 
 def _permutation_cases():

@@ -26,6 +26,7 @@ from dro_offload.mdrloa import (
     select_branch,
 )
 from dro_offload.model import expected_energy, expected_latency, worst_case_distributions
+from helpers import INFEASIBLE_CHILD_REPORTED_OPTIMAL
 
 SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
 
@@ -140,8 +141,8 @@ def dive_lps(monkeypatch):
     solved = []
     solve = mdrloa.solve_lp
 
-    def capture(lp):
-        solution = solve(lp)
+    def capture(lp, **kwargs):
+        solution = solve(lp, **kwargs)
         solved.append((lp, solution))
         return solution
 
@@ -218,8 +219,8 @@ class TestDiveLps:
         """Every optimal dive LP reports a dual residual of 1e-3."""
         solve = mdrloa.solve_lp
 
-        def wrong(lp):
-            solution = solve(lp)
+        def wrong(lp, **kwargs):
+            solution = solve(lp, **kwargs)
             if solution.status is LpStatus.OPTIMAL:
                 bad = dataclasses.replace(solution.certificate, max_dual_residual=1e-3)
                 solution = dataclasses.replace(solution, certificate=bad)
@@ -254,8 +255,8 @@ class TestTieRobustChoice:
         solve = mdrloa.solve_lp
         for direction in (1, -1):
 
-            def nudged(lp, direction=direction):
-                solution = solve(lp)
+            def nudged(lp, direction=direction, **kwargs):
+                solution = solve(lp, **kwargs)
                 if solution.status is not LpStatus.OPTIMAL:
                     return solution
                 # two children differ by one column fixed at 1, so they move apart
@@ -355,31 +356,12 @@ def _small_instances(draw):
     return cfg, draw(st.integers(0, 10_000))
 
 
-# all three TDs on UAV 2 need 25.08 J of a 25 J budget; phase 1 once called that child
-# LP feasible and the dive returned it, below its own relaxation bound
-_INFEASIBLE_CHILD_REPORTED_OPTIMAL = (
-    parse_config(
-        {
-            "scenario": {
-                "num_tds": 3,
-                "num_uavs": 2,
-                "quota_uav": 3,
-                "quota_hap": 0,
-                "energy": {"uav_budget_j": 25, "uav_chip_coeff": 2e-28},
-            },
-            "ambiguity": {"history_len": 30, "epsilon": 0.5},
-        }
-    ),
-    415,
-)
-
-
 def test_dive_between_relaxation_bound_and_exhaustive_optimum():
     outcomes = collections.Counter()
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(_small_instances())
-    @example(_INFEASIBLE_CHILD_REPORTED_OPTIMAL)
+    @example(INFEASIBLE_CHILD_REPORTED_OPTIMAL)
     def check(instance):
         cfg, seed = instance
         scenario = generate_scenario(cfg.scenario, seed)
