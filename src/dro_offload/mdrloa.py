@@ -8,7 +8,9 @@ root LP is solved cold; each child differs from the LP it branches from
 by its fixings only, so it is re-optimised from that LP's final basis
 with the dual simplex. The decision is read from the last LP, whose x is
 integral. Because the dive is greedy, optimality is measured against the
-exhaustive oracle rather than assumed.
+exhaustive oracle rather than assumed: it enumerates the integral points
+of the same P2 and keeps the cheapest one that meets every row, so the
+model's latency and energy formulas live in `model.py` alone.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ambiguity import AmbiguitySet, SampleSpace
-from .errors import InfeasibleProblemError, ShapeError, SizeError, SolverError
-from .geometry import Scenario, per_bit_coefficients
-from .lp import Basis, LinearProgram, LpSolution, LpStatus, solve_lp
+from .errors import InfeasibleProblemError, SizeError, SolverError
+from .geometry import Scenario
+from .lp import EQ, Basis, LinearProgram, LpSolution, LpStatus, solve_lp
 from .model import (
     INTEGRALITY_TOL,
     OffloadDecision,
@@ -159,66 +161,40 @@ def ro_solve(scenario: Scenario, space: SampleSpace) -> SolveResult:
 
 
 def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
-    """Enumerate every feasible decision; optimality oracle for small cases."""
+    """Enumerate P2's integral points and keep the cheapest one that meets every row.
+
+    The points are every access choice (J^I) times every relay-or-compute
+    choice (2^I), in that order, laid out [x, y, z] like P2's columns. A
+    point meets an EQ row within 1e-9 of its rhs and any other row at most
+    1e-9 above it. The first point within 1e-12 relative of the least
+    objective wins, as in the dive. Optimality oracle for small cases.
+    """
     i, j = scenario.num_tds, scenario.num_uavs
     if i > EXHAUSTIVE_MAX_TDS or j > EXHAUSTIVE_MAX_UAVS:
         raise SizeError(
             f"exhaustive search limited to I <= {EXHAUSTIVE_MAX_TDS}, "
             f"J <= {EXHAUSTIVE_MAX_UAVS}; got I={i}, J={j}"
         )
-    mean_sizes = np.asarray(mean_sizes, dtype=float)
-    if mean_sizes.shape != (i,):
-        raise ShapeError("mean_sizes must have one entry per TD")
-    coeffs = per_bit_coefficients(scenario)
-    en = scenario.energy
-    access = coeffs.access_delay
-    uav_cp = coeffs.uav_compute_delay
-    relay = coeffs.relay_path_delay
-
-    masks = np.array(list(itertools.product((0, 1), repeat=i)), dtype=float)
-    quota_ok = masks.sum(axis=1) <= scenario.quota_hap
-    hap_energy = masks @ (mean_sizes * coeffs.hap_compute_energy)
-    hap_ok = hap_energy <= en.hap_budget - en.hap_basic + 1e-9
-
-    best_value = np.inf
-    best = None
-    idx = np.arange(i)
-    for assign in itertools.product(range(j), repeat=i):
-        a = np.array(assign)
-        counts = np.bincount(a, minlength=j)
-        if (counts > scenario.quota_uav).any():
-            continue
-        base_lat = float(mean_sizes @ (access[idx, a] + uav_cp[a]))
-        delta = mean_sizes * (relay[a] - uav_cp[a])
-        latencies = base_lat + masks @ delta
-        feasible = quota_ok & hap_ok
-        relay_en = mean_sizes * coeffs.uav_relay_energy[a]
-        comp_en = mean_sizes * coeffs.uav_compute_energy[a]
-        for jj in range(j):
-            sel = (a == jj).astype(float)
-            uav_energy = masks @ (relay_en * sel) + (1.0 - masks) @ (comp_en * sel)
-            feasible &= uav_energy <= en.uav_budget - en.uav_basic + 1e-9
-        if not feasible.any():
-            continue
-        cand = np.where(feasible, latencies, np.inf)
-        k = int(np.argmin(cand))
-        if cand[k] < best_value - 1e-15:
-            best_value = float(cand[k])
-            best = (a.copy(), masks[k].astype(int))
-    if best is None:
+    lp = build_p2(scenario, mean_sizes)
+    access = np.eye(j)[np.array(list(itertools.product(range(j), repeat=i)))]
+    relay = np.array(list(itertools.product((0, 1), repeat=i)))[:, :, None]
+    x = np.repeat(access, len(relay), axis=0)  # (J^I * 2^I, I, J)
+    z = x * np.tile(relay, (len(access), 1, 1))
+    points = np.concatenate([m.reshape(len(x), -1) for m in (x, x - z, z)], axis=1)
+    excess = points @ lp.matrix.T - lp.rhs
+    meets = np.where(lp.relations == EQ, np.abs(excess), excess) <= 1e-9
+    objective = np.where(meets.all(axis=1), points @ lp.objective, np.inf)
+    least = objective.min()
+    if not np.isfinite(least):
         raise InfeasibleProblemError("no feasible decision exists for this instance")
-
-    a, s = best
-    x = np.zeros((i, j), dtype=int)
-    x[idx, a] = 1
-    z = x * s[:, None]
-    y = x - z
-    decision = OffloadDecision(x=x, y=y, z=z)
+    k = int(np.argmax(objective <= least + 1e-12 * abs(least)))
+    decision = OffloadDecision(*points[k].astype(int).reshape(3, i, j))
     decision.validate(scenario)
+    latency = expected_latency(decision, scenario, mean_sizes)
     return SolveResult(
         decision=decision,
-        worst_case_expected_latency=best_value,
-        relaxation_bound=best_value,
+        worst_case_expected_latency=latency,
+        relaxation_bound=latency,
         lp_solve_count=0,
         method=METHOD_EXHAUSTIVE,
     )

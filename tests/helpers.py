@@ -1,8 +1,9 @@
 """Reference helpers that only the tests need: an LP built from rows, the
 explicit LP dual, the inverse confidence map, L1 distance and membership
-for distributions, and a pinned instance whose dive meets an infeasible
-child."""
+for distributions, a brute force over offloading decisions, and a pinned
+instance whose dive meets an infeasible child."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
 from dro_offload.config import parse_config
 from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.lp import EQ, GE, LE, LinearProgram
+from dro_offload.model import OffloadDecision, expected_energy, expected_latency
 
 
 def lp_from_rows(objective, rows=(), **kwargs) -> LinearProgram:
@@ -81,6 +83,28 @@ def point_mass(num_atoms: int, index: int) -> Distribution:
     probs = [0.0] * num_atoms
     probs[index] = 1.0
     return Distribution(probs=tuple(probs))
+
+
+def feasible_decisions(scenario, mean_sizes):
+    """Every decision that passes `validate` and keeps `expected_energy` within both
+    budgets (1e-9 J slack), with its `expected_latency`.
+
+    The order is `exhaustive_solve`'s: each access choice, then each set of relayed TDs.
+    """
+    i, j = scenario.num_tds, scenario.num_uavs
+    en = scenario.energy
+    for access in itertools.product(range(j), repeat=i):
+        x = np.eye(j, dtype=int)[list(access)]
+        for relay in itertools.product((0, 1), repeat=i):
+            z = x * np.array(relay)[:, None]
+            decision = OffloadDecision(x=x, y=x - z, z=z)
+            try:
+                decision.validate(scenario)
+            except ShapeError:
+                continue
+            uav, hap = expected_energy(decision, scenario, mean_sizes)
+            if (uav <= en.uav_budget + 1e-9).all() and hap <= en.hap_budget + 1e-9:
+                yield decision, expected_latency(decision, scenario, mean_sizes)
 
 
 # all three TDs on UAV 2 need 25.08 J of a 25 J budget; phase 1 once called that child

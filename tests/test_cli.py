@@ -92,7 +92,8 @@ def test_missing_config_file_exit_2(tmp_path):
     assert main(["solve", "--config", str(missing)]) == EXIT_CONFIG
 
 
-def test_infeasible_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["dro", "exhaustive"])
+def test_infeasible_exit_3(tmp_path, capsys, method):
     cfg = tmp_path / "infeasible.json"
     cfg.write_text(
         json.dumps(
@@ -103,7 +104,7 @@ def test_infeasible_exit_3(tmp_path, capsys):
         ),
         encoding="utf-8",
     )
-    assert main(["solve", "--config", str(cfg)]) == EXIT_INFEASIBLE
+    assert main(["solve", "--config", str(cfg), "--method", method]) == EXIT_INFEASIBLE
     assert "infeasible" in capsys.readouterr().err
 
 
@@ -129,6 +130,26 @@ def test_exhaustive_over_size_limit_exit_2(cfg_path, capsys):
     # the default 10 x 3 instance is past the exhaustive 6 x 3 limit
     assert main(["solve", "--config", str(cfg_path), "--method", "exhaustive"]) == EXIT_CONFIG
     assert "exhaustive search limited" in capsys.readouterr().err
+
+
+def test_exhaustive_solve_is_exact_and_solves_no_lp(tmp_path):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(
+        json.dumps(
+            {"scenario": {"num_tds": 4, "num_uavs": 2, "quota_uav": 2}, "experiment": {"seeds": [1]}}
+        ),
+        encoding="utf-8",
+    )
+    results = {}
+    for method in ("exhaustive", "dro"):
+        out = tmp_path / f"{method}.json"
+        argv = ["solve", "--config", str(cfg), "--method", method, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        results[method] = json.loads(out.read_text())
+    exact = results["exhaustive"]
+    assert exact["method"] == "EXHAUSTIVE" and exact["lp_solve_count"] == 0
+    assert exact["relaxation_bound_s"] == exact["worst_case_expected_latency_s"]
+    assert exact["worst_case_expected_latency_s"] <= results["dro"]["worst_case_expected_latency_s"]
 
 
 def test_negative_seed_exit_2(capsys):

@@ -11,7 +11,13 @@ from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
 from dro_offload.config import default_config, parse_config
 from dro_offload import mdrloa
 from dro_offload.cli import EXIT_INTERNAL, main
-from dro_offload.errors import InfeasibleProblemError, ShapeError, SizeError, SolverError
+from dro_offload.errors import (
+    ConfigError,
+    InfeasibleProblemError,
+    ShapeError,
+    SizeError,
+    SolverError,
+)
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import LpStatus
@@ -26,7 +32,7 @@ from dro_offload.mdrloa import (
     select_branch,
 )
 from dro_offload.model import expected_energy, expected_latency, worst_case_distributions
-from helpers import INFEASIBLE_CHILD_REPORTED_OPTIMAL
+from helpers import INFEASIBLE_CHILD_REPORTED_OPTIMAL, feasible_decisions
 
 SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
 
@@ -290,6 +296,59 @@ class TestAgainstExhaustive:
         with pytest.raises(InfeasibleProblemError):
             exhaustive_solve(sc, np.full(3, 1e6))
 
+    def test_exhaustive_shape_error(self):
+        with pytest.raises(ShapeError):
+            exhaustive_solve(_scenario(num_tds=4, num_uavs=2), np.full(3, 1e6))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [exhaustive_solve, lambda sc, means: mdrloa._solve(sc, means, METHOD_MDRLOA)],
+        ids=["exhaustive", "dive"],
+    )
+    def test_nan_mean_size_is_a_config_error(self, solve):
+        means = np.full(4, 1e6)
+        means[2] = np.nan
+        with pytest.raises(ConfigError, match="must be finite"):
+            solve(_scenario(num_tds=4, num_uavs=2), means)
+
+
+class TestExhaustiveTieRule:
+    # one UAV and equal sizes: which of the six TDs relay ties, 15 ways
+    CONFIG = parse_config(
+        {
+            "scenario": {
+                "num_tds": 6,
+                "num_uavs": 1,
+                "quota_uav": 6,
+                "quota_hap": 4,
+                "radio": {"ref_gain_uav_hap_db": -10},
+                "energy": {"uav_budget_j": 30},
+            },
+            "ambiguity": {"epsilon": 0, "history_len": 30},
+        }
+    )
+
+    def test_first_tied_point_wins_and_survives_nudges(self, monkeypatch):
+        scenario = generate_scenario(self.CONFIG.scenario, 266)
+        means = worst_case_distributions(build_ambiguity_sets(self.CONFIG, 266))[1]
+        feasible = list(feasible_decisions(scenario, means))
+        least = min(latency for _, latency in feasible)
+        tied = [d.to_dict() for d, latency in feasible if latency <= least + 1e-12 * least]
+        assert len(tied) > 1
+        assert exhaustive_solve(scenario, means).decision.to_dict() == tied[0]
+        build = mdrloa.build_p2
+        for direction in (1, -1):
+
+            def nudged(*args, direction=direction):
+                lp = build(*args)
+                # alternate signs, so that tied points move apart
+                signs = direction * (-1.0) ** np.arange(lp.objective.size)
+                nudge = signs * 2 * np.spacing(lp.objective)
+                return dataclasses.replace(lp, objective=lp.objective + nudge)
+
+            monkeypatch.setattr(mdrloa, "build_p2", nudged)
+            assert exhaustive_solve(scenario, means).decision.to_dict() == tied[0]
+
 
 class TestBaselines:
     def test_do_uses_mean_atom(self):
@@ -328,10 +387,10 @@ class TestBaselines:
 
 
 @st.composite
-def _small_instances(draw):
-    """A run config with I <= 6 and J <= 3, and a scenario seed."""
-    i = draw(st.integers(2, 6))
-    j = draw(st.integers(1, 3))
+def _small_instances(draw, max_tds=6, max_uavs=3):
+    """A run config with I <= max_tds and J <= max_uavs, and a scenario seed."""
+    i = draw(st.integers(2, max_tds))
+    j = draw(st.integers(1, max_uavs))
     cfg = parse_config(
         {
             "scenario": {
@@ -390,3 +449,30 @@ def test_dive_between_relaxation_bound_and_exhaustive_optimum():
     check()
     print(f"dive vs exhaustive: {dict(outcomes)}")  # 83 checked, 18 infeasible when written
     assert outcomes["checked"] >= 50
+
+
+def test_exhaustive_matches_a_brute_force_over_decisions():
+    outcomes = collections.Counter()
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_small_instances(max_tds=4, max_uavs=2))
+    @example(INFEASIBLE_CHILD_REPORTED_OPTIMAL)
+    def check(instance):
+        cfg, seed = instance
+        scenario = generate_scenario(cfg.scenario, seed)
+        means = worst_case_distributions(build_ambiguity_sets(cfg, seed))[1]
+        latencies = [latency for _, latency in feasible_decisions(scenario, means)]
+        if not latencies:
+            outcomes["infeasible"] += 1
+            with pytest.raises(InfeasibleProblemError):
+                exhaustive_solve(scenario, means)
+            return
+        outcomes["checked"] += 1
+        result = exhaustive_solve(scenario, means)
+        assert result.lp_solve_count == 0
+        assert result.relaxation_bound == result.worst_case_expected_latency
+        assert result.worst_case_expected_latency == pytest.approx(min(latencies), rel=1e-12)
+
+    check()
+    print(f"exhaustive vs brute force: {dict(outcomes)}")
+    assert outcomes["checked"] >= 30 and outcomes["infeasible"] >= 5
