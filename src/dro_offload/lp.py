@@ -7,32 +7,36 @@ validated once when it is built. The solver and the certificate read
 those arrays as stored; a program that differs only in its bounds is
 built with `dataclasses.replace`.
 
-The solver is a bounded-variable two-phase tableau simplex (Chvátal,
-Linear Programming, 1983, ch. 8). Box bounds stay out of the tableau:
+The solver is a bounded-variable tableau simplex (Chvátal, Linear
+Programming, 1983, chs. 8 and 10). Box bounds stay out of the tableau:
 the ratio test also stops when a basic variable reaches its upper bound,
 or flips the entering variable to its own upper bound without a pivot.
 Every variable has a column; one with `lower == upper` gets upper bound
-0, so the column layout depends only on the matrix, the relations and
-which bounds are finite, and a basis of one program means the same in
-another that differs from it only in its bounds. Only columns with an
-upper bound above 0 are priced: fixed variables never enter, and neither
-do the artificials, which phase 2 keeps in the phase-1 tableau fixed at
-zero (one left basic on a redundant row gives that row a dual of 0). The
-pivot rule is Dantzig's, falling back to Bland's after a bounded number
-of iterations, so every solve terminates and identical inputs give
-bit-identical outputs. After the tableau reports optimality, the primal
-point, dual values, and reduced costs are recomputed from the final basis
-and the set of variables at their upper bounds, with a fresh
-factorization and one step of iterative refinement to keep residuals
-tight; a negative reduced cost there rebuilds the tableau from that basis
-and phase 2 goes on.
+0. GE rows are negated into `<=` rows, every inequality row gets a slack
+and every EQ row an artificial with upper bound 0, so the column layout
+depends only on the matrix, the relations and which bounds are finite,
+and a basis of one program means the same in another that differs from
+it only in its bounds. Only columns with an upper bound above 0 are
+priced: fixed variables and artificials never enter (an artificial left
+basic on a redundant row gives that row a dual of 0).
 
-An optimal solution returns its final `Basis`. Given one as `start`, a
-solve skips phase 1, builds the tableau from that basis and restores
-primal feasibility with a bounded dual simplex (Chvátal 1983, ch. 10;
-Koberstein 2005) before phase 2: after a bound is tightened, the old
-optimal basis stays dual feasible and is usually a few pivots from the
-new optimum.
+Every solve starts from a basis: the slack/artificial basis, whose matrix
+is the identity, or the `Basis` given as `start`, which an optimal
+solution returns. The start is made dual feasible: a column with a
+negative reduced cost moves to its upper bound, or, without one, is
+priced at 0 (cost modification, Koberstein 2005). A bounded dual simplex
+then restores primal feasibility, or proves the program infeasible;
+after a bound is tightened, the old optimal basis stays dual feasible and
+is usually a few pivots from the new optimum. Phase 2, a primal simplex
+on the true costs, finishes the solve. Its pivot rule is Dantzig's,
+falling back to Bland's after a bounded number of iterations; the dual
+simplex has no such fallback, and a solve that exceeds its iteration cap
+raises SolverError. Identical inputs give bit-identical outputs. After
+the tableau reports optimality, the primal point, dual values, and
+reduced costs are recomputed from the final basis and the set of
+variables at their upper bounds, with a fresh factorization and one step
+of iterative refinement to keep residuals tight; a negative reduced cost
+there rebuilds the tableau from that basis and phase 2 goes on.
 
 Dual-value convention: the reported dual of an inequality row is the
 nonnegative Lagrange multiplier (for both senses of the objective);
@@ -55,8 +59,9 @@ LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 _PIVOT_TOL = 1e-9
-_FEAS_TOL = 1e-8  # phase-1 infeasibility threshold, scaled by the largest |b| and per row
+_FEAS_TOL = 1e-8  # dual simplex: largest bound violation of x_B, per row relative to max(1, |x_B|)
 _OPT_TOL = 1e-9  # most negative reduced cost still counted as optimal
+_CERTIFY_TOL = 1e-7  # the same after refactorizing: looser, so that its roundoff forces no retry
 _BOUND_TOL = 1e-7  # distance at which check_solution treats x as sitting on a bound
 RESIDUAL_TOL = 1e-8  # certificate: primal, dual and complementarity residuals
 GAP_TOL = 1e-7  # certificate: relative duality gap
@@ -165,9 +170,8 @@ class Basis:
     relations and pattern of finite bounds.
 
     `basic` has one column per row and `at_upper` lists the nonbasic columns held at
-    their upper bounds. Ids number the structural columns, then one slack per
-    inequality row; the next ids, one per row in row order, stand for the rows'
-    artificials.
+    their upper bounds. Ids are the solver's columns: the structural ones, then one
+    slack per inequality row and one artificial per EQ row, each in row order.
     """
 
     basic: np.ndarray
@@ -292,6 +296,8 @@ def _dual_simplex(
 
     Returns True once every basic variable is within its bounds, False when the
     program is infeasible: a violated row that no priced column can repair.
+    There is no anti-cycling rule: a solve that cycles here ends at `max_iter`
+    with SolverError.
     """
     priced = ub > 0.0
     for _ in range(max_iter):
@@ -319,9 +325,12 @@ class _Transform:
 
     Per variable: a finite lower bound gives `x = lower + t` (with `ub = 0`
     when the variable is fixed); only a finite upper bound gives the mirrored
-    `x = upper - t`; a free variable gives `x = t_plus - t_minus`. Columns
-    keep the variables' order, then come one slack per inequality row and
-    the artificials of the rows whose slack cannot start basic.
+    `x = upper - t`; a free variable gives `x = t_plus - t_minus`. Each GE row
+    is negated into a `<=` row, whatever the sign of its rhs. Columns keep the
+    variables' order, then come one +1 slack per inequality row and one
+    artificial per EQ row, each in row order; an artificial has `ub = 0`. The
+    slacks and artificials form the cold-start basis, whose matrix is the
+    identity.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -345,66 +354,46 @@ class _Transform:
         self.var_neg = self.var_main[self.free_src] + 1
         n_struct = int(width.sum())
 
-        b = lp.rhs - a @ self.offset
-        self.row_flip = np.where(b < 0, -1.0, 1.0)
-        relations = lp.relations
-        le = np.where(self.row_flip < 0, relations == GE, relations == LE)
-        slack_rows = np.flatnonzero(relations != EQ)
-        art_rows = np.flatnonzero(~le)
-        n_slack, n_art = slack_rows.size, art_rows.size
-        self.n_real = n_struct + n_slack
+        self.row_flip = np.where(lp.relations == GE, -1.0, 1.0)
+        inequality = lp.relations != EQ
+        n_real = n_struct + int(inequality.sum())
+        # each row's unit column: the slacks, then the artificials, each in row order
+        self.basis = np.empty(m, dtype=int)
+        self.basis[inequality] = np.arange(n_struct, n_real)
+        self.basis[~inequality] = np.arange(n_real, n_struct + m)
 
-        a_full = np.zeros((m, self.n_real + n_art))
+        a_full = np.zeros((m, n_struct + m))
         a_full[:, self.var_main] = a * self.col_sign
         a_full[:, self.var_neg] = -a[:, self.free_src]
         a_full[:, :n_struct] *= self.row_flip[:, None]
-        slack_cols = n_struct + np.arange(n_slack)
-        slack_le = le[slack_rows]
-        a_full[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
-        art_cols = self.n_real + np.arange(n_art)
-        a_full[art_rows, art_cols] = 1.0
-        self.art_rows = art_rows
-        self.basis = np.empty(m, dtype=int)
-        self.basis[slack_rows[slack_le]] = slack_cols[slack_le]
-        self.basis[art_rows] = art_cols
-        # the column standing for row r's artificial in a start basis: its own
-        # artificial, or, on a row that has none, its slack (the same unit column)
-        self.stand_in = np.empty(m, dtype=int)
-        self.stand_in[slack_rows] = slack_cols
-        self.stand_in[art_rows] = art_cols
+        a_full[np.arange(m), self.basis] = 1.0
 
-        self.costs = np.zeros(self.n_real)
+        self.costs = np.zeros(a_full.shape[1])
         self.costs[self.var_main] = c * self.col_sign
         self.costs[self.var_neg] = -c[self.free_src]
         self.ub = np.full(a_full.shape[1], np.inf)
         boxed = np.flatnonzero(has_lo & has_hi)
         self.ub[self.var_main[boxed]] = hi[boxed] - lo[boxed]
+        self.ub[n_real:] = 0.0
         self.a_full = a_full
-        self.b = b * self.row_flip
+        self.b = (lp.rhs - a @ self.offset) * self.row_flip
 
     def primal_from(self, t_values: np.ndarray) -> np.ndarray:
         x = self.offset + self.col_sign * t_values[self.var_main]
         x[self.free_src] -= t_values[self.var_neg]
         return x
 
-    def basis_of(self, basis: np.ndarray, at_ub: np.ndarray) -> Basis:
-        """`basis` and `at_ub` with each artificial named by its row (see `Basis`)."""
-        ids = basis.copy()
-        art = ids >= self.n_real
-        ids[art] = self.n_real + self.art_rows[ids[art] - self.n_real]
-        return Basis(basic=ids, at_upper=at_ub[at_ub < self.n_real])
-
     def basis_from(self, start: Basis) -> tuple[np.ndarray, np.ndarray]:
         """Tableau basis and at-upper columns of `start`; ConfigError if it does not fit."""
-        m, n = self.b.size, self.n_real
+        m, n = self.a_full.shape
         basic = np.asarray(start.basic, dtype=int)
         at_upper = np.asarray(start.at_upper, dtype=int)
+        ids = np.concatenate([basic, at_upper])
         fits = (
             basic.shape == (m,)
             and at_upper.ndim == 1
-            and ((0 <= basic) & (basic < n + m)).all()
-            and ((0 <= at_upper) & (at_upper < n)).all()
-            and np.unique(np.concatenate([basic, at_upper])).size == m + at_upper.size
+            and ((0 <= ids) & (ids < n)).all()
+            and np.unique(ids).size == ids.size
         )
         if not fits:
             raise ConfigError("start basis does not fit this program's columns")
@@ -413,25 +402,31 @@ class _Transform:
             raise ConfigError(
                 f"start basis holds column {int(unbounded[0])} at an infinite upper bound"
             )
-        art = basic >= n
-        basis = basic.copy()
-        basis[art] = self.stand_in[basic[art] - n]
-        return basis, at_upper
+        return basic.copy(), at_upper
 
 
-def _load_tableau(tableau, tr: _Transform, ub, costs, basis, at_ub) -> None:
-    """Write B⁻¹A, x_B and the reduced costs of `basis` into `tableau`, with the `at_ub`
-    columns at their upper bounds and held complemented: the one place a tableau is
-    built from a basis."""
+def _price(tableau, costs, basis, flipped, ub) -> None:
+    """Write the reduced costs and the objective of `basis` into the tableau's cost row,
+    with each `flipped` column held complemented."""
     m = basis.size
-    rhs = tr.b - tr.a_full[:, at_ub] @ ub[at_ub]
+    held = np.where(flipped, -costs, costs)  # the cost of each column as the tableau holds it
+    tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
+    tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
+
+
+def _load_tableau(tableau, tr: _Transform, basis, flipped) -> None:
+    """Write B⁻¹A, x_B and the reduced costs of `basis` into `tableau`, with the nonbasic
+    `flipped` columns at their upper bounds and held complemented: the one place a
+    tableau is built from a factorized basis."""
+    m = basis.size
+    at_ub = np.flatnonzero(flipped)
+    rhs = tr.b - tr.a_full[:, at_ub] @ tr.ub[at_ub]
     try:
         tableau[:m] = np.linalg.solve(tr.a_full[:, basis], np.column_stack([tr.a_full, rhs]))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular basis matrix: {exc}") from exc
-    tableau[-1, :-1] = costs - costs[basis] @ tableau[:m, :-1]
-    tableau[-1, -1] = -float(costs[basis] @ tableau[:m, -1] + costs[at_ub] @ ub[at_ub])
-    tableau[:, at_ub] *= -1.0
+    tableau[:m, at_ub] *= -1.0
+    _price(tableau, tr.costs, basis, flipped, tr.ub)
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
@@ -440,50 +435,41 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     Optimal solutions carry duals, reduced costs, a residual certificate and
     their final basis. With `start` (the basis of a program that differs from
     this one only in its bounds, none of its at-upper columns unbounded here)
-    the solve runs from that basis instead of from phase 1. Raises SolverError
-    on iteration blow-up or on a basis too ill-conditioned to certify, and
-    ConfigError on a `start` that does not fit.
+    the solve runs from that basis instead of from the slack basis. Raises
+    SolverError on iteration blow-up or on a basis too ill-conditioned to
+    certify, and ConfigError on a `start` that does not fit.
     """
     tr = _Transform(lp)
     m, n_total = tr.a_full.shape
-    n = tr.n_real
+    ub, costs = tr.ub, tr.costs
     bland_after = 5 * (m + n_total)
     max_iter = 200 * (m + n_total) + 2000
-    costs = np.pad(tr.costs, (0, n_total - n))
-    ub = tr.ub.copy()
-    ub[n:] = 0.0  # phase 2 keeps the artificials fixed at zero
     flipped = np.zeros(n_total, dtype=bool)
     tableau = np.zeros((m + 1, n_total + 1))
 
     if start is None:
-        # phase 1 minimises the sum of the artificials; with none, the start is optimal
-        basis = tr.basis.copy()
-        tableau[:m, :n_total] = tr.a_full
+        basis = tr.basis.copy()  # B = I: the tableau is [A | b] as built
+        tableau[:m, :-1] = tr.a_full
         tableau[:m, -1] = tr.b
-        tableau[-1, n:n_total] = 1.0
-        tableau[-1] -= tableau[:m][basis >= n].sum(axis=0)
-        status = _run_simplex(tableau, basis, tr.ub, flipped, bland_after, max_iter)
-        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-            raise SolverError("phase-1 simplex reported unbounded")
-        scale = max(1.0, float(np.abs(tr.b).max(initial=0.0)))
-        # and each basic artificial against its own row's |b|, so that one large rhs
-        # (a 1e6 J HAP budget) cannot hide a row with rhs 1 that is still off by 1e-2
-        art = np.flatnonzero(basis >= n)
-        own_scale = np.maximum(1.0, np.abs(tr.b[tr.art_rows[basis[art] - n]]))
-        if -tableau[-1, -1] > _FEAS_TOL * scale * 10.0 or (
-            tableau[art, -1] > _FEAS_TOL * own_scale * 10.0
-        ).any():
-            return LpSolution(status=LpStatus.INFEASIBLE)
-        held = np.where(flipped, -costs, costs)  # the cost of each column as the tableau holds it
-        tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
-        tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
+        _price(tableau, costs, basis, flipped, ub)
     else:
         basis, at_ub = tr.basis_from(start)
         flipped[at_ub] = True
-        _load_tableau(tableau, tr, ub, costs, basis, at_ub)
-        if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
-            return LpSolution(status=LpStatus.INFEASIBLE)
-    tol = max(_OPT_TOL * 100.0, 1e-7)
+        _load_tableau(tableau, tr, basis, flipped)
+
+    # make the start dual feasible: a column priced below zero moves to its upper
+    # bound or, with none, is priced at 0 until the dual simplex ends (cost
+    # modification, Koberstein 2005)
+    negative = np.flatnonzero((ub > 0.0) & (tableau[-1, :-1] < -_OPT_TOL))
+    for col in negative[np.isfinite(ub[negative])]:
+        _flip(tableau, ub, flipped, col)
+    modified = negative[~np.isfinite(ub[negative])]
+    tableau[-1, modified] = 0.0
+    # primal feasibility does not depend on the costs: False means INFEASIBLE either way
+    if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
+        return LpSolution(status=LpStatus.INFEASIBLE)
+    if modified.size:
+        _price(tableau, costs, basis, flipped, ub)
 
     for _attempt in range(6):
         status = _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter)
@@ -502,10 +488,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         y = np.linalg.solve(matrix_b.T, costs[basis])
         y += np.linalg.solve(matrix_b.T, costs[basis] - matrix_b.T @ y)
         reduced = costs - y @ tr.a_full
-        if np.where(flipped, -reduced, reduced)[ub > 0.0].min(initial=0.0) >= -tol:
+        if np.where(flipped, -reduced, reduced)[ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
             break
         # roundoff fooled the tableau: rebuild it from the certified basis
-        _load_tableau(tableau, tr, ub, costs, basis, at_ub)
+        _load_tableau(tableau, tr, basis, flipped)
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
 
@@ -530,7 +516,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         objective_value=objective_value,
         duals=duals,
         reduced_costs=reduced_orig,
-        basis=tr.basis_of(basis, at_ub),
+        basis=Basis(basic=basis, at_upper=at_ub),
     )
     return replace(solution, certificate=check_solution(lp, solution))
 

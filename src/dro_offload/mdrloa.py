@@ -4,9 +4,9 @@ The main routine follows the greedy scheme of the source algorithm: fix
 the worst-case distributions, solve the LP relaxation, then repeatedly
 branch on the most fractional access variable, keep the cheaper child,
 and never backtrack; afterwards repeat for the compute variables. The
-root LP is solved cold; each child differs from the LP it branches from
-by its fixings only, so it is re-optimised from that LP's final basis
-with the dual simplex. The decision is read from the last LP, whose x is
+root LP starts from the slack basis; each child differs from the LP it
+branches from by its fixings only, so it starts from that LP's final
+basis, which stays dual feasible. The decision is read from the last LP, whose x is
 integral. Because the dive is greedy, optimality is measured against the
 exhaustive oracle rather than assumed: it enumerates the integral points
 of the same P2 and keeps the cheapest one that meets every row, so the

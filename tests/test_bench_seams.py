@@ -4,7 +4,8 @@ perfbench times the program by replacing module globals (`spans.PATCH_POINTS`)
 and checks root LPs against HiGHS through the `LinearProgram` accessors, so a
 refactor that renames or bypasses one of them breaks the benchmark while the
 rest of this suite stays green. The dive's warm-started children, which
-perfbench never checks, are checked against HiGHS here.
+perfbench never checks, are checked against HiGHS here, and the pivots of
+the dive's LPs are counted.
 """
 
 import dataclasses
@@ -53,7 +54,8 @@ def test_traced_pass_records_every_span(small_cfg):
 def test_highs_objective_matches_solve_lp(name):
     pytest.importorskip("scipy.optimize")
     cfg = load_config(PERFBENCH / "configs" / f"{name}.json")
-    for seed in (1, 2):
+    # perfbench's root oracle skips eval-binding, whose roots have tied optima
+    for seed in range(1, 21) if name == "eval-binding" else (1, 2):
         scenario = generate_scenario(cfg.scenario, seed)
         _, means = worst_case_distributions(build_ambiguity_sets(cfg, seed))
         for sizes in (means, np.full(scenario.num_tds, max(cfg.ambiguity.sample_space().atoms))):
@@ -65,8 +67,8 @@ def test_highs_objective_matches_solve_lp(name):
             assert rel <= checks.ORACLE_RTOL
 
 
-def _eval_binding_seeds_1_to_5():
-    cfg = load_config(PERFBENCH / "configs" / "eval-binding.json")
+def _seeds_1_to_5(name="eval-binding"):
+    cfg = load_config(PERFBENCH / "configs" / f"{name}.json")
     experiment = dataclasses.replace(cfg.experiment, seeds=(1, 2, 3, 4, 5))
     return dataclasses.replace(cfg, experiment=experiment)
 
@@ -81,15 +83,16 @@ def test_traced_pass_forwards_the_warm_start(monkeypatch):
 
     monkeypatch.setattr(mdrloa, "solve_lp", record)  # the tracer wraps this in turn
     with spans.Tracer(capture=True) as tracer:
-        evaluation.compare_methods(_eval_binding_seeds_1_to_5())
+        evaluation.compare_methods(_seeds_1_to_5())
     for decision in tracer.decisions:
         assert len(decision.lps) == decision.lp_count == decision.result.lp_solve_count
     assert len(starts) == sum(len(d.lps) for d in tracer.decisions)
     assert any(starts)
 
 
-def test_warm_dive_children_match_highs(monkeypatch):
-    pytest.importorskip("scipy.optimize")
+@pytest.fixture
+def dive_pivots(monkeypatch):
+    """(program, solution, pivots, warm) of every LP the dive solves, in order."""
     pivots = 0
     pivot = lp_module._pivot
 
@@ -98,19 +101,24 @@ def test_warm_dive_children_match_highs(monkeypatch):
         pivots += 1
         return pivot(*args)
 
-    children = []  # (program, solution, pivots) of every LP solved from a start basis
+    solved = []
     solve = mdrloa.solve_lp
 
     def record(program, **kwargs):
         before = pivots
         solution = solve(program, **kwargs)
-        if kwargs.get("start") is not None:
-            children.append((program, solution, pivots - before))
+        solved.append((program, solution, pivots - before, kwargs.get("start") is not None))
         return solution
 
     monkeypatch.setattr(lp_module, "_pivot", counting)
     monkeypatch.setattr(mdrloa, "solve_lp", record)
-    evaluation.compare_methods(_eval_binding_seeds_1_to_5())
+    return solved
+
+
+def test_warm_dive_children_match_highs(dive_pivots):
+    pytest.importorskip("scipy.optimize")
+    evaluation.compare_methods(_seeds_1_to_5())
+    children = [entry[:3] for entry in dive_pivots if entry[3]]
     statuses = set()
     for program, solution, _ in children:
         reference = checks.highs_objective(program)
@@ -124,3 +132,14 @@ def test_warm_dive_children_match_highs(monkeypatch):
     assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
     # cold, these children took 46.5 pivots each on average
     assert sum(count for *_, count in children) / len(children) <= 10
+
+
+@pytest.mark.parametrize("name", ["eval-default", "eval-binding"])
+def test_cold_roots_take_few_pivots(dive_pivots, name):
+    evaluation.compare_methods(_seeds_1_to_5(name))
+    roots = [count for *_, count, warm in dive_pivots if not warm]
+    assert len(roots) == 15
+    # P2's slack basis is dual feasible (c >= 0, every column boxed), so the dual
+    # simplex alone reaches the optimum; phase 1 on the artificials' sum took 57.8
+    # and 79.7 pivots
+    assert sum(roots) / len(roots) <= 35
