@@ -24,13 +24,7 @@ from .config import RunConfig, default_config, load_config, parse_config
 from .evaluation import EvaluationReport, compare_methods, sweep
 from .lp import LinearProgram, LpSolution, LpStatus, check_solution, solve_lp
 from .mdrloa import SolveResult, do_solve, exhaustive_solve, mdrloa_solve, ro_solve
-from .model import (
-    OffloadDecision,
-    build_p2,
-    expected_energy,
-    expected_latency,
-    worst_case_distributions,
-)
+from .model import OffloadDecision, build_p2, worst_case_distributions
 
 __all__ = [
     "EvaluationReport",
@@ -42,8 +36,6 @@ __all__ = [
     "default_config",
     "do_solve",
     "exhaustive_solve",
-    "expected_energy",
-    "expected_latency",
     "load_config",
     "mdrloa_solve",
     "parse_config",

@@ -3,7 +3,9 @@
 For each seed the harness generates a scenario, samples a task-size
 history from the ground-truth distribution, builds the ambiguity sets,
 solves with every configured method, then draws one fresh realization of
-the task sizes from the truth and scores each decision on it. Results
+the task sizes from the truth and scores each decision on P2 built at
+those sizes: latency is P2's objective, the energies are the activity of
+its energy rows, and a decision is feasible when it meets every row. Results
 are flat rows that serialize to a deterministic CSV: same config and
 seeds means byte-identical output.
 """
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguitySet, empirical_distribution, generate_history
-from .config import RunConfig
-from .errors import InfeasibleProblemError, ShapeError
+from .config import METHODS, RunConfig
+from .errors import ConfigError, InfeasibleProblemError
 from .geometry import Scenario, generate_scenario
 from .mdrloa import (
     METHOD_DO,
@@ -31,7 +33,7 @@ from .mdrloa import (
     mdrloa_solve,
     ro_solve,
 )
-from .model import expected_energy, expected_latency, worst_case_distributions
+from .model import build_p2, energy_use, meets_rows, worst_case_distributions
 
 # independent per-purpose rng streams; geometry owns its own (0x6E0)
 HISTORY_STREAM = 0x415
@@ -58,8 +60,6 @@ CSV_COLUMNS = (
 # row order within one (param, seed) group, and in the summary
 METHOD_ORDER = (METHOD_MDRLOA, METHOD_DO, METHOD_RO, METHOD_EXHAUSTIVE)
 _METHOD_RANK = {m: k for k, m in enumerate(METHOD_ORDER)}
-
-ENERGY_SLACK = 1e-9
 
 
 def draw_realization(config: RunConfig, seed: int) -> np.ndarray:
@@ -111,7 +111,7 @@ def solve_with_method(
     if method == "exhaustive":
         _, means = worst_case_distributions(ambiguity_sets)
         return exhaustive_solve(scenario, means)
-    raise ShapeError(f"unknown method {method!r}")
+    raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,7 @@ def evaluate_seed(
     """Solve every configured method on one seeded instance and score it."""
     scenario = generate_scenario(config.scenario, seed)
     sets = build_ambiguity_sets(config, seed)
-    sizes = draw_realization(config, seed)
-    en = config.scenario.energy
+    p2 = build_p2(scenario, draw_realization(config, seed))
     rows = []
     for method in config.experiment.methods:
         try:
@@ -152,13 +151,10 @@ def evaluate_seed(
             latency = max_uav = hap = math.nan
             ok = False
         else:
-            latency = expected_latency(result.decision, scenario, sizes)
-            uav, hap = expected_energy(result.decision, scenario, sizes)
-            ok = bool(
-                (uav <= en.uav_budget + ENERGY_SLACK).all()
-                and hap <= en.hap_budget + ENERGY_SLACK
-            )
-            max_uav, hap = float(uav.max() - en.uav_basic), hap - en.hap_basic
+            v = result.decision.vector()
+            latency = float(p2.objective @ v)
+            uav, hap = energy_use(p2, result.decision)
+            max_uav, ok = float(uav.max()), bool(meets_rows(p2, v))
         rows.append(
             EvaluationRow(
                 method=METHOD_LABELS[method],

@@ -9,8 +9,9 @@ branches from by its fixings only, so it starts from that LP's final
 basis, which stays dual feasible. The decision is read from the last LP, whose x is
 integral. Because the dive is greedy, optimality is measured against the
 exhaustive oracle rather than assumed: it enumerates the integral points
-of the same P2 and keeps the cheapest one that meets every row, so the
-model's latency and energy formulas live in `model.py` alone.
+of the same P2 and keeps the cheapest one that meets every row. Both
+report P2's objective at their integral point, so the model's latency
+and energy formulas live in `build_p2` alone.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import numpy as np
 from .ambiguity import AmbiguitySet, SampleSpace
 from .errors import InfeasibleProblemError, SizeError, SolverError
 from .geometry import Scenario
-from .lp import EQ, Basis, LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import Basis, LinearProgram, LpSolution, LpStatus, solve_lp
 from .model import (
     INTEGRALITY_TOL,
     OffloadDecision,
     build_p2,
-    expected_latency,
+    meets_rows,
     worst_case_distributions,
 )
 
@@ -96,7 +97,8 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here.
 
     Branch on the access block until it is integral, keep it fixed, then
-    branch on the compute block; the decision is the last LP's rounded x.
+    branch on the compute block; the decision is the last LP's rounded x,
+    scored by P2's objective.
     """
     i, j = scenario.num_tds, scenario.num_uavs
     ij = i * j
@@ -138,7 +140,7 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     decision.validate(scenario)
     return SolveResult(
         decision=decision,
-        worst_case_expected_latency=expected_latency(decision, scenario, means),
+        worst_case_expected_latency=float(base.objective @ decision.vector()),
         relaxation_bound=bound,
         lp_solve_count=count,
         method=method,
@@ -164,10 +166,10 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
     """Enumerate P2's integral points and keep the cheapest one that meets every row.
 
     The points are every access choice (J^I) times every relay-or-compute
-    choice (2^I), in that order, laid out [x, y, z] like P2's columns. A
-    point meets an EQ row within 1e-9 of its rhs and any other row at most
-    1e-9 above it. The first point within 1e-12 relative of the least
-    objective wins, as in the dive. Optimality oracle for small cases.
+    choice (2^I), in that order, laid out [x, y, z] like P2's columns, and
+    each is held to `meets_rows`. The first point within 1e-12 relative of
+    the least objective wins, as in the dive. Optimality oracle for small
+    cases.
     """
     i, j = scenario.num_tds, scenario.num_uavs
     if i > EXHAUSTIVE_MAX_TDS or j > EXHAUSTIVE_MAX_UAVS:
@@ -181,16 +183,14 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
     x = np.repeat(access, len(relay), axis=0)  # (J^I * 2^I, I, J)
     z = x * np.tile(relay, (len(access), 1, 1))
     points = np.concatenate([m.reshape(len(x), -1) for m in (x, x - z, z)], axis=1)
-    excess = points @ lp.matrix.T - lp.rhs
-    meets = np.where(lp.relations == EQ, np.abs(excess), excess) <= 1e-9
-    objective = np.where(meets.all(axis=1), points @ lp.objective, np.inf)
+    objective = np.where(meets_rows(lp, points), points @ lp.objective, np.inf)
     least = objective.min()
     if not np.isfinite(least):
         raise InfeasibleProblemError("no feasible decision exists for this instance")
     k = int(np.argmax(objective <= least + 1e-12 * abs(least)))
     decision = OffloadDecision(*points[k].astype(int).reshape(3, i, j))
     decision.validate(scenario)
-    latency = expected_latency(decision, scenario, mean_sizes)
+    latency = float(objective[k])
     return SolveResult(
         decision=decision,
         worst_case_expected_latency=latency,

@@ -1,8 +1,11 @@
-"""Offloading decision model: expected costs and the LP relaxation P2.
+"""Offloading decision model: the LP relaxation P2, the program's one cost model.
 
 Decision variables per (TD i, UAV j): x (access), y (compute on the
-UAV), z (relay to the HAP). The LP relaxation P2 stacks them as
-[x..., y..., z...] in row-major (i, j) order, 3*I*J variables total.
+UAV), z (relay to the HAP). P2 stacks them as [x..., y..., z...] in
+row-major (i, j) order, 3*I*J columns total (`OffloadDecision.vector`).
+Every decision is scored on P2 itself: its objective is the expected
+latency, its last J + 1 rows give the expected energy above the basic
+costs (`energy_use`), and `meets_rows` is the one rule for meeting its rows.
 
 The worst-case distributions are computed by per-device decomposition:
 every coefficient multiplying a task size in the objective and in the
@@ -24,6 +27,7 @@ from .geometry import Scenario, per_bit_coefficients
 from .lp import EQ, LE, LinearProgram
 
 INTEGRALITY_TOL = 1e-6
+ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,10 @@ class OffloadDecision:
         if not (self.y + self.z == self.x).all():
             raise ShapeError("flow conservation y + z = x violated")
 
+    def vector(self) -> np.ndarray:
+        """The decision as P2's columns: [x, y, z], each in row-major (i, j) order."""
+        return np.concatenate([self.x.ravel(), self.y.ravel(), self.z.ravel()]).astype(float)
+
     def to_dict(self) -> dict:
         return {
             "x": self.x.astype(int).tolist(),
@@ -62,73 +70,25 @@ class OffloadDecision:
         }
 
 
-def _path_cost_matrices(scenario: Scenario):
-    coeffs = per_bit_coefficients(scenario)
-    i, j = scenario.num_tds, scenario.num_uavs
-    access = coeffs.access_delay  # I x J
-    uav_cp = np.broadcast_to(coeffs.uav_compute_delay, (i, j))
-    relay = np.broadcast_to(coeffs.relay_path_delay, (i, j))
-    return coeffs, access, uav_cp, relay
-
-
-def expected_latency(
-    decision, scenario: Scenario, mean_sizes: np.ndarray
-) -> float:
-    """Total expected delay in seconds for an (possibly relaxed) decision.
-
-    mean_sizes[i] is E[phi_i] in bits; with point masses this is exactly
-    the realized latency.
-    """
-    mean_sizes = np.asarray(mean_sizes, dtype=float)
-    if mean_sizes.shape != (scenario.num_tds,):
-        raise ShapeError("mean_sizes must have one entry per TD")
-    _, access, uav_cp, relay = _path_cost_matrices(scenario)
-    per_td = (decision.x * access + decision.y * uav_cp + decision.z * relay).sum(axis=1)
-    return float(mean_sizes @ per_td)
-
-
-def expected_energy(
-    decision, scenario: Scenario, mean_sizes: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Expected energy (per-UAV vector, HAP total) in joules, basics included."""
-    mean_sizes = np.asarray(mean_sizes, dtype=float)
-    if mean_sizes.shape != (scenario.num_tds,):
-        raise ShapeError("mean_sizes must have one entry per TD")
-    coeffs = per_bit_coefficients(scenario)
-    en = scenario.energy
-    weighted_y = mean_sizes[:, None] * decision.y
-    weighted_z = mean_sizes[:, None] * decision.z
-    uav = (
-        en.uav_basic
-        + weighted_z.sum(axis=0) * coeffs.uav_relay_energy
-        + weighted_y.sum(axis=0) * coeffs.uav_compute_energy
-    )
-    hap = en.hap_basic + weighted_z.sum() * coeffs.hap_compute_energy
-    return uav, float(hap)
-
-
 def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     """LP relaxation of the offloading problem for fixed expected sizes.
 
-    Six row blocks, in order: one access link per TD, the UAV access
-    quotas, the HAP quota, flow conservation y + z = x, the UAV energy
-    budgets and the HAP energy budget.
+    The objective is the expected latency in seconds: per bit, access
+    delay on x, UAV compute delay on y and relay-plus-HAP delay on z. Six
+    row blocks, in order: one access link per TD, the UAV access quotas,
+    the HAP quota, flow conservation y + z = x, the UAV energy budgets
+    and the HAP energy budget, both net of the basic costs.
     """
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     if mean_sizes.shape != (scenario.num_tds,):
         raise ShapeError("mean_sizes must have one entry per TD")
-    coeffs, access, uav_cp, relay = _path_cost_matrices(scenario)
+    coeffs = per_bit_coefficients(scenario)
     i, j = scenario.num_tds, scenario.num_uavs
     ij = i * j
     n = 3 * ij
 
-    objective = np.concatenate(
-        [
-            (mean_sizes[:, None] * access).ravel(),
-            (mean_sizes[:, None] * uav_cp).ravel(),
-            (mean_sizes[:, None] * relay).ravel(),
-        ]
-    )
+    delays = (coeffs.access_delay, coeffs.uav_compute_delay, coeffs.relay_path_delay)
+    objective = np.concatenate([(mean_sizes[:, None] * delay).ravel() for delay in delays])
 
     def none(rows):
         return np.zeros((rows, ij))
@@ -168,6 +128,20 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
         lower=np.zeros(n),
         upper=np.ones(n),
     )
+
+
+def energy_use(p2: LinearProgram, decision: OffloadDecision) -> tuple[np.ndarray, float]:
+    """Activity of P2's energy rows, its last J + 1, at the decision: expected joules
+    above the basic costs, per UAV and at the HAP."""
+    activity = p2.matrix[-(decision.x.shape[1] + 1) :] @ decision.vector()
+    return activity[:-1], float(activity[-1])
+
+
+def meets_rows(p2: LinearProgram, points: np.ndarray) -> np.ndarray:
+    """Whether each point (P2's columns along the last axis) meets every row of P2:
+    an EQ row within ROW_TOL of its rhs, an LE row at most ROW_TOL above it."""
+    excess = points @ p2.matrix.T - p2.rhs
+    return (np.where(p2.relations == EQ, np.abs(excess), excess) <= ROW_TOL).all(axis=-1)
 
 
 def worst_case_distributions(

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests need: an LP built from rows, the
 explicit LP dual, the inverse confidence map, L1 distance and membership
-for distributions, a brute force over offloading decisions, and a pinned
-instance whose dive meets an infeasible child."""
+for distributions, expected latency and energy written from the per-bit
+costs independently of P2, a brute force over offloading decisions, and
+pinned instances whose dive meets an infeasible child or dead-ends."""
 
 import itertools
 import math
@@ -12,7 +13,8 @@ from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
 from dro_offload.config import parse_config
 from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.lp import EQ, GE, LE, LinearProgram
-from dro_offload.model import OffloadDecision, expected_energy, expected_latency
+from dro_offload.geometry import per_bit_coefficients
+from dro_offload.model import OffloadDecision
 
 
 def lp_from_rows(objective, rows=(), **kwargs) -> LinearProgram:
@@ -85,6 +87,33 @@ def point_mass(num_atoms: int, index: int) -> Distribution:
     return Distribution(probs=tuple(probs))
 
 
+def expected_latency(decision, scenario, mean_sizes) -> float:
+    """Total expected delay in seconds of a decision; mean_sizes[i] is E[phi_i] in bits."""
+    coeffs = per_bit_coefficients(scenario)
+    per_td = (
+        decision.x * coeffs.access_delay
+        + decision.y * coeffs.uav_compute_delay
+        + decision.z * coeffs.relay_path_delay
+    ).sum(axis=1)
+    return float(np.asarray(mean_sizes, dtype=float) @ per_td)
+
+
+def expected_energy(decision, scenario, mean_sizes) -> tuple[np.ndarray, float]:
+    """Expected energy (per-UAV vector, HAP total) in joules, basics included."""
+    coeffs = per_bit_coefficients(scenario)
+    en = scenario.energy
+    mean_sizes = np.asarray(mean_sizes, dtype=float)
+    weighted_y = mean_sizes[:, None] * decision.y
+    weighted_z = mean_sizes[:, None] * decision.z
+    uav = (
+        en.uav_basic
+        + weighted_z.sum(axis=0) * coeffs.uav_relay_energy
+        + weighted_y.sum(axis=0) * coeffs.uav_compute_energy
+    )
+    hap = en.hap_basic + weighted_z.sum() * coeffs.hap_compute_energy
+    return uav, float(hap)
+
+
 def feasible_decisions(scenario, mean_sizes):
     """Every decision that passes `validate` and keeps `expected_energy` within both
     budgets (1e-9 J slack), with its `expected_latency`.
@@ -125,3 +154,19 @@ INFEASIBLE_CHILD_REPORTED_OPTIMAL = (
     ),
     415,
 )
+
+
+# the dive fixes P2 columns 1, 4, 7 and 8, then finds both children of column 2
+# infeasible; no integral point of P2 meets every row either
+DIVE_DEAD_END = {
+    "scenario": {
+        "num_tds": 5,
+        "num_uavs": 2,
+        "quota_uav": 3,
+        "quota_hap": 1,
+        "radio": {"ref_gain_uav_hap_db": -10},
+        "energy": {"uav_budget_j": 10},
+    },
+    "ambiguity": {"per_device_history": True, "history_len": 30},
+    "experiment": {"seeds": [34]},
+}

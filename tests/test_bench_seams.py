@@ -8,6 +8,7 @@ perfbench never checks, are checked against HiGHS here, and the pivots of
 the dive's LPs are counted.
 """
 
+import collections
 import dataclasses
 import sys
 from pathlib import Path
@@ -143,3 +144,21 @@ def test_cold_roots_take_few_pivots(dive_pivots, name):
     # simplex alone reaches the optimum; phase 1 on the artificials' sum took 57.8
     # and 79.7 pivots
     assert sum(roots) / len(roots) <= 35
+
+
+@pytest.mark.parametrize("name", ["eval-default", "eval-binding"])
+def test_p2_lps_finish_in_the_dual_simplex(monkeypatch, dive_pivots, name):
+    # the dual simplex ends at P2's optimum: phase 2 runs no ratio test, and the
+    # slack or parent basis needs no column moved to its upper bound to start
+    calls = collections.Counter()
+    for attr in ("_choose_leaving", "_flip"):
+        original = getattr(lp_module, attr)
+
+        def counting(*args, attr=attr, original=original):
+            calls[attr] += 1
+            return original(*args)
+
+        monkeypatch.setattr(lp_module, attr, counting)
+    evaluation.compare_methods(_seeds_1_to_5(name))
+    assert len(dive_pivots) >= 15 and sum(count for *_, count, _ in dive_pivots) > 0
+    assert calls == {}

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dro_offload.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, main
+from helpers import DIVE_DEAD_END
 
 
 @pytest.fixture
@@ -106,6 +107,28 @@ def test_infeasible_exit_3(tmp_path, capsys, method):
     )
     assert main(["solve", "--config", str(cfg), "--method", method]) == EXIT_INFEASIBLE
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.fixture
+def dead_end_path(tmp_path):
+    path = tmp_path / "dead_end.json"
+    path.write_text(json.dumps(DIVE_DEAD_END), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [("dro", "both children infeasible"), ("exhaustive", "no feasible decision exists")],
+)
+def test_dive_dead_end_exit_3(dead_end_path, capsys, method, message):
+    assert main(["solve", "--config", str(dead_end_path), "--method", method]) == EXIT_INFEASIBLE
+    assert message in capsys.readouterr().err
+
+
+def test_dive_dead_end_is_an_infeasible_row(dead_end_path, tmp_path):
+    out = tmp_path / "r"
+    assert main(["evaluate", "--config", str(dead_end_path), "--out", str(out)]) == EXIT_OK
+    assert (out / "results.csv").read_text().splitlines()[1] == "MDRLOA,34,,,,,,false"
 
 
 def test_internal_error_exit_4(cfg_path, tmp_path, monkeypatch, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 import dro_offload
 from dro_offload import evaluation
-from dro_offload.config import default_config, parse_config
+from dro_offload.config import METHODS, default_config, parse_config
+from dro_offload.errors import ConfigError
 from dro_offload.evaluation import (
     CSV_COLUMNS,
     EvaluationReport,
@@ -13,11 +14,12 @@ from dro_offload.evaluation import (
     compare_methods,
     draw_realization,
     evaluate_seed,
+    solve_with_method,
     sweep,
 )
 from dro_offload.geometry import generate_scenario
 from dro_offload.mdrloa import mdrloa_solve
-from dro_offload.model import expected_energy, expected_latency
+from helpers import expected_energy, expected_latency
 
 
 def _cfg(**experiment):
@@ -117,6 +119,14 @@ class TestEvaluateSeed:
         for r in rows:
             assert not r.feasible
             assert math.isnan(r.realized_latency)
+
+
+def test_unknown_method_is_a_config_error():
+    cfg = default_config()
+    scenario = generate_scenario(cfg.scenario, 1)
+    with pytest.raises(ConfigError, match="unknown method 'nope'") as exc:
+        solve_with_method("nope", scenario, build_ambiguity_sets(cfg, 1))
+    assert str(METHODS) in str(exc.value)
 
 
 class TestReport:

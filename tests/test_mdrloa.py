@@ -31,8 +31,13 @@ from dro_offload.mdrloa import (
     ro_solve,
     select_branch,
 )
-from dro_offload.model import expected_energy, expected_latency, worst_case_distributions
-from helpers import INFEASIBLE_CHILD_REPORTED_OPTIMAL, feasible_decisions
+from dro_offload.model import worst_case_distributions
+from helpers import (
+    INFEASIBLE_CHILD_REPORTED_OPTIMAL,
+    expected_energy,
+    expected_latency,
+    feasible_decisions,
+)
 
 SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
 

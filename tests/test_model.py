@@ -10,14 +10,8 @@ from dro_offload.errors import ShapeError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
 from dro_offload.lp import EQ, LE, LinearProgram, LpStatus, solve_lp
-from dro_offload.model import (
-    OffloadDecision,
-    build_p2,
-    expected_energy,
-    expected_latency,
-    worst_case_distributions,
-)
-from helpers import dual_of, lp_from_rows
+from dro_offload.model import OffloadDecision, build_p2, energy_use, worst_case_distributions
+from helpers import dual_of, expected_energy, expected_latency, feasible_decisions, lp_from_rows
 
 SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
 
@@ -70,6 +64,8 @@ class TestOffloadDecision:
 
 
 class TestExpectedCosts:
+    """Hand values of P2's objective (expected latency) and energy rows."""
+
     def test_latency_hand_value(self):
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
         coeffs = per_bit_coefficients(sc)
@@ -79,7 +75,7 @@ class TestExpectedCosts:
             sizes
             @ (1.0 / sc.rate_td_uav[:, 0] + coeffs.uav_compute_delay[0] * np.ones(2))
         )
-        assert expected_latency(d, sc, sizes) == pytest.approx(expected, rel=1e-12)
+        assert build_p2(sc, sizes).objective @ d.vector() == pytest.approx(expected, rel=1e-12)
 
     def test_relay_latency_uses_relay_path(self):
         sc = _scenario(num_tds=1, num_uavs=1, quota_uav=1)
@@ -87,8 +83,8 @@ class TestExpectedCosts:
         x = np.array([[1]])
         relay = OffloadDecision(x=x, y=np.zeros_like(x), z=x.copy())
         local = OffloadDecision(x=x, y=x.copy(), z=np.zeros_like(x))
-        sizes = np.array([1e6])
-        gap = expected_latency(relay, sc, sizes) - expected_latency(local, sc, sizes)
+        objective = build_p2(sc, np.array([1e6])).objective
+        gap = objective @ relay.vector() - objective @ local.vector()
         assert gap == pytest.approx(
             1e6 * (coeffs.relay_path_delay[0] - coeffs.uav_compute_delay[0]), rel=1e-12
         )
@@ -97,11 +93,36 @@ class TestExpectedCosts:
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
         coeffs = per_bit_coefficients(sc)
         sizes = np.array([1e6, 2e6])
-        d = _all_local(2, 2)
-        uav, hap = expected_energy(d, sc, sizes)
+        uav, hap = energy_use(build_p2(sc, sizes), _all_local(2, 2))
         assert uav[0] == pytest.approx(3e6 * coeffs.uav_compute_energy[0], rel=1e-12)
         assert uav[1] == pytest.approx(0.0, abs=1e-15)
         assert hap == pytest.approx(0.0, abs=1e-15)
+
+    def test_relay_energy_hand_value(self):
+        # TD 1 relays through UAV 1: the UAV pays for the relay link, the HAP computes
+        sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2, quota_hap=1)
+        coeffs = per_bit_coefficients(sc)
+        sizes = np.array([1e6, 2e6])
+        x = np.eye(2, dtype=int)
+        z = np.array([[0, 0], [0, 1]])
+        uav, hap = energy_use(build_p2(sc, sizes), OffloadDecision(x=x, y=x - z, z=z))
+        assert uav[0] == pytest.approx(1e6 * coeffs.uav_compute_energy[0], rel=1e-12)
+        assert uav[1] == pytest.approx(2e6 * coeffs.uav_relay_energy[1], rel=1e-12)
+        assert hap == pytest.approx(2e6 * coeffs.hap_compute_energy, rel=1e-12)
+
+    def test_p2_agrees_with_the_formulas_on_every_decision(self):
+        sc = _scenario(num_tds=4, num_uavs=2, quota_uav=4, quota_hap=4, seed=7)
+        sizes = np.array([3e6, 27e6, 9e6, 21e6])
+        p2 = build_p2(sc, sizes)
+        en = sc.energy
+        decisions = list(feasible_decisions(sc, sizes))
+        assert len(decisions) == 2**4 * 2**4
+        for d, latency in decisions:
+            assert p2.objective @ d.vector() == pytest.approx(latency, rel=1e-12)
+            uav, hap = energy_use(p2, d)
+            want_uav, want_hap = expected_energy(d, sc, sizes)
+            np.testing.assert_allclose(uav, want_uav - en.uav_basic, rtol=1e-12, atol=0)
+            assert hap == pytest.approx(want_hap - en.hap_basic, rel=1e-12, abs=0)
 
 
 class TestP2:
