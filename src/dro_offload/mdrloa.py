@@ -2,16 +2,17 @@
 
 The main routine follows the greedy scheme of the source algorithm: fix
 the worst-case distributions, solve the LP relaxation, then repeatedly
-branch on the most fractional access variable, keep the cheaper child,
-and never backtrack; afterwards repeat for the compute variables. The
-root LP starts from the slack basis; each child differs from the LP it
-branches from by its fixings only, so it starts from that LP's final
-basis, which stays dual feasible. The decision is read from the last LP, whose x is
-integral. Because the dive is greedy, optimality is measured against the
+branch on the most fractional access entry x = y + z (the x = 0 child
+closes that link, y = z = 0, the x = 1 child the TD's other links), keep
+the cheaper child, and never backtrack; afterwards repeat for the compute
+variables y. The root LP starts from the slack basis; each child differs
+from the LP it branches from by its fixings only, so it starts from that
+LP's final basis, which stays dual feasible. The decision is read from the
+last LP. Because the dive is greedy, optimality is measured against the
 exhaustive oracle rather than assumed: it enumerates the integral points
-of the same P2 and keeps the cheapest one that meets every row. Both
-report P2's objective at their integral point, so the model's latency
-and energy formulas live in `build_p2` alone.
+of the same P2 and keeps the cheapest one that meets every row. Both report
+P2's objective at their integral point, so the model's latency and energy
+formulas live in `build_p2` alone.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from .ambiguity import AmbiguitySet, SampleSpace
 from .errors import InfeasibleProblemError, SizeError, SolverError
 from .geometry import Scenario
 from .lp import Basis, LinearProgram, LpSolution, LpStatus, solve_lp
-from .model import (
-    INTEGRALITY_TOL,
-    OffloadDecision,
-    build_p2,
-    meets_rows,
-    worst_case_distributions,
-)
+from .model import INTEGRALITY_TOL, OffloadDecision, build_p2, meets_rows, worst_case_distributions
 
 METHOD_MDRLOA = "MDRLOA"
 METHOD_DO = "DO"
@@ -93,12 +88,16 @@ def _solve_fixed(
     return solution
 
 
+def _closed(links: list[int], ij: int) -> dict[int, float]:
+    """Fixings that close the given links (row-major (i, j) indices): y = z = 0."""
+    return dict.fromkeys(links + [link + ij for link in links], 0.0)
+
+
 def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here.
 
-    Branch on the access block until it is integral, keep it fixed, then
-    branch on the compute block; the decision is the last LP's rounded x,
-    scored by P2's objective.
+    Branch on x = y + z until it is integral, keep it fixed, then branch on
+    y; the decision is the last LP's rounded [y, z], scored by P2's objective.
     """
     i, j = scenario.num_tds, scenario.num_uavs
     ij = i * j
@@ -113,30 +112,35 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
         )
     bound = current.objective_value
 
-    for offset in (0, ij):  # access block first, then compute block
-        while (pick := select_branch(current.x[offset : offset + ij].reshape(i, j))) is not None:
-            col = offset + pick[0] * j + pick[1]
-            children = [
-                _solve_fixed(base, {**fixed, col: value}, current.basis) for value in (0.0, 1.0)
-            ]
+    # the access phase branches on x = y + z, the sum of both blocks; compute on y
+    for phase, blocks in (("access", 2), ("compute", 1)):
+        while (pick := select_branch(current.x.reshape(2, i, j)[:blocks].sum(axis=0))) is not None:
+            col = pick[0] * j + pick[1]
+            if phase == "compute":
+                branches = ({col: 0.0}, {col: 1.0})
+            else:  # x = 0 closes the link, x = 1 the TD's other links
+                others = [c for c in range(pick[0] * j, pick[0] * j + j) if c != col]
+                branches = (_closed([col], ij), _closed(others, ij))
+            children = [_solve_fixed(base, {**fixed, **fix}, current.basis) for fix in branches]
             count += 2
             lat0, lat1 = (
                 c.objective_value if c.status is LpStatus.OPTIMAL else np.inf for c in children
             )
             if not np.isfinite(lat0) and not np.isfinite(lat1):
                 raise InfeasibleProblemError(
-                    f"both children infeasible after fixings {sorted(fixed.items())} "
-                    f"at variable column {col}"
+                    f"both children infeasible in the {phase} phase at TD {pick[0]}, "
+                    f"UAV {pick[1]}, with {len(fixed)} fixed columns"
                 )
             # objectives within 1e-12 relative tie, and ties go to 1
             chosen = 1 if lat1 <= lat0 + 1e-12 * max(1.0, abs(lat0)) else 0
-            fixed[col] = float(chosen)
+            fixed.update(branches[chosen])
             current = children[chosen]
-        # every later child keeps the block at its integral values
-        block = np.rint(current.x[offset : offset + ij]).tolist()
-        fixed.update(zip(range(offset, offset + ij), block))
+        # every later child keeps x at its integral values: the unused links stay closed
+        x = np.rint(current.x[:ij] + current.x[ij:])
+        fixed.update(_closed(np.flatnonzero(x == 0).tolist(), ij))
 
-    decision = OffloadDecision(*np.rint(current.x).astype(int).reshape(3, i, j))
+    y, z = np.rint(current.x).astype(int).reshape(2, i, j)
+    decision = OffloadDecision(x=y + z, y=y, z=z)
     decision.validate(scenario)
     return SolveResult(
         decision=decision,
@@ -166,7 +170,7 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
     """Enumerate P2's integral points and keep the cheapest one that meets every row.
 
     The points are every access choice (J^I) times every relay-or-compute
-    choice (2^I), in that order, laid out [x, y, z] like P2's columns, and
+    choice (2^I), in that order, laid out [x - z, z] like P2's columns, and
     each is held to `meets_rows`. The first point within 1e-12 relative of
     the least objective wins, as in the dive. Optimality oracle for small
     cases.
@@ -182,13 +186,13 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
     relay = np.array(list(itertools.product((0, 1), repeat=i)))[:, :, None]
     x = np.repeat(access, len(relay), axis=0)  # (J^I * 2^I, I, J)
     z = x * np.tile(relay, (len(access), 1, 1))
-    points = np.concatenate([m.reshape(len(x), -1) for m in (x, x - z, z)], axis=1)
+    points = np.concatenate([m.reshape(len(x), -1) for m in (x - z, z)], axis=1)
     objective = np.where(meets_rows(lp, points), points @ lp.objective, np.inf)
     least = objective.min()
     if not np.isfinite(least):
         raise InfeasibleProblemError("no feasible decision exists for this instance")
     k = int(np.argmax(objective <= least + 1e-12 * abs(least)))
-    decision = OffloadDecision(*points[k].astype(int).reshape(3, i, j))
+    decision = OffloadDecision(*(m[k].astype(int) for m in (x, x - z, z)))
     decision.validate(scenario)
     latency = float(objective[k])
     return SolveResult(

@@ -1,8 +1,9 @@
 """Offloading decision model: the LP relaxation P2, the program's one cost model.
 
 Decision variables per (TD i, UAV j): x (access), y (compute on the
-UAV), z (relay to the HAP). P2 stacks them as [x..., y..., z...] in
-row-major (i, j) order, 3*I*J columns total (`OffloadDecision.vector`).
+UAV), z (relay to the HAP), with y + z = x. P2 substitutes x out: its
+columns are [y..., z...] in row-major (i, j) order, 2*I*J in total
+(`OffloadDecision.vector`), and every row that x enters carries y + z.
 Every decision is scored on P2 itself: its objective is the expected
 latency, its last J + 1 rows give the expected energy above the basic
 costs (`energy_use`), and `meets_rows` is the one rule for meeting its rows.
@@ -59,8 +60,8 @@ class OffloadDecision:
             raise ShapeError("flow conservation y + z = x violated")
 
     def vector(self) -> np.ndarray:
-        """The decision as P2's columns: [x, y, z], each in row-major (i, j) order."""
-        return np.concatenate([self.x.ravel(), self.y.ravel(), self.z.ravel()]).astype(float)
+        """The decision as P2's columns: [y, z], each in row-major (i, j) order."""
+        return np.concatenate([self.y.ravel(), self.z.ravel()]).astype(float)
 
     def to_dict(self) -> dict:
         return {
@@ -73,11 +74,11 @@ class OffloadDecision:
 def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     """LP relaxation of the offloading problem for fixed expected sizes.
 
-    The objective is the expected latency in seconds: per bit, access
-    delay on x, UAV compute delay on y and relay-plus-HAP delay on z. Six
-    row blocks, in order: one access link per TD, the UAV access quotas,
-    the HAP quota, flow conservation y + z = x, the UAV energy budgets
-    and the HAP energy budget, both net of the basic costs.
+    The objective is the expected latency in seconds: per bit, access plus
+    UAV compute delay on y and access plus relay-and-HAP delay on z. Five
+    row blocks, in order: one access link per TD, the UAV access quotas
+    (both on y + z), the HAP quota, the UAV energy budgets and the HAP
+    energy budget, both net of the basic costs.
     """
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     if mean_sizes.shape != (scenario.num_tds,):
@@ -85,48 +86,43 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     coeffs = per_bit_coefficients(scenario)
     i, j = scenario.num_tds, scenario.num_uavs
     ij = i * j
-    n = 3 * ij
+    sized = mean_sizes[:, None]
+    access = sized * coeffs.access_delay
+    delays = (coeffs.uav_compute_delay, coeffs.relay_path_delay)
+    objective = np.concatenate([(access + sized * delay).ravel() for delay in delays])
 
-    delays = (coeffs.access_delay, coeffs.uav_compute_delay, coeffs.relay_path_delay)
-    objective = np.concatenate([(mean_sizes[:, None] * delay).ravel() for delay in delays])
-
-    def none(rows):
-        return np.zeros((rows, ij))
-
-    eye_ij = np.eye(ij)
+    none = np.zeros((1, ij))
+    per_td = np.kron(np.eye(i), np.ones(j))
+    per_uav = np.kron(np.ones(i), np.eye(j))
     # row j, column (i, j'): E[phi_i] when j' == j, else 0
     size_on_uav = np.kron(mean_sizes, np.eye(j))
     en = scenario.energy
-    blocks = (  # (x, y, z) coefficients, relation, rhs
-        (np.kron(np.eye(i), np.ones(j)), none(i), none(i), EQ, 1.0),  # access
-        (np.kron(np.ones(i), np.eye(j)), none(j), none(j), LE, float(scenario.quota_uav)),
-        (none(1), none(1), np.ones((1, ij)), LE, float(scenario.quota_hap)),
-        # flow; -I written with +0.0, not -0.0, off the diagonal
-        (np.diag(np.full(ij, -1.0)), eye_ij, eye_ij, EQ, 0.0),
+    blocks = (  # (y, z) coefficients, relation, rhs
+        (per_td, per_td, EQ, 1.0),  # access
+        (per_uav, per_uav, LE, float(scenario.quota_uav)),
+        (none, np.ones((1, ij)), LE, float(scenario.quota_hap)),
         (  # UAV energy
-            none(j),
             size_on_uav * coeffs.uav_compute_energy[:, None],
             size_on_uav * coeffs.uav_relay_energy[:, None],
             LE,
             en.uav_budget - en.uav_basic,
         ),
         (  # HAP energy
-            none(1),
-            none(1),
+            none,
             np.repeat(mean_sizes * coeffs.hap_compute_energy, j)[None, :],
             LE,
             en.hap_budget - en.hap_basic,
         ),
     )
-    x, y, z, relations, rhs = zip(*blocks)
-    rows = [len(block) for block in x]
+    y, z, relations, rhs = zip(*blocks)
+    rows = [len(block) for block in y]
     return LinearProgram(
         objective,
-        np.hstack([np.vstack(x), np.vstack(y), np.vstack(z)]),
+        np.hstack([np.vstack(y), np.vstack(z)]),
         np.repeat(relations, rows),
         np.repeat(rhs, rows),
-        lower=np.zeros(n),
-        upper=np.ones(n),
+        lower=np.zeros(2 * ij),
+        upper=np.ones(2 * ij),
     )
 
 

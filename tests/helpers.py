@@ -1,9 +1,11 @@
 """Reference helpers that only the tests need: an LP built from rows, the
 explicit LP dual, the inverse confidence map, L1 distance and membership
 for distributions, expected latency and energy written from the per-bit
-costs independently of P2, a brute force over offloading decisions, and
-pinned instances whose dive meets an infeasible child or dead-ends."""
+costs independently of P2, P2 as it was before x was substituted out, a
+brute force over offloading decisions, and pinned instances whose dive
+meets an infeasible child or dead-ends."""
 
+import dataclasses
 import itertools
 import math
 
@@ -114,6 +116,70 @@ def expected_energy(decision, scenario, mean_sizes) -> tuple[np.ndarray, float]:
     return uav, float(hap)
 
 
+def build_p2_with_flow(scenario, mean_sizes) -> LinearProgram:
+    """P2 with its access columns x kept: columns [x, y, z], I(J + 1) + 2J + 2 rows.
+
+    Six row blocks, in order: access on x, UAV quotas on x, the HAP quota,
+    flow conservation y + z = x, the UAV energy budgets and the HAP energy
+    budget. Its optimum over any bounds on y and z equals `build_p2`'s.
+    """
+    mean_sizes = np.asarray(mean_sizes, dtype=float)
+    coeffs = per_bit_coefficients(scenario)
+    i, j = scenario.num_tds, scenario.num_uavs
+    ij = i * j
+    n = 3 * ij
+
+    delays = (coeffs.access_delay, coeffs.uav_compute_delay, coeffs.relay_path_delay)
+    objective = np.concatenate([(mean_sizes[:, None] * delay).ravel() for delay in delays])
+
+    def none(rows):
+        return np.zeros((rows, ij))
+
+    eye_ij = np.eye(ij)
+    size_on_uav = np.kron(mean_sizes, np.eye(j))
+    en = scenario.energy
+    blocks = (  # (x, y, z) coefficients, relation, rhs
+        (np.kron(np.eye(i), np.ones(j)), none(i), none(i), EQ, 1.0),
+        (np.kron(np.ones(i), np.eye(j)), none(j), none(j), LE, float(scenario.quota_uav)),
+        (none(1), none(1), np.ones((1, ij)), LE, float(scenario.quota_hap)),
+        # flow; -I written with +0.0, not -0.0, off the diagonal
+        (np.diag(np.full(ij, -1.0)), eye_ij, eye_ij, EQ, 0.0),
+        (
+            none(j),
+            size_on_uav * coeffs.uav_compute_energy[:, None],
+            size_on_uav * coeffs.uav_relay_energy[:, None],
+            LE,
+            en.uav_budget - en.uav_basic,
+        ),
+        (
+            none(1),
+            none(1),
+            np.repeat(mean_sizes * coeffs.hap_compute_energy, j)[None, :],
+            LE,
+            en.hap_budget - en.hap_basic,
+        ),
+    )
+    x, y, z, relations, rhs = zip(*blocks)
+    rows = [len(block) for block in x]
+    return LinearProgram(
+        objective,
+        np.hstack([np.vstack(x), np.vstack(y), np.vstack(z)]),
+        np.repeat(relations, rows),
+        np.repeat(rhs, rows),
+        lower=np.zeros(n),
+        upper=np.ones(n),
+    )
+
+
+def with_flow_bounds(p2: LinearProgram, flow: LinearProgram) -> LinearProgram:
+    """`flow` (from `build_p2_with_flow`) with the y and z bounds of `p2` (from `build_p2`)
+    and x bounded by them: lo_y + lo_z <= x <= min(1, up_y + up_z)."""
+    (lo_y, lo_z), (up_y, up_z) = np.split(p2.lower, 2), np.split(p2.upper, 2)
+    lower = np.concatenate([lo_y + lo_z, p2.lower])
+    upper = np.concatenate([np.minimum(1.0, up_y + up_z), p2.upper])
+    return dataclasses.replace(flow, lower=lower, upper=upper)
+
+
 def feasible_decisions(scenario, mean_sizes):
     """Every decision that passes `validate` and keeps `expected_energy` within both
     budgets (1e-9 J slack), with its `expected_latency`.
@@ -137,8 +203,8 @@ def feasible_decisions(scenario, mean_sizes):
 
 
 # all three TDs on UAV 2 need 25.08 J of a 25 J budget; phase 1 once called that child
-# LP feasible and the dive returned it, below its own relaxation bound. Its dive fixes
-# P2 columns 2 and 4 at 0, then meets that child by fixing column 0 at 0.
+# LP feasible and the dive returned it, below its own relaxation bound. Its dive sets
+# x of TDs 1 and 2 at UAV 0 to 0, then meets that child by setting x of TD 0 there to 0.
 INFEASIBLE_CHILD_REPORTED_OPTIMAL = (
     parse_config(
         {
@@ -156,8 +222,8 @@ INFEASIBLE_CHILD_REPORTED_OPTIMAL = (
 )
 
 
-# the dive fixes P2 columns 1, 4, 7 and 8, then finds both children of column 2
-# infeasible; no integral point of P2 meets every row either
+# the dive fixes the access of TDs 0, 2, 3 and 4, then finds both children of its
+# branching on TD 1 infeasible; no integral point of P2 meets every row either
 DIVE_DEAD_END = {
     "scenario": {
         "num_tds": 5,

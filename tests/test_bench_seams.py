@@ -4,8 +4,9 @@ perfbench times the program by replacing module globals (`spans.PATCH_POINTS`)
 and checks root LPs against HiGHS through the `LinearProgram` accessors, so a
 refactor that renames or bypasses one of them breaks the benchmark while the
 rest of this suite stays green. The dive's warm-started children, which
-perfbench never checks, are checked against HiGHS here, and the pivots of
-the dive's LPs are counted.
+perfbench never checks, are checked against HiGHS here, and so is every dive
+LP against P2 with its x columns and flow rows kept. The pivots of the
+dive's LPs are counted.
 """
 
 import collections
@@ -19,6 +20,7 @@ import pytest
 from dro_offload import evaluation, mdrloa
 from dro_offload import lp as lp_module
 from dro_offload.config import load_config
+from dro_offload.errors import InfeasibleProblemError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import LpStatus, solve_lp
@@ -29,6 +31,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import checks  # noqa: E402
 import spans  # noqa: E402
+from helpers import build_p2_with_flow, with_flow_bounds  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -48,7 +51,7 @@ def test_traced_pass_records_every_span(small_cfg):
     assert len(tracer.decisions) == len(report.rows)
     for decision in tracer.decisions:
         assert decision.lp_count == decision.result.lp_solve_count == len(decision.lps)
-    assert tracer.p2_shape == (4 + 2 + 1 + 8 + 2 + 1, 3 * 8)
+    assert tracer.p2_shape == (4 + 2 + 1 + 2 + 1, 2 * 8)
 
 
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
@@ -162,3 +165,46 @@ def test_p2_lps_finish_in_the_dual_simplex(monkeypatch, dive_pivots, name):
     evaluation.compare_methods(_seeds_1_to_5(name))
     assert len(dive_pivots) >= 15 and sum(count for *_, count, _ in dive_pivots) > 0
     assert calls == {}
+
+
+@pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
+def test_every_dive_lp_matches_p2_with_flow_rows(monkeypatch, dive_pivots, name):
+    pytest.importorskip("scipy.optimize")
+    flows = []
+    build = mdrloa.build_p2
+
+    def record(scenario, means):
+        flows.append(build_p2_with_flow(scenario, means))
+        return build(scenario, means)
+
+    monkeypatch.setattr(mdrloa, "build_p2", record)
+    cfg = load_config(PERFBENCH / "configs" / f"{name}.json")
+    checked = collections.Counter()
+    for seed in range(1, 6):
+        scenario = generate_scenario(cfg.scenario, seed)
+        sets = build_ambiguity_sets(cfg, seed)
+        space = sets[0].space
+        for solve in (mdrloa.mdrloa_solve, mdrloa.do_solve, mdrloa.ro_solve):
+            first = len(dive_pivots)
+            try:
+                solve(scenario, sets if solve is mdrloa.mdrloa_solve else space)
+            except InfeasibleProblemError:
+                checked["dead end"] += 1
+            for program, solution, *_ in dive_pivots[first:]:
+                # the same node on P2 with flow rows: y and z bounds as given, x within their sum
+                flow = with_flow_bounds(program, flows[-1])
+                reference = solve_lp(flow)
+                assert reference.status is solution.status
+                highs = [checks.highs_objective(lp) for lp in (program, flow)]
+                checked[solution.status] += 1
+                if solution.status is not LpStatus.OPTIMAL:
+                    assert solution.status is LpStatus.INFEASIBLE and highs == [None, None]
+                    continue
+                assert reference.certificate.ok()
+                ours, theirs = solution.objective_value, reference.objective_value
+                assert abs(ours - theirs) <= 1e-12 * abs(theirs)
+                for value in highs:
+                    assert value is not None
+                    assert abs(ours - value) <= checks.ORACLE_RTOL * max(1.0, abs(value))
+    print(f"{name}: {dict(checked)}")
+    assert checked[LpStatus.OPTIMAL] >= 15

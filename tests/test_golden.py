@@ -16,7 +16,7 @@ from dro_offload.evaluation import compare_methods
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-NAMES = ("eval-default", "eval-binding")
+NAMES = ("eval-default", "eval-binding", "ladder-30x5")
 
 
 def _csv(name: str) -> str:

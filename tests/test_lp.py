@@ -331,10 +331,13 @@ class TestBoundedVariables:
         scenario = generate_scenario(cfg, 1)
         p2 = build_p2(scenario, np.linspace(3e6, 27e6, 30))
         ij = 30 * 5
-        fixings = {i * 5 + (2 * i) % 5: 1.0 for i in range(12)}  # access of TDs 0-11
-        fixings.update({i * 5 + i % 5: 0.0 for i in range(12, 20)})
-        fixings.update({ij + i * 5 + (2 * i) % 5: 0.0 for i in range(3)})  # relay TDs 0-2
-        fixings.update({ij + i * 5 + (2 * i) % 5: 1.0 for i in range(3, 8)})
+        # TDs 0-11 access UAV 2i mod 5: y and z of their other links pinned at 0
+        others = [i * 5 + k for i in range(12) for k in range(5) if k != (2 * i) % 5]
+        fixings = dict.fromkeys(others + [ij + c for c in others], 0.0)
+        # TDs 12-19 do not access UAV i mod 5
+        fixings.update({c: 0.0 for i in range(12, 20) for c in (i * 5 + i % 5, ij + i * 5 + i % 5)})
+        fixings.update({i * 5 + (2 * i) % 5: 0.0 for i in range(3)})  # TDs 0-2 relay
+        fixings.update({i * 5 + (2 * i) % 5: 1.0 for i in range(3, 8)})  # TDs 3-7 compute
         lower, upper = p2.lower.copy(), p2.upper.copy()
         for col, value in fixings.items():
             lower[col] = upper[col] = value

@@ -117,14 +117,30 @@ def _lp_bytes(lp):
     return [getattr(lp, name).tobytes() for name in fields]
 
 
-def _fixings(lp):
-    """{column: value} of every column whose bounds pin it."""
-    return {int(c): float(lp.lower[c]) for c in np.flatnonzero(lp.lower == lp.upper)}
+def _pins(lp, num_uavs):
+    """{(name, td, uav): value} of the x and y entries that the LP's bounds pin.
+
+    y is pinned by its column's bounds. x = y + z is pinned at 0 where y and z
+    both are, and at 1 on a TD's one link left open, by its access row.
+    """
+    ij = lp.num_vars // 2
+    open_links = (lp.upper[:ij] > 0.0) | (lp.upper[ij:] > 0.0)
+    pins = {("x", *divmod(int(c), num_uavs)): 0.0 for c in np.flatnonzero(~open_links)}
+    for td, links in enumerate(open_links.reshape(-1, num_uavs)):
+        if links.sum() == 1:
+            pins[("x", td, int(np.argmax(links)))] = 1.0
+    for c in np.flatnonzero(lp.lower[:ij] == lp.upper[:ij]):
+        pins[("y", *divmod(int(c), num_uavs))] = float(lp.lower[c])
+    return pins
 
 
-def _decision_vector(result):
-    d = result.decision
-    return np.concatenate([d.x.ravel(), d.y.ravel(), d.z.ravel()])
+def _branching(pins0, pins1):
+    """The one entry a pair's two children pin at 0 and at 1; every other entry that
+    they pin apart, or that only one of them pins, is the same TD's, through its access row."""
+    differ = [k for k in pins0.keys() & pins1.keys() if pins0[k] != pins1[k]]
+    [key] = [k for k in differ if (pins0[k], pins1[k]) == (0.0, 1.0)]
+    assert all(k[1] == key[1] for k in [*differ, *(pins0.keys() ^ pins1.keys())])
+    return key
 
 
 # 5x3 with tight access quotas: the dive branches 4 times on access, then 3 times on compute
@@ -187,43 +203,38 @@ class TestDiveLps:
         result = mdrloa_solve(sc, _uniform_sets(10))
         assert result.lp_solve_count == len(dive_lps) == 1
         [(_, root)] = dive_lps
-        np.testing.assert_array_equal(_decision_vector(result), np.rint(root.x))
+        np.testing.assert_array_equal(result.decision.vector(), np.rint(root.x))
 
     def test_a_root_then_one_pair_of_children_per_branching(self, dive_lps):
         result = mdrloa_solve(_binding_scenario(3), _uniform_sets(10, radius=2.0))
         (root_lp, root), children = dive_lps[0], dive_lps[1:]
-        assert _fixings(root_lp) == {} and root.status is LpStatus.OPTIMAL
+        j = result.decision.x.shape[1]
+        assert _pins(root_lp, j) == {} and root.status is LpStatus.OPTIMAL
         branchings = len(children) // 2
         assert branchings > 0 and result.lp_solve_count == len(dive_lps) == 1 + 2 * branchings
-        decision = _decision_vector(result)
         for (lp0, _), (lp1, _) in zip(children[::2], children[1::2]):
-            fix0, fix1 = _fixings(lp0), _fixings(lp1)
-            [col] = [c for c in fix0 if fix0[c] != fix1.get(c)]
-            assert fix0.keys() == fix1.keys() and (fix0[col], fix1[col]) == (0.0, 1.0)
-        # the last pair's chosen child agrees with the decision on its branching column
-        [last] = [sol for lp, sol in children[-2:] if _fixings(lp)[col] == decision[col]]
-        np.testing.assert_array_equal(decision, np.rint(last.x))
+            name, td, uav = key = _branching(_pins(lp0, j), _pins(lp1, j))
+        # the last pair's chosen child agrees with the decision on its branching entry
+        value = getattr(result.decision, name)[td, uav]
+        [last] = [sol for lp, sol in children[-2:] if _pins(lp, j)[key] == value]
+        np.testing.assert_array_equal(result.decision.vector(), np.rint(last.x))
         assert result.worst_case_expected_latency == pytest.approx(last.objective_value, rel=1e-12)
 
     def test_every_lp_after_the_access_phase_fixes_the_access_block(self, dive_lps):
         cfg, seed = _ACCESS_AND_COMPUTE_BRANCHINGS
         scenario = generate_scenario(cfg.scenario, seed)
         result = mdrloa_solve(scenario, build_ambiguity_sets(cfg, seed))
-        ij = scenario.num_tds * scenario.num_uavs
+        i, j = scenario.num_tds, scenario.num_uavs
         pairs = list(zip(dive_lps[1::2], dive_lps[2::2]))
         assert result.lp_solve_count == len(dive_lps) == 1 + 2 * len(pairs)
-        # a pair's branching column is the one its two children fix differently
-        columns = [
-            next(c for c, v in _fixings(lp0).items() if v != _fixings(lp1)[c])
-            for (lp0, _), (lp1, _) in pairs
-        ]
-        access = sum(col < ij for col in columns)
-        assert 0 < access < len(columns) and all(col < ij for col in columns[:access])
-        access_block = _decision_vector(result)[:ij]
+        names = [_branching(_pins(lp0, j), _pins(lp1, j))[0] for (lp0, _), (lp1, _) in pairs]
+        access = names.count("x")
+        assert 0 < access < len(names) and set(names[:access]) == {"x"}
         for (lp0, _), (lp1, _) in pairs[access:]:
             for lp in (lp0, lp1):
-                assert set(range(ij)) <= _fixings(lp).keys()
-                np.testing.assert_array_equal(lp.lower[:ij], access_block)
+                pins = _pins(lp, j)
+                x = [[pins[("x", td, uav)] for uav in range(j)] for td in range(i)]
+                np.testing.assert_array_equal(x, result.decision.x)
 
     @pytest.fixture
     def failing_certificate(self, monkeypatch):
@@ -270,7 +281,8 @@ class TestTieRobustChoice:
                 solution = solve(lp, **kwargs)
                 if solution.status is not LpStatus.OPTIMAL:
                     return solution
-                # two children differ by one column fixed at 1, so they move apart
+                # a compute branching's children differ by one column fixed at 1, so they
+                # move apart; this dive's ties are all in its compute phase
                 sign = direction * (-1) ** int((lp.lower == 1.0).sum())
                 value = solution.objective_value
                 return dataclasses.replace(

@@ -10,8 +10,21 @@ from dro_offload.errors import ShapeError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
 from dro_offload.lp import EQ, LE, LinearProgram, LpStatus, solve_lp
-from dro_offload.model import OffloadDecision, build_p2, energy_use, worst_case_distributions
-from helpers import dual_of, expected_energy, expected_latency, feasible_decisions, lp_from_rows
+from dro_offload.model import (
+    OffloadDecision,
+    build_p2,
+    energy_use,
+    meets_rows,
+    worst_case_distributions,
+)
+from helpers import (
+    build_p2_with_flow,
+    dual_of,
+    expected_energy,
+    expected_latency,
+    feasible_decisions,
+    lp_from_rows,
+)
 
 SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
 
@@ -128,8 +141,8 @@ class TestExpectedCosts:
 class TestP2:
     def test_dimensions(self):
         lp = build_p2(_scenario(), np.ones(10))
-        assert lp.num_vars == 90  # 3IJ
-        assert lp.num_constraints == 48  # I + J + 1 + IJ + J + 1
+        assert lp.num_vars == 60  # 2IJ: y and z
+        assert lp.num_constraints == 18  # I + J + 1 + J + 1
 
     def test_relaxation_bounds_every_decision(self):
         sc = _scenario(num_tds=3, num_uavs=2, quota_uav=2, seed=4)
@@ -153,10 +166,12 @@ class TestP2:
         sizes = np.full(10, 18.6e6)
         sol = solve_lp(build_p2(sc, sizes))
         assert sol.status is LpStatus.OPTIMAL
-        x, y, z = sol.x.reshape(3, 10, 3)
+        y, z = sol.x.reshape(2, 10, 3)
+        x = y + z
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-8)
-        np.testing.assert_allclose(y + z, x, atol=1e-8)
         assert (x.sum(axis=0) <= sc.quota_uav + 1e-8).all()
+        # [x, y, z] meets every row of P2 with flow rows y + z = x, within 1e-9
+        assert meets_rows(build_p2_with_flow(sc, sizes), np.concatenate([x.ravel(), sol.x]))
         assert sol.certificate.ok()
 
 
@@ -168,46 +183,44 @@ def _build_p2_loops(scenario, mean_sizes) -> LinearProgram:
     uav_cp = np.broadcast_to(coeffs.uav_compute_delay, (i, j))
     relay = np.broadcast_to(coeffs.relay_path_delay, (i, j))
     ij = i * j
-    n = 3 * ij
+    n = 2 * ij
+    sized = mean_sizes[:, None]
     objective = np.concatenate(
         [
-            (mean_sizes[:, None] * access).ravel(),
-            (mean_sizes[:, None] * uav_cp).ravel(),
-            (mean_sizes[:, None] * relay).ravel(),
+            (sized * access + sized * uav_cp).ravel(),
+            (sized * access + sized * relay).ravel(),
         ]
     )
     rows = []
 
-    def x_col(ii, jj):
+    def y_col(ii, jj):
         return ii * j + jj
+
+    def z_col(ii, jj):
+        return ij + ii * j + jj
 
     for ii in range(i):
         row = np.zeros(n)
-        row[[x_col(ii, jj) for jj in range(j)]] = 1.0
+        row[[y_col(ii, jj) for jj in range(j)]] = 1.0
+        row[[z_col(ii, jj) for jj in range(j)]] = 1.0
         rows.append((row, EQ, 1.0))
     for jj in range(j):
         row = np.zeros(n)
-        row[[x_col(ii, jj) for ii in range(i)]] = 1.0
+        row[[y_col(ii, jj) for ii in range(i)]] = 1.0
+        row[[z_col(ii, jj) for ii in range(i)]] = 1.0
         rows.append((row, LE, float(scenario.quota_uav)))
     row = np.zeros(n)
-    row[2 * ij :] = 1.0
+    row[ij:] = 1.0
     rows.append((row, LE, float(scenario.quota_hap)))
-    for ii in range(i):
-        for jj in range(j):
-            row = np.zeros(n)
-            row[x_col(ii, jj)] = -1.0
-            row[ij + x_col(ii, jj)] = 1.0
-            row[2 * ij + x_col(ii, jj)] = 1.0
-            rows.append((row, EQ, 0.0))
     en = scenario.energy
     for jj in range(j):
         row = np.zeros(n)
         for ii in range(i):
-            row[ij + x_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_compute_energy[jj]
-            row[2 * ij + x_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_relay_energy[jj]
+            row[y_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_compute_energy[jj]
+            row[z_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_relay_energy[jj]
         rows.append((row, LE, en.uav_budget - en.uav_basic))
     row = np.zeros(n)
-    row[2 * ij :] = (mean_sizes[:, None] * np.full((i, j), coeffs.hap_compute_energy)).ravel()
+    row[ij:] = (mean_sizes[:, None] * np.full((i, j), coeffs.hap_compute_energy)).ravel()
     rows.append((row, LE, en.hap_budget - en.hap_basic))
     return lp_from_rows(objective, rows, lower=np.zeros(n), upper=np.ones(n))
 
