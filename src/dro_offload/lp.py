@@ -21,8 +21,12 @@ priced: fixed variables and artificials never enter (an artificial left
 basic on a redundant row gives that row a dual of 0).
 
 Every solve starts from a basis: the slack/artificial basis, whose matrix
-is the identity, or the `Basis` given as `start`, which an optimal
-solution returns. The start is made dual feasible: a column with a
+is the identity, or the `Basis` given as `start`. A start may be any basis
+of this program's columns: a crash basis built from the program's
+structure, or the final basis that an optimal solution of a program
+differing only in its bounds returns. It is loaded by inverting its basis
+matrix once and multiplying the constraint columns and the rhs by that
+inverse. The start is made dual feasible: a column with a
 negative reduced cost moves to its upper bound, or, without one, is
 priced at 0 (cost modification, Koberstein 2005). A bounded dual simplex
 then restores primal feasibility, or proves the program infeasible;
@@ -166,8 +170,9 @@ class CertificationReport:
 
 @dataclass(frozen=True)
 class Basis:
-    """A simplex basis, for `solve_lp(..., start=...)` on a program with the same matrix,
-    relations and pattern of finite bounds.
+    """A simplex basis, for `solve_lp(..., start=...)`: the final basis of an optimal
+    solution, valid for any program with the same matrix, relations and pattern of
+    finite bounds, or one built from a program's structure (a crash basis).
 
     `basic` has one column per row and `at_upper` lists the nonbasic columns held at
     their upper bounds. Ids are the solver's columns: the structural ones, then one
@@ -393,7 +398,8 @@ class _Transform:
             basic.shape == (m,)
             and at_upper.ndim == 1
             and ((0 <= ids) & (ids < n)).all()
-            and np.unique(ids).size == ids.size
+            # distinct ids; np.unique would import numpy.ma, a megabyte, on first use
+            and (np.diff(np.sort(ids)) != 0).all()
         )
         if not fits:
             raise ConfigError("start basis does not fit this program's columns")
@@ -422,9 +428,12 @@ def _load_tableau(tableau, tr: _Transform, basis, flipped) -> None:
     at_ub = np.flatnonzero(flipped)
     rhs = tr.b - tr.a_full[:, at_ub] @ tr.ub[at_ub]
     try:
-        tableau[:m] = np.linalg.solve(tr.a_full[:, basis], np.column_stack([tr.a_full, rhs]))
+        inverse = np.linalg.inv(tr.a_full[:, basis])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular basis matrix: {exc}") from exc
+    # one inverse and one product: a solve with n + 1 right-hand sides costs several times more
+    tableau[:m, :-1] = inverse @ tr.a_full
+    tableau[:m, -1] = inverse @ rhs
     tableau[:m, at_ub] *= -1.0
     _price(tableau, tr.costs, basis, flipped, tr.ub)
 
@@ -433,11 +442,13 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Solve the program, returning a certified status.
 
     Optimal solutions carry duals, reduced costs, a residual certificate and
-    their final basis. With `start` (the basis of a program that differs from
-    this one only in its bounds, none of its at-upper columns unbounded here)
-    the solve runs from that basis instead of from the slack basis. Raises
-    SolverError on iteration blow-up or on a basis too ill-conditioned to
-    certify, and ConfigError on a `start` that does not fit.
+    their final basis. With `start`, any basis of this program's columns with
+    none of its at-upper columns unbounded here (a crash basis, or the final
+    basis of a program that differs from this one only in its bounds), the
+    solve runs from that basis instead of from the slack basis; its basis
+    matrix is inverted once to load the tableau. Raises SolverError on
+    iteration blow-up, on a singular start or on a basis too ill-conditioned
+    to certify, and ConfigError on a `start` that does not fit.
     """
     tr = _Transform(lp)
     m, n_total = tr.a_full.shape

@@ -5,10 +5,11 @@ the worst-case distributions, solve the LP relaxation, then repeatedly
 branch on the most fractional access entry x = y + z (the x = 0 child
 closes that link, y = z = 0, the x = 1 child the TD's other links), keep
 the cheaper child, and never backtrack; afterwards repeat for the compute
-variables y. The root LP starts from the slack basis; each child differs
+variables y. The root LP starts from P2's crash basis, each TD's cheapest
+link already basic in its access row (`crash_basis`); each child differs
 from the LP it branches from by its fixings only, so it starts from that
-LP's final basis, which stays dual feasible. The decision is read from the
-last LP. Because the dive is greedy, optimality is measured against the
+LP's final basis. Both starts are dual feasible. The decision is read from
+the last LP. Because the dive is greedy, optimality is measured against the
 exhaustive oracle rather than assumed: it enumerates the integral points
 of the same P2 and keeps the cheapest one that meets every row. Both report
 P2's objective at their integral point, so the model's latency and energy
@@ -26,7 +27,14 @@ from .ambiguity import AmbiguitySet, SampleSpace
 from .errors import InfeasibleProblemError, SizeError, SolverError
 from .geometry import Scenario
 from .lp import Basis, LinearProgram, LpSolution, LpStatus, solve_lp
-from .model import INTEGRALITY_TOL, OffloadDecision, build_p2, meets_rows, worst_case_distributions
+from .model import (
+    INTEGRALITY_TOL,
+    OffloadDecision,
+    build_p2,
+    crash_basis,
+    meets_rows,
+    worst_case_distributions,
+)
 
 METHOD_MDRLOA = "MDRLOA"
 METHOD_DO = "DO"
@@ -103,7 +111,7 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     ij = i * j
     base = build_p2(scenario, means)
     fixed: dict[int, float] = {}
-    current = _solve_fixed(base, fixed)
+    current = _solve_fixed(base, fixed, crash_basis(base, i))
     count = 1
     if current.status is not LpStatus.OPTIMAL:
         raise InfeasibleProblemError(

@@ -25,7 +25,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, Distribution, worst_case_mean_distribution
 from .errors import ShapeError
 from .geometry import Scenario, per_bit_coefficients
-from .lp import EQ, LE, LinearProgram
+from .lp import EQ, LE, Basis, LinearProgram
 
 INTEGRALITY_TOL = 1e-6
 ROW_TOL = 1e-9
@@ -43,7 +43,7 @@ class OffloadDecision:
         if not (self.x.shape == self.y.shape == self.z.shape) or self.x.ndim != 2:
             raise ShapeError("x, y, z must share one I x J shape")
         for name, mat in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if not np.isin(mat, (0, 1)).all():
+            if not ((mat == 0) | (mat == 1)).all():
                 raise ShapeError(f"{name} entries must be 0 or 1")
 
     def validate(self, scenario: Scenario) -> None:
@@ -92,10 +92,10 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     objective = np.concatenate([(access + sized * delay).ravel() for delay in delays])
 
     none = np.zeros((1, ij))
-    per_td = np.kron(np.eye(i), np.ones(j))
-    per_uav = np.kron(np.ones(i), np.eye(j))
+    per_td = np.repeat(np.eye(i), j, axis=1)
+    per_uav = np.tile(np.eye(j), i)
     # row j, column (i, j'): E[phi_i] when j' == j, else 0
-    size_on_uav = np.kron(mean_sizes, np.eye(j))
+    size_on_uav = per_uav * np.repeat(mean_sizes, j)
     en = scenario.energy
     blocks = (  # (y, z) coefficients, relation, rhs
         (per_td, per_td, EQ, 1.0),  # access
@@ -126,6 +126,24 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     )
 
 
+def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
+    """A dual feasible starting basis of P2: each TD's cheapest link basic in its access row.
+
+    Row i's basic column is the argmin of P2's objective over [y_i., z_i.], ties
+    to the lowest column id; every other row keeps its slack, and no column sits
+    at its upper bound. P2's costs are >= 0 and its access rows come first, so this
+    is the basis a dual simplex from the slack basis holds after its first I pivots.
+    """
+    i, ij = num_tds, p2.num_vars // 2
+    j = ij // i
+    links = p2.objective.reshape(2, i, j).transpose(1, 0, 2).reshape(i, 2 * j).argmin(axis=1)
+    # link k of TD i is y_ik for k < J, else z_i(k-J)
+    cheapest = np.arange(i) * j + links + np.where(links < j, 0, ij - j)
+    # the solver's ids: P2's columns, then one slack per LE row, in row order
+    slacks = p2.num_vars + np.arange(p2.num_constraints - i)
+    return Basis(basic=np.concatenate([cheapest, slacks]), at_upper=np.zeros(0, dtype=int))
+
+
 def energy_use(p2: LinearProgram, decision: OffloadDecision) -> tuple[np.ndarray, float]:
     """Activity of P2's energy rows, its last J + 1, at the decision: expected joules
     above the basic costs, per UAV and at the HAP."""
@@ -148,10 +166,7 @@ def worst_case_distributions(
     Exact for every decision with nonnegative size coefficients, which
     covers the latency objective and both energy constraint families.
     """
-    dists = []
-    means = []
-    for amb in ambiguity_sets:
-        dist, mean = worst_case_mean_distribution(amb)
-        dists.append(dist)
-        means.append(mean)
-    return dists, np.asarray(means)
+    # devices that share a history share a set: each distinct set is solved once
+    worst = {amb: worst_case_mean_distribution(amb) for amb in dict.fromkeys(ambiguity_sets)}
+    pairs = [worst[amb] for amb in ambiguity_sets]
+    return [dist for dist, _ in pairs], np.asarray([mean for _, mean in pairs])

@@ -5,8 +5,8 @@ and checks root LPs against HiGHS through the `LinearProgram` accessors, so a
 refactor that renames or bypasses one of them breaks the benchmark while the
 rest of this suite stays green. The dive's warm-started children, which
 perfbench never checks, are checked against HiGHS here, and so is every dive
-LP against P2 with its x columns and flow rows kept. The pivots of the
-dive's LPs are counted.
+LP against P2 with its x columns and flow rows kept. The crash-started roots
+are checked against cold solves, and the pivots of the dive's LPs are counted.
 """
 
 import collections
@@ -24,7 +24,7 @@ from dro_offload.errors import InfeasibleProblemError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import LpStatus, solve_lp
-from dro_offload.model import build_p2, worst_case_distributions
+from dro_offload.model import build_p2, crash_basis, worst_case_distributions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -96,7 +96,11 @@ def test_traced_pass_forwards_the_warm_start(monkeypatch):
 
 @pytest.fixture
 def dive_pivots(monkeypatch):
-    """(program, solution, pivots, warm) of every LP the dive solves, in order."""
+    """(program, solution, pivots, root) of every LP the dive solves, in order.
+
+    A dive's root is its first LP, the one with every bound at [0, 1]; each child
+    fixes at least one column.
+    """
     pivots = 0
     pivot = lp_module._pivot
 
@@ -111,7 +115,8 @@ def dive_pivots(monkeypatch):
     def record(program, **kwargs):
         before = pivots
         solution = solve(program, **kwargs)
-        solved.append((program, solution, pivots - before, kwargs.get("start") is not None))
+        root = (program.lower == 0.0).all() and (program.upper == 1.0).all()
+        solved.append((program, solution, pivots - before, root))
         return solution
 
     monkeypatch.setattr(lp_module, "_pivot", counting)
@@ -122,7 +127,7 @@ def dive_pivots(monkeypatch):
 def test_warm_dive_children_match_highs(dive_pivots):
     pytest.importorskip("scipy.optimize")
     evaluation.compare_methods(_seeds_1_to_5())
-    children = [entry[:3] for entry in dive_pivots if entry[3]]
+    children = [entry[:3] for entry in dive_pivots if not entry[3]]
     statuses = set()
     for program, solution, _ in children:
         reference = checks.highs_objective(program)
@@ -141,12 +146,30 @@ def test_warm_dive_children_match_highs(dive_pivots):
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding"])
 def test_cold_roots_take_few_pivots(dive_pivots, name):
     evaluation.compare_methods(_seeds_1_to_5(name))
-    roots = [count for *_, count, warm in dive_pivots if not warm]
+    roots = [count for *_, count, root in dive_pivots if root]
     assert len(roots) == 15
-    # P2's slack basis is dual feasible (c >= 0, every column boxed), so the dual
-    # simplex alone reaches the optimum; phase 1 on the artificials' sum took 57.8
-    # and 79.7 pivots
-    assert sum(roots) / len(roots) <= 35
+    # the crash basis already holds each TD's cheapest link, so the dual simplex
+    # skips the I pivots that the slack basis spends on the access rows: from the
+    # slack basis these roots took 12.2 and 19.1 pivots, and phase 1 on the
+    # artificials' sum 57.8 and 79.7
+    assert sum(roots) / len(roots) <= 10
+
+
+@pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
+def test_crash_started_root_matches_cold_solve(name):
+    cfg = load_config(PERFBENCH / "configs" / f"{name}.json")
+    atoms = cfg.ambiguity.sample_space().atoms
+    for seed in range(1, 6):
+        scenario = generate_scenario(cfg.scenario, seed)
+        _, means = worst_case_distributions(build_ambiguity_sets(cfg, seed))
+        for sizes in (means, np.full_like(means, np.mean(atoms)), np.full_like(means, max(atoms))):
+            program = build_p2(scenario, sizes)
+            cold = solve_lp(program)
+            crash = solve_lp(program, start=crash_basis(program, scenario.num_tds))
+            assert crash.status is cold.status is LpStatus.OPTIMAL
+            assert crash.certificate.ok()
+            gap = abs(crash.objective_value - cold.objective_value)
+            assert gap <= 1e-12 * abs(cold.objective_value)
 
 
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding"])

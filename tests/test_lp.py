@@ -455,6 +455,21 @@ class TestWarmStart:
         with pytest.raises(ConfigError, match="column 1 at an infinite upper bound"):
             solve_lp(lp, start=Basis(np.array([2]), np.array([1])))
 
+    def test_start_that_does_not_fit_rejected(self):
+        # columns: x in [0, 2], y in [0, 1], the row's slack
+        lp = lp_from_rows([1.0, -1.0], [([1.0, 1.0], LE, 3.0)], upper=[2.0, 1.0])
+        for basic, at_upper in (([2, 0], []), ([3], []), ([2], [2]), ([2], [0, 0]), ([-1], [])):
+            start = Basis(np.array(basic), np.array(at_upper, dtype=int))
+            with pytest.raises(ConfigError, match="does not fit"):
+                solve_lp(lp, start=start)
+
+    def test_singular_start_raises(self):
+        # columns: x, y, then the two rows' slacks; x and y have one column in both rows
+        rows = [([1.0, 1.0], LE, 2.0), ([1.0, 1.0], LE, 3.0)]
+        lp = lp_from_rows([1.0, 1.0], rows, upper=[1.0, 1.0])
+        with pytest.raises(SolverError, match="singular basis matrix"):
+            solve_lp(lp, start=Basis(np.array([0, 1]), np.zeros(0, dtype=int)))
+
 
 def _permutation_cases():
     """P2 on default and binding seeds, then LPs from the fuzz generators."""

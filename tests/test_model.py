@@ -44,9 +44,10 @@ def _all_local(i, j):
 
 class TestOffloadDecision:
     def test_binary_enforced(self):
-        m = np.array([[0.5]])
-        with pytest.raises(ShapeError):
-            OffloadDecision(x=m, y=m, z=np.zeros((1, 1)))
+        for value in (0.5, 2.0, -1.0, np.nan):
+            m = np.array([[value]])
+            with pytest.raises(ShapeError, match="entries must be 0 or 1"):
+                OffloadDecision(x=m, y=m, z=np.zeros((1, 1)))
 
     def test_flow_violation(self):
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
