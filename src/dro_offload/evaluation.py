@@ -273,7 +273,8 @@ class EvaluationReport:
 def _evaluate_all(tasks: list[tuple], jobs: int) -> EvaluationReport:
     """Evaluate (config, seed, param_name, param_value) tasks, in one pool when jobs > 1."""
     if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking pool starts all its workers on the first submit: no more than the tasks
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(evaluate_seed, *zip(*tasks)))
     else:
         chunks = [evaluate_seed(*t) for t in tasks]

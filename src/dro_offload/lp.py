@@ -24,10 +24,12 @@ Every solve starts from a basis: the slack/artificial basis, whose matrix
 is the identity, or the `Basis` given as `start`. A start may be any basis
 of this program's columns: a crash basis built from the program's
 structure, or the final basis that an optimal solution of a program
-differing only in its bounds returns. It is loaded by inverting its basis
-matrix once and multiplying the constraint columns and the rhs by that
-inverse. The start is made dual feasible: a column with a
-negative reduced cost moves to its upper bound, or, without one, is
+differing only in its bounds returns. Every tableau, cold, warm or the
+certify step's, comes from one load: the basis matrix is inverted once and
+the constraint columns and the rhs are multiplied by that inverse (the
+slack basis's inverse is the identity, so a cold tableau is `[A | b]`
+exactly). The start is made dual feasible: a column with a negative
+reduced cost moves to its upper bound, or, without one, is
 priced at 0 (cost modification, Koberstein 2005). A bounded dual simplex
 then restores primal feasibility, or proves the program infeasible;
 after a bound is tightened, the old optimal basis stays dual feasible and
@@ -36,11 +38,12 @@ on the true costs, finishes the solve. Its pivot rule is Dantzig's,
 falling back to Bland's after a bounded number of iterations; the dual
 simplex has no such fallback, and a solve that exceeds its iteration cap
 raises SolverError. Identical inputs give bit-identical outputs. After
-the tableau reports optimality, the primal point, dual values, and
-reduced costs are recomputed from the final basis and the set of
-variables at their upper bounds, with a fresh factorization and one step
-of iterative refinement to keep residuals tight; a negative reduced cost
-there rebuilds the tableau from that basis and phase 2 goes on.
+the tableau reports optimality, the final basis and the set of variables
+at their upper bounds are loaded again. A negative reduced cost in that
+fresh tableau sends phase 2 on from it; otherwise the primal point and the
+dual values get one step of iterative refinement through the load's
+inverse to keep residuals tight, and the reduced costs follow from the
+duals.
 
 Dual-value convention: the reported dual of an inequality row is the
 nonnegative Lagrange multiplier (for both senses of the objective);
@@ -65,7 +68,7 @@ _RELATIONS = (LE, EQ, GE)
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8  # dual simplex: largest bound violation of x_B, per row relative to max(1, |x_B|)
 _OPT_TOL = 1e-9  # most negative reduced cost still counted as optimal
-_CERTIFY_TOL = 1e-7  # the same after refactorizing: looser, so that its roundoff forces no retry
+_CERTIFY_TOL = 1e-7  # the same after the final reload: looser, so that its roundoff forces no retry
 _BOUND_TOL = 1e-7  # distance at which check_solution treats x as sitting on a bound
 RESIDUAL_TOL = 1e-8  # certificate: primal, dual and complementarity residuals
 GAP_TOL = 1e-7  # certificate: relative duality gap
@@ -268,8 +271,9 @@ def _run_simplex(
     flipped: np.ndarray,
     bland_after: int,
     max_iter: int,
-) -> str:
-    """Iterate to optimality over the columns with ub > 0. Returns 'optimal' or 'unbounded'."""
+) -> bool:
+    """Iterate to optimality over the columns with ub > 0. Returns True at an optimum,
+    False when the program is unbounded."""
     priced = np.flatnonzero(ub > 0.0)
     # priced columns that form a prefix (nothing fixed) are read through a view, not a copy
     prefix = priced.size > 0 and priced[-1] == priced.size - 1
@@ -278,11 +282,11 @@ def _run_simplex(
     while True:
         k = _choose_entering(tableau[-1, view], bland=iters >= bland_after)
         if k is None:
-            return "optimal"
+            return True
         entering = int(priced[k])
         leaving = _choose_leaving(tableau, basis, ub, entering)
         if leaving is None:
-            return "unbounded"
+            return False
         if leaving == _FLIP:
             _flip(tableau, ub, flipped, entering)
         else:
@@ -420,10 +424,12 @@ def _price(tableau, costs, basis, flipped, ub) -> None:
     tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
 
 
-def _load_tableau(tableau, tr: _Transform, basis, flipped) -> None:
+def _load_tableau(tableau, tr: _Transform, basis, flipped) -> tuple[np.ndarray, np.ndarray]:
     """Write B⁻¹A, x_B and the reduced costs of `basis` into `tableau`, with the nonbasic
-    `flipped` columns at their upper bounds and held complemented: the one place a
-    tableau is built from a factorized basis."""
+    `flipped` columns at their upper bounds and held complemented, and return B⁻¹ and
+    the net rhs `b - A_U ub_U`. The one place a tableau is built from a basis: the cold
+    start (B = I, so B⁻¹ = I and the tableau is `[A | b]` exactly), a warm start and
+    the certify step all load here."""
     m = basis.size
     at_ub = np.flatnonzero(flipped)
     rhs = tr.b - tr.a_full[:, at_ub] @ tr.ub[at_ub]
@@ -436,6 +442,7 @@ def _load_tableau(tableau, tr: _Transform, basis, flipped) -> None:
     tableau[:m, -1] = inverse @ rhs
     tableau[:m, at_ub] *= -1.0
     _price(tableau, tr.costs, basis, flipped, tr.ub)
+    return inverse, rhs
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
@@ -445,8 +452,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     their final basis. With `start`, any basis of this program's columns with
     none of its at-upper columns unbounded here (a crash basis, or the final
     basis of a program that differs from this one only in its bounds), the
-    solve runs from that basis instead of from the slack basis; its basis
-    matrix is inverted once to load the tableau. Raises SolverError on
+    solve runs from that basis instead of from the slack basis. Either start,
+    and the final basis that certifies the answer, loads through one inverse;
+    the final one also refines x_B and the duals. Raises SolverError on
     iteration blow-up, on a singular start or on a basis too ill-conditioned
     to certify, and ConfigError on a `start` that does not fit.
     """
@@ -458,15 +466,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     flipped = np.zeros(n_total, dtype=bool)
     tableau = np.zeros((m + 1, n_total + 1))
 
-    if start is None:
-        basis = tr.basis.copy()  # B = I: the tableau is [A | b] as built
-        tableau[:m, :-1] = tr.a_full
-        tableau[:m, -1] = tr.b
-        _price(tableau, costs, basis, flipped, ub)
-    else:
-        basis, at_ub = tr.basis_from(start)
-        flipped[at_ub] = True
-        _load_tableau(tableau, tr, basis, flipped)
+    basis, at_ub = tr.basis_from(start or Basis(tr.basis, np.zeros(0, dtype=int)))
+    flipped[at_ub] = True
+    _load_tableau(tableau, tr, basis, flipped)
 
     # make the start dual feasible: a column priced below zero moves to its upper
     # bound or, with none, is priced at 0 until the dual simplex ends (cost
@@ -483,28 +485,23 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         _price(tableau, costs, basis, flipped, ub)
 
     for _attempt in range(6):
-        status = _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter)
-        if status == "unbounded":
+        if not _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter):
             return LpSolution(status=LpStatus.UNBOUNDED)
-        # certify: factorize the final basis, with one step of refinement
+        # certify: reload the final basis, so that roundoff the pivots piled up is gone
         flipped[basis] = False
-        at_ub = np.flatnonzero(flipped)
-        matrix_b = tr.a_full[:, basis]
-        rhs = tr.b - tr.a_full[:, at_ub] @ ub[at_ub]
-        try:
-            xb = np.linalg.solve(matrix_b, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular basis matrix: {exc}") from exc
-        xb += np.linalg.solve(matrix_b, rhs - matrix_b @ xb)
-        y = np.linalg.solve(matrix_b.T, costs[basis])
-        y += np.linalg.solve(matrix_b.T, costs[basis] - matrix_b.T @ y)
-        reduced = costs - y @ tr.a_full
-        if np.where(flipped, -reduced, reduced)[ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
+        inverse, rhs = _load_tableau(tableau, tr, basis, flipped)
+        if tableau[-1, :-1][ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
             break
-        # roundoff fooled the tableau: rebuild it from the certified basis
-        _load_tableau(tableau, tr, basis, flipped)
+        # roundoff fooled the pivots: phase 2 goes on from the reloaded tableau
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
+
+    # one step of iterative refinement for x_B and y, through the load's inverse
+    at_ub = np.flatnonzero(flipped)
+    matrix_b = tr.a_full[:, basis]
+    xb = tableau[:m, -1] + inverse @ (rhs - matrix_b @ tableau[:m, -1])
+    y = costs[basis] @ inverse
+    y += (costs[basis] - y @ matrix_b) @ inverse
 
     t_values = np.zeros(n_total)
     t_values[at_ub] = ub[at_ub]

@@ -155,6 +155,27 @@ class TestReport:
         parallel = compare_methods(_cfg(jobs=2))
         assert serial.to_csv() == parallel.to_csv()
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(evaluation.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        csv = compare_methods(_cfg(jobs=64)).to_csv()
+        assert pools == [2]  # two seeds
+        assert csv == compare_methods(_cfg(jobs=1)).to_csv()
+
     def test_csv_file_round_trip(self, tmp_path):
         report = compare_methods(_cfg())
         path = tmp_path / "results.csv"

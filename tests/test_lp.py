@@ -463,6 +463,47 @@ class TestWarmStart:
             with pytest.raises(ConfigError, match="does not fit"):
                 solve_lp(lp, start=start)
 
+    def test_cold_start_is_the_slack_basis_loaded_like_any_start(self):
+        rng = np.random.default_rng(2024)
+        scenarios = [
+            generate_scenario(dataclasses.replace(default_config().scenario, **size), 1)
+            for size in ({}, {"num_tds": 30, "num_uavs": 5, "quota_uav": 8})
+        ]
+        p2s = [build_p2(s, np.linspace(3e6, 27e6, s.num_tds)) for s in scenarios]
+        for lp in [*(_random_lp(rng) for _ in range(60)), *p2s]:
+            slack = Basis(lp_module._Transform(lp).basis, [])
+            cold, loaded = solve_lp(lp), solve_lp(lp, start=slack)
+            assert cold.status is loaded.status
+            if cold.status is LpStatus.OPTIMAL:
+                for name in ("x", "duals", "reduced_costs"):
+                    assert getattr(cold, name).tobytes() == getattr(loaded, name).tobytes()
+                np.testing.assert_array_equal(cold.basis.basic, loaded.basis.basic)
+                np.testing.assert_array_equal(cold.basis.at_upper, loaded.basis.at_upper)
+
+    def test_warm_child_inverts_twice_and_solves_nothing(self, monkeypatch):
+        calls = {"inv": 0, "solve": 0, "_run_simplex": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        lp = _binding_p2(1)
+        parent = solve_lp(lp)
+        ij = lp.num_vars // 2
+        link = int(np.argmax(parent.x)) % ij  # a link the parent uses, closed: y = z = 0
+        child = _with_bounds(lp, [link, link + ij], 0.0, 0.0)
+        counted(np.linalg, "inv")
+        counted(np.linalg, "solve")
+        counted(lp_module, "_run_simplex")
+        sol = solve_lp(child, start=parent.basis)
+        _assert_matches_highs(child, sol)
+        assert calls == {"inv": 2, "solve": 0, "_run_simplex": 1}  # inv: the start, the certify
+
     def test_singular_start_raises(self):
         # columns: x, y, then the two rows' slacks; x and y have one column in both rows
         rows = [([1.0, 1.0], LE, 2.0), ([1.0, 1.0], LE, 3.0)]
