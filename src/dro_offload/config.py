@@ -66,6 +66,10 @@ class AmbiguityConfig:
     def __post_init__(self):
         if self.history_len < 1:
             raise ConfigError(f"ambiguity.history_len must be >= 1, got {self.history_len}")
+        if self.history_len > sys.maxsize:  # past NumPy's index range
+            raise ConfigError(
+                f"ambiguity.history_len must be <= {sys.maxsize}, got {self.history_len}"
+            )
         if (self.epsilon is None) == (self.confidence is None):
             raise ConfigError("set exactly one of 'epsilon' and 'confidence'")
         if self.epsilon is not None and not self.epsilon >= 0:

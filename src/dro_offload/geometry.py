@@ -7,6 +7,7 @@ dB-to-linear conversion happens at config-parse time, never here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,10 +232,12 @@ class ScenarioConfig:
     quota_hap: int
 
     def __post_init__(self):
-        if self.num_tds < 1:
-            raise ConfigError(f"scenario.num_tds must be >= 1, got {self.num_tds}")
-        if self.num_uavs < 1:
-            raise ConfigError(f"scenario.num_uavs must be >= 1, got {self.num_uavs}")
+        for name in ("num_tds", "num_uavs"):
+            count = getattr(self, name)
+            if count < 1:
+                raise ConfigError(f"scenario.{name} must be >= 1, got {count}")
+            if count > sys.maxsize:  # past NumPy's index range
+                raise ConfigError(f"scenario.{name} must be <= {sys.maxsize}, got {count}")
         if not self.area_size > 0:
             raise ConfigError(f"scenario.area_size_m must be > 0, got {self.area_size}")
         if not self.uav_altitude > 0:

@@ -43,7 +43,8 @@ at their upper bounds are loaded again. A negative reduced cost in that
 fresh tableau sends phase 2 on from it; otherwise the primal point and the
 dual values get one step of iterative refinement through the load's
 inverse to keep residuals tight, and the reduced costs follow from the
-duals.
+duals. An OPTIMAL result always passes its certificate (`check_solution`);
+an optimum that fails it raises SolverError instead of being returned.
 
 Dual-value convention: the reported dual of an inequality row is the
 nonnegative Lagrange multiplier (for both senses of the objective);
@@ -448,12 +449,14 @@ def _load_tableau(tableau, tr: _Transform, basis, flipped) -> tuple[np.ndarray, 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Solve the program, returning a certified status.
 
-    Optimal solutions carry duals, reduced costs, a residual certificate and
-    their final basis. With `start`, any basis of this program's columns with
-    none of its at-upper columns unbounded here (a crash basis, or the final
-    basis of a program that differs from this one only in its bounds), the
-    solve runs from that basis instead of from the slack basis. Either start,
-    and the final basis that certifies the answer, loads through one inverse;
+    An OPTIMAL result always passes its certificate: it carries duals,
+    reduced costs, that certificate and its final basis. An optimum that
+    fails the certificate is not returned; SolverError names each failing
+    residual. With `start`, any basis of this program's columns with none of
+    its at-upper columns unbounded here (a crash basis, or the final basis
+    of a program that differs from this one only in its bounds), the solve
+    runs from that basis instead of from the slack basis. Either start, and
+    the final basis that certifies the answer, loads through one inverse;
     the final one also refines x_B and the duals. Raises SolverError on
     iteration blow-up, on a singular start or on a basis too ill-conditioned
     to certify, and ConfigError on a `start` that does not fit.
@@ -526,7 +529,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         reduced_costs=reduced_orig,
         basis=Basis(basic=basis, at_upper=at_ub),
     )
-    return replace(solution, certificate=check_solution(lp, solution))
+    certificate = check_solution(lp, solution)
+    failures = certificate.failures()
+    if failures:
+        raise SolverError("optimal solution fails its certificate: " + "; ".join(failures))
+    return replace(solution, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,21 @@
 
 The main routine follows the greedy scheme of the source algorithm: fix
 the worst-case distributions, solve the LP relaxation, then repeatedly
-branch on the most fractional access entry x = y + z (the x = 0 child
-closes that link, y = z = 0, the x = 1 child the TD's other links), keep
-the cheaper child, and never backtrack; afterwards repeat for the compute
-variables y. The root LP starts from P2's crash basis, each TD's cheapest
-link already basic in its access row (`crash_basis`); each child differs
-from the LP it branches from by its fixings only, so it starts from that
-LP's final basis. Both starts are dual feasible. The decision is read from
-the last LP. Because the dive is greedy, optimality is measured against the
-exhaustive oracle rather than assumed: it enumerates the integral points
-of the same P2 and keeps the cheapest one that meets every row. Both report
-P2's objective at their integral point, so the model's latency and energy
-formulas live in `build_p2` alone.
+branch on the most fractional access entry x = y + z, keep the cheaper
+child, and never backtrack; afterwards repeat for the compute variables y.
+Every node of the dive is P2 with narrower bounds: the x = 0 child closes
+the link (upper bound 0 on its y and z), the x = 1 child the TD's other
+links, the y = 0 child sets y's upper bound to 0 and the y = 1 child its
+lower bound to 1, and once the access phase ends every link with x = 0
+stays closed. The root LP is P2 itself and starts from P2's crash basis,
+each TD's cheapest link already basic in its access row (`crash_basis`);
+each child differs from the LP it branches from by its bounds only, so it
+starts from that LP's final basis. Both starts are dual feasible. The
+decision is read from the last LP. Because the dive is greedy, optimality
+is measured against the exhaustive oracle rather than assumed: it
+enumerates the integral points of the same P2 and keeps the cheapest one
+that meets every row. Both report P2's objective at their integral point,
+so the model's latency and energy formulas live in `build_p2` alone.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ambiguity import AmbiguitySet, SampleSpace
-from .errors import InfeasibleProblemError, SizeError, SolverError
+from .errors import InfeasibleProblemError, SizeError
 from .geometry import Scenario
-from .lp import Basis, LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import LpStatus, solve_lp
 from .model import (
     INTEGRALITY_TOL,
     OffloadDecision,
@@ -75,32 +78,6 @@ def select_branch(matrix: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(flat, matrix.shape))
 
 
-def _solve_fixed(
-    base: LinearProgram, fixed: dict[int, float], start: Basis | None = None
-) -> LpSolution:
-    """Solve `base` with each fixed column's bounds pinned to its value, from the
-    basis `start` when one is given.
-
-    Raises SolverError when an optimal answer fails its certificate, so that
-    a wrong LP never becomes a decision.
-    """
-    lower, upper = base.lower.copy(), base.upper.copy()
-    for col, value in fixed.items():
-        lower[col] = upper[col] = value
-    solution = solve_lp(replace(base, lower=lower, upper=upper), start=start)
-    if solution.status is LpStatus.OPTIMAL and not solution.certificate.ok():
-        raise SolverError(
-            f"LP with {len(fixed)} fixed columns fails its certificate: "
-            + "; ".join(solution.certificate.failures())
-        )
-    return solution
-
-
-def _closed(links: list[int], ij: int) -> dict[int, float]:
-    """Fixings that close the given links (row-major (i, j) indices): y = z = 0."""
-    return dict.fromkeys(links + [link + ij for link in links], 0.0)
-
-
 def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here.
 
@@ -108,10 +85,8 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     y; the decision is the last LP's rounded [y, z], scored by P2's objective.
     """
     i, j = scenario.num_tds, scenario.num_uavs
-    ij = i * j
     base = build_p2(scenario, means)
-    fixed: dict[int, float] = {}
-    current = _solve_fixed(base, fixed, crash_basis(base, i))
+    current = solve_lp(base, start=crash_basis(base, i))
     count = 1
     if current.status is not LpStatus.OPTIMAL:
         raise InfeasibleProblemError(
@@ -119,33 +94,40 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
             f"(I={i}, J={j}, N_u={scenario.quota_uav}, N_H={scenario.quota_hap})"
         )
     bound = current.objective_value
+    # the current LP's bounds, indexed [lower/upper, y/z block, TD, UAV]
+    bounds = np.stack([base.lower, base.upper]).reshape(2, 2, i, j)
 
     # the access phase branches on x = y + z, the sum of both blocks; compute on y
     for phase, blocks in (("access", 2), ("compute", 1)):
         while (pick := select_branch(current.x.reshape(2, i, j)[:blocks].sum(axis=0))) is not None:
-            col = pick[0] * j + pick[1]
-            if phase == "compute":
-                branches = ({col: 0.0}, {col: 1.0})
-            else:  # x = 0 closes the link, x = 1 the TD's other links
-                others = [c for c in range(pick[0] * j, pick[0] * j + j) if c != col]
-                branches = (_closed([col], ij), _closed(others, ij))
-            children = [_solve_fixed(base, {**fixed, **fix}, current.basis) for fix in branches]
+            td, uav = pick
+            narrowed = (bounds.copy(), bounds.copy())
+            if phase == "compute":  # y = 0, then y = 1
+                narrowed[0][1, 0, td, uav] = 0.0
+                narrowed[1][0, 0, td, uav] = 1.0
+            else:  # x = 0 closes the link (y = z = 0), x = 1 the TD's other links
+                narrowed[0][1, :, td, uav] = 0.0
+                narrowed[1][1, :, td, np.arange(j) != uav] = 0.0
+            children = [
+                solve_lp(replace(base, lower=lo.ravel(), upper=hi.ravel()), start=current.basis)
+                for lo, hi in narrowed
+            ]
             count += 2
             lat0, lat1 = (
                 c.objective_value if c.status is LpStatus.OPTIMAL else np.inf for c in children
             )
             if not np.isfinite(lat0) and not np.isfinite(lat1):
                 raise InfeasibleProblemError(
-                    f"both children infeasible in the {phase} phase at TD {pick[0]}, "
-                    f"UAV {pick[1]}, with {len(fixed)} fixed columns"
+                    f"both children infeasible in the {phase} phase at TD {td}, UAV {uav}, "
+                    f"with {int((bounds[0] == bounds[1]).sum())} fixed columns"
                 )
             # objectives within 1e-12 relative tie, and ties go to 1
             chosen = 1 if lat1 <= lat0 + 1e-12 * max(1.0, abs(lat0)) else 0
-            fixed.update(branches[chosen])
+            bounds = narrowed[chosen]
             current = children[chosen]
         # every later child keeps x at its integral values: the unused links stay closed
-        x = np.rint(current.x[:ij] + current.x[ij:])
-        fixed.update(_closed(np.flatnonzero(x == 0).tolist(), ij))
+        x = np.rint(current.x.reshape(2, i, j).sum(axis=0))
+        bounds[1, :, x == 0] = 0.0
 
     y, z = np.rint(current.x).astype(int).reshape(2, i, j)
     decision = OffloadDecision(x=y + z, y=y, z=z)

@@ -26,7 +26,7 @@ from dro_offload.ambiguity import (
 )
 from dro_offload.cli import main as cli_main
 from dro_offload.config import default_config, parse_config
-from dro_offload.errors import InfeasibleProblemError
+from dro_offload.errors import InfeasibleProblemError, SolverError
 from dro_offload.evaluation import compare_methods, sweep
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
 from dro_offload.lp import LpStatus, solve_lp
@@ -290,7 +290,11 @@ def test_criterion_09_lp_certification_fuzz():
     certified = 0
     for _ in range(200):
         lp = _random_lp(rng, force_feasible=True)
-        sol = solve_lp(lp)
+        try:
+            sol = solve_lp(lp)
+        except SolverError:  # an optimum that fails its certificate
+            false_statuses += 1
+            continue
         # built around a known feasible point: Infeasible is always wrong
         if sol.status is LpStatus.INFEASIBLE:
             false_statuses += 1

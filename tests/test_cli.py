@@ -209,6 +209,9 @@ def test_sweep_non_integral_quota_exit_2(cfg_path, tmp_path, capsys):
         ({"scenario": {"compute": {"uav_capability_cps": 1e308}}}, "uav_capability_cps"),
         ({"scenario": {"compute": {"hap_capability_cps": 1e308}}}, "hap_capability_cps"),
         ({"ambiguity": {"epsilon": None, "confidence": 1.5}}, "ambiguity.confidence"),
+        ({"scenario": {"num_tds": 1e20}}, "scenario.num_tds"),
+        ({"scenario": {"num_uavs": 1e19}}, "scenario.num_uavs"),
+        ({"ambiguity": {"history_len": 1e20}}, "ambiguity.history_len"),
         (
             {"ambiguity": {"truth": {"kind": "categorical", "probs": [0.2, 0.3, 0.5]}}},
             "ambiguity.truth.probs",

@@ -637,6 +637,17 @@ class TestCertification:
         report = check_solution(lp, bad)
         assert not report.ok()
 
+    def test_failing_certificate_raises_naming_the_residual(self, monkeypatch):
+        check = lp_module.check_solution
+
+        def failing(lp, solution):
+            return dataclasses.replace(check(lp, solution), duality_gap_rel=1e-3)
+
+        monkeypatch.setattr(lp_module, "check_solution", failing)
+        with pytest.raises(SolverError, match="fails its certificate") as info:
+            solve_lp(lp_from_rows([1.0, 1.0], [([1, 1], GE, 2)]))
+        assert str(info.value).endswith(": duality_gap_rel = 0.001 > 1e-07")
+
     def test_report_fields_finite(self):
         lp = lp_from_rows([1.0, 2.0], [([1, 1], GE, 1)])
         sol = solve_lp(lp)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
 from dro_offload.config import default_config, parse_config
+from dro_offload import lp as lp_module
 from dro_offload import mdrloa
 from dro_offload.cli import EXIT_INTERNAL, main
 from dro_offload.errors import (
@@ -193,6 +194,7 @@ class TestDiveLps:
         assert result.lp_solve_count == len(dive_lps) > 2
         [(base, snapshot)] = built
         assert _lp_bytes(base) == snapshot
+        assert dive_lps[0][0] is base
         assert (base.lower == 0.0).all() and (base.upper == 1.0).all()
         for child, _ in dive_lps:
             assert child.matrix is base.matrix and child.objective is base.objective
@@ -238,17 +240,13 @@ class TestDiveLps:
 
     @pytest.fixture
     def failing_certificate(self, monkeypatch):
-        """Every optimal dive LP reports a dual residual of 1e-3."""
-        solve = mdrloa.solve_lp
+        """Every optimal LP's certificate reports a dual residual of 1e-3."""
+        check = lp_module.check_solution
 
-        def wrong(lp, **kwargs):
-            solution = solve(lp, **kwargs)
-            if solution.status is LpStatus.OPTIMAL:
-                bad = dataclasses.replace(solution.certificate, max_dual_residual=1e-3)
-                solution = dataclasses.replace(solution, certificate=bad)
-            return solution
+        def wrong(lp, solution):
+            return dataclasses.replace(check(lp, solution), max_dual_residual=1e-3)
 
-        monkeypatch.setattr(mdrloa, "solve_lp", wrong)
+        monkeypatch.setattr(lp_module, "check_solution", wrong)
 
     @pytest.mark.usefixtures("failing_certificate")
     def test_uncertified_lp_raises(self):
