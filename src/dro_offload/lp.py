@@ -5,7 +5,7 @@ A `LinearProgram` is an immutable record of read-only arrays (objective,
 constraint matrix, relations, rhs, bounds) plus the objective sense,
 validated once when it is built. The solver and the certificate read
 those arrays as stored; a program that differs only in its bounds is
-built with `dataclasses.replace`.
+`lp.with_bounds(lower, upper)`, which validates only the new bounds.
 
 The solver is a bounded-variable tableau simplex (Chvátal, Linear
 Programming, 1983, chs. 8 and 10). Box bounds stay out of the tableau:
@@ -16,7 +16,11 @@ Every variable has a column; one with `lower == upper` gets upper bound
 and every EQ row an artificial with upper bound 0, so the column layout
 depends only on the matrix, the relations and which bounds are finite,
 and a basis of one program means the same in another that differs from
-it only in its bounds. Only columns with an upper bound above 0 are
+it only in its bounds. That standard form (the column layout, the
+matrix with its slacks and artificials, the costs and the row flips) is
+built once per program and shared by every `with_bounds` program with
+the same finite bounds; a solve adds only the offsets, the upper bounds
+of the columns and the rhs. Only columns with an upper bound above 0 are
 priced: fixed variables and artificials never enter (an artificial left
 basic on a redundant row gives that row a dual of 0).
 
@@ -28,9 +32,13 @@ differing only in its bounds returns. Every tableau, cold, warm or the
 certify step's, comes from one load: the basis matrix is inverted once and
 the constraint columns and the rhs are multiplied by that inverse (the
 slack basis's inverse is the identity, so a cold tableau is `[A | b]`
-exactly). The start is made dual feasible: a column with a negative
-reduced cost moves to its upper bound, or, without one, is
-priced at 0 (cost modification, Koberstein 2005). A bounded dual simplex
+exactly). An optimal solution's basis carries its certify load's inverse
+and tableau, so a warm start from it on a program sharing the standard
+form inverts nothing: B⁻¹A and the reduced costs are the parent's, and
+only x_B and the objective are computed. The start is made dual
+feasible: a column with a negative reduced cost moves to its upper
+bound, or, without one, is priced at 0 (cost modification, Koberstein
+2005). A bounded dual simplex
 then restores primal feasibility, or proves the program infeasible;
 after a bound is tightened, the old optimal basis stays dual feasible and
 is usually a few pivots from the new optimum. Phase 2, a primal simplex
@@ -90,14 +98,31 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return array
 
 
+def _check_bounds(lower: np.ndarray, upper: np.ndarray, n: int) -> None:
+    """The one check of a program's bounds: n-vectors, each lower bound a number below
+    +inf, each upper bound one above -inf, and no empty interval."""
+    if not lower.shape == upper.shape == (n,):
+        raise ShapeError("objective, lower and upper must be vectors of one length")
+    # NaN fails both comparisons
+    if not ((lower < np.inf) & (upper > -np.inf)).all():
+        raise ConfigError("lower bounds must be numbers below +inf and upper bounds above -inf")
+    empty = np.flatnonzero(lower > upper)
+    if empty.size:
+        j = int(empty[0])
+        raise ConfigError(f"variable {j} has empty bound interval [{lower[j]}, {upper[j]}]")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min/max c'x subject to rows `matrix[r] @ x relations[r] rhs[r]` and box bounds on x.
 
     Immutable: the constructor validates every array once and stores it
-    read-only, so a program that differs only in its bounds is
-    `dataclasses.replace(lp, lower=..., upper=...)` and shares the rest.
-    `matrix=None` means no rows; `lower` defaults to 0 and `upper` to +inf.
+    read-only. A program that differs only in its bounds is
+    `lp.with_bounds(lower, upper)`: it validates the new bounds alone and
+    shares the rest, the solver's standard form included.
+    `dataclasses.replace` gives a fully validated program that builds its
+    own standard form. `matrix=None` means no rows; `lower` defaults to 0
+    and `upper` to +inf.
     """
 
     objective: np.ndarray
@@ -107,6 +132,7 @@ class LinearProgram:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     sense: str = "min"
+    _form: _StandardForm | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = np.size(self.objective)
@@ -116,13 +142,14 @@ class LinearProgram:
             value = defaults[name] if value is None else value
             object.__setattr__(self, name, _frozen(value, str if name == "relations" else float))
         m = self.rhs.size
-        if not self.objective.shape == self.lower.shape == self.upper.shape == (n,):
+        if self.objective.shape != (n,):
             raise ShapeError("objective, lower and upper must be vectors of one length")
         if self.matrix.shape != (m, n) or not self.relations.shape == self.rhs.shape == (m,):
             raise ShapeError(
                 f"constraint matrix {self.matrix.shape}, relations {self.relations.shape} "
                 f"and rhs {self.rhs.shape} do not fit {n} variables"
             )
+        _check_bounds(self.lower, self.upper, n)
         if not all(np.isfinite(a).all() for a in (self.objective, self.matrix, self.rhs)):
             raise ConfigError("objective, constraint coefficients and rhs must be finite")
         if self.sense not in ("min", "max"):
@@ -130,6 +157,25 @@ class LinearProgram:
         unknown = sorted(set(self.relations.tolist()) - set(_RELATIONS))
         if unknown:
             raise ConfigError(f"relations must be one of {_RELATIONS}, got {unknown}")
+
+    def with_bounds(self, lower, upper) -> LinearProgram:
+        """This program with bounds `lower` and `upper`, the only arrays validated. It
+        shares every other array, and the standard form too if the same bounds are
+        finite; otherwise it builds its own when first solved."""
+        lower, upper = _frozen(lower), _frozen(upper)
+        _check_bounds(lower, upper, self.num_vars)
+        form = self._standard_form()
+        child = object.__new__(LinearProgram)
+        vars(child).update(
+            vars(self), lower=lower, upper=upper, _form=form if form.fits(lower, upper) else None
+        )
+        return child
+
+    def _standard_form(self) -> _StandardForm:
+        """The solver's standard form of this program, built on first use."""
+        if self._form is None:
+            object.__setattr__(self, "_form", _StandardForm(self))
+        return self._form
 
     @property
     def num_vars(self) -> int:
@@ -181,10 +227,17 @@ class Basis:
     `basic` has one column per row and `at_upper` lists the nonbasic columns held at
     their upper bounds. Ids are the solver's columns: the structural ones, then one
     slack per inequality row and one artificial per EQ row, each in row order.
+
+    An optimal solution's basis, whose arrays are read-only, also carries the inverse
+    and the tableau its certify step loaded, tied to the standard form they came
+    from: a warm start on a program sharing that form (`with_bounds`) loads through
+    them instead of inverting. Any other start, a crash basis, a `Basis(basic,
+    at_upper)` built by hand or one from another program, is inverted.
     """
 
     basic: np.ndarray
     at_upper: np.ndarray
+    _factor: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -330,8 +383,11 @@ def _dual_simplex(
     raise SolverError(f"dual simplex exceeded {max_iter} iterations")
 
 
-class _Transform:
-    """Reduction to `A t = b, 0 <= t <= ub` with slack and artificial columns.
+class _StandardForm:
+    """Reduction to `A t = b, 0 <= t <= ub` with slack and artificial columns: the part
+    that depends only on the objective, matrix, relations, sense and which bounds are
+    finite. It is built once per program and shared by every program `with_bounds`
+    derives from it with the same finite bounds; `bound_values` is all a solve adds.
 
     Per variable: a finite lower bound gives `x = lower + t` (with `ub = 0`
     when the variable is fixed); only a finite upper bound gives the mirrored
@@ -344,33 +400,31 @@ class _Transform:
     """
 
     def __init__(self, lp: LinearProgram):
-        lo, hi = lp.lower, lp.upper
-        empty = np.flatnonzero(lo > hi)
-        if empty.size:
-            j = int(empty[0])
-            raise ConfigError(f"variable {j} has empty bound interval [{lo[j]}, {hi[j]}]")
         a = lp.matrix
         m = a.shape[0]
         sign = 1.0 if lp.sense == "min" else -1.0
         c = sign * lp.objective
 
-        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-        free = ~has_lo & ~has_hi
-        self.offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-        self.col_sign = np.where(~has_lo & has_hi, -1.0, 1.0)
+        self.has_lo, self.has_hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
+        free = ~self.has_lo & ~self.has_hi
+        self.col_sign = np.where(~self.has_lo & self.has_hi, -1.0, 1.0)
         width = np.where(free, 2, 1)
         self.var_main = np.cumsum(width) - width
         self.free_src = np.flatnonzero(free)
         self.var_neg = self.var_main[self.free_src] + 1
+        self.boxed = np.flatnonzero(self.has_lo & self.has_hi)
         n_struct = int(width.sum())
 
-        self.row_flip = np.where(lp.relations == GE, -1.0, 1.0)
-        inequality = lp.relations != EQ
-        n_real = n_struct + int(inequality.sum())
+        self.le, self.eq = lp.relations == LE, lp.relations == EQ
+        ge = lp.relations == GE
+        self.row_flip = np.where(ge, -1.0, 1.0)
+        # per row, +-1 mapping min-form multipliers to the documented duals, and back
+        self.dual_signs = np.where(self.le, -1.0, np.where(ge, 1.0, sign))
+        n_real = n_struct + int((~self.eq).sum())
         # each row's unit column: the slacks, then the artificials, each in row order
         self.basis = np.empty(m, dtype=int)
-        self.basis[inequality] = np.arange(n_struct, n_real)
-        self.basis[~inequality] = np.arange(n_real, n_struct + m)
+        self.basis[~self.eq] = np.arange(n_struct, n_real)
+        self.basis[self.eq] = np.arange(n_real, n_struct + m)
 
         a_full = np.zeros((m, n_struct + m))
         a_full[:, self.var_main] = a * self.col_sign
@@ -381,23 +435,39 @@ class _Transform:
         self.costs = np.zeros(a_full.shape[1])
         self.costs[self.var_main] = c * self.col_sign
         self.costs[self.var_neg] = -c[self.free_src]
-        self.ub = np.full(a_full.shape[1], np.inf)
-        boxed = np.flatnonzero(has_lo & has_hi)
-        self.ub[self.var_main[boxed]] = hi[boxed] - lo[boxed]
+        self.ub = np.full(a_full.shape[1], np.inf)  # the boxed columns' widths come per solve
         self.ub[n_real:] = 0.0
         self.a_full = a_full
-        self.b = (lp.rhs - a @ self.offset) * self.row_flip
 
-    def primal_from(self, t_values: np.ndarray) -> np.ndarray:
-        x = self.offset + self.col_sign * t_values[self.var_main]
+    def fits(self, lower: np.ndarray, upper: np.ndarray) -> bool:
+        """Whether bounds `lower` and `upper` are finite exactly where this form's are."""
+        return np.array_equal(np.isfinite(lower), self.has_lo) and np.array_equal(
+            np.isfinite(upper), self.has_hi
+        )
+
+    def bound_values(self, lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The per-solve part: each variable's offset, each column's ub and the rhs b."""
+        lo, hi = lp.lower, lp.upper
+        offset = np.where(self.has_lo, lo, np.where(self.has_hi, hi, 0.0))
+        ub = self.ub.copy()
+        ub[self.var_main[self.boxed]] = hi[self.boxed] - lo[self.boxed]
+        b = (lp.rhs - lp.matrix @ offset) * self.row_flip
+        return offset, ub, b
+
+    def primal_from(self, offset: np.ndarray, t_values: np.ndarray) -> np.ndarray:
+        x = offset + self.col_sign * t_values[self.var_main]
         x[self.free_src] -= t_values[self.var_neg]
         return x
 
-    def basis_from(self, start: Basis) -> tuple[np.ndarray, np.ndarray]:
-        """Tableau basis and at-upper columns of `start`; ConfigError if it does not fit."""
-        m, n = self.a_full.shape
+    def basis_from(self, start: Basis, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Tableau basis and at-upper columns of `start`, and the inverse and tableau it
+        carries from a solve on this form (None from anywhere else); ConfigError if it
+        does not fit. A basis that a solve on this form returned fits it, unchecked."""
         basic = np.asarray(start.basic, dtype=int)
         at_upper = np.asarray(start.at_upper, dtype=int)
+        if start._factor is not None and start._factor[0] is self:
+            return basic.copy(), at_upper, start._factor[1:]
+        m, n = self.a_full.shape
         ids = np.concatenate([basic, at_upper])
         fits = (
             basic.shape == (m,)
@@ -408,41 +478,52 @@ class _Transform:
         )
         if not fits:
             raise ConfigError("start basis does not fit this program's columns")
-        unbounded = at_upper[~np.isfinite(self.ub[at_upper])]
+        unbounded = at_upper[~np.isfinite(ub[at_upper])]
         if unbounded.size:
             raise ConfigError(
                 f"start basis holds column {int(unbounded[0])} at an infinite upper bound"
             )
-        return basic.copy(), at_upper
+        return basic.copy(), at_upper, None
 
 
-def _price(tableau, costs, basis, flipped, ub) -> None:
-    """Write the reduced costs and the objective of `basis` into the tableau's cost row,
-    with each `flipped` column held complemented."""
+def _price(tableau, costs, basis, flipped, ub, reduced=True) -> None:
+    """Write the reduced costs (unless `reduced` is False) and the objective of `basis`
+    into the tableau's cost row, with each `flipped` column held complemented."""
     m = basis.size
     held = np.where(flipped, -costs, costs)  # the cost of each column as the tableau holds it
-    tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
+    if reduced:
+        tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
     tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
 
 
-def _load_tableau(tableau, tr: _Transform, basis, flipped) -> tuple[np.ndarray, np.ndarray]:
+def _load_tableau(
+    tableau, form: _StandardForm, ub, b, basis, flipped, factor=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Write B⁻¹A, x_B and the reduced costs of `basis` into `tableau`, with the nonbasic
     `flipped` columns at their upper bounds and held complemented, and return B⁻¹ and
     the net rhs `b - A_U ub_U`. The one place a tableau is built from a basis: the cold
     start (B = I, so B⁻¹ = I and the tableau is `[A | b]` exactly), a warm start and
-    the certify step all load here."""
+    the certify step all load here. `factor`, the B⁻¹ and the tableau that a certify
+    step on `form` loaded for this basis and these flipped columns, stands in for the
+    inverse and for B⁻¹A and the reduced costs, which no bound value changes; only x_B
+    and the objective are computed."""
     m = basis.size
     at_ub = np.flatnonzero(flipped)
-    rhs = tr.b - tr.a_full[:, at_ub] @ tr.ub[at_ub]
-    try:
-        inverse = np.linalg.inv(tr.a_full[:, basis])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular basis matrix: {exc}") from exc
-    # one inverse and one product: a solve with n + 1 right-hand sides costs several times more
-    tableau[:m, :-1] = inverse @ tr.a_full
+    rhs = b - form.a_full[:, at_ub] @ ub[at_ub]
+    if factor is None:
+        try:
+            inverse = np.linalg.inv(form.a_full[:, basis])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular basis matrix: {exc}") from exc
+        # one inverse and one product: a solve with n + 1 right-hand sides costs several
+        # times more
+        tableau[:m, :-1] = inverse @ form.a_full
+        tableau[:m, at_ub] *= -1.0
+    else:
+        inverse, loaded = factor
+        tableau[:, :-1] = loaded[:, :-1]
     tableau[:m, -1] = inverse @ rhs
-    tableau[:m, at_ub] *= -1.0
-    _price(tableau, tr.costs, basis, flipped, tr.ub)
+    _price(tableau, form.costs, basis, flipped, ub, reduced=factor is None)
     return inverse, rhs
 
 
@@ -457,21 +538,24 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     of a program that differs from this one only in its bounds), the solve
     runs from that basis instead of from the slack basis. Either start, and
     the final basis that certifies the answer, loads through one inverse;
-    the final one also refines x_B and the duals. Raises SolverError on
+    the final one also refines x_B and the duals, and the returned basis
+    keeps that inverse, so a start from it on a program sharing this one's
+    standard form (`with_bounds`) inverts nothing. Raises SolverError on
     iteration blow-up, on a singular start or on a basis too ill-conditioned
     to certify, and ConfigError on a `start` that does not fit.
     """
-    tr = _Transform(lp)
-    m, n_total = tr.a_full.shape
-    ub, costs = tr.ub, tr.costs
+    form = lp._standard_form()
+    offset, ub, b = form.bound_values(lp)
+    m, n_total = form.a_full.shape
+    costs = form.costs
     bland_after = 5 * (m + n_total)
     max_iter = 200 * (m + n_total) + 2000
     flipped = np.zeros(n_total, dtype=bool)
     tableau = np.zeros((m + 1, n_total + 1))
 
-    basis, at_ub = tr.basis_from(start or Basis(tr.basis, np.zeros(0, dtype=int)))
+    basis, at_ub, factor = form.basis_from(start or Basis(form.basis, np.zeros(0, dtype=int)), ub)
     flipped[at_ub] = True
-    _load_tableau(tableau, tr, basis, flipped)
+    _load_tableau(tableau, form, ub, b, basis, flipped, factor)
 
     # make the start dual feasible: a column priced below zero moves to its upper
     # bound or, with none, is priced at 0 until the dual simplex ends (cost
@@ -492,7 +576,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
             return LpSolution(status=LpStatus.UNBOUNDED)
         # certify: reload the final basis, so that roundoff the pivots piled up is gone
         flipped[basis] = False
-        inverse, rhs = _load_tableau(tableau, tr, basis, flipped)
+        inverse, rhs = _load_tableau(tableau, form, ub, b, basis, flipped)
         if tableau[-1, :-1][ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
             break
         # roundoff fooled the pivots: phase 2 goes on from the reloaded tableau
@@ -501,7 +585,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 
     # one step of iterative refinement for x_B and y, through the load's inverse
     at_ub = np.flatnonzero(flipped)
-    matrix_b = tr.a_full[:, basis]
+    matrix_b = form.a_full[:, basis]
     xb = tableau[:m, -1] + inverse @ (rhs - matrix_b @ tableau[:m, -1])
     y = costs[basis] @ inverse
     y += (costs[basis] - y @ matrix_b) @ inverse
@@ -509,25 +593,28 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     t_values = np.zeros(n_total)
     t_values[at_ub] = ub[at_ub]
     t_values[basis] = np.clip(xb, 0.0, ub[basis])
-    x = tr.primal_from(t_values)
+    x = form.primal_from(offset, t_values)
     objective_value = float(lp.objective @ x)
 
     # duals per original constraint row, in the documented convention
-    y_signed = y * tr.row_flip
-    duals = _dual_signs(lp) * y_signed
+    y_signed = y * form.row_flip
+    duals = form.dual_signs * y_signed
 
     c_min = lp.objective if lp.sense == "min" else -lp.objective
     reduced_orig = c_min - lp.matrix.T @ y_signed
     if lp.sense == "max":
         reduced_orig = -reduced_orig
 
+    # the returned basis carries this load: its arrays must stay the ones loaded
+    basis.setflags(write=False)
+    at_ub.setflags(write=False)
     solution = LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
         objective_value=objective_value,
         duals=duals,
         reduced_costs=reduced_orig,
-        basis=Basis(basic=basis, at_upper=at_ub),
+        basis=Basis(basic=basis, at_upper=at_ub, _factor=(form, inverse, tableau)),
     )
     certificate = check_solution(lp, solution)
     failures = certificate.failures()
@@ -541,23 +628,16 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _dual_signs(lp: LinearProgram) -> np.ndarray:
-    """Per-row +-1 mapping min-form multipliers to the documented duals, and back."""
-    eq_sign = 1.0 if lp.sense == "min" else -1.0
-    return np.where(lp.relations == LE, -1.0, np.where(lp.relations == GE, 1.0, eq_sign))
-
-
 def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationReport:
     """Residual report for a claimed-optimal solution."""
     if solution.status is not LpStatus.OPTIMAL:
         raise ConfigError("check_solution requires an Optimal solution")
     x = solution.x
-    lo, hi = lp.lower, lp.upper
-    rhs, relations = lp.rhs, lp.relations
-    eq = relations == EQ
+    lo, hi, rhs = lp.lower, lp.upper, lp.rhs
+    form = lp._standard_form()
+    eq, finite_lo, finite_hi = form.eq, form.has_lo, form.has_hi
     ax = lp.matrix @ x
-    slack = np.where(relations == LE, rhs - ax, ax - rhs)  # >= 0 on a satisfied inequality
-    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+    slack = np.where(form.le, rhs - ax, ax - rhs)  # >= 0 on a satisfied inequality
 
     primal = max(
         0.0,
@@ -569,7 +649,7 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
     # work in min form
     c_min = lp.objective if lp.sense == "min" else -lp.objective
     duals = solution.duals
-    y_signed = _dual_signs(lp) * duals
+    y_signed = form.dual_signs * duals
     reduced = solution.reduced_costs if lp.sense == "min" else -solution.reduced_costs
 
     at_lo = finite_lo & (x <= lo + _BOUND_TOL)

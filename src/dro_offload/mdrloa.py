@@ -11,7 +11,9 @@ lower bound to 1, and once the access phase ends every link with x = 0
 stays closed. The root LP is P2 itself and starts from P2's crash basis,
 each TD's cheapest link already basic in its access row (`crash_basis`);
 each child differs from the LP it branches from by its bounds only, so it
-starts from that LP's final basis. Both starts are dual feasible. The
+is `base.with_bounds(...)`, sharing P2's standard form, built once per
+dive, and starts from that LP's final basis, loading through the inverse
+that LP's certify step computed. Both starts are dual feasible. The
 decision is read from the last LP. Because the dive is greedy, optimality
 is measured against the exhaustive oracle rather than assumed: it
 enumerates the integral points of the same P2 and keeps the cheapest one
@@ -22,7 +24,7 @@ so the model's latency and energy formulas live in `build_p2` alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
                 narrowed[0][1, :, td, uav] = 0.0
                 narrowed[1][1, :, td, np.arange(j) != uav] = 0.0
             children = [
-                solve_lp(replace(base, lower=lo.ravel(), upper=hi.ravel()), start=current.basis)
+                solve_lp(base.with_bounds(lo.ravel(), hi.ravel()), start=current.basis)
                 for lo, hi in narrowed
             ]
             count += 2

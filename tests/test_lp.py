@@ -16,7 +16,6 @@ from dro_offload.lp import (
     Basis,
     LinearProgram,
     LpStatus,
-    _dual_signs,
     check_solution,
     solve_lp,
 )
@@ -157,6 +156,30 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             LinearProgram(objective, matrix, [LE, GE], rhs)
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ([np.nan, 0.0], [1.0, 1.0]),  # read as no bound: min x was unbounded
+            ([0.0, 0.0], [np.nan, 1.0]),  # read as no bound: silently ignored
+            ([np.inf, 0.0], [np.inf, 1.0]),  # read as a free variable
+            ([-np.inf, 0.0], [-np.inf, 1.0]),  # read as a free variable
+        ],
+    )
+    def test_nan_and_wrong_infinite_bounds_rejected(self, lower, upper):
+        with pytest.raises(ConfigError, match="lower bounds must be numbers below"):
+            LinearProgram([1.0, 1.0], lower=lower, upper=upper)
+        with pytest.raises(ConfigError, match="lower bounds must be numbers below"):
+            LinearProgram([1.0, 1.0]).with_bounds(lower, upper)
+
+    def test_empty_bound_interval_rejected(self):
+        message = r"variable 1 has empty bound interval \[2.0, 1.0\]"
+        with pytest.raises(ConfigError, match=message):
+            LinearProgram([1.0, 1.0], lower=[0.0, 2.0], upper=[1.0, 1.0])
+        with pytest.raises(ConfigError, match=message):
+            LinearProgram([1.0, 1.0]).with_bounds([0.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ShapeError):
+            LinearProgram([1.0, 1.0]).with_bounds([0.0], [1.0])
+
     def test_bad_sense_rejected(self):
         with pytest.raises(ConfigError):
             LinearProgram([1.0], sense="maximize")
@@ -186,6 +209,23 @@ class TestConstruction:
         assert child.matrix is lp.matrix and child.relations is lp.relations
         np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
         assert solve_lp(child).objective_value == pytest.approx(3.0, abs=1e-12)
+
+    def test_with_bounds_shares_the_program_and_its_standard_form(self):
+        lp = LinearProgram([1.0, 2.0], np.eye(2), [LE, GE], [3.0, 1.0], upper=[4.0, 4.0])
+        child = lp.with_bounds([1.0, 0.0], [1.0, 2.0])
+        for name in ("objective", "matrix", "relations", "rhs", "sense"):
+            assert getattr(child, name) is getattr(lp, name)
+        assert child._form is lp._form is not None
+        np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
+        np.testing.assert_array_equal(lp.upper, [4.0, 4.0])
+        with pytest.raises(ValueError, match="read-only"):
+            child.lower[0] = 0.0
+        assert solve_lp(child).objective_value == pytest.approx(3.0, abs=1e-12)
+        # x1 loses its upper bound: another column layout's ub, so its own form
+        free = lp.with_bounds([1.0, 0.0], [1.0, np.inf])
+        assert free._form is None
+        assert free._standard_form() is not lp._form
+        assert solve_lp(free).objective_value == pytest.approx(3.0, abs=1e-12)
 
 
 class TestDualConvention:
@@ -349,10 +389,10 @@ class TestBoundedVariables:
         assert sol.certificate.ok()
 
 
-def _binding_p2(seed):
+def _binding_p2(seed, sizes=(3e6, 27e6)):
     binding = {"radio": {"ref_gain_uav_hap_db": -10}, "energy": {"uav_budget_j": 25}}
     scenario = generate_scenario(parse_config({"scenario": binding}).scenario, seed)
-    return build_p2(scenario, np.linspace(3e6, 27e6, scenario.num_tds))
+    return build_p2(scenario, np.linspace(*sizes, scenario.num_tds))
 
 
 def _assert_matches_highs(lp, sol):
@@ -400,7 +440,34 @@ class TestPhaseTwo:
 def _with_bounds(lp, cols, lower, upper):
     lo, hi = lp.lower.copy(), lp.upper.copy()
     lo[cols], hi[cols] = lower, upper
-    return dataclasses.replace(lp, lower=lo, upper=hi)
+    return lp.with_bounds(lo, hi)
+
+
+def _counted(monkeypatch, calls, module, name):
+    """Count the calls to `module.name` in `calls[name]`."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _solution_bytes(sol):
+    if sol.status is not LpStatus.OPTIMAL:
+        return [sol.status]
+    arrays = (sol.x, sol.duals, sol.reduced_costs, sol.basis.basic, sol.basis.at_upper)
+    return [sol.status, repr(sol.objective_value), *(np.asarray(a).tobytes() for a in arrays)]
+
+
+def _assert_status_and_objective_match_highs(lp, sol):
+    ref = _scipy_solve(lp)
+    assert sol.status is {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
+    if sol.status is LpStatus.OPTIMAL:
+        ref_obj = ref.fun if lp.sense == "min" else -ref.fun
+        assert abs(sol.objective_value - ref_obj) / max(1.0, abs(ref_obj)) < 1e-9
+        assert sol.certificate.ok()
 
 
 class TestWarmStart:
@@ -471,7 +538,7 @@ class TestWarmStart:
         ]
         p2s = [build_p2(s, np.linspace(3e6, 27e6, s.num_tds)) for s in scenarios]
         for lp in [*(_random_lp(rng) for _ in range(60)), *p2s]:
-            slack = Basis(lp_module._Transform(lp).basis, [])
+            slack = Basis(lp._standard_form().basis, [])
             cold, loaded = solve_lp(lp), solve_lp(lp, start=slack)
             assert cold.status is loaded.status
             if cold.status is LpStatus.OPTIMAL:
@@ -480,29 +547,86 @@ class TestWarmStart:
                 np.testing.assert_array_equal(cold.basis.basic, loaded.basis.basic)
                 np.testing.assert_array_equal(cold.basis.at_upper, loaded.basis.at_upper)
 
-    def test_warm_child_inverts_twice_and_solves_nothing(self, monkeypatch):
+    def test_warm_child_inverts_once_and_solves_nothing(self, monkeypatch):
         calls = {"inv": 0, "solve": 0, "_run_simplex": 0}
-
-        def counted(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
         lp = _binding_p2(1)
         parent = solve_lp(lp)
         ij = lp.num_vars // 2
         link = int(np.argmax(parent.x)) % ij  # a link the parent uses, closed: y = z = 0
         child = _with_bounds(lp, [link, link + ij], 0.0, 0.0)
-        counted(np.linalg, "inv")
-        counted(np.linalg, "solve")
-        counted(lp_module, "_run_simplex")
+        _counted(monkeypatch, calls, np.linalg, "inv")
+        _counted(monkeypatch, calls, np.linalg, "solve")
+        _counted(monkeypatch, calls, lp_module, "_run_simplex")
         sol = solve_lp(child, start=parent.basis)
         _assert_matches_highs(child, sol)
-        assert calls == {"inv": 2, "solve": 0, "_run_simplex": 1}  # inv: the start, the certify
+        # inv: the certify step alone; the start loads through the parent's inverse
+        assert calls == {"inv": 1, "solve": 0, "_run_simplex": 1}
+
+    def test_a_start_from_another_program_is_inverted(self, monkeypatch):
+        lp = _binding_p2(1)
+        parent = solve_lp(lp)
+        for ids in (parent.basis.basic, parent.basis.at_upper):
+            assert not ids.flags.writeable  # the carried inverse stays that of these ids
+        ij = lp.num_vars // 2
+        link = int(np.argmax(parent.x)) % ij
+        other_means = _binding_p2(1, sizes=(27e6, 3e6))
+        matrix = lp.matrix.copy()
+        matrix[-1] *= 1.5  # the HAP's energy row
+        # a column the parent holds at its lower bound loses its upper bound
+        at_lower = np.setdiff1d(np.arange(lp.num_vars), parent.basis.basic)
+        at_lower = np.setdiff1d(at_lower, parent.basis.at_upper)[0]
+        unbounded = lp.upper.copy()
+        unbounded[at_lower] = np.inf
+        others = [
+            _with_bounds(other_means, [link, link + ij], 0.0, 0.0),
+            _with_bounds(dataclasses.replace(lp, matrix=matrix), [link, link + ij], 0.0, 0.0),
+            _with_bounds(lp.with_bounds(lp.lower, unbounded), [link, link + ij], 0.0, 0.0),
+        ]
+        assert all(other._standard_form() is not lp._form for other in others)
+        for other in others:
+            fresh = solve_lp(other, start=Basis(parent.basis.basic, parent.basis.at_upper))
+            factors = []
+
+            def load(*args, factor=None, real=lp_module._load_tableau):
+                factors.append(args[6] if len(args) > 6 else factor)
+                return real(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_module, "_load_tableau", load)
+                carried = solve_lp(other, start=parent.basis)
+            assert len(factors) >= 2 and factors == [None] * len(factors)  # every load inverts
+            assert _solution_bytes(carried) == _solution_bytes(fresh)
+            _assert_matches_highs(other, carried)
+
+    def test_chains_of_children_match_the_replace_path(self):
+        rng = np.random.default_rng(2024)
+        narrow = np.random.default_rng(5)
+        programs = [*(_random_lp(rng) for _ in range(40)), _binding_p2(1), _binding_p2(2)]
+        depths = []
+        for root in programs:
+            boxed = np.flatnonzero(np.isfinite(root.lower) & np.isfinite(root.upper))
+            shared = replaced = root
+            sol = solve_lp(root)
+            old = sol
+            depth = 0
+            while sol.status is LpStatus.OPTIMAL and boxed.size and depth < 6:
+                j = int(narrow.choice(boxed))
+                lo, hi = shared.lower.copy(), shared.upper.copy()
+                if narrow.random() < 0.5:  # fix the variable at one end of its box
+                    lo[j] = hi[j] = (lo[j], hi[j])[int(narrow.integers(2))]
+                else:  # halve the box around its current value
+                    mid = (lo[j] + hi[j]) / 2.0
+                    lo[j], hi[j] = (lo[j], mid) if sol.x[j] <= mid else (mid, hi[j])
+                shared = shared.with_bounds(lo, hi)  # a child of the last child
+                replaced = dataclasses.replace(replaced, lower=lo, upper=hi)
+                assert shared._form is root._form
+                sol = solve_lp(shared, start=sol.basis)
+                old = solve_lp(replaced, start=old.basis)
+                assert _solution_bytes(sol) == _solution_bytes(old)
+                _assert_status_and_objective_match_highs(shared, sol)
+                depth += 1
+            depths.append(depth)
+        assert depths.count(6) >= 10 and depths[-2:] == [6, 6]
 
     def test_singular_start_raises(self):
         # columns: x, y, then the two rows' slacks; x and y have one column in both rows
@@ -568,7 +692,8 @@ def _check_solution_loops(lp, solution):
             primal = max(primal, x[j] - lp.upper[j])
     c_min = lp.objective if lp.sense == "min" else -lp.objective
     duals = solution.duals
-    y_signed = _dual_signs(lp) * duals
+    eq_sign = 1.0 if lp.sense == "min" else -1.0
+    y_signed = np.array([{LE: -1.0, GE: 1.0}.get(rel, eq_sign) for rel in relations]) * duals
     reduced = solution.reduced_costs if lp.sense == "min" else -solution.reduced_costs
     dual = 0.0
     for r, rel in enumerate(relations):

@@ -200,6 +200,23 @@ class TestDiveLps:
             assert child.matrix is base.matrix and child.objective is base.objective
         assert any((child.lower == child.upper).any() for child, _ in dive_lps)
 
+    def test_one_dive_builds_p2s_standard_form_once(self, monkeypatch, dive_lps):
+        built = []
+
+        class Counted(lp_module._StandardForm):
+            def __init__(self, lp):
+                built.append(lp)
+                super().__init__(lp)
+
+        monkeypatch.setattr(lp_module, "_StandardForm", Counted)
+        cfg, seed = _ACCESS_AND_COMPUTE_BRANCHINGS
+        scenario = generate_scenario(cfg.scenario, seed)
+        result = mdrloa_solve(scenario, build_ambiguity_sets(cfg, seed))
+        assert result.lp_solve_count == len(dive_lps) > 10
+        base = dive_lps[0][0]
+        assert built == [base]
+        assert all(lp._form is base._form for lp, _ in dive_lps)
+
     def test_root_integral_dive_solves_one_lp(self, dive_lps):
         sc = _scenario()
         result = mdrloa_solve(sc, _uniform_sets(10))
