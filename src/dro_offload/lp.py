@@ -20,9 +20,14 @@ it only in its bounds. That standard form (the column layout, the
 matrix with its slacks and artificials, the costs and the row flips) is
 built once per program and shared by every `with_bounds` program with
 the same finite bounds; a solve adds only the offsets, the upper bounds
-of the columns and the rhs. Only columns with an upper bound above 0 are
-priced: fixed variables and artificials never enter (an artificial left
-basic on a redundant row gives that row a dual of 0).
+of the columns and the rhs. Of the form, only the matrix and the costs
+depend on the program's numbers; the rest (the column layout, the row
+flips, the dual signs and the cold basis) depends only on the relations,
+the sense and which bounds are finite, and is built once per such
+pattern and shared by every program that has it. Only columns with an
+upper bound above 0 are priced: fixed variables and artificials never
+enter (an artificial left basic on a redundant row gives that row a dual
+of 0).
 
 Every solve starts from a basis: the slack/artificial basis, whose matrix
 is the identity, or the `Basis` given as `start`. A start may be any basis
@@ -51,8 +56,9 @@ at their upper bounds are loaded again. A negative reduced cost in that
 fresh tableau sends phase 2 on from it; otherwise the primal point and the
 dual values get one step of iterative refinement through the load's
 inverse to keep residuals tight, and the reduced costs follow from the
-duals. An OPTIMAL result always passes its certificate (`check_solution`);
-an optimum that fails it raises SolverError instead of being returned.
+duals. An OPTIMAL result always passes its certificate (`check_solution`,
+one pass over row and bound arrays the standard form precomputes); an
+optimum that fails it raises SolverError instead of being returned.
 
 Dual-value convention: the reported dual of an inequality row is the
 nonnegative Lagrange multiplier (for both senses of the objective);
@@ -65,6 +71,7 @@ sitting at its lower bound has reduced cost >= 0 for "min" (<= 0 for
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -135,13 +142,22 @@ class LinearProgram:
     _form: _StandardForm | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        n = np.size(self.objective)
-        defaults = {"matrix": np.zeros((0, n)), "lower": np.zeros(n), "upper": np.full(n, np.inf)}
+        if self.objective is None:
+            raise ShapeError("objective must be a vector of numbers, got None")
         for name in ("objective", "matrix", "relations", "rhs", "lower", "upper"):
             value = getattr(self, name)
-            value = defaults[name] if value is None else value
-            object.__setattr__(self, name, _frozen(value, str if name == "relations" else float))
-        m = self.rhs.size
+            if value is None:  # the objective, converted first, gives the defaults' length
+                n = self.objective.size
+                defaults = {
+                    "matrix": np.zeros((0, n)), "lower": np.zeros(n), "upper": np.full(n, np.inf)
+                }
+                value = defaults[name]
+            try:
+                value = _frozen(value, str if name == "relations" else float)
+            except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
+                raise ConfigError(f"{name} must be an array of numbers: {exc}") from None
+            object.__setattr__(self, name, value)
+        n, m = self.objective.size, self.rhs.size
         if self.objective.shape != (n,):
             raise ShapeError("objective, lower and upper must be vectors of one length")
         if self.matrix.shape != (m, n) or not self.relations.shape == self.rhs.shape == (m,):
@@ -262,6 +278,7 @@ class LpSolution:
 # complemented.
 
 _FLIP = -1  # _choose_leaving: the entering variable reaches its own bound first
+_SIDES = np.array([[1.0], [-1.0]])  # check_solution: a variable's lower, then upper side
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -300,12 +317,14 @@ def _choose_entering(costrow: np.ndarray, bland: bool) -> int | None:
     return col if costrow[col] < -_OPT_TOL else None
 
 
-def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, ub: np.ndarray, col: int) -> int | None:
+def _choose_leaving(
+    tableau: np.ndarray, basis: np.ndarray, ub: np.ndarray, ub_basic: np.ndarray, col: int
+) -> int | None:
     """Bounded ratio test: the row whose basic variable reaches 0 or its ub first,
-    `_FLIP` when the entering variable reaches its own ub first, None if unbounded."""
+    `_FLIP` when the entering variable reaches its own ub first, None if unbounded.
+    `ub_basic` is `ub[basis]`."""
     column = tableau[:-1, col]
     rhs = tableau[:-1, -1]
-    ub_basic = ub[basis]
     down = np.flatnonzero(column > _PIVOT_TOL)
     up = np.flatnonzero((column < -_PIVOT_TOL) & (ub_basic < np.inf))
     rows = np.concatenate([down, up])
@@ -332,13 +351,14 @@ def _run_simplex(
     # priced columns that form a prefix (nothing fixed) are read through a view, not a copy
     prefix = priced.size > 0 and priced[-1] == priced.size - 1
     view = slice(priced.size) if prefix else priced
+    ub_basic = ub[basis]
     iters = 0
     while True:
         k = _choose_entering(tableau[-1, view], bland=iters >= bland_after)
         if k is None:
             return True
         entering = int(priced[k])
-        leaving = _choose_leaving(tableau, basis, ub, entering)
+        leaving = _choose_leaving(tableau, basis, ub, ub_basic, entering)
         if leaving is None:
             return False
         if leaving == _FLIP:
@@ -347,6 +367,7 @@ def _run_simplex(
             if tableau[leaving, entering] < 0.0:  # the basic variable leaves at its ub
                 _flip_basic(tableau, basis, ub, flipped, leaving)
             _pivot(tableau, basis, leaving, entering)
+            ub_basic[leaving] = ub[entering]
         iters += 1
         if iters > max_iter:
             raise SolverError(f"simplex exceeded {max_iter} iterations")
@@ -362,16 +383,18 @@ def _dual_simplex(
     There is no anti-cycling rule: a solve that cycles here ends at `max_iter`
     with SolverError.
     """
+    if not basis.size:  # no rows, nothing to repair
+        return True
     priced = ub > 0.0
+    ub_basic = ub[basis]
     for _ in range(max_iter):
         xb = tableau[:-1, -1]
-        ub_basic = ub[basis]
         # each row against its own |x_B|: one large basic value must not hide a small
         # violation elsewhere
         violation = np.maximum(-xb, xb - ub_basic) / np.maximum(1.0, np.abs(xb))
-        if violation.max(initial=0.0) <= _FEAS_TOL:
+        row = int(np.argmax(violation))  # the first largest; a NaN counts as largest
+        if violation[row] <= _FEAS_TOL:
             return True
-        row = int(np.argmax(violation))
         if xb[row] > ub_basic[row]:  # leaves at its ub: complemented, it leaves at 0
             _flip_basic(tableau, basis, ub, flipped, row)
         alpha = tableau[row, :-1]
@@ -379,8 +402,66 @@ def _dual_simplex(
         if not eligible.size:
             return False
         ratios = np.maximum(tableau[-1, eligible], 0.0) / -alpha[eligible]
-        _pivot(tableau, basis, row, int(eligible[np.argmin(ratios)]))
+        entering = int(eligible[np.argmin(ratios)])
+        _pivot(tableau, basis, row, entering)
+        ub_basic[row] = ub[entering]
     raise SolverError(f"dual simplex exceeded {max_iter} iterations")
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(relations: bytes, kind: str, has_lo: bytes, has_hi: bytes, sense: str) -> dict:
+    """The part of a standard form that depends only on the relations, the sense and which
+    bounds are finite, given as those arrays' bytes (`kind` is the relations' dtype):
+    built once per pattern and shared, read-only, by every form with that pattern."""
+    relations = np.frombuffer(relations, dtype=kind)
+    has_lo, has_hi = np.frombuffer(has_lo, dtype=bool), np.frombuffer(has_hi, dtype=bool)
+    m = relations.size
+    sign = 1.0 if sense == "min" else -1.0
+    free = ~has_lo & ~has_hi
+    width = np.where(free, 2, 1)
+    var_main = np.cumsum(width) - width
+    free_src = np.flatnonzero(free)
+    n_struct = int(width.sum())
+
+    le, eq, ge = (relations == relation for relation in (LE, EQ, GE))
+    row_flip = np.where(ge, -1.0, 1.0)
+    n_real = n_struct + int((~eq).sum())
+    # each row's unit column: the slacks, then the artificials, each in row order
+    basis = np.empty(m, dtype=int)
+    basis[~eq] = np.arange(n_struct, n_real)
+    basis[eq] = np.arange(n_real, n_struct + m)
+    ub = np.full(n_struct + m, np.inf)  # the boxed columns' widths come per solve
+    ub[n_real:] = 0.0
+
+    layout = {
+        "has_lo": has_lo,
+        "has_hi": has_hi,
+        "col_sign": np.where(~has_lo & has_hi, -1.0, 1.0),
+        "var_main": var_main,
+        "free_src": free_src,
+        "var_neg": var_main[free_src] + 1,
+        "boxed": np.flatnonzero(has_lo & has_hi),
+        "n_struct": n_struct,
+        "sign": sign,
+        "row_flip": row_flip,
+        # per row, +-1 mapping min-form multipliers to the documented duals, and back
+        "dual_signs": np.where(le, -1.0, np.where(ge, 1.0, sign)),
+        "basis": basis,
+        "unit": (np.arange(m), basis),
+        "ub": ub,
+        # what check_solution reads: per row, the two signs of `A x - b` that must be
+        # <= 0 (both +1 on an LE row, both -1 on a GE row, one of each on an EQ row);
+        # per variable, the finite bounds as lower bounds (x >= lo and -x >= -hi) and
+        # the signs that turn its reduced cost into min form on each side
+        "ineq": ~eq,
+        "row_sides": np.stack([row_flip, np.where(eq, -1.0, row_flip)]),
+        "finite": np.stack([has_lo, has_hi]),
+        "min_sides": _SIDES * sign,
+    }
+    for value in (*layout.values(), *layout["unit"]):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return layout
 
 
 class _StandardForm:
@@ -388,6 +469,9 @@ class _StandardForm:
     that depends only on the objective, matrix, relations, sense and which bounds are
     finite. It is built once per program and shared by every program `with_bounds`
     derives from it with the same finite bounds; `bound_values` is all a solve adds.
+    Of it, only the matrix with its slack and artificial columns and the costs depend
+    on the numbers of the program: the rest is its `_layout`, shared by every program
+    with the same relations, sense and finite bounds.
 
     Per variable: a finite lower bound gives `x = lower + t` (with `ub = 0`
     when the variable is fixed); only a finite upper bound gives the mirrored
@@ -400,44 +484,20 @@ class _StandardForm:
     """
 
     def __init__(self, lp: LinearProgram):
+        relations, has_lo, has_hi = lp.relations, np.isfinite(lp.lower), np.isfinite(lp.upper)
+        key = (relations.tobytes(), relations.dtype.str, has_lo.tobytes(), has_hi.tobytes())
+        vars(self).update(_layout(*key, lp.sense))
         a = lp.matrix
-        m = a.shape[0]
-        sign = 1.0 if lp.sense == "min" else -1.0
-        c = sign * lp.objective
-
-        self.has_lo, self.has_hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
-        free = ~self.has_lo & ~self.has_hi
-        self.col_sign = np.where(~self.has_lo & self.has_hi, -1.0, 1.0)
-        width = np.where(free, 2, 1)
-        self.var_main = np.cumsum(width) - width
-        self.free_src = np.flatnonzero(free)
-        self.var_neg = self.var_main[self.free_src] + 1
-        self.boxed = np.flatnonzero(self.has_lo & self.has_hi)
-        n_struct = int(width.sum())
-
-        self.le, self.eq = lp.relations == LE, lp.relations == EQ
-        ge = lp.relations == GE
-        self.row_flip = np.where(ge, -1.0, 1.0)
-        # per row, +-1 mapping min-form multipliers to the documented duals, and back
-        self.dual_signs = np.where(self.le, -1.0, np.where(ge, 1.0, sign))
-        n_real = n_struct + int((~self.eq).sum())
-        # each row's unit column: the slacks, then the artificials, each in row order
-        self.basis = np.empty(m, dtype=int)
-        self.basis[~self.eq] = np.arange(n_struct, n_real)
-        self.basis[self.eq] = np.arange(n_real, n_struct + m)
-
-        a_full = np.zeros((m, n_struct + m))
+        self.c_min = c = self.sign * lp.objective
+        a_full = np.zeros((a.shape[0], self.ub.size))
         a_full[:, self.var_main] = a * self.col_sign
         a_full[:, self.var_neg] = -a[:, self.free_src]
-        a_full[:, :n_struct] *= self.row_flip[:, None]
-        a_full[np.arange(m), self.basis] = 1.0
-
-        self.costs = np.zeros(a_full.shape[1])
+        a_full[:, : self.n_struct] *= self.row_flip[:, None]
+        a_full[self.unit] = 1.0
+        self.a_full = a_full
+        self.costs = np.zeros(self.ub.size)
         self.costs[self.var_main] = c * self.col_sign
         self.costs[self.var_neg] = -c[self.free_src]
-        self.ub = np.full(a_full.shape[1], np.inf)  # the boxed columns' widths come per solve
-        self.ub[n_real:] = 0.0
-        self.a_full = a_full
 
     def fits(self, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether bounds `lower` and `upper` are finite exactly where this form's are."""
@@ -486,45 +546,52 @@ class _StandardForm:
         return basic.copy(), at_upper, None
 
 
-def _price(tableau, costs, basis, flipped, ub, reduced=True) -> None:
+def _price(tableau, costs, basis, at_ub, ub, reduced=True) -> None:
     """Write the reduced costs (unless `reduced` is False) and the objective of `basis`
-    into the tableau's cost row, with each `flipped` column held complemented."""
+    into the tableau's cost row, with the `at_ub` columns held complemented."""
     m = basis.size
-    held = np.where(flipped, -costs, costs)  # the cost of each column as the tableau holds it
+    held, at_ub_cost = costs, 0.0  # the cost of each column as the tableau holds it
+    if at_ub.size:
+        held = costs.copy()
+        held[at_ub] *= -1.0
+        at_ub_cost = costs[at_ub] @ ub[at_ub]
     if reduced:
         tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
-    tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + costs[flipped] @ ub[flipped])
+    tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + at_ub_cost)
 
 
 def _load_tableau(
     tableau, form: _StandardForm, ub, b, basis, flipped, factor=None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Write B⁻¹A, x_B and the reduced costs of `basis` into `tableau`, with the nonbasic
-    `flipped` columns at their upper bounds and held complemented, and return B⁻¹ and
-    the net rhs `b - A_U ub_U`. The one place a tableau is built from a basis: the cold
-    start (B = I, so B⁻¹ = I and the tableau is `[A | b]` exactly), a warm start and
-    the certify step all load here. `factor`, the B⁻¹ and the tableau that a certify
-    step on `form` loaded for this basis and these flipped columns, stands in for the
-    inverse and for B⁻¹A and the reduced costs, which no bound value changes; only x_B
-    and the objective are computed."""
+    `flipped` columns at their upper bounds and held complemented, and return B⁻¹, the
+    net rhs `b - A_U ub_U` and B (None when `factor` is given). The one place a tableau
+    is built from a basis: the cold start (B = I, so B⁻¹ = I and the tableau is
+    `[A | b]` exactly), a warm start and the certify step all load here. `factor`, the
+    B⁻¹ and the tableau that a certify step on `form` loaded for this basis and these
+    flipped columns, stands in for the inverse and for B⁻¹A and the reduced costs,
+    which no bound value changes; only x_B and the objective are computed."""
     m = basis.size
     at_ub = np.flatnonzero(flipped)
-    rhs = b - form.a_full[:, at_ub] @ ub[at_ub]
+    rhs = b - form.a_full[:, at_ub] @ ub[at_ub] if at_ub.size else b
+    matrix_b = None
     if factor is None:
+        matrix_b = form.a_full[:, basis]
         try:
-            inverse = np.linalg.inv(form.a_full[:, basis])
+            inverse = np.linalg.inv(matrix_b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis matrix: {exc}") from exc
         # one inverse and one product: a solve with n + 1 right-hand sides costs several
         # times more
         tableau[:m, :-1] = inverse @ form.a_full
-        tableau[:m, at_ub] *= -1.0
+        if at_ub.size:
+            tableau[:m, at_ub] *= -1.0
     else:
         inverse, loaded = factor
         tableau[:, :-1] = loaded[:, :-1]
     tableau[:m, -1] = inverse @ rhs
-    _price(tableau, form.costs, basis, flipped, ub, reduced=factor is None)
-    return inverse, rhs
+    _price(tableau, form.costs, basis, at_ub, ub, reduced=factor is None)
+    return inverse, rhs, matrix_b
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
@@ -569,14 +636,14 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
         return LpSolution(status=LpStatus.INFEASIBLE)
     if modified.size:
-        _price(tableau, costs, basis, flipped, ub)
+        _price(tableau, costs, basis, np.flatnonzero(flipped), ub)
 
     for _attempt in range(6):
         if not _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter):
             return LpSolution(status=LpStatus.UNBOUNDED)
         # certify: reload the final basis, so that roundoff the pivots piled up is gone
         flipped[basis] = False
-        inverse, rhs = _load_tableau(tableau, form, ub, b, basis, flipped)
+        inverse, rhs, matrix_b = _load_tableau(tableau, form, ub, b, basis, flipped)
         if tableau[-1, :-1][ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
             break
         # roundoff fooled the pivots: phase 2 goes on from the reloaded tableau
@@ -585,7 +652,6 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 
     # one step of iterative refinement for x_B and y, through the load's inverse
     at_ub = np.flatnonzero(flipped)
-    matrix_b = form.a_full[:, basis]
     xb = tableau[:m, -1] + inverse @ (rhs - matrix_b @ tableau[:m, -1])
     y = costs[basis] @ inverse
     y += (costs[basis] - y @ matrix_b) @ inverse
@@ -600,8 +666,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     y_signed = y * form.row_flip
     duals = form.dual_signs * y_signed
 
-    c_min = lp.objective if lp.sense == "min" else -lp.objective
-    reduced_orig = c_min - lp.matrix.T @ y_signed
+    reduced_orig = form.c_min - lp.matrix.T @ y_signed
     if lp.sense == "max":
         reduced_orig = -reduced_orig
 
@@ -628,52 +693,54 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
+def _larger(a, b) -> float:
+    """max(0, a, b) as a float, and NaN if a or b is (`max` alone may drop a NaN)."""
+    return float("nan") if a != a or b != b else float(max(0.0, a, b))
+
+
 def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationReport:
-    """Residual report for a claimed-optimal solution."""
+    """Residual report for a claimed-optimal solution.
+
+    In min form, with each bound read as a lower bound (x >= lo and -x >= -hi):
+    the primal residual is the largest row or bound violation; the dual residual
+    the largest negative inequality dual or reduced cost of the wrong sign (one
+    on both of its bounds, a fixed variable, may take any); complementarity the
+    largest |dual * slack| or reduced cost times its distance to the bound it
+    prices; the gap is relative to max(1, |c'x|). Both sides of every row and
+    every variable are read in one pass each, through the signs and masks the
+    standard form precomputes. A NaN in x, the duals or the reduced costs gives a
+    NaN residual, so the certificate fails.
+    """
     if solution.status is not LpStatus.OPTIMAL:
         raise ConfigError("check_solution requires an Optimal solution")
-    x = solution.x
-    lo, hi, rhs = lp.lower, lp.upper, lp.rhs
     form = lp._standard_form()
-    eq, finite_lo, finite_hi = form.eq, form.has_lo, form.has_hi
-    ax = lp.matrix @ x
-    slack = np.where(form.le, rhs - ax, ax - rhs)  # >= 0 on a satisfied inequality
+    x, duals, rhs = solution.x, solution.duals, lp.rhs
+    excess = lp.matrix @ x - rhs
+    # [lower; upper] side of each variable: the point, the bound and the reduced cost,
+    # signed so that the bound is a lower one and the reduced cost is in min form
+    point = _SIDES * x
+    bound = _SIDES * (lp.lower, lp.upper)
+    reduced = form.min_sides * solution.reduced_costs
+    # an infinite bound (-inf here) stands at the point itself: no violation, no distance
+    below = np.where(form.finite, bound, point) - point
+    # the bound a reduced cost prices: the side on which it is positive, if finite
+    on = (reduced > 0) & form.finite
+    priced = reduced[on]  # the lower sides' entries, then the upper sides'
+    ineq_duals = duals[form.ineq]
 
-    primal = max(
-        0.0,
-        float(np.where(eq, np.abs(ax - rhs), -slack).max(initial=0.0)),
-        float((lo - x)[finite_lo].max(initial=0.0)),
-        float((x - hi)[finite_hi].max(initial=0.0)),
+    primal = _larger((excess * form.row_sides).max(initial=0.0), below.max(initial=0.0))
+    # a reduced cost positive on a side is a violation unless x sits on that side's
+    # bound (a variable on both, a fixed one, may take any)
+    wrong_sign = reduced * (point > bound + _BOUND_TOL)
+    dual = _larger((-ineq_duals).max(initial=0.0), wrong_sign.max(initial=0.0))
+    comp = _larger(
+        np.abs(ineq_duals * excess[form.ineq]).max(initial=0.0),
+        (priced * np.abs(below[on])).max(initial=0.0),
     )
 
-    # work in min form
-    c_min = lp.objective if lp.sense == "min" else -lp.objective
-    duals = solution.duals
-    y_signed = form.dual_signs * duals
-    reduced = solution.reduced_costs if lp.sense == "min" else -solution.reduced_costs
-
-    at_lo = finite_lo & (x <= lo + _BOUND_TOL)
-    at_hi = finite_hi & (x >= hi - _BOUND_TOL)
-    # a variable on both bounds (fixed) may take any reduced cost
-    off_bound = np.where(at_lo, -reduced, np.where(at_hi, reduced, np.abs(reduced)))
-    dual = max(
-        0.0,
-        float((-duals[~eq]).max(initial=0.0)),
-        float(off_bound[~(at_lo & at_hi)].max(initial=0.0)),
-    )
-
-    # the bound a nonzero reduced cost prices: lower when positive, upper when negative
-    on_lo = (reduced > 0) & finite_lo
-    on_hi = (reduced < 0) & finite_hi
-    comp = max(
-        0.0,
-        float(np.abs(duals[~eq] * slack[~eq]).max(initial=0.0)),
-        float((reduced[on_lo] * np.abs(x[on_lo] - lo[on_lo])).max(initial=0.0)),
-        float((-reduced[on_hi] * np.abs(hi[on_hi] - x[on_hi])).max(initial=0.0)),
-    )
-
-    primal_obj = float(c_min @ x)
-    dual_obj = float(y_signed @ rhs + reduced[on_lo] @ lo[on_lo] + reduced[on_hi] @ hi[on_hi])
+    at, k = bound[on], np.count_nonzero(on[0])
+    primal_obj = float(form.c_min @ x)
+    dual_obj = float(form.dual_signs * duals @ rhs + priced[:k] @ at[:k] + priced[k:] @ at[k:])
     gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
 
     return CertificationReport(

@@ -7,6 +7,10 @@ columns are [y..., z...] in row-major (i, j) order, 2*I*J in total
 Every decision is scored on P2 itself: its objective is the expected
 latency, its last J + 1 rows give the expected energy above the basic
 costs (`energy_use`), and `meets_rows` is the one rule for meeting its rows.
+Only the objective and the energy rows depend on the task sizes: the rest
+of P2 (the access, quota and HAP-quota rows, the relations, the rhs and
+the [0, 1] bounds) is built once per shape, I, J, the two quotas and the
+two energy caps, and every P2 of that shape shares it read-only.
 
 The worst-case distributions are computed by per-device decomposition:
 every coefficient multiplying a task size in the objective and in the
@@ -18,6 +22,7 @@ certifies this decomposition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +76,26 @@ class OffloadDecision:
         }
 
 
+@functools.lru_cache(maxsize=16)
+def _p2_template(
+    i: int, j: int, quota_uav: float, quota_hap: float, uav_cap: float, hap_cap: float
+) -> tuple[np.ndarray, ...]:
+    """P2's size-free part for one shape, as read-only arrays: the matrix with its
+    access, quota and HAP-quota rows filled and its J + 1 energy rows zero, the
+    relations, the rhs and the [0, 1] bounds. Every P2 of that shape shares it."""
+    ij = i * j
+    matrix = np.zeros((i + 2 * j + 2, 2, ij))  # [row, y/z block, (TD, UAV)]
+    matrix[:i] = np.repeat(np.eye(i), j, axis=1)[:, None]  # access: one link per TD
+    matrix[i : i + j] = np.tile(np.eye(j), i)[:, None]  # UAV access quotas
+    matrix[i + j, 1] = 1.0  # HAP quota: z only
+    relations = np.repeat([EQ, LE], [i, 2 * j + 2])
+    rhs = np.repeat([1.0, quota_uav, quota_hap, uav_cap, hap_cap], [i, j, 1, j, 1])
+    arrays = (matrix.reshape(len(rhs), 2 * ij), relations, rhs, np.zeros(2 * ij), np.ones(2 * ij))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     """LP relaxation of the offloading problem for fixed expected sizes.
 
@@ -78,52 +103,38 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     UAV compute delay on y and access plus relay-and-HAP delay on z. Five
     row blocks, in order: one access link per TD, the UAV access quotas
     (both on y + z), the HAP quota, the UAV energy budgets and the HAP
-    energy budget, both net of the basic costs.
+    energy budget, both net of the basic costs. Only the objective and the
+    energy rows depend on the sizes: the rest comes from `_p2_template`,
+    built once per shape, and each call copies the template matrix and
+    writes those J + 1 rows into the copy.
     """
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     if mean_sizes.shape != (scenario.num_tds,):
         raise ShapeError("mean_sizes must have one entry per TD")
     coeffs = per_bit_coefficients(scenario)
     i, j = scenario.num_tds, scenario.num_uavs
-    ij = i * j
     sized = mean_sizes[:, None]
     access = sized * coeffs.access_delay
     delays = (coeffs.uav_compute_delay, coeffs.relay_path_delay)
     objective = np.concatenate([(access + sized * delay).ravel() for delay in delays])
 
-    none = np.zeros((1, ij))
-    per_td = np.repeat(np.eye(i), j, axis=1)
-    per_uav = np.tile(np.eye(j), i)
-    # row j, column (i, j'): E[phi_i] when j' == j, else 0
-    size_on_uav = per_uav * np.repeat(mean_sizes, j)
     en = scenario.energy
-    blocks = (  # (y, z) coefficients, relation, rhs
-        (per_td, per_td, EQ, 1.0),  # access
-        (per_uav, per_uav, LE, float(scenario.quota_uav)),
-        (none, np.ones((1, ij)), LE, float(scenario.quota_hap)),
-        (  # UAV energy
-            size_on_uav * coeffs.uav_compute_energy[:, None],
-            size_on_uav * coeffs.uav_relay_energy[:, None],
-            LE,
-            en.uav_budget - en.uav_basic,
-        ),
-        (  # HAP energy
-            none,
-            np.repeat(mean_sizes * coeffs.hap_compute_energy, j)[None, :],
-            LE,
-            en.hap_budget - en.hap_basic,
-        ),
+    caps = (en.uav_budget - en.uav_basic, en.hap_budget - en.hap_basic)
+    template, relations, rhs, lower, upper = _p2_template(
+        i, j, float(scenario.quota_uav), float(scenario.quota_hap), *caps
     )
-    y, z, relations, rhs = zip(*blocks)
-    rows = [len(block) for block in y]
-    return LinearProgram(
-        objective,
-        np.hstack([np.vstack(y), np.vstack(z)]),
-        np.repeat(relations, rows),
-        np.repeat(rhs, rows),
-        lower=np.zeros(2 * ij),
-        upper=np.ones(2 * ij),
-    )
+    matrix = template.copy()
+    # UAV energy row j, column (i, j) of each block: E[phi_i] times UAV j's energy per bit
+    energy = matrix[i + j + 1 :].reshape(j + 1, 2, i, j)
+    uavs = np.arange(j)
+    for block, per_bit in enumerate((coeffs.uav_compute_energy, coeffs.uav_relay_energy)):
+        energy[uavs, block, :, uavs] = np.multiply.outer(per_bit, mean_sizes)
+    # HAP energy: every z of TD i carries E[phi_i] times the HAP's energy per bit
+    energy[-1, 1] = (mean_sizes * coeffs.hap_compute_energy)[:, None]
+    # read-only arrays are kept as they are, not copied again
+    for array in (objective, matrix):
+        array.setflags(write=False)
+    return LinearProgram(objective, matrix, relations, rhs, lower=lower, upper=upper)
 
 
 def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:

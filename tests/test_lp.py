@@ -1,10 +1,12 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dro_offload import evaluation, mdrloa
 from dro_offload import lp as lp_module
-from dro_offload.config import default_config, parse_config
+from dro_offload.config import default_config, load_config, parse_config
 from dro_offload.errors import ConfigError, ShapeError, SolverError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
@@ -179,6 +181,21 @@ class TestConstruction:
             LinearProgram([1.0, 1.0]).with_bounds([0.0, 2.0], [1.0, 1.0])
         with pytest.raises(ShapeError):
             LinearProgram([1.0, 1.0]).with_bounds([0.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"objective": None}, ShapeError, "objective must be a vector of numbers, got None"),
+            ({"objective": ["a"]}, ConfigError, "objective must be an array of numbers"),
+            ({"objective": [[1.0, 2.0], [1.0]]}, ConfigError, "objective must be an array of"),
+            ({"objective": [1.0], "matrix": [["x"]], "relations": [LE], "rhs": [1.0]},
+             ConfigError, "matrix must be an array of numbers"),
+            ({"objective": [1.0], "lower": [object()]}, ConfigError, "lower must be an array of"),
+        ],
+    )
+    def test_objective_none_or_not_numbers_rejected(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            LinearProgram(**kwargs)
 
     def test_bad_sense_rejected(self):
         with pytest.raises(ConfigError):
@@ -729,8 +746,48 @@ def _check_solution_loops(lp, solution):
     return primal, dual, comp, gap
 
 
+PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def _dive_lps(monkeypatch):
+    """(LP, solution) of every LP the dro, do and ro dives solve on the three perfbench
+    configs at seeds 1-3."""
+    solved = []
+    solve = mdrloa.solve_lp
+
+    def capture(lp, **kwargs):
+        solution = solve(lp, **kwargs)
+        solved.append((lp, solution))
+        return solution
+
+    monkeypatch.setattr(mdrloa, "solve_lp", capture)
+    for name in ("eval-default", "eval-binding", "ladder-30x5"):
+        cfg = load_config(PERFBENCH_CONFIGS / f"{name}.json")
+        experiment = dataclasses.replace(
+            cfg.experiment, seeds=(1, 2, 3), methods=("dro", "do", "ro")
+        )
+        evaluation.compare_methods(dataclasses.replace(cfg, experiment=experiment))
+    return solved
+
+
 class TestCertification:
-    def test_matches_loop_reference(self):
+    @staticmethod
+    def _assert_matches_loops(lp, sol, rng):
+        # perturb the point so that every residual is nonzero somewhere
+        noisy = dataclasses.replace(
+            sol,
+            x=sol.x + 1e-6 * rng.normal(size=sol.x.size),
+            duals=sol.duals + 1e-6 * rng.normal(size=sol.duals.size),
+        )
+        for solution in (sol, noisy):
+            report = check_solution(lp, solution)
+            primal, dual, comp, gap = _check_solution_loops(lp, solution)
+            assert report.max_primal_residual == primal
+            assert report.max_dual_residual == dual
+            assert report.max_complementarity == comp
+            assert report.duality_gap_rel == pytest.approx(gap, rel=1e-9, abs=1e-12)
+
+    def test_matches_loop_reference(self, monkeypatch):
         rng = np.random.default_rng(9)
         checked = 0
         for k in range(120):
@@ -738,21 +795,15 @@ class TestCertification:
             sol = solve_lp(lp)
             if sol.status is not LpStatus.OPTIMAL:
                 continue
-            # perturb the point so that every residual is nonzero somewhere
-            noisy = dataclasses.replace(
-                sol,
-                x=sol.x + 1e-6 * rng.normal(size=sol.x.size),
-                duals=sol.duals + 1e-6 * rng.normal(size=sol.duals.size),
-            )
-            for solution in (sol, noisy):
-                report = check_solution(lp, solution)
-                primal, dual, comp, gap = _check_solution_loops(lp, solution)
-                assert report.max_primal_residual == primal
-                assert report.max_dual_residual == dual
-                assert report.max_complementarity == comp
-                assert report.duality_gap_rel == pytest.approx(gap, rel=1e-9, abs=1e-12)
+            self._assert_matches_loops(lp, sol, rng)
             checked += 1
         assert checked >= 80
+        # the programs the certificate serves: every LP of the dives, fixed columns included
+        dives = [(lp, sol) for lp, sol in _dive_lps(monkeypatch) if sol.status is LpStatus.OPTIMAL]
+        assert len(dives) >= 30
+        assert sum(bool((lp.lower == lp.upper).any()) for lp, _ in dives) >= 8
+        for lp, sol in dives:
+            self._assert_matches_loops(lp, sol, rng)
 
 
     def test_corrupted_solution_flagged(self):
@@ -761,6 +812,11 @@ class TestCertification:
         bad = dataclasses.replace(sol, x=sol.x + 1.0)
         report = check_solution(lp, bad)
         assert not report.ok()
+        # a NaN anywhere fails: a residual that reads it is NaN, never 0
+        for name in ("x", "duals", "reduced_costs"):
+            values = getattr(sol, name).copy()
+            values[0] = np.nan
+            assert not check_solution(lp, dataclasses.replace(sol, **{name: values})).ok(), name
 
     def test_failing_certificate_raises_naming_the_residual(self, monkeypatch):
         check = lp_module.check_solution

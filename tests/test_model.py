@@ -248,6 +248,28 @@ def test_p2_row_blocks_match_row_loops(name):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert ours.relations.tolist() == ref.relations.tolist()
 
+    # one I x J, its size-free rows changed one field at a time, in an order that returns
+    # to earlier values: a build that reused a stale or wrongly keyed template differs
+    scenario = generate_scenario(cfg.scenario, 1)
+    sizes = np.linspace(3e6, 27e6, scenario.num_tds)
+    base = (scenario.quota_uav, scenario.quota_hap, 25.0, 1e6)
+    changes = [(0, base[0] + 1), (1, base[1] + 2), (2, 31.5), (3, 2e6), (0, base[0] + 2)]
+    settings = [base]
+    for field, value in changes * 2:
+        settings += [base[:field] + (value,) + base[field + 1 :], base]
+    for quota_uav, quota_hap, uav_budget, hap_budget in settings:
+        energy = dataclasses.replace(scenario.energy, uav_budget=uav_budget, hap_budget=hap_budget)
+        varied = dataclasses.replace(
+            scenario, quota_uav=quota_uav, quota_hap=quota_hap, energy=energy
+        )
+        ours, ref = build_p2(varied, sizes), _build_p2_loops(varied, sizes)
+        for attr in ("objective", "matrix", "rhs", "lower", "upper"):
+            got, want = getattr(ours, attr), getattr(ref, attr)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), attr
+        assert ours.relations.tolist() == ref.relations.tolist()
+        for attr in ("objective", "matrix", "relations", "rhs", "lower", "upper"):
+            assert not getattr(ours, attr).flags.writeable, attr
+
 
 class TestP3:
     @pytest.mark.parametrize("seed", [1, 2, 3])
