@@ -89,6 +89,8 @@ _BOUND_TOL = 1e-7  # distance at which check_solution treats x as sitting on a b
 RESIDUAL_TOL = 1e-8  # certificate: primal, dual and complementarity residuals
 GAP_TOL = 1e-7  # certificate: relative duality gap
 
+_NOT_FINITE = "objective, constraint coefficients and rhs must be finite"
+
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
@@ -167,7 +169,7 @@ class LinearProgram:
             )
         _check_bounds(self.lower, self.upper, n)
         if not all(np.isfinite(a).all() for a in (self.objective, self.matrix, self.rhs)):
-            raise ConfigError("objective, constraint coefficients and rhs must be finite")
+            raise ConfigError(_NOT_FINITE)
         if self.sense not in ("min", "max"):
             raise ConfigError(f"sense must be 'min' or 'max', got {self.sense!r}")
         unknown = sorted(set(self.relations.tolist()) - set(_RELATIONS))
@@ -178,13 +180,32 @@ class LinearProgram:
         """This program with bounds `lower` and `upper`, the only arrays validated. It
         shares every other array, and the standard form too if the same bounds are
         finite; otherwise it builds its own when first solved."""
-        lower, upper = _frozen(lower), _frozen(upper)
-        _check_bounds(lower, upper, self.num_vars)
-        form = self._standard_form()
+        return self._derive(lower=lower, upper=upper)
+
+    def _derive(self, **arrays) -> LinearProgram:
+        """This program with some of its objective, matrix and bounds replaced: the one
+        way a program is derived from another, used by `with_bounds` and by P2's builds
+        from their validated template. Only the new arrays are checked, against this
+        program's shapes: bounds as the constructor checks them, an objective or a matrix
+        for its shape and for finite entries. New bounds alone keep the standard form if
+        the same ones are finite; otherwise the new program builds its own when first
+        solved."""
+        new = {name: _frozen(value) for name, value in arrays.items()}
         child = object.__new__(LinearProgram)
-        vars(child).update(
-            vars(self), lower=lower, upper=upper, _form=form if form.fits(lower, upper) else None
-        )
+        vars(child).update(vars(self), **new, _form=None)
+        if "lower" in new or "upper" in new:
+            _check_bounds(child.lower, child.upper, self.num_vars)
+        if "objective" in new or "matrix" in new:
+            if child.objective.shape != self.objective.shape or (
+                child.matrix.shape != self.matrix.shape
+            ):
+                raise ShapeError("a derived objective and matrix keep the program's shapes")
+            if not (np.isfinite(child.objective).all() and np.isfinite(child.matrix).all()):
+                raise ConfigError(_NOT_FINITE)
+        else:
+            form = self._standard_form()
+            if form.fits(child.lower, child.upper):
+                vars(child)["_form"] = form
         return child
 
     def _standard_form(self) -> _StandardForm:
@@ -283,9 +304,11 @@ _SIDES = np.array([[1.0], [-1.0]])  # check_solution: a variable's lower, then u
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    rows = np.flatnonzero(tableau[:, col])
+    column = tableau[:, col]
+    rows = column.nonzero()[0]
     rows = rows[rows != row]
-    tableau[rows] -= np.outer(tableau[rows, col], tableau[row])
+    # the broadcast product is np.outer's, bit for bit, without its ravels
+    tableau[rows] -= column[rows, None] * tableau[row]
     tableau[rows, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
@@ -387,22 +410,23 @@ def _dual_simplex(
         return True
     priced = ub > 0.0
     ub_basic = ub[basis]
+    # views: pivots and flips write the tableau in place
+    xb, costrow = tableau[:-1, -1], tableau[-1, :-1]
     for _ in range(max_iter):
-        xb = tableau[:-1, -1]
         # each row against its own |x_B|: one large basic value must not hide a small
         # violation elsewhere
         violation = np.maximum(-xb, xb - ub_basic) / np.maximum(1.0, np.abs(xb))
-        row = int(np.argmax(violation))  # the first largest; a NaN counts as largest
+        row = int(violation.argmax())  # the first largest; a NaN counts as largest
         if violation[row] <= _FEAS_TOL:
             return True
         if xb[row] > ub_basic[row]:  # leaves at its ub: complemented, it leaves at 0
             _flip_basic(tableau, basis, ub, flipped, row)
         alpha = tableau[row, :-1]
-        eligible = np.flatnonzero(priced & (alpha < -_PIVOT_TOL))
+        eligible = (priced & (alpha < -_PIVOT_TOL)).nonzero()[0]
         if not eligible.size:
             return False
-        ratios = np.maximum(tableau[-1, eligible], 0.0) / -alpha[eligible]
-        entering = int(eligible[np.argmin(ratios)])
+        ratios = np.maximum(costrow[eligible], 0.0) / -alpha[eligible]
+        entering = int(eligible[ratios.argmin()])
         _pivot(tableau, basis, row, entering)
         ub_basic[row] = ub[entering]
     raise SolverError(f"dual simplex exceeded {max_iter} iterations")

@@ -4,6 +4,10 @@ The main routine follows the greedy scheme of the source algorithm: fix
 the worst-case distributions, solve the LP relaxation, then repeatedly
 branch on the most fractional access entry x = y + z, keep the cheaper
 child, and never backtrack; afterwards repeat for the compute variables y.
+The choice rule: objectives within 1e-12 relative tie, and a tie goes to
+child 1 (x = 1, or y = 1). Child 1 is solved first. No child beats the LP
+it branches from, so a child 1 that ties with that LP is kept without
+solving child 0; otherwise child 0 is solved too and the rule picks.
 Every node of the dive is P2 with narrower bounds: the x = 0 child closes
 the link (upper bound 0 on its y and z), the x = 1 child the TD's other
 links, the y = 0 child sets y's upper bound to 0 and the y = 1 child its
@@ -31,7 +35,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, SampleSpace
 from .errors import InfeasibleProblemError, SizeError
 from .geometry import Scenario
-from .lp import LpStatus, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .model import (
     INTEGRALITY_TOL,
     OffloadDecision,
@@ -80,11 +84,31 @@ def select_branch(matrix: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(flat, matrix.shape))
 
 
+def _tie_limit(objective: float) -> float:
+    """The largest objective that ties with `objective`: within 1e-12 relative."""
+    return objective + 1e-12 * max(1.0, abs(objective))
+
+
+def _solve_child(
+    base: LinearProgram, bounds: np.ndarray, parent: LpSolution
+) -> tuple[float, LpSolution]:
+    """P2 `base` with `bounds` ([lower/upper, y/z block, TD, UAV]) solved warm from
+    `parent`'s final basis, and its objective (+inf unless it is optimal)."""
+    lo, hi = bounds
+    child = solve_lp(base.with_bounds(lo.ravel(), hi.ravel()), start=parent.basis)
+    return child.objective_value if child.status is LpStatus.OPTIMAL else np.inf, child
+
+
 def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here.
 
     Branch on x = y + z until it is integral, keep it fixed, then branch on
     y; the decision is the last LP's rounded [y, z], scored by P2's objective.
+    Each branching solves child 1 and keeps it if it ties with the current LP;
+    otherwise it solves child 0 and keeps child 1 on a tie, child 0 if it is
+    cheaper. Both children infeasible is a dead end: InfeasibleProblemError.
+    `lp_solve_count` counts the LPs solved: the root, then one or two per
+    branching.
     """
     i, j = scenario.num_tds, scenario.num_uavs
     base = build_p2(scenario, means)
@@ -110,23 +134,22 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
             else:  # x = 0 closes the link (y = z = 0), x = 1 the TD's other links
                 narrowed[0][1, :, td, uav] = 0.0
                 narrowed[1][1, :, td, np.arange(j) != uav] = 0.0
-            children = [
-                solve_lp(base.with_bounds(lo.ravel(), hi.ravel()), start=current.basis)
-                for lo, hi in narrowed
-            ]
-            count += 2
-            lat0, lat1 = (
-                c.objective_value if c.status is LpStatus.OPTIMAL else np.inf for c in children
-            )
-            if not np.isfinite(lat0) and not np.isfinite(lat1):
-                raise InfeasibleProblemError(
-                    f"both children infeasible in the {phase} phase at TD {td}, UAV {uav}, "
-                    f"with {int((bounds[0] == bounds[1]).sum())} fixed columns"
-                )
-            # objectives within 1e-12 relative tie, and ties go to 1
-            chosen = 1 if lat1 <= lat0 + 1e-12 * max(1.0, abs(lat0)) else 0
-            bounds = narrowed[chosen]
-            current = children[chosen]
+            lat1, child = _solve_child(base, narrowed[1], current)
+            count += 1
+            chosen = 1
+            # no child beats the LP it branches from, and ties go to child 1: one tied
+            # with that LP is kept without solving child 0
+            if lat1 > _tie_limit(current.objective_value):
+                lat0, child0 = _solve_child(base, narrowed[0], current)
+                count += 1
+                if not np.isfinite(lat0) and not np.isfinite(lat1):
+                    raise InfeasibleProblemError(
+                        f"both children infeasible in the {phase} phase at TD {td}, "
+                        f"UAV {uav}, with {int((bounds[0] == bounds[1]).sum())} fixed columns"
+                    )
+                if lat1 > _tie_limit(lat0):
+                    chosen, child = 0, child0
+            bounds, current = narrowed[chosen], child
         # every later child keeps x at its integral values: the unused links stay closed
         x = np.rint(current.x.reshape(2, i, j).sum(axis=0))
         bounds[1, :, x == 0] = 0.0

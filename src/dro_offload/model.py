@@ -9,8 +9,9 @@ latency, its last J + 1 rows give the expected energy above the basic
 costs (`energy_use`), and `meets_rows` is the one rule for meeting its rows.
 Only the objective and the energy rows depend on the task sizes: the rest
 of P2 (the access, quota and HAP-quota rows, the relations, the rhs and
-the [0, 1] bounds) is built once per shape, I, J, the two quotas and the
-two energy caps, and every P2 of that shape shares it read-only.
+the [0, 1] bounds) is built and validated once per shape, I, J, the two
+quotas and the two energy caps, and every P2 of that shape shares it
+read-only; a build validates only the objective and the matrix it writes.
 
 The worst-case distributions are computed by per-device decomposition:
 every coefficient multiplying a task size in the objective and in the
@@ -79,10 +80,11 @@ class OffloadDecision:
 @functools.lru_cache(maxsize=16)
 def _p2_template(
     i: int, j: int, quota_uav: float, quota_hap: float, uav_cap: float, hap_cap: float
-) -> tuple[np.ndarray, ...]:
-    """P2's size-free part for one shape, as read-only arrays: the matrix with its
-    access, quota and HAP-quota rows filled and its J + 1 energy rows zero, the
-    relations, the rhs and the [0, 1] bounds. Every P2 of that shape shares it."""
+) -> LinearProgram:
+    """P2's size-free part for one shape, as a program validated once: a zero
+    objective, the matrix with its access, quota and HAP-quota rows filled and its
+    J + 1 energy rows zero, the relations, the rhs and the [0, 1] bounds. Every P2 of
+    that shape derives from it."""
     ij = i * j
     matrix = np.zeros((i + 2 * j + 2, 2, ij))  # [row, y/z block, (TD, UAV)]
     matrix[:i] = np.repeat(np.eye(i), j, axis=1)[:, None]  # access: one link per TD
@@ -90,10 +92,14 @@ def _p2_template(
     matrix[i + j, 1] = 1.0  # HAP quota: z only
     relations = np.repeat([EQ, LE], [i, 2 * j + 2])
     rhs = np.repeat([1.0, quota_uav, quota_hap, uav_cap, hap_cap], [i, j, 1, j, 1])
-    arrays = (matrix.reshape(len(rhs), 2 * ij), relations, rhs, np.zeros(2 * ij), np.ones(2 * ij))
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
+    return LinearProgram(
+        np.zeros(2 * ij),
+        matrix.reshape(len(rhs), 2 * ij),
+        relations,
+        rhs,
+        lower=np.zeros(2 * ij),
+        upper=np.ones(2 * ij),
+    )
 
 
 def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
@@ -105,8 +111,9 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     (both on y + z), the HAP quota, the UAV energy budgets and the HAP
     energy budget, both net of the basic costs. Only the objective and the
     energy rows depend on the sizes: the rest comes from `_p2_template`,
-    built once per shape, and each call copies the template matrix and
-    writes those J + 1 rows into the copy.
+    built and validated once per shape, and each call copies the template
+    matrix, writes those J + 1 rows into the copy and validates only the
+    objective and that matrix (ConfigError if either is not finite).
     """
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     if mean_sizes.shape != (scenario.num_tds,):
@@ -120,10 +127,8 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
 
     en = scenario.energy
     caps = (en.uav_budget - en.uav_basic, en.hap_budget - en.hap_basic)
-    template, relations, rhs, lower, upper = _p2_template(
-        i, j, float(scenario.quota_uav), float(scenario.quota_hap), *caps
-    )
-    matrix = template.copy()
+    template = _p2_template(i, j, float(scenario.quota_uav), float(scenario.quota_hap), *caps)
+    matrix = template.matrix.copy()
     # UAV energy row j, column (i, j) of each block: E[phi_i] times UAV j's energy per bit
     energy = matrix[i + j + 1 :].reshape(j + 1, 2, i, j)
     uavs = np.arange(j)
@@ -134,7 +139,7 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     # read-only arrays are kept as they are, not copied again
     for array in (objective, matrix):
         array.setflags(write=False)
-    return LinearProgram(objective, matrix, relations, rhs, lower=lower, upper=upper)
+    return template._derive(objective=objective, matrix=matrix)
 
 
 def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:

@@ -2,8 +2,9 @@
 explicit LP dual, the inverse confidence map, L1 distance and membership
 for distributions, expected latency and energy written from the per-bit
 costs independently of P2, P2 as it was before x was substituted out, a
-brute force over offloading decisions, and pinned instances whose dive
-meets an infeasible child or dead-ends."""
+brute force over offloading decisions, pinned instances whose dive meets
+an infeasible child or dead-ends, and earlier versions of the dive and of
+the simplex kernels that the current ones must match."""
 
 import dataclasses
 import itertools
@@ -11,12 +12,14 @@ import math
 
 import numpy as np
 
+from dro_offload import lp as lp_module
 from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
 from dro_offload.config import parse_config
-from dro_offload.errors import ConfigError, ShapeError
-from dro_offload.lp import EQ, GE, LE, LinearProgram
+from dro_offload.errors import ConfigError, InfeasibleProblemError, ShapeError, SolverError
+from dro_offload.lp import EQ, GE, LE, LinearProgram, LpStatus, solve_lp
 from dro_offload.geometry import per_bit_coefficients
-from dro_offload.model import OffloadDecision
+from dro_offload.mdrloa import SolveResult, select_branch
+from dro_offload.model import OffloadDecision, build_p2, crash_basis
 
 
 def lp_from_rows(objective, rows=(), **kwargs) -> LinearProgram:
@@ -236,3 +239,104 @@ DIVE_DEAD_END = {
     "ambiguity": {"per_device_history": True, "history_len": 30},
     "experiment": {"seeds": [34]},
 }
+
+
+def dive_with_both_children(scenario, means, method):
+    """`mdrloa._solve` as it was when every branching solved both children: the reference
+    for the dive that skips child 0 once child 1 ties with the LP it branches from.
+
+    Returns the `SolveResult` and the number of branchings in which child 1 is optimal
+    and within 1e-12 relative of that LP, the child 0s the skipping dive leaves unsolved.
+    """
+    i, j = scenario.num_tds, scenario.num_uavs
+    base = build_p2(scenario, means)
+    current = solve_lp(base, start=crash_basis(base, i))
+    count, decided = 1, 0
+    if current.status is not LpStatus.OPTIMAL:
+        raise InfeasibleProblemError(
+            f"root relaxation is {current.status.value} "
+            f"(I={i}, J={j}, N_u={scenario.quota_uav}, N_H={scenario.quota_hap})"
+        )
+    bound = current.objective_value
+    bounds = np.stack([base.lower, base.upper]).reshape(2, 2, i, j)
+    for phase, blocks in (("access", 2), ("compute", 1)):
+        while (pick := select_branch(current.x.reshape(2, i, j)[:blocks].sum(axis=0))) is not None:
+            td, uav = pick
+            narrowed = (bounds.copy(), bounds.copy())
+            if phase == "compute":
+                narrowed[0][1, 0, td, uav] = 0.0
+                narrowed[1][0, 0, td, uav] = 1.0
+            else:
+                narrowed[0][1, :, td, uav] = 0.0
+                narrowed[1][1, :, td, np.arange(j) != uav] = 0.0
+            children = [
+                solve_lp(base.with_bounds(lo.ravel(), hi.ravel()), start=current.basis)
+                for lo, hi in narrowed
+            ]
+            count += 2
+            lat0, lat1 = (
+                c.objective_value if c.status is LpStatus.OPTIMAL else np.inf for c in children
+            )
+            if not np.isfinite(lat0) and not np.isfinite(lat1):
+                raise InfeasibleProblemError(
+                    f"both children infeasible in the {phase} phase at TD {td}, UAV {uav}, "
+                    f"with {int((bounds[0] == bounds[1]).sum())} fixed columns"
+                )
+            parent = current.objective_value
+            decided += bool(lat1 <= parent + 1e-12 * max(1.0, abs(parent)))
+            chosen = 1 if lat1 <= lat0 + 1e-12 * max(1.0, abs(lat0)) else 0
+            bounds = narrowed[chosen]
+            current = children[chosen]
+        x = np.rint(current.x.reshape(2, i, j).sum(axis=0))
+        bounds[1, :, x == 0] = 0.0
+
+    y, z = np.rint(current.x).astype(int).reshape(2, i, j)
+    decision = OffloadDecision(x=y + z, y=y, z=z)
+    decision.validate(scenario)
+    result = SolveResult(
+        decision=decision,
+        worst_case_expected_latency=float(base.objective @ decision.vector()),
+        relaxation_bound=bound,
+        lp_solve_count=count,
+        method=method,
+    )
+    return result, decided
+
+
+def pivot_with_outer(tableau, basis, row, col):
+    """`lp._pivot` as it was with `np.flatnonzero` and `np.outer`: the byte-identity
+    reference for the pivot."""
+    tableau[row] /= tableau[row, col]
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    tableau[rows] -= np.outer(tableau[rows, col], tableau[row])
+    tableau[rows, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
+
+
+def dual_simplex_per_call(tableau, basis, ub, flipped, max_iter):
+    """`lp._dual_simplex` as it was, slicing x_B and the cost row and calling
+    `np.flatnonzero`, `np.argmax` and `np.argmin` each iteration: the byte-identity
+    reference for the dual simplex."""
+    if not basis.size:
+        return True
+    priced = ub > 0.0
+    ub_basic = ub[basis]
+    for _ in range(max_iter):
+        xb = tableau[:-1, -1]
+        violation = np.maximum(-xb, xb - ub_basic) / np.maximum(1.0, np.abs(xb))
+        row = int(np.argmax(violation))
+        if violation[row] <= lp_module._FEAS_TOL:
+            return True
+        if xb[row] > ub_basic[row]:
+            lp_module._flip_basic(tableau, basis, ub, flipped, row)
+        alpha = tableau[row, :-1]
+        eligible = np.flatnonzero(priced & (alpha < -lp_module._PIVOT_TOL))
+        if not eligible.size:
+            return False
+        ratios = np.maximum(tableau[-1, eligible], 0.0) / -alpha[eligible]
+        entering = int(eligible[np.argmin(ratios)])
+        lp_module._pivot(tableau, basis, row, entering)
+        ub_basic[row] = ub[entering]
+    raise SolverError(f"dual simplex exceeded {max_iter} iterations")

@@ -224,3 +224,15 @@ def test_out_of_range_config_exit_2_on_every_command(tmp_path, capsys, config, f
     for argv in (["generate"], ["solve", "--seed", "1"]):
         assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+
+def test_sizes_that_overflow_p2_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    config = {
+        "scenario": {"compute": {"uav_capability_cps": 1e-6}},
+        "ambiguity": {"atoms_mbit": [3, 9, 1e295]},
+    }
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["solve", "--config", str(cfg), "--seed", "1"]) == EXIT_CONFIG
+    assert "objective, constraint coefficients and rhs must be finite" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from dro_offload.lp import (
     solve_lp,
 )
 from dro_offload.model import build_p2, worst_case_distributions
-from helpers import INFEASIBLE_CHILD_REPORTED_OPTIMAL, dual_of, lp_from_rows
+from helpers import (
+    INFEASIBLE_CHILD_REPORTED_OPTIMAL,
+    dual_of,
+    dual_simplex_per_call,
+    lp_from_rows,
+    pivot_with_outer,
+)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -749,25 +756,47 @@ def _check_solution_loops(lp, solution):
 PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
-def _dive_lps(monkeypatch):
-    """(LP, solution) of every LP the dro, do and ro dives solve on the three perfbench
-    configs at seeds 1-3."""
+def _dive_lps(
+    monkeypatch, names=("eval-default", "eval-binding", "ladder-30x5"), seeds=(1, 2, 3, 4, 5)
+):
+    """(LP, solution) of every LP the dro, do and ro dives solve on the perfbench
+    configs `names` at `seeds`."""
     solved = []
-    solve = mdrloa.solve_lp
 
     def capture(lp, **kwargs):
-        solution = solve(lp, **kwargs)
+        solution = lp_module.solve_lp(lp, **kwargs)
         solved.append((lp, solution))
         return solution
 
     monkeypatch.setattr(mdrloa, "solve_lp", capture)
-    for name in ("eval-default", "eval-binding", "ladder-30x5"):
+    for name in names:
         cfg = load_config(PERFBENCH_CONFIGS / f"{name}.json")
-        experiment = dataclasses.replace(
-            cfg.experiment, seeds=(1, 2, 3), methods=("dro", "do", "ro")
-        )
+        experiment = dataclasses.replace(cfg.experiment, seeds=seeds, methods=("dro", "do", "ro"))
         evaluation.compare_methods(dataclasses.replace(cfg, experiment=experiment))
     return solved
+
+
+def test_kernels_match_their_per_call_references_byte_for_byte(monkeypatch):
+    """`_pivot` and `_dual_simplex` give every LP of perfbench's eval-binding at `--seed`
+    1-3 (seeds 1-22) the bytes that the versions kept in `helpers` give it."""
+
+    def outputs():
+        solved = _dive_lps(monkeypatch, names=("eval-binding",), seeds=tuple(range(1, 23)))
+        return [
+            (sol.status, *(sol.basis.basic.tobytes(), sol.basis.at_upper.tobytes()))
+            + tuple(getattr(sol, name).tobytes() for name in ("x", "duals", "reduced_costs"))
+            + (float(sol.objective_value).hex(),)
+            if sol.status is LpStatus.OPTIMAL
+            else (sol.status,)
+            for _, sol in solved
+        ]
+
+    current = outputs()
+    monkeypatch.setattr(lp_module, "_pivot", pivot_with_outer)
+    monkeypatch.setattr(lp_module, "_dual_simplex", dual_simplex_per_call)
+    assert outputs() == current
+    statuses = collections.Counter(out[0] for out in current)
+    assert statuses[LpStatus.OPTIMAL] > 100 and statuses[LpStatus.INFEASIBLE] > 0
 
 
 class TestCertification:

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
-from dro_offload.config import default_config, parse_config
+from dro_offload.config import default_config, load_config, parse_config
 from dro_offload import lp as lp_module
-from dro_offload import mdrloa
+from dro_offload import evaluation, mdrloa
 from dro_offload.cli import EXIT_INTERNAL, main
 from dro_offload.errors import (
     ConfigError,
@@ -35,6 +36,7 @@ from dro_offload.mdrloa import (
 from dro_offload.model import worst_case_distributions
 from helpers import (
     INFEASIBLE_CHILD_REPORTED_OPTIMAL,
+    dive_with_both_children,
     expected_energy,
     expected_latency,
     feasible_decisions,
@@ -165,17 +167,40 @@ _ACCESS_AND_COMPUTE_BRANCHINGS = (
 
 @pytest.fixture
 def dive_lps(monkeypatch):
-    """Every (LP, solution) pair the dive solves, in order."""
+    """Every (LP, solution, start basis) the dive solves, in order."""
     solved = []
     solve = mdrloa.solve_lp
 
-    def capture(lp, **kwargs):
-        solution = solve(lp, **kwargs)
-        solved.append((lp, solution))
+    def capture(lp, start=None):
+        solution = solve(lp, start=start)
+        solved.append((lp, solution, start))
         return solution
 
     monkeypatch.setattr(mdrloa, "solve_lp", capture)
     return solved
+
+
+def _branchings(dive_lps):
+    """The children after the root, per branching: (parent LP, parent solution, the
+    branching's [(LP, solution), ...] in the order solved). A branching's children are
+    the LPs that start from its parent's final basis."""
+    parents = {id(solution.basis): (lp, solution) for lp, solution, _ in dive_lps}
+    groups = []
+    for lp, solution, start in dive_lps[1:]:
+        if not groups or groups[-1][1].basis is not start:
+            groups.append((*parents[id(start)], []))
+        groups[-1][2].append((lp, solution))
+    return groups
+
+
+def _ties(value, other):
+    """The dive's tie rule: `value` within 1e-12 relative of `other`."""
+    return value <= other + 1e-12 * max(1.0, abs(other))
+
+
+def _branched_on(parent_lp, child1_lp):
+    """"y" when child 1 raises a lower bound over its parent (y = 1), else "x"."""
+    return "y" if (child1_lp.lower > parent_lp.lower).any() else "x"
 
 
 class TestDiveLps:
@@ -196,9 +221,9 @@ class TestDiveLps:
         assert _lp_bytes(base) == snapshot
         assert dive_lps[0][0] is base
         assert (base.lower == 0.0).all() and (base.upper == 1.0).all()
-        for child, _ in dive_lps:
+        for child, *_ in dive_lps:
             assert child.matrix is base.matrix and child.objective is base.objective
-        assert any((child.lower == child.upper).any() for child, _ in dive_lps)
+        assert any((child.lower == child.upper).any() for child, *_ in dive_lps)
 
     def test_one_dive_builds_p2s_standard_form_once(self, monkeypatch, dive_lps):
         built = []
@@ -215,42 +240,60 @@ class TestDiveLps:
         assert result.lp_solve_count == len(dive_lps) > 10
         base = dive_lps[0][0]
         assert built == [base]
-        assert all(lp._form is base._form for lp, _ in dive_lps)
+        assert all(lp._form is base._form for lp, *_ in dive_lps)
 
     def test_root_integral_dive_solves_one_lp(self, dive_lps):
         sc = _scenario()
         result = mdrloa_solve(sc, _uniform_sets(10))
         assert result.lp_solve_count == len(dive_lps) == 1
-        [(_, root)] = dive_lps
+        [(_, root, _)] = dive_lps
         np.testing.assert_array_equal(result.decision.vector(), np.rint(root.x))
 
-    def test_a_root_then_one_pair_of_children_per_branching(self, dive_lps):
+    def test_a_root_then_one_or_two_children_per_branching(self, dive_lps):
         result = mdrloa_solve(_binding_scenario(3), _uniform_sets(10, radius=2.0))
-        (root_lp, root), children = dive_lps[0], dive_lps[1:]
+        root_lp, root, _ = dive_lps[0]
         j = result.decision.x.shape[1]
         assert _pins(root_lp, j) == {} and root.status is LpStatus.OPTIMAL
-        branchings = len(children) // 2
-        assert branchings > 0 and result.lp_solve_count == len(dive_lps) == 1 + 2 * branchings
-        for (lp0, _), (lp1, _) in zip(children[::2], children[1::2]):
-            name, td, uav = key = _branching(_pins(lp0, j), _pins(lp1, j))
-        # the last pair's chosen child agrees with the decision on its branching entry
-        value = getattr(result.decision, name)[td, uav]
-        [last] = [sol for lp, sol in children[-2:] if _pins(lp, j)[key] == value]
-        np.testing.assert_array_equal(result.decision.vector(), np.rint(last.x))
-        assert result.worst_case_expected_latency == pytest.approx(last.objective_value, rel=1e-12)
+        branchings = _branchings(dive_lps)
+        sizes = [len(children) for *_, children in branchings]
+        assert branchings and result.lp_solve_count == len(dive_lps) == 1 + sum(sizes)
+        assert set(sizes) == {1, 2}
+        chosen = root
+        for parent_lp, parent, children in branchings:
+            # each branching starts from the LP the last one kept
+            assert parent is chosen
+            (lp1, one), *rest = children
+            lat1 = one.objective_value if one.status is LpStatus.OPTIMAL else np.inf
+            # child 1 first: alone when it ties with its parent, else with child 0
+            assert len(children) == (1 if _ties(lat1, parent.objective_value) else 2)
+            parent_pins, pins1 = _pins(parent_lp, j), _pins(lp1, j)
+            assert parent_pins.items() <= pins1.items()
+            if rest:
+                [(lp0, zero)] = rest
+                assert _branching(_pins(lp0, j), pins1)[0] == _branched_on(parent_lp, lp1)
+                lat0 = zero.objective_value if zero.status is LpStatus.OPTIMAL else np.inf
+                chosen = one if _ties(lat1, lat0) else zero
+            else:
+                assert any(value == 1.0 and k not in parent_pins for k, value in pins1.items())
+                chosen = one
+        # the last branching's chosen child is the decision
+        np.testing.assert_array_equal(result.decision.vector(), np.rint(chosen.x))
+        latency = result.worst_case_expected_latency
+        assert latency == pytest.approx(chosen.objective_value, rel=1e-12)
 
     def test_every_lp_after_the_access_phase_fixes_the_access_block(self, dive_lps):
         cfg, seed = _ACCESS_AND_COMPUTE_BRANCHINGS
         scenario = generate_scenario(cfg.scenario, seed)
         result = mdrloa_solve(scenario, build_ambiguity_sets(cfg, seed))
         i, j = scenario.num_tds, scenario.num_uavs
-        pairs = list(zip(dive_lps[1::2], dive_lps[2::2]))
-        assert result.lp_solve_count == len(dive_lps) == 1 + 2 * len(pairs)
-        names = [_branching(_pins(lp0, j), _pins(lp1, j))[0] for (lp0, _), (lp1, _) in pairs]
+        branchings = _branchings(dive_lps)
+        sizes = [len(children) for *_, children in branchings]
+        assert result.lp_solve_count == len(dive_lps) == 1 + sum(sizes)
+        names = [_branched_on(parent_lp, children[0][0]) for parent_lp, _, children in branchings]
         access = names.count("x")
         assert 0 < access < len(names) and set(names[:access]) == {"x"}
-        for (lp0, _), (lp1, _) in pairs[access:]:
-            for lp in (lp0, lp1):
+        for *_, children in branchings[access:]:
+            for lp, _ in children:
                 pins = _pins(lp, j)
                 x = [[pins[("x", td, uav)] for uav in range(j)] for td in range(i)]
                 np.testing.assert_array_equal(x, result.decision.x)
@@ -280,14 +323,75 @@ class TestDiveLps:
         assert "SolverError" in captured.err and "max_dual_residual" in captured.err
 
 
+PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+# 4x3 instances on 9 of whose seeds 1-20 dive LPs once missed their certificate by roundoff
+_CERTIFICATE_NEAR_MISSES = parse_config(
+    {
+        "scenario": {
+            "num_tds": 4,
+            "num_uavs": 3,
+            "quota_uav": 4,
+            "quota_hap": 1,
+            "energy": {"uav_budget_j": 45, "uav_chip_coeff": 5e-28},
+        },
+        "ambiguity": {"history_len": 30, "epsilon": 0.9},
+    }
+)
+
+
+def _outcome(result):
+    """What a dive reports: its decision, latency and relaxation bound."""
+    return (result.decision.to_dict(), result.worst_case_expected_latency, result.relaxation_bound)
+
+
+def test_skipping_decided_siblings_matches_the_dive_with_both_children(monkeypatch):
+    """Child 0 goes unsolved only where child 1 ties with its parent; nothing else moves."""
+    configs = [
+        (load_config(PERFBENCH_CONFIGS / f"{name}.json"), range(1, 6))
+        for name in ("eval-default", "eval-binding", "ladder-30x5")
+    ]
+    configs.append((_CERTIFICATE_NEAR_MISSES, range(1, 21)))
+    solve = mdrloa._solve
+    counts = collections.Counter()
+
+    def against_reference(scenario, means, method):
+        try:
+            want, decided = dive_with_both_children(scenario, means, method)
+        except InfeasibleProblemError as exc:
+            with pytest.raises(InfeasibleProblemError) as info:
+                solve(scenario, means, method)
+            assert str(info.value) == str(exc)
+            counts["dead ends"] += 1
+            raise
+        got = solve(scenario, means, method)
+        assert _outcome(got) == _outcome(want) and got.method == want.method
+        assert got.lp_solve_count == want.lp_solve_count - decided
+        counts.update(dives=1, skipped=decided)
+        return got
+
+    monkeypatch.setattr(mdrloa, "_solve", against_reference)
+    for cfg, seeds in configs:
+        experiment = dataclasses.replace(
+            cfg.experiment, seeds=tuple(seeds), methods=("dro", "do", "ro")
+        )
+        evaluation.compare_methods(dataclasses.replace(cfg, experiment=experiment))
+    # 65 dives skip 9 child 0s; the 40 dead ends are all on the 4x3 config
+    assert counts["dives"] > 0 and counts["skipped"] > 0 and counts["dead ends"] > 0
+
+
 class TestTieRobustChoice:
     def test_two_ulp_nudges_keep_the_decision(self, monkeypatch, dive_lps):
         scenario = _binding_scenario(39)  # RO: every size at the largest atom
         decision = ro_solve(scenario, SPACE).decision.to_dict()
-        children = [sol.objective_value for _, sol in dive_lps[1:]]
+        # some branching is decided by a tie: a lone child 1 with its parent, or the two
+        # children with each other
+        lats = [
+            [sol.objective_value for sol in (parent, *(sol for _, sol in children))][-2:]
+            for _, parent, children in _branchings(dive_lps)
+        ]
         assert any(
-            lat0 is not None and lat1 is not None and abs(lat0 - lat1) <= 1e-12 * abs(lat0)
-            for lat0, lat1 in zip(children[::2], children[1::2])
+            None not in pair and abs(pair[0] - pair[1]) <= 1e-12 * abs(pair[0]) for pair in lats
         )
         solve = mdrloa.solve_lp
         for direction in (1, -1):

@@ -6,7 +6,7 @@ import pytest
 
 from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
 from dro_offload.config import default_config, load_config
-from dro_offload.errors import ShapeError
+from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
 from dro_offload.lp import EQ, LE, LinearProgram, LpStatus, solve_lp
@@ -269,6 +269,21 @@ def test_p2_row_blocks_match_row_loops(name):
         assert ours.relations.tolist() == ref.relations.tolist()
         for attr in ("objective", "matrix", "relations", "rhs", "lower", "upper"):
             assert not getattr(ours, attr).flags.writeable, attr
+
+
+@pytest.mark.parametrize("overflows", ["objective", "matrix"])
+def test_sizes_that_overflow_p2_are_a_config_error(overflows):
+    # each build checks the objective and the energy rows it writes, not only the template
+    scenario = _scenario()
+    if overflows == "objective":  # 2.7e8 s per bit of UAV compute
+        compute = dataclasses.replace(scenario.compute, uav_capability=1e-6)
+        scenario = dataclasses.replace(scenario, compute=compute)
+    else:  # 2.4e11 J per bit of UAV compute
+        energy = dataclasses.replace(scenario.energy, uav_chip_coeff=1e-10)
+        scenario = dataclasses.replace(scenario, energy=energy)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            build_p2(scenario, np.full(scenario.num_tds, 1e301))
 
 
 class TestP3:
