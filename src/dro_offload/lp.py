@@ -2,70 +2,35 @@
 the certificate that checks its answer.
 
 A `LinearProgram` is an immutable record of read-only arrays (objective,
-constraint matrix, relations, rhs, bounds) plus the objective sense,
-validated once when it is built. The solver and the certificate read
-those arrays as stored; a program that differs only in its bounds is
+constraint matrix, relations, rhs and bounds) for the one class of program
+the package builds: minimise c'x over LE and EQ rows, with a finite
+[lower, upper] box on every variable. It is validated once when it is
+built; a program that differs only in its bounds is
 `lp.with_bounds(lower, upper)`, which validates only the new bounds.
 
 The solver is a bounded-variable tableau simplex (Chvátal, Linear
 Programming, 1983, chs. 8 and 10). Box bounds stay out of the tableau:
 the ratio test also stops when a basic variable reaches its upper bound,
 or flips the entering variable to its own upper bound without a pivot.
-Every variable has a column; one with `lower == upper` gets upper bound
-0. GE rows are negated into `<=` rows, every inequality row gets a slack
-and every EQ row an artificial with upper bound 0, so the column layout
-depends only on the matrix, the relations and which bounds are finite,
-and a basis of one program means the same in another that differs from
-it only in its bounds. That standard form (the column layout, the
-matrix with its slacks and artificials, the costs and the row flips) is
-built once per program and shared by every `with_bounds` program with
-the same finite bounds; a solve adds only the offsets, the upper bounds
-of the columns and the rhs. Of the form, only the matrix and the costs
-depend on the program's numbers; the rest (the column layout, the row
-flips, the dual signs and the cold basis) depends only on the relations,
-the sense and which bounds are finite, and is built once per such
-pattern and shared by every program that has it. Only columns with an
-upper bound above 0 are priced: fixed variables and artificials never
-enter (an artificial left basic on a redundant row gives that row a dual
-of 0).
+Every variable keeps a column, a fixed one with upper bound 0 that is
+never priced, so a basis means the same in every program that differs
+only in its bounds. Every solve starts from a basis (the slacks and
+artificials, or a given `start`), moves each column priced below zero to
+its upper bound, and runs a bounded dual simplex to primal feasibility or
+a proof of infeasibility; a primal phase 2 on the true costs, Dantzig's
+rule falling back to Bland's, finishes it. The final basis is loaded
+again and, once no reduced cost there is negative, x_B and the duals get
+one step of iterative refinement. Identical inputs give bit-identical
+outputs. An OPTIMAL result always passes its certificate
+(`check_solution`); an optimum that fails it, a solve past its iteration
+cap and a ratio test that finds no bound (only slacks have none, and
+every variable is boxed) raise SolverError.
 
-Every solve starts from a basis: the slack/artificial basis, whose matrix
-is the identity, or the `Basis` given as `start`. A start may be any basis
-of this program's columns: a crash basis built from the program's
-structure, or the final basis that an optimal solution of a program
-differing only in its bounds returns. Every tableau, cold, warm or the
-certify step's, comes from one load: the basis matrix is inverted once and
-the constraint columns and the rhs are multiplied by that inverse (the
-slack basis's inverse is the identity, so a cold tableau is `[A | b]`
-exactly). An optimal solution's basis carries its certify load's inverse
-and tableau, so a warm start from it on a program sharing the standard
-form inverts nothing: B⁻¹A and the reduced costs are the parent's, and
-only x_B and the objective are computed. The start is made dual
-feasible: a column with a negative reduced cost moves to its upper
-bound, or, without one, is priced at 0 (cost modification, Koberstein
-2005). A bounded dual simplex
-then restores primal feasibility, or proves the program infeasible;
-after a bound is tightened, the old optimal basis stays dual feasible and
-is usually a few pivots from the new optimum. Phase 2, a primal simplex
-on the true costs, finishes the solve. Its pivot rule is Dantzig's,
-falling back to Bland's after a bounded number of iterations; the dual
-simplex has no such fallback, and a solve that exceeds its iteration cap
-raises SolverError. Identical inputs give bit-identical outputs. After
-the tableau reports optimality, the final basis and the set of variables
-at their upper bounds are loaded again. A negative reduced cost in that
-fresh tableau sends phase 2 on from it; otherwise the primal point and the
-dual values get one step of iterative refinement through the load's
-inverse to keep residuals tight, and the reduced costs follow from the
-duals. An OPTIMAL result always passes its certificate (`check_solution`,
-one pass over row and bound arrays the standard form precomputes); an
-optimum that fails it raises SolverError instead of being returned.
-
-Dual-value convention: the reported dual of an inequality row is the
-nonnegative Lagrange multiplier (for both senses of the objective);
-equality duals are signed shadow prices of the stated objective sense.
-Reduced costs are reported in the stated sense: at optimality a variable
-sitting at its lower bound has reduced cost >= 0 for "min" (<= 0 for
-"max"), and the opposite at its upper bound.
+Dual-value convention: the reported dual of an LE row is its nonnegative
+Lagrange multiplier, the amount the optimum falls per unit the rhs rises;
+an EQ row's dual is its signed shadow price, d(optimum)/d(rhs). At
+optimality a variable at its lower bound has reduced cost >= 0, one at
+its upper bound <= 0, and one strictly between them 0.
 """
 
 from __future__ import annotations
@@ -73,13 +38,14 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, SolverError
 
-LE, EQ, GE = "<=", "=", ">="
-_RELATIONS = (LE, EQ, GE)
+LE, EQ, GE = "<=", "=", ">="  # GE names a row the solver rejects: negate it into an LE row
+_RELATIONS = (LE, EQ)
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8  # dual simplex: largest bound violation of x_B, per row relative to max(1, |x_B|)
@@ -95,7 +61,6 @@ _NOT_FINITE = "objective, constraint coefficients and rhs must be finite"
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -108,13 +73,12 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 
 def _check_bounds(lower: np.ndarray, upper: np.ndarray, n: int) -> None:
-    """The one check of a program's bounds: n-vectors, each lower bound a number below
-    +inf, each upper bound one above -inf, and no empty interval."""
+    """The one check of a program's bounds: n-vectors of finite numbers, and no empty
+    interval."""
     if not lower.shape == upper.shape == (n,):
         raise ShapeError("objective, lower and upper must be vectors of one length")
-    # NaN fails both comparisons
-    if not ((lower < np.inf) & (upper > -np.inf)).all():
-        raise ConfigError("lower bounds must be numbers below +inf and upper bounds above -inf")
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ConfigError("bounds must be finite numbers: every variable needs a box")
     empty = np.flatnonzero(lower > upper)
     if empty.size:
         j = int(empty[0])
@@ -123,16 +87,19 @@ def _check_bounds(lower: np.ndarray, upper: np.ndarray, n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min/max c'x subject to rows `matrix[r] @ x relations[r] rhs[r]` and box bounds on x.
+    """min c'x subject to rows `matrix[r] @ x relations[r] rhs[r]`, each LE or EQ, and
+    lower <= x <= upper, every bound finite.
 
     Immutable: the constructor validates every array once and stores it
     read-only. A program that differs only in its bounds is
     `lp.with_bounds(lower, upper)`: it validates the new bounds alone and
     shares the rest, the solver's standard form included.
     `dataclasses.replace` gives a fully validated program that builds its
-    own standard form. `matrix=None` means no rows; `lower` defaults to 0
-    and `upper` to +inf.
+    own standard form. `matrix=None` means no rows and `lower` defaults to
+    0; `upper` has no default.
     """
+
+    sense: ClassVar[str] = "min"
 
     objective: np.ndarray
     matrix: np.ndarray | None = None
@@ -140,7 +107,6 @@ class LinearProgram:
     rhs: np.ndarray = ()
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    sense: str = "min"
     _form: _StandardForm | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -148,12 +114,11 @@ class LinearProgram:
             raise ShapeError("objective must be a vector of numbers, got None")
         for name in ("objective", "matrix", "relations", "rhs", "lower", "upper"):
             value = getattr(self, name)
+            if value is None and name == "upper":
+                raise ConfigError("upper is required: every variable needs a finite upper bound")
             if value is None:  # the objective, converted first, gives the defaults' length
                 n = self.objective.size
-                defaults = {
-                    "matrix": np.zeros((0, n)), "lower": np.zeros(n), "upper": np.full(n, np.inf)
-                }
-                value = defaults[name]
+                value = {"matrix": np.zeros((0, n)), "lower": np.zeros(n)}[name]
             try:
                 value = _frozen(value, str if name == "relations" else float)
             except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
@@ -170,42 +135,37 @@ class LinearProgram:
         _check_bounds(self.lower, self.upper, n)
         if not all(np.isfinite(a).all() for a in (self.objective, self.matrix, self.rhs)):
             raise ConfigError(_NOT_FINITE)
-        if self.sense not in ("min", "max"):
-            raise ConfigError(f"sense must be 'min' or 'max', got {self.sense!r}")
         unknown = sorted(set(self.relations.tolist()) - set(_RELATIONS))
         if unknown:
-            raise ConfigError(f"relations must be one of {_RELATIONS}, got {unknown}")
+            raise ConfigError(
+                f"relations must be one of {_RELATIONS} (a GE row is its negated LE row), "
+                f"got {unknown}"
+            )
 
     def with_bounds(self, lower, upper) -> LinearProgram:
         """This program with bounds `lower` and `upper`, the only arrays validated. It
-        shares every other array, and the standard form too if the same bounds are
-        finite; otherwise it builds its own when first solved."""
+        shares every other array, the standard form included."""
         return self._derive(lower=lower, upper=upper)
 
     def _derive(self, **arrays) -> LinearProgram:
-        """This program with some of its objective, matrix and bounds replaced: the one
-        way a program is derived from another, used by `with_bounds` and by P2's builds
-        from their validated template. Only the new arrays are checked, against this
-        program's shapes: bounds as the constructor checks them, an objective or a matrix
-        for its shape and for finite entries. New bounds alone keep the standard form if
-        the same ones are finite; otherwise the new program builds its own when first
-        solved."""
+        """This program with some of its objective, matrix, rhs and bounds replaced: the
+        one way a program is derived from another, used by `with_bounds` and by P2's
+        builds from their validated template. Only the new arrays are checked, against
+        this program's shapes: bounds as the constructor checks them, an objective, a
+        matrix or a rhs for its shape and for finite entries. New bounds alone keep the
+        standard form; otherwise the new program builds its own when first solved."""
         new = {name: _frozen(value) for name, value in arrays.items()}
         child = object.__new__(LinearProgram)
         vars(child).update(vars(self), **new, _form=None)
         if "lower" in new or "upper" in new:
             _check_bounds(child.lower, child.upper, self.num_vars)
-        if "objective" in new or "matrix" in new:
-            if child.objective.shape != self.objective.shape or (
-                child.matrix.shape != self.matrix.shape
-            ):
-                raise ShapeError("a derived objective and matrix keep the program's shapes")
-            if not (np.isfinite(child.objective).all() and np.isfinite(child.matrix).all()):
-                raise ConfigError(_NOT_FINITE)
-        else:
-            form = self._standard_form()
-            if form.fits(child.lower, child.upper):
-                vars(child)["_form"] = form
+        numbers = [name for name in ("objective", "matrix", "rhs") if name in new]
+        if not numbers:
+            vars(child)["_form"] = self._standard_form()
+        elif any(getattr(child, name).shape != getattr(self, name).shape for name in numbers):
+            raise ShapeError("a derived objective, matrix and rhs keep the program's shapes")
+        elif not all(np.isfinite(getattr(child, name)).all() for name in numbers):
+            raise ConfigError(_NOT_FINITE)
         return child
 
     def _standard_form(self) -> _StandardForm:
@@ -258,12 +218,12 @@ class CertificationReport:
 @dataclass(frozen=True)
 class Basis:
     """A simplex basis, for `solve_lp(..., start=...)`: the final basis of an optimal
-    solution, valid for any program with the same matrix, relations and pattern of
-    finite bounds, or one built from a program's structure (a crash basis).
+    solution, valid for any program with the same matrix and relations, or one built
+    from a program's structure (a crash basis).
 
     `basic` has one column per row and `at_upper` lists the nonbasic columns held at
     their upper bounds. Ids are the solver's columns: the structural ones, then one
-    slack per inequality row and one artificial per EQ row, each in row order.
+    slack per LE row and one artificial per EQ row, each in row order.
 
     An optimal solution's basis, whose arrays are read-only, also carries the inverse
     and the tableau its certify step loaded, tied to the standard form they came
@@ -342,10 +302,10 @@ def _choose_entering(costrow: np.ndarray, bland: bool) -> int | None:
 
 def _choose_leaving(
     tableau: np.ndarray, basis: np.ndarray, ub: np.ndarray, ub_basic: np.ndarray, col: int
-) -> int | None:
-    """Bounded ratio test: the row whose basic variable reaches 0 or its ub first,
-    `_FLIP` when the entering variable reaches its own ub first, None if unbounded.
-    `ub_basic` is `ub[basis]`."""
+) -> int:
+    """Bounded ratio test: the row whose basic variable reaches 0 or its ub first, or
+    `_FLIP` when the entering variable reaches its own ub first. `ub_basic` is
+    `ub[basis]`."""
     column = tableau[:-1, col]
     rhs = tableau[:-1, -1]
     down = np.flatnonzero(column > _PIVOT_TOL)
@@ -354,7 +314,9 @@ def _choose_leaving(
     ratios = np.concatenate([rhs[down] / column[down], (ub_basic[up] - rhs[up]) / -column[up]])
     best = ratios.min(initial=np.inf)
     if ub[col] <= best:
-        return _FLIP if ub[col] < np.inf else None
+        if ub[col] == np.inf:  # only a slack is unbounded, and every variable is boxed
+            raise SolverError(f"ratio test found no bound for entering column {col}")
+        return _FLIP
     ties = rows[ratios <= best + 1e-12]
     # smallest basis index among ties: Bland-compatible and deterministic
     return int(ties[np.argmin(basis[ties])])
@@ -367,9 +329,8 @@ def _run_simplex(
     flipped: np.ndarray,
     bland_after: int,
     max_iter: int,
-) -> bool:
-    """Iterate to optimality over the columns with ub > 0. Returns True at an optimum,
-    False when the program is unbounded."""
+) -> None:
+    """Iterate to optimality over the columns with ub > 0."""
     priced = np.flatnonzero(ub > 0.0)
     # priced columns that form a prefix (nothing fixed) are read through a view, not a copy
     prefix = priced.size > 0 and priced[-1] == priced.size - 1
@@ -379,11 +340,9 @@ def _run_simplex(
     while True:
         k = _choose_entering(tableau[-1, view], bland=iters >= bland_after)
         if k is None:
-            return True
+            return
         entering = int(priced[k])
         leaving = _choose_leaving(tableau, basis, ub, ub_basic, entering)
-        if leaving is None:
-            return False
         if leaving == _FLIP:
             _flip(tableau, ub, flipped, entering)
         else:
@@ -433,115 +392,52 @@ def _dual_simplex(
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(relations: bytes, kind: str, has_lo: bytes, has_hi: bytes, sense: str) -> dict:
-    """The part of a standard form that depends only on the relations, the sense and which
-    bounds are finite, given as those arrays' bytes (`kind` is the relations' dtype):
-    built once per pattern and shared, read-only, by every form with that pattern."""
-    relations = np.frombuffer(relations, dtype=kind)
-    has_lo, has_hi = np.frombuffer(has_lo, dtype=bool), np.frombuffer(has_hi, dtype=bool)
-    m = relations.size
-    sign = 1.0 if sense == "min" else -1.0
-    free = ~has_lo & ~has_hi
-    width = np.where(free, 2, 1)
-    var_main = np.cumsum(width) - width
-    free_src = np.flatnonzero(free)
-    n_struct = int(width.sum())
-
-    le, eq, ge = (relations == relation for relation in (LE, EQ, GE))
-    row_flip = np.where(ge, -1.0, 1.0)
-    n_real = n_struct + int((~eq).sum())
+def _layout(relations: bytes, kind: str, n: int) -> dict:
+    """The part of a standard form that depends only on the relations, given as their
+    bytes (`kind` is their dtype), and the number of variables `n`: built once per
+    pattern and shared, read-only, by every form with that pattern."""
+    eq = np.frombuffer(relations, dtype=kind) == EQ
+    m = eq.size
+    n_real = n + int((~eq).sum())
     # each row's unit column: the slacks, then the artificials, each in row order
     basis = np.empty(m, dtype=int)
-    basis[~eq] = np.arange(n_struct, n_real)
-    basis[eq] = np.arange(n_real, n_struct + m)
-    ub = np.full(n_struct + m, np.inf)  # the boxed columns' widths come per solve
+    basis[~eq] = np.arange(n, n_real)
+    basis[eq] = np.arange(n_real, n + m)
+    ub = np.full(n + m, np.inf)  # the variables' widths come per solve
     ub[n_real:] = 0.0
 
     layout = {
-        "has_lo": has_lo,
-        "has_hi": has_hi,
-        "col_sign": np.where(~has_lo & has_hi, -1.0, 1.0),
-        "var_main": var_main,
-        "free_src": free_src,
-        "var_neg": var_main[free_src] + 1,
-        "boxed": np.flatnonzero(has_lo & has_hi),
-        "n_struct": n_struct,
-        "sign": sign,
-        "row_flip": row_flip,
-        # per row, +-1 mapping min-form multipliers to the documented duals, and back
-        "dual_signs": np.where(le, -1.0, np.where(ge, 1.0, sign)),
+        # per row, +-1 mapping the multipliers y = c_B B⁻¹ to the documented duals, and back
+        "dual_signs": np.where(eq, 1.0, -1.0),
         "basis": basis,
-        "unit": (np.arange(m), basis),
         "ub": ub,
-        # what check_solution reads: per row, the two signs of `A x - b` that must be
-        # <= 0 (both +1 on an LE row, both -1 on a GE row, one of each on an EQ row);
-        # per variable, the finite bounds as lower bounds (x >= lo and -x >= -hi) and
-        # the signs that turn its reduced cost into min form on each side
         "ineq": ~eq,
-        "row_sides": np.stack([row_flip, np.where(eq, -1.0, row_flip)]),
-        "finite": np.stack([has_lo, has_hi]),
-        "min_sides": _SIDES * sign,
     }
-    for value in (*layout.values(), *layout["unit"]):
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+    for value in layout.values():
+        value.setflags(write=False)
     return layout
 
 
 class _StandardForm:
-    """Reduction to `A t = b, 0 <= t <= ub` with slack and artificial columns: the part
-    that depends only on the objective, matrix, relations, sense and which bounds are
-    finite. It is built once per program and shared by every program `with_bounds`
-    derives from it with the same finite bounds; `bound_values` is all a solve adds.
-    Of it, only the matrix with its slack and artificial columns and the costs depend
-    on the numbers of the program: the rest is its `_layout`, shared by every program
-    with the same relations, sense and finite bounds.
+    """Reduction to `A t = b, 0 <= t <= ub` with slack and artificial columns, built
+    once per program and shared by every program `with_bounds` derives from it: the
+    columns' widths and the rhs are all a solve adds. Of it, only the matrix and the
+    costs depend on the program's numbers; the rest is its `_layout`.
 
-    Per variable: a finite lower bound gives `x = lower + t` (with `ub = 0`
-    when the variable is fixed); only a finite upper bound gives the mirrored
-    `x = upper - t`; a free variable gives `x = t_plus - t_minus`. Each GE row
-    is negated into a `<=` row, whatever the sign of its rhs. Columns keep the
-    variables' order, then come one +1 slack per inequality row and one
-    artificial per EQ row, each in row order; an artificial has `ub = 0`. The
-    slacks and artificials form the cold-start basis, whose matrix is the
-    identity.
+    Variable x_j has column j, t_j = x_j - lower_j in [0, upper_j - lower_j]. Then
+    come one +1 slack per LE row and one artificial per EQ row, each in row order; an
+    artificial has `ub = 0`. The slacks and artificials form the cold-start basis,
+    whose matrix is the identity.
     """
 
     def __init__(self, lp: LinearProgram):
-        relations, has_lo, has_hi = lp.relations, np.isfinite(lp.lower), np.isfinite(lp.upper)
-        key = (relations.tobytes(), relations.dtype.str, has_lo.tobytes(), has_hi.tobytes())
-        vars(self).update(_layout(*key, lp.sense))
-        a = lp.matrix
-        self.c_min = c = self.sign * lp.objective
-        a_full = np.zeros((a.shape[0], self.ub.size))
-        a_full[:, self.var_main] = a * self.col_sign
-        a_full[:, self.var_neg] = -a[:, self.free_src]
-        a_full[:, : self.n_struct] *= self.row_flip[:, None]
-        a_full[self.unit] = 1.0
-        self.a_full = a_full
+        relations, n = lp.relations, lp.num_vars
+        vars(self).update(_layout(relations.tobytes(), relations.dtype.str, n))
+        self.a_full = np.zeros((lp.num_constraints, self.ub.size))
+        self.a_full[:, :n] = lp.matrix
+        self.a_full[np.arange(self.basis.size), self.basis] = 1.0  # the unit columns
         self.costs = np.zeros(self.ub.size)
-        self.costs[self.var_main] = c * self.col_sign
-        self.costs[self.var_neg] = -c[self.free_src]
-
-    def fits(self, lower: np.ndarray, upper: np.ndarray) -> bool:
-        """Whether bounds `lower` and `upper` are finite exactly where this form's are."""
-        return np.array_equal(np.isfinite(lower), self.has_lo) and np.array_equal(
-            np.isfinite(upper), self.has_hi
-        )
-
-    def bound_values(self, lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The per-solve part: each variable's offset, each column's ub and the rhs b."""
-        lo, hi = lp.lower, lp.upper
-        offset = np.where(self.has_lo, lo, np.where(self.has_hi, hi, 0.0))
-        ub = self.ub.copy()
-        ub[self.var_main[self.boxed]] = hi[self.boxed] - lo[self.boxed]
-        b = (lp.rhs - lp.matrix @ offset) * self.row_flip
-        return offset, ub, b
-
-    def primal_from(self, offset: np.ndarray, t_values: np.ndarray) -> np.ndarray:
-        x = offset + self.col_sign * t_values[self.var_main]
-        x[self.free_src] -= t_values[self.var_neg]
-        return x
+        self.costs[:n] = lp.objective
 
     def basis_from(self, start: Basis, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Tableau basis and at-upper columns of `start`, and the inverse and tableau it
@@ -570,34 +466,27 @@ class _StandardForm:
         return basic.copy(), at_upper, None
 
 
-def _price(tableau, costs, basis, at_ub, ub, reduced=True) -> None:
-    """Write the reduced costs (unless `reduced` is False) and the objective of `basis`
-    into the tableau's cost row, with the `at_ub` columns held complemented."""
-    m = basis.size
-    held, at_ub_cost = costs, 0.0  # the cost of each column as the tableau holds it
-    if at_ub.size:
-        held = costs.copy()
-        held[at_ub] *= -1.0
-        at_ub_cost = costs[at_ub] @ ub[at_ub]
-    if reduced:
-        tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
-    tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + at_ub_cost)
-
-
 def _load_tableau(
     tableau, form: _StandardForm, ub, b, basis, flipped, factor=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Write B⁻¹A, x_B and the reduced costs of `basis` into `tableau`, with the nonbasic
-    `flipped` columns at their upper bounds and held complemented, and return B⁻¹, the
-    net rhs `b - A_U ub_U` and B (None when `factor` is given). The one place a tableau
-    is built from a basis: the cold start (B = I, so B⁻¹ = I and the tableau is
-    `[A | b]` exactly), a warm start and the certify step all load here. `factor`, the
-    B⁻¹ and the tableau that a certify step on `form` loaded for this basis and these
-    flipped columns, stands in for the inverse and for B⁻¹A and the reduced costs,
-    which no bound value changes; only x_B and the objective are computed."""
+    """Write B⁻¹A, x_B, the reduced costs and the objective of `basis` into `tableau`,
+    with the nonbasic `flipped` columns at their upper bounds and held complemented, and
+    return B⁻¹, the net rhs `b - A_U ub_U` and B (None when `factor` is given). The one
+    place a tableau is built from a basis: the cold start (B = I, so B⁻¹ = I and the
+    tableau is `[A | b]` exactly), a warm start and the certify step all load here.
+    `factor`, the B⁻¹ and the tableau that a certify step on `form` loaded for this
+    basis and these flipped columns, stands in for the inverse and for B⁻¹A and the
+    reduced costs, which no bound value changes; only x_B and the objective are
+    computed."""
     m = basis.size
     at_ub = np.flatnonzero(flipped)
-    rhs = b - form.a_full[:, at_ub] @ ub[at_ub] if at_ub.size else b
+    costs = form.costs
+    held, rhs, at_ub_cost = costs, b, 0.0  # held: each column's cost as the tableau holds it
+    if at_ub.size:
+        held = costs.copy()
+        held[at_ub] *= -1.0
+        rhs = b - form.a_full[:, at_ub] @ ub[at_ub]
+        at_ub_cost = costs[at_ub] @ ub[at_ub]
     matrix_b = None
     if factor is None:
         matrix_b = form.a_full[:, basis]
@@ -608,13 +497,13 @@ def _load_tableau(
         # one inverse and one product: a solve with n + 1 right-hand sides costs several
         # times more
         tableau[:m, :-1] = inverse @ form.a_full
-        if at_ub.size:
-            tableau[:m, at_ub] *= -1.0
+        tableau[:m, at_ub] *= -1.0
+        tableau[-1, :-1] = held - held[basis] @ tableau[:m, :-1]
     else:
         inverse, loaded = factor
         tableau[:, :-1] = loaded[:, :-1]
     tableau[:m, -1] = inverse @ rhs
-    _price(tableau, form.costs, basis, at_ub, ub, reduced=factor is None)
+    tableau[-1, -1] = -float(held[basis] @ tableau[:m, -1] + at_ub_cost)
     return inverse, rhs, matrix_b
 
 
@@ -624,21 +513,21 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     An OPTIMAL result always passes its certificate: it carries duals,
     reduced costs, that certificate and its final basis. An optimum that
     fails the certificate is not returned; SolverError names each failing
-    residual. With `start`, any basis of this program's columns with none of
-    its at-upper columns unbounded here (a crash basis, or the final basis
-    of a program that differs from this one only in its bounds), the solve
-    runs from that basis instead of from the slack basis. Either start, and
-    the final basis that certifies the answer, loads through one inverse;
-    the final one also refines x_B and the duals, and the returned basis
-    keeps that inverse, so a start from it on a program sharing this one's
-    standard form (`with_bounds`) inverts nothing. Raises SolverError on
-    iteration blow-up, on a singular start or on a basis too ill-conditioned
-    to certify, and ConfigError on a `start` that does not fit.
+    residual. With `start`, any basis of this program's columns with no slack
+    at its upper bound (a crash basis, or the final basis of a program that
+    differs from this one only in its bounds), the solve runs from that basis
+    instead of from the slack basis. The returned basis keeps the inverse of
+    its final load, so a start from it on a `with_bounds` program inverts
+    nothing. Raises SolverError on iteration blow-up, on a singular start, on
+    a ratio test that finds no bound or on a basis too ill-conditioned to
+    certify, and ConfigError on a `start` that does not fit.
     """
     form = lp._standard_form()
-    offset, ub, b = form.bound_values(lp)
+    n = lp.num_vars
+    ub = form.ub.copy()
+    ub[:n] = lp.upper - lp.lower
+    b = lp.rhs - lp.matrix @ lp.lower
     m, n_total = form.a_full.shape
-    costs = form.costs
     bland_after = 5 * (m + n_total)
     max_iter = 200 * (m + n_total) + 2000
     flipped = np.zeros(n_total, dtype=bool)
@@ -648,23 +537,17 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     flipped[at_ub] = True
     _load_tableau(tableau, form, ub, b, basis, flipped, factor)
 
-    # make the start dual feasible: a column priced below zero moves to its upper
-    # bound or, with none, is priced at 0 until the dual simplex ends (cost
-    # modification, Koberstein 2005)
+    # make the start dual feasible: a column priced below zero moves to its upper bound;
+    # a slack has none, and the dual simplex's ratio test reads it as priced at 0
     negative = np.flatnonzero((ub > 0.0) & (tableau[-1, :-1] < -_OPT_TOL))
     for col in negative[np.isfinite(ub[negative])]:
         _flip(tableau, ub, flipped, col)
-    modified = negative[~np.isfinite(ub[negative])]
-    tableau[-1, modified] = 0.0
     # primal feasibility does not depend on the costs: False means INFEASIBLE either way
     if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
         return LpSolution(status=LpStatus.INFEASIBLE)
-    if modified.size:
-        _price(tableau, costs, basis, np.flatnonzero(flipped), ub)
 
     for _attempt in range(6):
-        if not _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter):
-            return LpSolution(status=LpStatus.UNBOUNDED)
+        _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter)
         # certify: reload the final basis, so that roundoff the pivots piled up is gone
         flipped[basis] = False
         inverse, rhs, matrix_b = _load_tableau(tableau, form, ub, b, basis, flipped)
@@ -677,22 +560,14 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     # one step of iterative refinement for x_B and y, through the load's inverse
     at_ub = np.flatnonzero(flipped)
     xb = tableau[:m, -1] + inverse @ (rhs - matrix_b @ tableau[:m, -1])
-    y = costs[basis] @ inverse
-    y += (costs[basis] - y @ matrix_b) @ inverse
+    c_b = form.costs[basis]
+    y = c_b @ inverse
+    y += (c_b - y @ matrix_b) @ inverse
 
     t_values = np.zeros(n_total)
     t_values[at_ub] = ub[at_ub]
     t_values[basis] = np.clip(xb, 0.0, ub[basis])
-    x = form.primal_from(offset, t_values)
-    objective_value = float(lp.objective @ x)
-
-    # duals per original constraint row, in the documented convention
-    y_signed = y * form.row_flip
-    duals = form.dual_signs * y_signed
-
-    reduced_orig = form.c_min - lp.matrix.T @ y_signed
-    if lp.sense == "max":
-        reduced_orig = -reduced_orig
+    x = lp.lower + t_values[:n]
 
     # the returned basis carries this load: its arrays must stay the ones loaded
     basis.setflags(write=False)
@@ -700,9 +575,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     solution = LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
-        objective_value=objective_value,
-        duals=duals,
-        reduced_costs=reduced_orig,
+        objective_value=float(lp.objective @ x),
+        duals=form.dual_signs * y,  # the documented convention
+        reduced_costs=lp.objective - lp.matrix.T @ y,
         basis=Basis(basic=basis, at_upper=at_ub, _factor=(form, inverse, tableau)),
     )
     certificate = check_solution(lp, solution)
@@ -725,15 +600,14 @@ def _larger(a, b) -> float:
 def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationReport:
     """Residual report for a claimed-optimal solution.
 
-    In min form, with each bound read as a lower bound (x >= lo and -x >= -hi):
-    the primal residual is the largest row or bound violation; the dual residual
-    the largest negative inequality dual or reduced cost of the wrong sign (one
-    on both of its bounds, a fixed variable, may take any); complementarity the
-    largest |dual * slack| or reduced cost times its distance to the bound it
-    prices; the gap is relative to max(1, |c'x|). Both sides of every row and
-    every variable are read in one pass each, through the signs and masks the
-    standard form precomputes. A NaN in x, the duals or the reduced costs gives a
-    NaN residual, so the certificate fails.
+    With each bound read as a lower bound (x >= lo and -x >= -hi): the primal
+    residual is the largest row or bound violation; the dual residual the largest
+    negative LE-row dual or reduced cost of the wrong sign (one on both of its
+    bounds, a fixed variable, may take any); complementarity the largest
+    |dual * slack| or reduced cost times its distance to the bound it prices; the
+    gap is relative to max(1, |c'x|). Both sides of every variable are read in one
+    pass. A NaN in x, the duals or the reduced costs gives a NaN residual, so the
+    certificate fails.
     """
     if solution.status is not LpStatus.OPTIMAL:
         raise ConfigError("check_solution requires an Optimal solution")
@@ -741,18 +615,18 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
     x, duals, rhs = solution.x, solution.duals, lp.rhs
     excess = lp.matrix @ x - rhs
     # [lower; upper] side of each variable: the point, the bound and the reduced cost,
-    # signed so that the bound is a lower one and the reduced cost is in min form
+    # signed so that the bound is a lower one
     point = _SIDES * x
     bound = _SIDES * (lp.lower, lp.upper)
-    reduced = form.min_sides * solution.reduced_costs
-    # an infinite bound (-inf here) stands at the point itself: no violation, no distance
-    below = np.where(form.finite, bound, point) - point
-    # the bound a reduced cost prices: the side on which it is positive, if finite
-    on = (reduced > 0) & form.finite
+    reduced = _SIDES * solution.reduced_costs
+    below = bound - point
+    # the bound a reduced cost prices: the side on which it is positive
+    on = reduced > 0
     priced = reduced[on]  # the lower sides' entries, then the upper sides'
     ineq_duals = duals[form.ineq]
 
-    primal = _larger((excess * form.row_sides).max(initial=0.0), below.max(initial=0.0))
+    row_violation = np.where(form.ineq, excess, np.abs(excess))
+    primal = _larger(row_violation.max(initial=0.0), below.max(initial=0.0))
     # a reduced cost positive on a side is a violation unless x sits on that side's
     # bound (a variable on both, a fixed one, may take any)
     wrong_sign = reduced * (point > bound + _BOUND_TOL)
@@ -763,7 +637,7 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
     )
 
     at, k = bound[on], np.count_nonzero(on[0])
-    primal_obj = float(form.c_min @ x)
+    primal_obj = float(lp.objective @ x)
     dual_obj = float(form.dual_signs * duals @ rhs + priced[:k] @ at[:k] + priced[k:] @ at[k:])
     gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
 

@@ -106,7 +106,8 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     y; the decision is the last LP's rounded [y, z], scored by P2's objective.
     Each branching solves child 1 and keeps it if it ties with the current LP;
     otherwise it solves child 0 and keeps child 1 on a tie, child 0 if it is
-    cheaper. Both children infeasible is a dead end: InfeasibleProblemError.
+    cheaper. Both children infeasible is a dead end, InfeasibleProblemError: the
+    dive found no feasible decision, which does not prove that none exists.
     `lp_solve_count` counts the LPs solved: the root, then one or two per
     branching.
     """
@@ -116,7 +117,7 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     count = 1
     if current.status is not LpStatus.OPTIMAL:
         raise InfeasibleProblemError(
-            f"root relaxation is {current.status.value} "
+            "root relaxation is infeasible "
             f"(I={i}, J={j}, N_u={scenario.quota_uav}, N_H={scenario.quota_hap})"
         )
     bound = current.objective_value
@@ -144,8 +145,9 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
                 count += 1
                 if not np.isfinite(lat0) and not np.isfinite(lat1):
                     raise InfeasibleProblemError(
-                        f"both children infeasible in the {phase} phase at TD {td}, "
-                        f"UAV {uav}, with {int((bounds[0] == bounds[1]).sum())} fixed columns"
+                        f"no feasible decision found: both children infeasible in the {phase} "
+                        f"phase at TD {td}, UAV {uav}, "
+                        f"with {int((bounds[0] == bounds[1]).sum())} fixed columns"
                     )
                 if lat1 > _tie_limit(lat0):
                     chosen, child = 0, child0

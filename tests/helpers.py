@@ -1,16 +1,20 @@
-"""Reference helpers that only the tests need: an LP built from rows, the
-explicit LP dual, the inverse confidence map, L1 distance and membership
+"""Reference helpers that only the tests need: an LP built from rows, a
+program as plain arrays in any class SciPy's HiGHS takes and HiGHS's
+solution of it, the explicit dual of a boxed min program (P3, when the
+program is P2) as such arrays, the inverse confidence map, L1 distance and membership
 for distributions, expected latency and energy written from the per-bit
 costs independently of P2, P2 as it was before x was substituted out, a
 brute force over offloading decisions, pinned instances whose dive meets
 an infeasible child or dead-ends, and earlier versions of the dive and of
 the simplex kernels that the current ones must match."""
 
+import collections
 import dataclasses
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from dro_offload import lp as lp_module
 from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
@@ -29,40 +33,62 @@ def lp_from_rows(objective, rows=(), **kwargs) -> LinearProgram:
     return LinearProgram(objective, matrix, relations, rhs, **kwargs)
 
 
-def dual_of(lp: LinearProgram) -> LinearProgram:
-    """Explicit dual of a minimization program.
+# a program as plain arrays: `sense` "min" or "max", LE, EQ or GE rows, bounds that may
+# be infinite; `LinearProgram` takes only the boxed min programs over LE and EQ rows
+ArrayLp = collections.namedtuple("ArrayLp", "objective matrix relations rhs lower upper sense")
 
-    Finite upper bounds are first materialized as `x_j <= u` rows so the
-    primal has only `x >= 0` or free variables. The dual is a
-    maximization whose inequality-row multipliers are nonnegative
-    variables; strong duality makes its optimum equal the primal's.
+
+def highs_solve(lp):
+    """SciPy's HiGHS on `lp`, a `LinearProgram` or an `ArrayLp`, with `fun` in `lp`'s
+    own sense."""
+    a, b, rel = np.asarray(lp.matrix, float), np.asarray(lp.rhs, float), np.asarray(lp.relations)
+    sign = 1.0 if lp.sense == "min" else -1.0
+    a_ub = np.vstack([a[rel == LE], -a[rel == GE]])
+    b_ub = np.concatenate([b[rel == LE], -b[rel == GE]])
+    bounds = [
+        (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+        for lo, hi in zip(lp.lower, lp.upper)
+    ]
+    res = linprog(
+        sign * np.asarray(lp.objective, float),
+        A_ub=a_ub if a_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=a[rel == EQ] if (rel == EQ).any() else None,
+        b_eq=b[rel == EQ] if (rel == EQ).any() else None,
+        bounds=bounds,
+        method="highs",
+    )
+    if res.status == 0:
+        res.fun *= sign
+    return res
+
+
+def dual_of(lp: LinearProgram) -> ArrayLp:
+    """Explicit dual of `lp`, P3 when `lp` is P2: a maximization with free multipliers
+    on EQ rows, which `LinearProgram` does not take, for `highs_solve`.
+
+    The bounds are first materialized as rows, `x_j <= upper_j` for every j and
+    `x_j >= lower_j` where lower_j != 0, so the primal has only `x >= 0` or free
+    variables. The dual's multipliers of LE and GE rows are nonnegative variables;
+    strong duality makes its optimum equal the primal's.
     """
-    if lp.sense != "min":
-        raise ConfigError("dual_of expects a minimization program")
-    free = ~np.isfinite(lp.lower)
-    if (lp.lower[~free] != 0.0).any():
-        raise ConfigError("dual_of supports lower bounds of 0 or -inf only")
-    bounded = np.flatnonzero(np.isfinite(lp.upper))
-    a = np.vstack([lp.row_matrix(), np.eye(lp.num_vars)[bounded]])
-    rhs = np.concatenate([lp.rhs_vector(), lp.upper[bounded]])
-    relations = np.concatenate([lp.relations, np.full(bounded.size, LE)])
-
-    m = len(relations)
-    obj = np.empty(m)
-    lower = np.empty(m)
-    col_sign = np.empty(m)
-    for r, rel in enumerate(relations):
-        if rel == LE:
-            obj[r], lower[r], col_sign[r] = -rhs[r], 0.0, -1.0
-        elif rel == GE:
-            obj[r], lower[r], col_sign[r] = rhs[r], 0.0, 1.0
-        else:
-            obj[r], lower[r], col_sign[r] = rhs[r], -np.inf, 1.0
-
-    coeff = a * col_sign[:, None]  # signed multiplier enters stationarity
-    # one row per primal variable j: coeff[:, j] @ y (= if j is free, else <=) c_j
-    return LinearProgram(
-        obj, coeff.T, np.where(free, EQ, LE), lp.objective, lower=lower, sense="max"
+    free = lp.lower != 0.0
+    eye = np.eye(lp.num_vars)
+    a = np.vstack([lp.row_matrix(), eye[free], eye])
+    rhs = np.concatenate([lp.rhs_vector(), lp.lower[free], lp.upper])
+    relations = np.concatenate([lp.relations, np.full(free.sum(), GE), np.full(lp.num_vars, LE)])
+    # the signed multiplier enters stationarity: -y on an LE row, +y on the others
+    sign = np.where(relations == LE, -1.0, 1.0)
+    lower = np.where(relations == EQ, -np.inf, 0.0)
+    # one row per primal variable j: (sign * a)[:, j] @ y (= if j is free, else <=) c_j
+    return ArrayLp(
+        sign * rhs,
+        (a * sign[:, None]).T,
+        np.where(free, EQ, LE),
+        lp.objective,
+        lower,
+        np.full(rhs.size, np.inf),
+        "max",
     )
 
 
@@ -254,7 +280,7 @@ def dive_with_both_children(scenario, means, method):
     count, decided = 1, 0
     if current.status is not LpStatus.OPTIMAL:
         raise InfeasibleProblemError(
-            f"root relaxation is {current.status.value} "
+            "root relaxation is infeasible "
             f"(I={i}, J={j}, N_u={scenario.quota_uav}, N_H={scenario.quota_hap})"
         )
     bound = current.objective_value
@@ -279,7 +305,8 @@ def dive_with_both_children(scenario, means, method):
             )
             if not np.isfinite(lat0) and not np.isfinite(lat1):
                 raise InfeasibleProblemError(
-                    f"both children infeasible in the {phase} phase at TD {td}, UAV {uav}, "
+                    f"no feasible decision found: both children infeasible in the {phase} "
+                    f"phase at TD {td}, UAV {uav}, "
                     f"with {int((bounds[0] == bounds[1]).sum())} fixed columns"
                 )
             parent = current.objective_value

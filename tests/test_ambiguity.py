@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import optimize as scipy_opt
 
 from dro_offload.ambiguity import (
     AmbiguitySet,
@@ -168,7 +169,6 @@ class TestWorstCase:
     def test_matches_lp_oracle(self, space):
         # scipy solves max atoms@p over the L1 ball as an LP; the greedy
         # shift must agree on every random reference
-        scipy_opt = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(123)
         atoms = np.asarray(space.atoms)
         k = len(atoms)

@@ -56,7 +56,6 @@ def test_traced_pass_records_every_span(small_cfg):
 
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
 def test_highs_objective_matches_solve_lp(name):
-    pytest.importorskip("scipy.optimize")
     cfg = load_config(PERFBENCH / "configs" / f"{name}.json")
     # perfbench's root oracle skips eval-binding, whose roots have tied optima
     for seed in range(1, 21) if name == "eval-binding" else (1, 2):
@@ -125,7 +124,6 @@ def dive_pivots(monkeypatch):
 
 
 def test_warm_dive_children_match_highs(dive_pivots):
-    pytest.importorskip("scipy.optimize")
     evaluation.compare_methods(_seeds_1_to_5())
     children = [entry[:3] for entry in dive_pivots if not entry[3]]
     statuses = set()
@@ -192,7 +190,6 @@ def test_p2_lps_finish_in_the_dual_simplex(monkeypatch, dive_pivots, name):
 
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
 def test_every_dive_lp_matches_p2_with_flow_rows(monkeypatch, dive_pivots, name):
-    pytest.importorskip("scipy.optimize")
     flows = []
     build = mdrloa.build_p2
 

@@ -118,7 +118,10 @@ def dead_end_path(tmp_path):
 
 @pytest.mark.parametrize(
     "method, message",
-    [("dro", "both children infeasible"), ("exhaustive", "no feasible decision exists")],
+    [
+        ("dro", "no feasible decision found: both children infeasible"),
+        ("exhaustive", "no feasible decision exists"),
+    ],
 )
 def test_dive_dead_end_exit_3(dead_end_path, capsys, method, message):
     assert main(["solve", "--config", str(dead_end_path), "--method", method]) == EXIT_INFEASIBLE

@@ -25,80 +25,58 @@ from dro_offload.lp import (
 from dro_offload.model import build_p2, worst_case_distributions
 from helpers import (
     INFEASIBLE_CHILD_REPORTED_OPTIMAL,
+    ArrayLp,
     dual_of,
     dual_simplex_per_call,
+    highs_solve,
     lp_from_rows,
     pivot_with_outer,
 )
 
-scipy_opt = pytest.importorskip("scipy.optimize")
-
-
-def _scipy_solve(lp: LinearProgram):
-    c = lp.objective if lp.sense == "min" else -lp.objective
-    a = lp.row_matrix()
-    rhs = lp.rhs_vector()
-    rels = lp.relations
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for r, rel in enumerate(rels):
-        if rel == LE:
-            a_ub.append(a[r])
-            b_ub.append(rhs[r])
-        elif rel == GE:
-            a_ub.append(-a[r])
-            b_ub.append(-rhs[r])
-        else:
-            a_eq.append(a[r])
-            b_eq.append(rhs[r])
-    bounds = [
-        (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-        for lo, hi in zip(lp.lower, lp.upper)
-    ]
-    res = scipy_opt.linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
-    return res
+_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}  # HiGHS's status codes
 
 
 class TestKnownSolutions:
     def test_two_var_max(self):
-        # max 3x + 2y st x + y <= 4, x <= 2 -> x=2, y=2, obj 10
-        lp = lp_from_rows([3.0, 2.0], [([1, 1], LE, 4), ([1, 0], LE, 2)], sense="max")
+        # max 3x + 2y st x + y <= 4, x <= 2 is min -3x - 2y: x=2, y=2, obj -10
+        lp = lp_from_rows([-3.0, -2.0], [([1, 1], LE, 4), ([1, 0], LE, 2)], upper=[9.0, 9.0])
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(10.0, abs=1e-9)
+        assert sol.objective_value == pytest.approx(-10.0, abs=1e-9)
         np.testing.assert_allclose(sol.x, [2.0, 2.0], atol=1e-9)
         assert sol.certificate.ok()
+        # the sense is "min", a class attribute: no program takes another
+        assert LinearProgram.sense == lp.sense == "min"
+        with pytest.raises(TypeError, match="sense"):
+            lp_from_rows([3.0, 2.0], [([1, 1], LE, 4)], upper=[9.0, 9.0], sense="max")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lp.sense = "max"
 
     def test_equality_and_ge(self):
-        # min x + 2y st x + y = 3, x >= 1 -> x=3? no: y free to 0 => x=3,obj 3
-        lp = lp_from_rows([1.0, 2.0], [([1, 1], EQ, 3), ([1, 0], GE, 1)])
-        sol = solve_lp(lp)
+        # min x + 2y st x + y = 3, x >= 1 (as -x <= -1) -> x=3, y=0, obj 3
+        rows = [([1, 1], EQ, 3), ([-1, 0], LE, -1)]
+        sol = solve_lp(lp_from_rows([1.0, 2.0], rows, upper=[5.0, 5.0]))
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+        with pytest.raises(ConfigError, match=r"negated LE row\), got \['>='\]"):
+            lp_from_rows([1.0, 2.0], [([1, 1], EQ, 3), ([1, 0], GE, 1)], upper=[5.0, 5.0])
 
     def test_free_variable(self):
-        # min x st x >= -5 with x free below: use lower=-inf, constraint x >= -5
-        lp = lp_from_rows([1.0], [([1.0], GE, -5.0)], lower=[-np.inf])
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
+        # min x st x >= -5 over a free x: no box, so the program is rejected
+        with pytest.raises(ConfigError, match="every variable needs a box"):
+            lp_from_rows([1.0], [([-1.0], LE, 5.0)], lower=[-np.inf], upper=[np.inf])
 
     def test_infeasible(self):
-        lp = lp_from_rows([1.0], [([1.0], LE, -1.0)])
+        lp = lp_from_rows([1.0], [([1.0], LE, -1.0)], upper=[1.0])
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_infeasible_beside_a_large_rhs(self):
         # x = 1 and x <= 0.99 leave a row 0.01 short; a row with rhs 1e6 must
         # not scale the infeasibility threshold past that
         lp = lp_from_rows(
-            [1.0, 0.0], [([1.0, 0.0], EQ, 1.0), ([1.0, 0.0], LE, 0.99), ([1.0, 1.0], LE, 1e6)]
+            [1.0, 0.0],
+            [([1.0, 0.0], EQ, 1.0), ([1.0, 0.0], LE, 0.99), ([1.0, 1.0], LE, 1e6)],
+            upper=[2e6, 2e6],
         )
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
@@ -108,27 +86,31 @@ class TestKnownSolutions:
         assert sol.certificate.ok()
 
     def test_unbounded(self):
-        lp = LinearProgram([-1.0], sense="min", lower=[0])
-        assert solve_lp(lp).status is LpStatus.UNBOUNDED
+        # min -x over x >= 0 was unbounded: without an upper bound it is rejected
+        with pytest.raises(ConfigError, match="upper is required"):
+            LinearProgram([-1.0], lower=[0])
+        with pytest.raises(ConfigError, match="every variable needs a box"):
+            LinearProgram([-1.0], lower=[0], upper=[np.inf])
 
     def test_upper_bounds_respected(self):
-        lp = LinearProgram([-1.0, -1.0], sense="min", lower=[0, 0], upper=[0.5, 0.25])
+        lp = LinearProgram([-1.0, -1.0], lower=[0, 0], upper=[0.5, 0.25])
         sol = solve_lp(lp)
         assert sol.objective_value == pytest.approx(-0.75, abs=1e-9)
 
     def test_bad_relation_rejected(self):
         with pytest.raises(ConfigError, match="'<'"):
-            LinearProgram([1.0], [[1.0]], ["<"], [1.0])
+            LinearProgram([1.0], [[1.0]], ["<"], [1.0], upper=[1.0])
 
     def test_constraint_block_is_its_rows(self):
-        rows = lp_from_rows([1.0, 2.0], [([1.0, 0.0], LE, 3.0), ([0.0, 1.0], LE, 3.0)])
-        block = LinearProgram([1.0, 2.0], np.eye(2), [LE, LE], [3.0, 3.0])
+        rows = [([1.0, 0.0], LE, 3.0), ([0.0, 1.0], LE, 3.0)]
+        rows = lp_from_rows([1.0, 2.0], rows, upper=[4.0, 4.0])
+        block = LinearProgram([1.0, 2.0], np.eye(2), [LE, LE], [3.0, 3.0], upper=[4.0, 4.0])
         assert block.relations.tolist() == rows.relations.tolist() == [LE, LE]
         np.testing.assert_array_equal(block.row_matrix(), rows.row_matrix())
         np.testing.assert_array_equal(block.rhs_vector(), rows.rhs_vector())
         assert block.row_matrix() is block.matrix and block.num_constraints == 2
         with pytest.raises(ShapeError):
-            LinearProgram([1.0, 2.0], np.ones(2), [LE], [1.0])
+            LinearProgram([1.0, 2.0], np.ones(2), [LE], [1.0], upper=[4.0, 4.0])
 
 
 class TestConstruction:
@@ -143,7 +125,7 @@ class TestConstruction:
     )
     def test_mismatched_shapes_rejected(self, matrix, relations, rhs):
         with pytest.raises(ShapeError):
-            LinearProgram([1.0, 2.0], matrix, relations, rhs)
+            LinearProgram([1.0, 2.0], matrix, relations, rhs, upper=[1.0, 1.0])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -151,7 +133,7 @@ class TestConstruction:
     )
     def test_objective_and_bounds_are_vectors_of_one_length(self, kwargs):
         with pytest.raises(ShapeError):
-            LinearProgram(**{"objective": [1.0, 2.0], **kwargs})
+            LinearProgram(**{"objective": [1.0, 2.0], "upper": [1.0, 1.0], **kwargs})
 
     @pytest.mark.parametrize(
         "objective, matrix, rhs",
@@ -162,32 +144,36 @@ class TestConstruction:
         ],
     )
     def test_non_finite_data_rejected(self, objective, matrix, rhs):
-        with pytest.raises(ConfigError):
-            LinearProgram(objective, matrix, [LE, GE], rhs)
+        with pytest.raises(ConfigError, match="must be finite"):
+            LinearProgram(objective, matrix, [LE, EQ], rhs, upper=[1.0, 1.0])
 
     @pytest.mark.parametrize(
         "lower, upper",
         [
-            ([np.nan, 0.0], [1.0, 1.0]),  # read as no bound: min x was unbounded
-            ([0.0, 0.0], [np.nan, 1.0]),  # read as no bound: silently ignored
-            ([np.inf, 0.0], [np.inf, 1.0]),  # read as a free variable
-            ([-np.inf, 0.0], [-np.inf, 1.0]),  # read as a free variable
+            ([np.nan, 0.0], [1.0, 1.0]),
+            ([0.0, 0.0], [np.nan, 1.0]),
+            ([np.inf, 0.0], [np.inf, 1.0]),
+            ([-np.inf, 0.0], [-np.inf, 1.0]),
+            ([-np.inf, 0.0], [1.0, 1.0]),  # upper-only
+            ([0.0, 0.0], [np.inf, 1.0]),  # lower-only, the former default
+            ([-np.inf, 0.0], [np.inf, 1.0]),  # free
         ],
     )
     def test_nan_and_wrong_infinite_bounds_rejected(self, lower, upper):
-        with pytest.raises(ConfigError, match="lower bounds must be numbers below"):
+        with pytest.raises(ConfigError, match="bounds must be finite numbers"):
             LinearProgram([1.0, 1.0], lower=lower, upper=upper)
-        with pytest.raises(ConfigError, match="lower bounds must be numbers below"):
-            LinearProgram([1.0, 1.0]).with_bounds(lower, upper)
+        with pytest.raises(ConfigError, match="bounds must be finite numbers"):
+            LinearProgram([1.0, 1.0], upper=[1.0, 1.0]).with_bounds(lower, upper)
 
     def test_empty_bound_interval_rejected(self):
         message = r"variable 1 has empty bound interval \[2.0, 1.0\]"
+        lp = LinearProgram([1.0, 1.0], upper=[1.0, 1.0])
         with pytest.raises(ConfigError, match=message):
             LinearProgram([1.0, 1.0], lower=[0.0, 2.0], upper=[1.0, 1.0])
         with pytest.raises(ConfigError, match=message):
-            LinearProgram([1.0, 1.0]).with_bounds([0.0, 2.0], [1.0, 1.0])
+            lp.with_bounds([0.0, 2.0], [1.0, 1.0])
         with pytest.raises(ShapeError):
-            LinearProgram([1.0, 1.0]).with_bounds([0.0], [1.0])
+            lp.with_bounds([0.0], [1.0])
 
     @pytest.mark.parametrize(
         "kwargs, error, message",
@@ -198,6 +184,7 @@ class TestConstruction:
             ({"objective": [1.0], "matrix": [["x"]], "relations": [LE], "rhs": [1.0]},
              ConfigError, "matrix must be an array of numbers"),
             ({"objective": [1.0], "lower": [object()]}, ConfigError, "lower must be an array of"),
+            ({"objective": [1.0], "upper": [object()]}, ConfigError, "upper must be an array of"),
         ],
     )
     def test_objective_none_or_not_numbers_rejected(self, kwargs, error, message):
@@ -205,19 +192,21 @@ class TestConstruction:
             LinearProgram(**kwargs)
 
     def test_bad_sense_rejected(self):
-        with pytest.raises(ConfigError):
-            LinearProgram([1.0], sense="maximize")
+        with pytest.raises(TypeError, match="sense"):
+            LinearProgram([1.0], upper=[1.0], sense="maximize")
 
     def test_defaults_no_rows_and_nonnegative_variables(self):
-        lp = LinearProgram([1.0, 2.0])
+        lp = LinearProgram([1.0, 2.0], upper=[3.0, 4.0])
         assert (lp.num_vars, lp.num_constraints) == (2, 0)
         assert lp.row_matrix().shape == (0, 2) and lp.rhs_vector().shape == (0,)
         np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
-        np.testing.assert_array_equal(lp.upper, [np.inf, np.inf])
+        # upper has no default: omitting it is omitting the box
+        with pytest.raises(ConfigError, match="upper is required"):
+            LinearProgram([1.0, 2.0])
 
     def test_immutable(self):
         coeffs = np.eye(2)
-        lp = LinearProgram([1.0, 2.0], coeffs, [LE, GE], [3.0, 1.0], upper=[5.0, 5.0])
+        lp = LinearProgram([1.0, 2.0], coeffs, [LE, EQ], [3.0, 1.0], upper=[5.0, 5.0])
         coeffs[0, 0] = 7.0  # the program keeps its own copy
         assert lp.matrix[0, 0] == 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -228,14 +217,15 @@ class TestConstruction:
                 array[0] = array[-1]
 
     def test_replace_shares_what_it_does_not_change(self):
-        lp = LinearProgram([1.0, 2.0], np.eye(2), [LE, GE], [3.0, 1.0])
-        child = dataclasses.replace(lp, lower=[1.0, 0.0], upper=[1.0, np.inf])
+        # x0 <= 3 and x1 >= 1, the latter as -x1 <= -1
+        lp = LinearProgram([1.0, 2.0], np.diag([1.0, -1.0]), [LE, LE], [3.0, -1.0], upper=[4, 4])
+        child = dataclasses.replace(lp, lower=[1.0, 0.0], upper=[1.0, 9.0])
         assert child.matrix is lp.matrix and child.relations is lp.relations
         np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
         assert solve_lp(child).objective_value == pytest.approx(3.0, abs=1e-12)
 
     def test_with_bounds_shares_the_program_and_its_standard_form(self):
-        lp = LinearProgram([1.0, 2.0], np.eye(2), [LE, GE], [3.0, 1.0], upper=[4.0, 4.0])
+        lp = LinearProgram([1.0, 2.0], np.diag([1.0, -1.0]), [LE, LE], [3.0, -1.0], upper=[4, 4])
         child = lp.with_bounds([1.0, 0.0], [1.0, 2.0])
         for name in ("objective", "matrix", "relations", "rhs", "sense"):
             assert getattr(child, name) is getattr(lp, name)
@@ -245,26 +235,44 @@ class TestConstruction:
         with pytest.raises(ValueError, match="read-only"):
             child.lower[0] = 0.0
         assert solve_lp(child).objective_value == pytest.approx(3.0, abs=1e-12)
-        # x1 loses its upper bound: another column layout's ub, so its own form
-        free = lp.with_bounds([1.0, 0.0], [1.0, np.inf])
-        assert free._form is None
-        assert free._standard_form() is not lp._form
-        assert solve_lp(free).objective_value == pytest.approx(3.0, abs=1e-12)
+        # every child shares the form, a child of a child too
+        grandchild = child.with_bounds([1.0, 1.0], [1.0, 1.0])
+        assert grandchild._form is lp._form
+        assert solve_lp(grandchild).objective_value == pytest.approx(3.0, abs=1e-12)
 
 
 class TestDualConvention:
     def test_le_duals_nonnegative_and_tight(self):
-        lp = lp_from_rows([3.0, 2.0], [([1, 1], LE, 4), ([1, 0], LE, 2)], sense="max")
+        lp = lp_from_rows([-3.0, -2.0], [([1, 1], LE, 4), ([1, 0], LE, 2)], upper=[9.0, 9.0])
         sol = solve_lp(lp)
         assert (sol.duals >= -1e-9).all()
-        # shadow prices: relaxing row 0 by 1 gains 2, row 1 gains 1
+        # multipliers: relaxing row 0 by 1 lowers the optimum by 2, row 1 by 1
         assert sol.duals[0] == pytest.approx(2.0, abs=1e-9)
         assert sol.duals[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_inactive_constraint_zero_dual(self):
-        lp = lp_from_rows([1.0], [([1.0], LE, 100.0), ([1.0], GE, 2.0)])
+        lp = lp_from_rows([1.0], [([1.0], LE, 100.0), ([-1.0], LE, -2.0)], upper=[200.0])
         sol = solve_lp(lp)
         assert sol.duals[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def _boxed(c, rows, lower, upper, sense):
+    """The fuzz program `sense` c'x over `rows` and [lower, upper] in the class that
+    `LinearProgram` takes: a max becomes a min, a GE row its negated LE row, and each
+    infinite bound one 10 (1 + |x_j|) from HiGHS's optimum x of the original (from 0
+    without one), so HiGHS's answer does not change; an unbounded original becomes
+    bounded."""
+    c = np.asarray(c) if sense == "min" else -np.asarray(c)
+    rows = [(-a, LE, -v) if rel == GE else (a, rel, v) for a, rel, v in rows]
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        coeffs, relations, rhs = zip(*rows)
+        original = ArrayLp(c, np.array(coeffs), np.array(relations), rhs, lower, upper, "min")
+        ref = highs_solve(original)
+        x = ref.x if ref.status == 0 else np.zeros(c.size)
+        reach = 10.0 * (1.0 + np.abs(x))
+        lower = np.where(np.isfinite(lower), lower, x - reach)
+        upper = np.where(np.isfinite(upper), upper, x + reach)
+    return lp_from_rows(c, rows, lower=lower, upper=upper)
 
 
 def _random_lp(rng, force_feasible=True, force_min=False):
@@ -298,7 +306,7 @@ def _random_lp(rng, force_feasible=True, force_min=False):
             rows.append((a, GE, v - abs(rng.normal())))
         else:
             rows.append((a, EQ, v))
-    return lp_from_rows(c, rows, sense=sense, lower=lower, upper=upper)
+    return _boxed(c, rows, lower, upper, sense)
 
 
 class TestFuzzAgainstScipy:
@@ -307,15 +315,12 @@ class TestFuzzAgainstScipy:
         for _ in range(120):
             lp = _random_lp(rng)
             sol = solve_lp(lp)
-            ref = _scipy_solve(lp)
+            ref = highs_solve(lp)
             if ref.status == 0:
                 assert sol.status is LpStatus.OPTIMAL
-                ref_obj = ref.fun if lp.sense == "min" else -ref.fun
-                scale = max(1.0, abs(ref_obj))
-                assert abs(sol.objective_value - ref_obj) / scale < 1e-7
+                scale = max(1.0, abs(ref.fun))
+                assert abs(sol.objective_value - ref.fun) / scale < 1e-7
                 assert sol.certificate.ok()
-            elif ref.status == 3:
-                assert sol.status is LpStatus.UNBOUNDED
             elif ref.status == 2:
                 assert sol.status is LpStatus.INFEASIBLE
 
@@ -324,14 +329,14 @@ class TestFuzzAgainstScipy:
         for _ in range(80):
             lp = _random_lp(rng, force_feasible=False)
             sol = solve_lp(lp)
-            ref = _scipy_solve(lp)
-            status_map = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
-            if ref.status in status_map:
-                assert sol.status is status_map[ref.status]
+            ref = highs_solve(lp)
+            if ref.status in _STATUS:
+                assert sol.status is _STATUS[ref.status]
 
 
 def _bounded_lp(rng):
-    """Random LP mixing fixed, shifted-box, (-inf, hi], free and [0, inf) variables."""
+    """Random LP mixing fixed, shifted-box, (-inf, hi], free and [0, inf) variables, then
+    `_boxed`."""
     n = int(rng.integers(3, 9))
     m = int(rng.integers(2, 8))
     # fixed, shifted box, (-inf, hi], free, [0, inf)
@@ -353,7 +358,7 @@ def _bounded_lp(rng):
         v = float(a @ x0)
         rel = rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.1])
         rows.append((a, rel, v + {LE: 1.0, GE: -1.0, EQ: 0.0}[rel] * abs(rng.normal())))
-    return lp_from_rows(c, rows, sense=sense, lower=lower, upper=upper)
+    return _boxed(c, rows, lower, upper, sense)
 
 
 class TestBoundedVariables:
@@ -363,18 +368,16 @@ class TestBoundedVariables:
         for _ in range(150):
             lp = _bounded_lp(rng)
             sol = solve_lp(lp)
-            ref = _scipy_solve(lp)
-            status_map = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
-            assert sol.status is status_map[ref.status]
+            ref = highs_solve(lp)
+            assert sol.status is _STATUS[ref.status]
             if ref.status != 0:
                 continue
-            ref_obj = ref.fun if lp.sense == "min" else -ref.fun
-            assert abs(sol.objective_value - ref_obj) / max(1.0, abs(ref_obj)) < 1e-7
+            assert abs(sol.objective_value - ref.fun) / max(1.0, abs(ref.fun)) < 1e-7
             assert sol.certificate.ok()
             fixed = lp.lower == lp.upper
             np.testing.assert_array_equal(sol.x[fixed], lp.lower[fixed])
             optimal += 1
-            boxed = np.isfinite(lp.upper) & (lp.lower < lp.upper)
+            boxed = lp.lower < lp.upper
             at_upper += int((boxed & (np.abs(sol.x - lp.upper) < 1e-9)).any())
         # the instances exercise the bound flips, not only the interior
         assert optimal >= 100 and at_upper >= 50
@@ -387,7 +390,7 @@ class TestBoundedVariables:
         np.testing.assert_array_equal(sol.x, [1.5, -1.0])
         assert sol.objective_value == pytest.approx(3.5, abs=1e-12)
         assert sol.certificate.ok()
-        lp = lp_from_rows([1.0, -2.0], [*rows, ([1.0, 0.0], GE, 2.0)], **bounds)
+        lp = lp_from_rows([1.0, -2.0], [*rows, ([-1.0, 0.0], LE, -2.0)], **bounds)
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_p2_with_dive_fixings_at_30x5(self):
@@ -407,7 +410,7 @@ class TestBoundedVariables:
             lower[col] = upper[col] = value
         lp = dataclasses.replace(p2, lower=lower, upper=upper)
         sol = solve_lp(lp)
-        ref = _scipy_solve(lp)
+        ref = highs_solve(lp)
         assert sol.status is LpStatus.OPTIMAL and ref.status == 0
         assert abs(sol.objective_value - ref.fun) / abs(ref.fun) < 1e-9
         assert sol.certificate.ok()
@@ -420,7 +423,7 @@ def _binding_p2(seed, sizes=(3e6, 27e6)):
 
 
 def _assert_matches_highs(lp, sol):
-    ref = _scipy_solve(lp)
+    ref = highs_solve(lp)
     assert sol.status is LpStatus.OPTIMAL and ref.status == 0
     assert abs(sol.objective_value - ref.fun) / max(1.0, abs(ref.fun)) < 1e-9
     assert sol.certificate.ok()
@@ -441,13 +444,14 @@ class TestPhaseTwo:
                 return "optimal"
 
         monkeypatch.setattr(lp_module, "_run_simplex", stop_first_phase_two)
-        # P2's negated latency over unboxed columns: the start prices every column at 0,
-        # so phase 2 has pivots left to make
-        lp = _binding_p2(1)
-        lp = dataclasses.replace(lp, objective=-lp.objective, upper=np.full(lp.num_vars, np.inf))
-        sol = solve_lp(lp)
+        # min sum(x) over x_k <= 1, started with each x_k basic at 1: primal feasible, and
+        # each slack, with no upper bound to move to, is priced at -1, so phase 2 has four
+        # pivots to make
+        lp = LinearProgram(np.ones(4), np.eye(4), [LE] * 4, np.ones(4), upper=np.full(4, 10.0))
+        sol = solve_lp(lp, start=Basis(np.arange(4), np.zeros(0, dtype=int)))
         assert len(calls) == 2  # the stopped phase 2, the retry
         _assert_matches_highs(lp, sol)
+        np.testing.assert_array_equal(sol.x, np.zeros(4))
 
     def test_a_row_folded_to_zero_keeps_its_artificial(self):
         # every access column of TD 0 fixed: its access row reads 0 = 0, and
@@ -486,11 +490,10 @@ def _solution_bytes(sol):
 
 
 def _assert_status_and_objective_match_highs(lp, sol):
-    ref = _scipy_solve(lp)
-    assert sol.status is {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
+    ref = highs_solve(lp)
+    assert sol.status is _STATUS[ref.status]
     if sol.status is LpStatus.OPTIMAL:
-        ref_obj = ref.fun if lp.sense == "min" else -ref.fun
-        assert abs(sol.objective_value - ref_obj) / max(1.0, abs(ref_obj)) < 1e-9
+        assert abs(sol.objective_value - ref.fun) / max(1.0, abs(ref.fun)) < 1e-9
         assert sol.certificate.ok()
 
 
@@ -502,22 +505,20 @@ class TestWarmStart:
         for _ in range(120):
             lp = _random_lp(rng)
             parent = solve_lp(lp)
-            boxed = np.flatnonzero(np.isfinite(lp.lower) & np.isfinite(lp.upper))
-            if parent.status is not LpStatus.OPTIMAL or not boxed.size:
+            if parent.status is not LpStatus.OPTIMAL:
                 continue
-            j = int(tighten.choice(boxed))
+            j = int(tighten.integers(lp.num_vars))
             lo, hi = np.sort(tighten.uniform(lp.lower[j], lp.upper[j], 2))
             if tighten.random() < 0.5:  # fix the variable at a value inside its box
                 lo = hi
             child = _with_bounds(lp, j, lo, hi)
-            warm, cold, ref = solve_lp(child, start=parent.basis), solve_lp(child), _scipy_solve(child)
-            status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
+            warm, cold, ref = solve_lp(child, start=parent.basis), solve_lp(child), highs_solve(child)
+            status = _STATUS[ref.status]
             assert warm.status is cold.status is status
             statuses.append(status)
             if status is LpStatus.OPTIMAL:
-                ref_obj = ref.fun if lp.sense == "min" else -ref.fun
                 for sol in (warm, cold):
-                    assert abs(sol.objective_value - ref_obj) / max(1.0, abs(ref_obj)) < 1e-9
+                    assert abs(sol.objective_value - ref.fun) / max(1.0, abs(ref.fun)) < 1e-9
                 assert warm.certificate.ok()
         assert statuses.count(LpStatus.OPTIMAL) >= 50 and LpStatus.INFEASIBLE in statuses
 
@@ -529,22 +530,24 @@ class TestWarmStart:
         assert parent.status is LpStatus.OPTIMAL
         child = _with_bounds(p2, [0, 2, 4], 0.0, 0.0)
         assert solve_lp(child, start=parent.basis).status is LpStatus.INFEASIBLE
-        assert _scipy_solve(child).status == 2
+        assert highs_solve(child).status == 2
 
     def test_across_a_row_whose_rhs_changes_sign(self):
-        # the child's fixing turns row 0 to x0 >= 0 with rhs 0 - 1 < 0
-        lp = lp_from_rows([1.0, 2.0], [([1.0, 0.0], GE, 0.0), ([1.0, 1.0], EQ, 1.0)])
+        # row 0, x0 >= 0 negated into -x0 <= 0: the child's fixing moves its net rhs from
+        # 0 to 1, that of x0 >= 0 from 0 to -1
+        rows = [([-1.0, 0.0], LE, 0.0), ([1.0, 1.0], EQ, 1.0)]
+        lp = lp_from_rows([1.0, 2.0], rows, upper=[1.0, 1.0])
         parent = solve_lp(_with_bounds(lp, [0, 1], [0.0, 1.0], [0.0, 1.0]))
         child = solve_lp(_with_bounds(lp, [0, 1], [1.0, 0.0], [1.0, 0.0]), start=parent.basis)
         assert child.status is LpStatus.OPTIMAL and child.certificate.ok()
         np.testing.assert_array_equal(child.x, [1.0, 0.0])
 
     def test_start_at_an_infinite_upper_bound_rejected(self):
-        # columns: x in [0, 2], y in [0, inf), the row's slack
-        lp = lp_from_rows([1.0, -1.0], [([1.0, 1.0], LE, 3.0)], upper=[2.0, np.inf])
-        assert solve_lp(lp, start=Basis(np.array([2]), np.array([0]))).objective_value == -3.0
-        with pytest.raises(ConfigError, match="column 1 at an infinite upper bound"):
-            solve_lp(lp, start=Basis(np.array([2]), np.array([1])))
+        # columns: x in [0, 2], y in [0, 1], the row's slack, which has no upper bound
+        lp = lp_from_rows([1.0, -1.0], [([1.0, 1.0], LE, 3.0)], upper=[2.0, 1.0])
+        assert solve_lp(lp, start=Basis(np.array([2]), np.array([0]))).objective_value == -1.0
+        with pytest.raises(ConfigError, match="column 2 at an infinite upper bound"):
+            solve_lp(lp, start=Basis(np.array([0]), np.array([2])))
 
     def test_start_that_does_not_fit_rejected(self):
         # columns: x in [0, 2], y in [0, 1], the row's slack
@@ -596,15 +599,9 @@ class TestWarmStart:
         other_means = _binding_p2(1, sizes=(27e6, 3e6))
         matrix = lp.matrix.copy()
         matrix[-1] *= 1.5  # the HAP's energy row
-        # a column the parent holds at its lower bound loses its upper bound
-        at_lower = np.setdiff1d(np.arange(lp.num_vars), parent.basis.basic)
-        at_lower = np.setdiff1d(at_lower, parent.basis.at_upper)[0]
-        unbounded = lp.upper.copy()
-        unbounded[at_lower] = np.inf
         others = [
             _with_bounds(other_means, [link, link + ij], 0.0, 0.0),
             _with_bounds(dataclasses.replace(lp, matrix=matrix), [link, link + ij], 0.0, 0.0),
-            _with_bounds(lp.with_bounds(lp.lower, unbounded), [link, link + ij], 0.0, 0.0),
         ]
         assert all(other._standard_form() is not lp._form for other in others)
         for other in others:
@@ -628,13 +625,12 @@ class TestWarmStart:
         programs = [*(_random_lp(rng) for _ in range(40)), _binding_p2(1), _binding_p2(2)]
         depths = []
         for root in programs:
-            boxed = np.flatnonzero(np.isfinite(root.lower) & np.isfinite(root.upper))
             shared = replaced = root
             sol = solve_lp(root)
             old = sol
             depth = 0
-            while sol.status is LpStatus.OPTIMAL and boxed.size and depth < 6:
-                j = int(narrow.choice(boxed))
+            while sol.status is LpStatus.OPTIMAL and depth < 6:
+                j = int(narrow.integers(root.num_vars))
                 lo, hi = shared.lower.copy(), shared.upper.copy()
                 if narrow.random() < 0.5:  # fix the variable at one end of its box
                     lo[j] = hi[j] = (lo[j], hi[j])[int(narrow.integers(2))]
@@ -705,27 +701,20 @@ def _check_solution_loops(lp, solution):
     for r, rel in enumerate(relations):
         if rel == LE:
             primal = max(primal, ax[r] - rhs[r])
-        elif rel == GE:
-            primal = max(primal, rhs[r] - ax[r])
         else:
             primal = max(primal, abs(ax[r] - rhs[r]))
     for j in range(lp.num_vars):
-        if np.isfinite(lp.lower[j]):
-            primal = max(primal, lp.lower[j] - x[j])
-        if np.isfinite(lp.upper[j]):
-            primal = max(primal, x[j] - lp.upper[j])
-    c_min = lp.objective if lp.sense == "min" else -lp.objective
+        primal = max(primal, lp.lower[j] - x[j], x[j] - lp.upper[j])
     duals = solution.duals
-    eq_sign = 1.0 if lp.sense == "min" else -1.0
-    y_signed = np.array([{LE: -1.0, GE: 1.0}.get(rel, eq_sign) for rel in relations]) * duals
-    reduced = solution.reduced_costs if lp.sense == "min" else -solution.reduced_costs
+    y_signed = np.array([-1.0 if rel == LE else 1.0 for rel in relations]) * duals
+    reduced = solution.reduced_costs
     dual = 0.0
     for r, rel in enumerate(relations):
         if rel != EQ:
             dual = max(dual, -duals[r])
     for j in range(lp.num_vars):
-        at_lo = np.isfinite(lp.lower[j]) and x[j] <= lp.lower[j] + _BOUND_TOL
-        at_hi = np.isfinite(lp.upper[j]) and x[j] >= lp.upper[j] - _BOUND_TOL
+        at_lo = x[j] <= lp.lower[j] + _BOUND_TOL
+        at_hi = x[j] >= lp.upper[j] - _BOUND_TOL
         if at_lo and at_hi:
             continue
         if at_lo:
@@ -738,17 +727,15 @@ def _check_solution_loops(lp, solution):
     for r, rel in enumerate(relations):
         if rel == LE:
             comp = max(comp, abs(duals[r] * (rhs[r] - ax[r])))
-        elif rel == GE:
-            comp = max(comp, abs(duals[r] * (ax[r] - rhs[r])))
     dual_obj = float(y_signed @ rhs)
     for j in range(lp.num_vars):
-        if reduced[j] > 0 and np.isfinite(lp.lower[j]):
+        if reduced[j] > 0:
             comp = max(comp, reduced[j] * abs(x[j] - lp.lower[j]))
             dual_obj += reduced[j] * lp.lower[j]
-        elif reduced[j] < 0 and np.isfinite(lp.upper[j]):
+        elif reduced[j] < 0:
             comp = max(comp, -reduced[j] * abs(lp.upper[j] - x[j]))
             dual_obj += reduced[j] * lp.upper[j]
-    primal_obj = float(c_min @ x)
+    primal_obj = float(lp.objective @ x)
     gap = abs(primal_obj - dual_obj) / max(1.0, abs(primal_obj))
     return primal, dual, comp, gap
 
@@ -836,7 +823,7 @@ class TestCertification:
 
 
     def test_corrupted_solution_flagged(self):
-        lp = lp_from_rows([1.0, 1.0], [([1, 1], GE, 2)])
+        lp = lp_from_rows([1.0, 1.0], [([-1, -1], LE, -2)], upper=[3.0, 3.0])
         sol = solve_lp(lp)
         bad = dataclasses.replace(sol, x=sol.x + 1.0)
         report = check_solution(lp, bad)
@@ -855,11 +842,11 @@ class TestCertification:
 
         monkeypatch.setattr(lp_module, "check_solution", failing)
         with pytest.raises(SolverError, match="fails its certificate") as info:
-            solve_lp(lp_from_rows([1.0, 1.0], [([1, 1], GE, 2)]))
+            solve_lp(lp_from_rows([1.0, 1.0], [([-1, -1], LE, -2)], upper=[3.0, 3.0]))
         assert str(info.value).endswith(": duality_gap_rel = 0.001 > 1e-07")
 
     def test_report_fields_finite(self):
-        lp = lp_from_rows([1.0, 2.0], [([1, 1], GE, 1)])
+        lp = lp_from_rows([1.0, 2.0], [([-1, -1], LE, -1)], upper=[3.0, 3.0])
         sol = solve_lp(lp)
         r = sol.certificate
         for v in (
@@ -880,13 +867,14 @@ class TestDualOf:
             primal = solve_lp(lp)
             if primal.status is not LpStatus.OPTIMAL:
                 continue
-            dual = solve_lp(dual_of(lp))
-            assert dual.status is LpStatus.OPTIMAL
+            dual = highs_solve(dual_of(lp))
+            assert dual.status == 0
             scale = max(1.0, abs(primal.objective_value))
-            assert abs(primal.objective_value - dual.objective_value) / scale < 1e-7
+            assert abs(primal.objective_value - dual.fun) / scale < 1e-7
             done += 1
 
     def test_unbounded_primal_infeasible_dual(self):
-        lp = LinearProgram([-1.0], sense="min", lower=[0])
-        assert solve_lp(lp).status is LpStatus.UNBOUNDED
-        assert solve_lp(dual_of(lp)).status is LpStatus.INFEASIBLE
+        # min -x over x >= 0 was unbounded, and its dual infeasible: without an upper
+        # bound the program is rejected before it has a dual
+        with pytest.raises(ConfigError, match="upper is required"):
+            dual_of(LinearProgram([-1.0], lower=[0]))

@@ -23,6 +23,7 @@ from helpers import (
     expected_energy,
     expected_latency,
     feasible_decisions,
+    highs_solve,
     lp_from_rows,
 )
 
@@ -292,14 +293,22 @@ class TestP3:
         sc = _scenario(seed=seed)
         sizes = np.full(10, 18.6e6)
         p = solve_lp(build_p2(sc, sizes))
-        d = solve_lp(dual_of(build_p2(sc, sizes)))
-        assert p.status is LpStatus.OPTIMAL and d.status is LpStatus.OPTIMAL
+        d = highs_solve(dual_of(build_p2(sc, sizes)))  # P3, solved by an independent solver
+        assert p.status is LpStatus.OPTIMAL and d.status == 0
         scale = max(1.0, abs(p.objective_value))
-        assert abs(p.objective_value - d.objective_value) / scale < 1e-8
+        assert abs(p.objective_value - d.fun) / scale < 1e-8
 
     def test_dual_is_maximization(self):
+        # P2 at I = J = 2: 8 columns and 8 rows, its bounds x <= 1 8 more rows
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
-        assert dual_of(build_p2(sc, np.full(2, 1e6))).sense == "max"
+        p2 = build_p2(sc, np.full(2, 1e6))
+        p3 = dual_of(p2)
+        assert p3.sense == "max" and p3.matrix.shape == (8, 16)
+        np.testing.assert_array_equal(p3.relations, [LE] * 8)  # x >= 0: no free variable
+        assert p3.rhs is p2.objective and p3.objective.shape == p3.upper.shape == (16,)
+        # the two access rows' multipliers are free, the LE rows' nonnegative
+        np.testing.assert_array_equal(p3.lower, [-np.inf] * 2 + [0.0] * 14)
+        assert np.isinf(p3.upper).all()
 
 
 class TestWorstCaseDistributions:
