@@ -7,11 +7,12 @@ columns are [y..., z...] in row-major (i, j) order, 2*I*J in total
 Every decision is scored on P2 itself: its objective is the expected
 latency, its last J + 1 rows give the expected energy above the basic
 costs (`energy_use`), and `meets_rows` is the one rule for meeting its rows.
-Only the objective and the energy rows depend on the task sizes: the rest
-of P2 (the access, quota and HAP-quota rows, the relations, the rhs and
-the [0, 1] bounds) is built and validated once per shape, I, J, the two
+Only the objective and the energy rows, with their rhs, depend on the task
+sizes: the rest of P2 (the access, quota and HAP-quota rows with their rhs,
+the relations and the [0, 1] bounds) is built and validated once per shape, I, J, the two
 quotas and the two energy caps, and every P2 of that shape shares it
-read-only; a build validates only the objective and the matrix it writes.
+read-only; a build validates only the objective, the matrix and the rhs it
+writes.
 
 The worst-case distributions are computed by per-device decomposition:
 every coefficient multiplying a task size in the objective and in the
@@ -109,11 +110,14 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     UAV compute delay on y and access plus relay-and-HAP delay on z. Five
     row blocks, in order: one access link per TD, the UAV access quotas
     (both on y + z), the HAP quota, the UAV energy budgets and the HAP
-    energy budget, both net of the basic costs. Only the objective and the
-    energy rows depend on the sizes: the rest comes from `_p2_template`,
-    built and validated once per shape, and each call copies the template
-    matrix, writes those J + 1 rows into the copy and validates only the
-    objective and that matrix (ConfigError if either is not finite).
+    energy budget, both net of the basic costs. An energy row's rhs is
+    lowered to the row's largest activity over the [0, 1] box when that is
+    smaller: the row cannot bind either way, so the optimum is the same. Only
+    the objective and the energy rows depend on the sizes: the rest comes
+    from `_p2_template`, built and validated once per shape, and each call
+    copies the template matrix and rhs, writes those J + 1 rows into them and
+    validates only the objective, that matrix and that rhs (ConfigError if
+    any is not finite).
     """
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     if mean_sizes.shape != (scenario.num_tds,):
@@ -136,10 +140,16 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
         energy[uavs, block, :, uavs] = np.multiply.outer(per_bit, mean_sizes)
     # HAP energy: every z of TD i carries E[phi_i] times the HAP's energy per bit
     energy[-1, 1] = (mean_sizes * coeffs.hap_compute_energy)[:, None]
+    # an energy row's rhs is at most its largest activity over the box, beyond which the
+    # row cannot bind (Andersen and Andersen 1995): a budget of 1e17 J beside rows of
+    # tens of joules would swamp the roundoff of every tableau row it enters
+    rhs = template.rhs.copy()
+    reach = (np.maximum(matrix[i + j + 1 :], 0.0) * template.upper).sum(axis=1)
+    rhs[i + j + 1 :] = np.minimum(rhs[i + j + 1 :], reach)
     # read-only arrays are kept as they are, not copied again
-    for array in (objective, matrix):
+    for array in (objective, matrix, rhs):
         array.setflags(write=False)
-    return template._derive(objective=objective, matrix=matrix)
+    return template._derive(objective=objective, matrix=matrix, rhs=rhs)
 
 
 def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:

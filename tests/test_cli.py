@@ -134,6 +134,22 @@ def test_dive_dead_end_is_an_infeasible_row(dead_end_path, tmp_path):
     assert (out / "results.csv").read_text().splitlines()[1] == "MDRLOA,34,,,,,,false"
 
 
+def test_an_energy_budget_that_cannot_bind_leaves_the_results_unchanged(tmp_path):
+    # a UAV spends tens of joules: budgets of 1e17 J and more once drowned P2's energy
+    # rows in roundoff, reading the root LP as infeasible (exit 3) or failing its
+    # certificate (exit 4)
+    def results(budget):
+        cfg = tmp_path / f"{budget}.json"
+        cfg.write_text(json.dumps({"scenario": {"energy": {"uav_budget_j": budget}}}))
+        out = tmp_path / f"out-{budget}"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        return (out / "results.csv").read_bytes()
+
+    expected = results(1e16)
+    for budget in (1e17, 1e19, 1e20):
+        assert results(budget) == expected, budget
+
+
 def test_internal_error_exit_4(cfg_path, tmp_path, monkeypatch, capsys):
     import dro_offload.cli as cli_mod
 

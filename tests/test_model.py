@@ -178,7 +178,9 @@ class TestP2:
 
 
 def _build_p2_loops(scenario, mean_sizes) -> LinearProgram:
-    """P2 built one zero-filled row at a time: the reference for build_p2's row blocks."""
+    """P2 built one zero-filled row at a time: the reference for build_p2's row blocks.
+    Each energy row's rhs is at most the row's largest activity over the [0, 1] box, the
+    sum of its positive entries."""
     coeffs = per_bit_coefficients(scenario)
     access = coeffs.access_delay
     i, j = scenario.num_tds, scenario.num_uavs
@@ -220,10 +222,10 @@ def _build_p2_loops(scenario, mean_sizes) -> LinearProgram:
         for ii in range(i):
             row[y_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_compute_energy[jj]
             row[z_col(ii, jj)] = mean_sizes[ii] * coeffs.uav_relay_energy[jj]
-        rows.append((row, LE, en.uav_budget - en.uav_basic))
+        rows.append((row, LE, min(en.uav_budget - en.uav_basic, np.maximum(row, 0.0).sum())))
     row = np.zeros(n)
     row[ij:] = (mean_sizes[:, None] * np.full((i, j), coeffs.hap_compute_energy)).ravel()
-    rows.append((row, LE, en.hap_budget - en.hap_basic))
+    rows.append((row, LE, min(en.hap_budget - en.hap_basic, np.maximum(row, 0.0).sum())))
     return lp_from_rows(objective, rows, lower=np.zeros(n), upper=np.ones(n))
 
 
