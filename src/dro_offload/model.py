@@ -9,10 +9,10 @@ latency, its last J + 1 rows give the expected energy above the basic
 costs (`energy_use`), and `meets_rows` is the one rule for meeting its rows.
 Only the objective and the energy rows, with their rhs, depend on the task
 sizes: the rest of P2 (the access, quota and HAP-quota rows with their rhs,
-the relations and the [0, 1] bounds) is built and validated once per shape, I, J, the two
-quotas and the two energy caps, and every P2 of that shape shares it
-read-only; a build validates only the objective, the matrix and the rhs it
-writes.
+the relations and the [0, 1] bounds) is built and validated once per shape,
+I, J, the two quotas and the two energy caps, and every P2 of that shape
+shares it read-only; a build validates only the objective, the matrix and
+the rhs it writes.
 
 The worst-case distributions are computed by per-device decomposition:
 every coefficient multiplying a task size in the objective and in the
@@ -141,8 +141,8 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     # HAP energy: every z of TD i carries E[phi_i] times the HAP's energy per bit
     energy[-1, 1] = (mean_sizes * coeffs.hap_compute_energy)[:, None]
     # an energy row's rhs is at most its largest activity over the box, beyond which the
-    # row cannot bind (Andersen and Andersen 1995): a budget of 1e17 J beside rows of
-    # tens of joules would swamp the roundoff of every tableau row it enters
+    # row cannot bind (Andersen and Andersen 1995): a budget of 1e17 J beside entries
+    # of at most 1e4 J once put roundoff of that size into the tableau
     rhs = template.rhs.copy()
     reach = (np.maximum(matrix[i + j + 1 :], 0.0) * template.upper).sum(axis=1)
     rhs[i + j + 1 :] = np.minimum(rhs[i + j + 1 :], reach)

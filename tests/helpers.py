@@ -1,12 +1,12 @@
 """Reference helpers that only the tests need: an LP built from rows, a
 program as plain arrays in any class SciPy's HiGHS takes and HiGHS's
 solution of it, the explicit dual of a boxed min program (P3, when the
-program is P2) as such arrays, the inverse confidence map, L1 distance and membership
-for distributions, expected latency and energy written from the per-bit
-costs independently of P2, P2 as it was before x was substituted out, a
-brute force over offloading decisions, pinned instances whose dive meets
-an infeasible child or dead-ends, and earlier versions of the dive and of
-the simplex kernels that the current ones must match."""
+program is P2) as such arrays, the inverse confidence map, L1 distance and
+membership for distributions, expected latency and energy written from the
+per-bit costs independently of P2, P2 as it was before x was substituted
+out, a brute force over offloading decisions, pinned instances whose dive
+meets an infeasible child or dead-ends, and earlier versions of the dive
+and of the simplex kernels that the current ones must match."""
 
 import collections
 import dataclasses
