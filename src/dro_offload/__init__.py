@@ -6,7 +6,6 @@ from .ambiguity import (
     AmbiguitySet,
     Distribution,
     SampleSpace,
-    empirical_distribution,
     tolerance_from_confidence,
     worst_case_mean_distribution,
 )
@@ -24,7 +23,7 @@ from .config import RunConfig, default_config, load_config, parse_config
 from .evaluation import EvaluationReport, compare_methods, sweep
 from .lp import LinearProgram, LpSolution, LpStatus, check_solution, solve_lp
 from .mdrloa import SolveResult, do_solve, exhaustive_solve, mdrloa_solve, ro_solve
-from .model import OffloadDecision, build_p2, worst_case_distributions
+from .model import OffloadDecision, build_p2, worst_case_means
 
 __all__ = [
     "EvaluationReport",
@@ -41,7 +40,7 @@ __all__ = [
     "parse_config",
     "ro_solve",
     "sweep",
-    "worst_case_distributions",
+    "worst_case_means",
     "AmbiguitySet",
     "ComputeParams",
     "Distribution",
@@ -55,7 +54,6 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "check_solution",
-    "empirical_distribution",
     "generate_scenario",
     "per_bit_coefficients",
     "solve_lp",

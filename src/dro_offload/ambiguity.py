@@ -3,6 +3,15 @@
 Task sizes live on a fixed grid of atoms (bits). The reference
 distribution is the histogram of historical samples over the atom bins,
 and the ambiguity set is the L1 ball of radius epsilon around it.
+
+Histories are drawn in array passes. Each sample stream spends only its
+`default_rng(stream).random(Q)`; one `searchsorted` through the truth's
+cdf, the way `Generator.choice(atoms, Q, p=truth)` maps its uniforms,
+turns every stream's draws into atom indices, bit for bit the atoms
+`choice` would return. Every atom lies in its own bin, so an atom's index
+is its bin, and one offset `bincount` gives every stream's histogram. The
+probability checks then run once on the matrix of references, and the
+worst-case shift runs across its rows.
 """
 
 from __future__ import annotations
@@ -15,6 +24,27 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 
 PROB_TOL = 1e-9
+
+
+def _check_probs(probs: np.ndarray) -> None:
+    """ConfigError unless every row of `probs` (2-D) is a probability vector."""
+    # NaN fails too; with the sum, no entry passes 1 + PROB_TOL
+    negative = ~(probs >= 0.0).all(axis=1)
+    if negative.any():
+        row = tuple(probs[negative][0].tolist())
+        raise ConfigError(f"probabilities must be finite and non-negative, got {row}")
+    sums = probs.sum(axis=1)
+    off = np.abs(sums - 1.0) > PROB_TOL
+    if off.any():
+        raise ConfigError(f"probabilities must sum to 1, got {sums[off][0]!r}")
+
+
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass `cls` whose checks its caller already ran,
+    on a whole matrix at once."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -58,11 +88,7 @@ class Distribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        if not (arr >= 0.0).all():  # NaN fails too; with the sum, no entry passes 1 + PROB_TOL
-            raise ConfigError(f"probabilities must be finite and non-negative, got {self.probs}")
-        if abs(arr.sum() - 1.0) > PROB_TOL:
-            raise ConfigError(f"probabilities must sum to 1, got {arr.sum()!r}")
+        _check_probs(np.asarray(self.probs, dtype=float)[None])
 
     @property
     def num_atoms(self) -> int:
@@ -95,19 +121,6 @@ class AmbiguitySet:
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
 
 
-def empirical_distribution(samples, space: SampleSpace) -> Distribution:
-    """Histogram of the history (task sizes in bits) over the sample-space bins, normalized by Q."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 1:
-        raise DataError("history must contain at least one sample")
-    bins = np.searchsorted(space.bin_edges, samples, side="right") - 1
-    outside = (bins < 0) | (bins >= space.num_atoms)  # NaN sorts past the last edge
-    if outside.any():
-        raise DataError(f"history sample {samples[outside][0]} falls outside every bin")
-    counts = np.bincount(bins, minlength=space.num_atoms)
-    return Distribution(probs=tuple(counts / samples.size))
-
-
 def tolerance_from_confidence(num_atoms: int, num_samples: int, confidence: float) -> float:
     """Radius epsilon = (K/2Q) * ln(2K / (1 - confidence))."""
     if num_atoms < 1 or num_samples < 1:
@@ -117,36 +130,75 @@ def tolerance_from_confidence(num_atoms: int, num_samples: int, confidence: floa
     return num_atoms / (2.0 * num_samples) * math.log(2.0 * num_atoms / (1.0 - confidence))
 
 
-def worst_case_mean_distribution(amb: AmbiguitySet) -> tuple[Distribution, float]:
-    """Distribution in the ambiguity set maximizing the expected task size.
+def worst_case_rows(references: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Each row's distribution in its ambiguity set maximizing the expected task size.
 
-    Greedy mass shift: up to radius/2 total probability moves from the
-    smallest atoms onto the largest one. This is the exact argmax of a
-    linear objective with ascending coefficients over the L1 ball
-    intersected with the simplex.
+    Greedy mass shift, per row of `references` with its radius: up to
+    radius/2 total probability moves from the smallest atoms onto the
+    largest one. This is the exact argmax of a linear objective with
+    ascending coefficients over the L1 ball intersected with the simplex.
+    The shift runs across rows, atom by atom in the same order for each.
     """
-    p = amb.reference.as_array().copy()
-    k_top = amb.space.num_atoms - 1
-    budget = min(amb.radius / 2.0, 1.0 - p[k_top])
-    moved = 0.0
+    p = np.array(references, dtype=float)
+    k_top = p.shape[1] - 1
+    budget = np.minimum(np.asarray(radii, dtype=float) / 2.0, 1.0 - p[:, k_top])
+    moved = np.zeros(len(p))
     for k in range(k_top):
-        if moved >= budget:
-            break
-        take = min(p[k], budget - moved)
-        p[k] -= take
+        # a row whose budget is spent takes nothing more
+        take = np.where(moved < budget, np.minimum(p[:, k], budget - moved), 0.0)
+        p[:, k] -= take
         moved += take
-    p[k_top] += moved
+    p[:, k_top] += moved
+    return p
+
+
+def worst_case_mean_distribution(amb: AmbiguitySet) -> tuple[Distribution, float]:
+    """Distribution in the ambiguity set maximizing the expected task size, and
+    that size: `worst_case_rows` on the one set."""
+    p = worst_case_rows(amb.reference.as_array()[None], np.array([amb.radius]))[0]
     dist = Distribution(probs=tuple(p))
     return dist, dist.mean(amb.space)
+
+
+def _atom_indices(
+    truth: Distribution, space: SampleSpace, num_samples: int, streams
+) -> np.ndarray:
+    """Atom indices of num_samples i.i.d. draws under the truth, one row per stream: row
+    s holds the indices of the atoms `default_rng(s).choice(atoms, num_samples,
+    p=truth)` returns, bit for bit."""
+    if num_samples < 1:
+        raise DataError(f"num_samples must be >= 1, got {num_samples}")
+    if truth.num_atoms != space.num_atoms:
+        raise ShapeError("truth distribution does not match sample space")
+    cdf = truth.as_array().cumsum()
+    cdf /= cdf[-1]
+    uniforms = np.empty((len(streams), num_samples))
+    for row, stream in zip(uniforms, streams):
+        np.random.default_rng(stream).random(out=row)
+    return cdf.searchsorted(uniforms, side="right")
 
 
 def generate_history(
     truth: Distribution, space: SampleSpace, num_samples: int, seed
 ) -> np.ndarray:
     """Draw num_samples i.i.d. atom values (bits) under the truth distribution."""
-    if num_samples < 1:
-        raise DataError(f"num_samples must be >= 1, got {num_samples}")
-    if truth.num_atoms != space.num_atoms:
-        raise ShapeError("truth distribution does not match sample space")
-    rng = np.random.default_rng(seed)
-    return rng.choice(np.asarray(space.atoms), size=num_samples, p=truth.as_array())
+    return np.asarray(space.atoms)[_atom_indices(truth, space, num_samples, [seed])[0]]
+
+
+def reference_sets(
+    truth: Distribution, space: SampleSpace, num_samples: int, streams, radius: float
+) -> list[AmbiguitySet]:
+    """One ambiguity set of `radius` per sample stream, around the empirical
+    distribution of num_samples draws under the truth on that stream: the histogram
+    over the space's bins, normalized by num_samples. The checks of `Distribution` and
+    `AmbiguitySet` run once, on the matrix of references."""
+    bins = _atom_indices(truth, space, num_samples, streams)
+    k = space.num_atoms
+    offsets = k * np.arange(len(streams))[:, None]
+    counts = np.bincount((bins + offsets).ravel(), minlength=k * len(streams))
+    references = counts.reshape(-1, k) / num_samples
+    _check_probs(references)
+    if not radius >= 0:
+        raise ConfigError(f"radius must be >= 0, got {radius}")
+    references = [_checked(Distribution, probs=tuple(row)) for row in references]
+    return [_checked(AmbiguitySet, space=space, reference=ref, radius=radius) for ref in references]

@@ -8,17 +8,21 @@ those sizes: latency is P2's objective, the energies are the activity of
 its energy rows, and a decision is feasible when it meets every row. Results
 are flat rows that serialize to a deterministic CSV: same config and
 seeds means byte-identical output.
+
+Histories and the realization come from one array sampler: each stream
+`[seed, purpose, ...]` draws only its uniforms, and one pass maps them all to
+atoms exactly as `Generator.choice` would and histograms every stream
+(`ambiguity.reference_sets`).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, empirical_distribution, generate_history
+from .ambiguity import AmbiguitySet, generate_history, reference_sets
 from .config import METHODS, RunConfig
 from .errors import ConfigError, InfeasibleProblemError
 from .geometry import Scenario, generate_scenario
@@ -33,7 +37,7 @@ from .mdrloa import (
     mdrloa_solve,
     ro_solve,
 )
-from .model import build_p2, energy_use, meets_rows, worst_case_distributions
+from .model import build_p2, energy_use, meets_rows, worst_case_means
 
 # independent per-purpose rng streams; geometry owns its own (0x6E0)
 HISTORY_STREAM = 0x415
@@ -72,29 +76,20 @@ def draw_realization(config: RunConfig, seed: int) -> np.ndarray:
 def build_ambiguity_sets(config: RunConfig, seed: int) -> list[AmbiguitySet]:
     """Histories -> empirical references -> L1 balls, one per TD.
 
-    With a shared history every TD sees the same reference distribution;
-    otherwise each TD gets an independent sample stream.
+    With a shared history every TD sees the same set object; otherwise TD i
+    gets its own sample stream [seed, HISTORY_STREAM, i].
     """
     amb = config.ambiguity
     space = amb.sample_space()
-    truth = amb.truth.distribution(space)
-    eps = amb.effective_epsilon()
     num_tds = config.scenario.num_tds
     streams = (
         [[int(seed), HISTORY_STREAM, i] for i in range(num_tds)]
         if amb.per_device_history
         else [[int(seed), HISTORY_STREAM]]
     )
-    sets = [
-        AmbiguitySet(
-            space=space,
-            reference=empirical_distribution(
-                generate_history(truth, space, amb.history_len, stream), space
-            ),
-            radius=eps,
-        )
-        for stream in streams
-    ]
+    sets = reference_sets(
+        amb.truth.distribution(space), space, amb.history_len, streams, amb.effective_epsilon()
+    )
     return sets * (num_tds // len(sets))  # a shared history's one set, once per TD
 
 
@@ -109,8 +104,7 @@ def solve_with_method(
     if method == "ro":
         return ro_solve(scenario, space)
     if method == "exhaustive":
-        _, means = worst_case_distributions(ambiguity_sets)
-        return exhaustive_solve(scenario, means)
+        return exhaustive_solve(scenario, worst_case_means(ambiguity_sets))
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -273,6 +267,8 @@ class EvaluationReport:
 def _evaluate_all(tasks: list[tuple], jobs: int) -> EvaluationReport:
     """Evaluate (config, seed, param_name, param_value) tasks, in one pool when jobs > 1."""
     if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures  # with logging, a few ms of every import when jobs is 1
+
         # a forking pool starts all its workers on the first submit: no more than the tasks
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(evaluate_seed, *zip(*tasks)))

@@ -225,11 +225,13 @@ class Basis:
     their upper bounds. Ids are the solver's columns: the structural ones, then one
     slack per LE row and one artificial per EQ row, each in row order.
 
-    An optimal solution's basis, whose arrays are read-only, also carries the inverse
-    and the tableau its certify step loaded, tied to the standard form they came
-    from: a warm start on a program sharing that form (`with_bounds`) loads through
-    them instead of inverting. Any other start, a crash basis, a `Basis(basic,
-    at_upper)` built by hand or one from another program, is inverted.
+    `_factor` ties a basis to the standard form it is known to fit, which then does
+    not check it again. An optimal solution's basis, whose arrays are read-only,
+    carries `(form, inverse, tableau)`: the inverse and the tableau its certify step
+    loaded, so that a warm start on a program sharing that form (`with_bounds`)
+    loads through them instead of inverting. A crash basis built from the program's
+    structure carries `(form,)` and is inverted. A `Basis(basic, at_upper)` built by
+    hand, or one from another program, is checked and inverted.
     """
 
     basic: np.ndarray
@@ -442,11 +444,12 @@ class _StandardForm:
     def basis_from(self, start: Basis, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Tableau basis and at-upper columns of `start`, and the inverse and tableau it
         carries from a solve on this form (None from anywhere else); ConfigError if it
-        does not fit. A basis that a solve on this form returned fits it, unchecked."""
+        does not fit. A basis tied to this form, which a solve on it returned or a crash
+        basis built for it, fits it, unchecked."""
         basic = np.asarray(start.basic, dtype=int)
         at_upper = np.asarray(start.at_upper, dtype=int)
         if start._factor is not None and start._factor[0] is self:
-            return basic.copy(), at_upper, start._factor[1:]
+            return basic.copy(), at_upper, start._factor[1:] or None
         m, n = self.a_full.shape
         ids = np.concatenate([basic, at_upper])
         fits = (

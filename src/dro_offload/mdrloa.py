@@ -42,7 +42,7 @@ from .model import (
     build_p2,
     crash_basis,
     meets_rows,
-    worst_case_distributions,
+    worst_case_means,
 )
 
 METHOD_MDRLOA = "MDRLOA"
@@ -170,7 +170,7 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
 
 def mdrloa_solve(scenario: Scenario, ambiguity_sets: list[AmbiguitySet]) -> SolveResult:
     """Distributionally robust solve: means of the worst-case distributions."""
-    return _solve(scenario, worst_case_distributions(ambiguity_sets)[1], METHOD_MDRLOA)
+    return _solve(scenario, worst_case_means(ambiguity_sets), METHOD_MDRLOA)
 
 
 def do_solve(scenario: Scenario, space: SampleSpace) -> SolveResult:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, Distribution, worst_case_mean_distribution
+from .ambiguity import AmbiguitySet, worst_case_rows
 from .errors import ShapeError
 from .geometry import Scenario, per_bit_coefficients
 from .lp import EQ, LE, Basis, LinearProgram
@@ -159,6 +159,8 @@ def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
     to the lowest column id; every other row keeps its slack, and no column sits
     at its upper bound. P2's costs are >= 0 and its access rows come first, so this
     is the basis a dual simplex from the slack basis holds after its first I pivots.
+    It is built to fit P2's standard form, one column per row and all of them
+    distinct, so it is tied to that form and `solve_lp` does not check it again.
     """
     i, ij = num_tds, p2.num_vars // 2
     j = ij // i
@@ -167,7 +169,11 @@ def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
     cheapest = np.arange(i) * j + links + np.where(links < j, 0, ij - j)
     # the solver's ids: P2's columns, then one slack per LE row, in row order
     slacks = p2.num_vars + np.arange(p2.num_constraints - i)
-    return Basis(basic=np.concatenate([cheapest, slacks]), at_upper=np.zeros(0, dtype=int))
+    basic, at_upper = np.concatenate([cheapest, slacks]), np.zeros(0, dtype=int)
+    # tied to the form, its arrays must stay the ones built for it
+    basic.setflags(write=False)
+    at_upper.setflags(write=False)
+    return Basis(basic=basic, at_upper=at_upper, _factor=(p2._standard_form(),))
 
 
 def energy_use(p2: LinearProgram, decision: OffloadDecision) -> tuple[np.ndarray, float]:
@@ -184,15 +190,23 @@ def meets_rows(p2: LinearProgram, points: np.ndarray) -> np.ndarray:
     return (np.where(p2.relations == EQ, np.abs(excess), excess) <= ROW_TOL).all(axis=-1)
 
 
-def worst_case_distributions(
-    ambiguity_sets: list[AmbiguitySet],
-) -> tuple[list[Distribution], np.ndarray]:
-    """Per-TD adversarial distributions and their means (bits).
+def worst_case_means(ambiguity_sets: list[AmbiguitySet]) -> np.ndarray:
+    """Per-TD means (bits) of the adversarial distributions.
 
     Exact for every decision with nonnegative size coefficients, which
     covers the latency objective and both energy constraint families.
+    Every set must share one sample space (ShapeError otherwise).
     """
-    # devices that share a history share a set: each distinct set is solved once
-    worst = {amb: worst_case_mean_distribution(amb) for amb in dict.fromkeys(ambiguity_sets)}
-    pairs = [worst[amb] for amb in ambiguity_sets]
-    return [dist for dist, _ in pairs], np.asarray([mean for _, mean in pairs])
+    # devices that share a history share a set object: each distinct one is solved once
+    distinct = {id(amb): amb for amb in ambiguity_sets}
+    space = ambiguity_sets[0].space
+    if any(amb.space != space for amb in distinct.values()):
+        raise ShapeError("ambiguity sets must share one sample space")
+    worst = worst_case_rows(
+        [amb.reference.probs for amb in distinct.values()],
+        [amb.radius for amb in distinct.values()],
+    )
+    # one dot per row: a matrix-vector product differs from it in the last bit
+    atoms = np.asarray(space.atoms)
+    row_mean = {key: float(np.dot(row, atoms)) for key, row in zip(distinct, worst)}
+    return np.array([row_mean[id(amb)] for amb in ambiguity_sets])

@@ -2,7 +2,9 @@
 program as plain arrays in any class SciPy's HiGHS takes and HiGHS's
 solution of it, the explicit dual of a boxed min program (P3, when the
 program is P2) as such arrays, the inverse confidence map, L1 distance and
-membership for distributions, expected latency and energy written from the
+membership for distributions, the per-stream history sampler and
+histogram, the one-set worst-case shift and the per-link rates that the
+array passes must match bit for bit, expected latency and energy written from the
 per-bit costs independently of P2, P2 as it was before x was substituted
 out, a brute force over offloading decisions, pinned instances whose dive
 meets an infeasible child or dead-ends, and earlier versions of the dive
@@ -17,11 +19,23 @@ import numpy as np
 from scipy.optimize import linprog
 
 from dro_offload import lp as lp_module
-from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution
+from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution, SampleSpace
 from dro_offload.config import parse_config
-from dro_offload.errors import ConfigError, InfeasibleProblemError, ShapeError, SolverError
+from dro_offload.errors import (
+    ConfigError,
+    DataError,
+    InfeasibleProblemError,
+    ShapeError,
+    SolverError,
+)
 from dro_offload.lp import EQ, GE, LE, LinearProgram, LpStatus, solve_lp
-from dro_offload.geometry import per_bit_coefficients
+from dro_offload.geometry import (
+    Position3D,
+    channel_gain,
+    euclidean_distance,
+    link_rate,
+    per_bit_coefficients,
+)
 from dro_offload.mdrloa import SolveResult, select_branch
 from dro_offload.model import OffloadDecision, build_p2, crash_basis
 
@@ -116,6 +130,69 @@ def point_mass(num_atoms: int, index: int) -> Distribution:
     probs = [0.0] * num_atoms
     probs[index] = 1.0
     return Distribution(probs=tuple(probs))
+
+
+def empirical_distribution(samples, space: SampleSpace) -> Distribution:
+    """Histogram of the history (task sizes in bits) over the sample-space bins,
+    normalized by Q: the per-history reference, before the references of all streams
+    were built in one array pass."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < 1:
+        raise DataError("history must contain at least one sample")
+    bins = np.searchsorted(space.bin_edges, samples, side="right") - 1
+    outside = (bins < 0) | (bins >= space.num_atoms)  # NaN sorts past the last edge
+    if outside.any():
+        raise DataError(f"history sample {samples[outside][0]} falls outside every bin")
+    counts = np.bincount(bins, minlength=space.num_atoms)
+    return Distribution(probs=tuple(counts / samples.size))
+
+
+def choice_history(truth: Distribution, space: SampleSpace, num_samples: int, seed):
+    """num_samples atoms drawn by `Generator.choice` on stream `seed`: the reference for
+    the array sampler."""
+    rng = np.random.default_rng(seed)
+    return rng.choice(np.asarray(space.atoms), size=num_samples, p=truth.as_array())
+
+
+def worst_case_mean_loop(amb: AmbiguitySet) -> tuple[tuple, float]:
+    """The greedy mass shift on one set, one atom at a time, and the mean of the shifted
+    distribution: the reference for `worst_case_rows` and `worst_case_means`."""
+    p = amb.reference.as_array().copy()
+    k_top = amb.space.num_atoms - 1
+    budget = min(amb.radius / 2.0, 1.0 - p[k_top])
+    moved = 0.0
+    for k in range(k_top):
+        if moved >= budget:
+            break
+        take = min(p[k], budget - moved)
+        p[k] -= take
+        moved += take
+    p[k_top] += moved
+    dist = Distribution(probs=tuple(p))
+    return dist.probs, dist.mean(amb.space)
+
+
+def link_rates_per_link(config, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The TD-UAV and UAV-HAP rates of `generate_scenario(config, seed)`, link by link
+    from positions whose coordinates are NumPy scalars: the reference for its one pass
+    over Python floats."""
+    rng = np.random.default_rng([int(seed), 0x6E0])
+    td_xy = rng.uniform(0.0, config.area_size, size=(config.num_tds, 2))
+    uav_xy = rng.uniform(0.0, config.area_size, size=(config.num_uavs, 2))
+    tds = [Position3D(x, y, 0.0) for x, y in td_xy]
+    uavs = [Position3D(x, y, config.uav_altitude) for x, y in uav_xy]
+    radio = config.radio
+
+    def rate(a, b, gain, bandwidth, power):
+        distance = euclidean_distance(a, b)
+        return link_rate(bandwidth, power, channel_gain(gain, distance), radio.noise_power)
+
+    td_uav = (radio.ref_gain_td_uav, radio.bandwidth_td_uav, radio.tx_power_td)
+    uav_hap = (radio.ref_gain_uav_hap, radio.bandwidth_uav_hap, radio.tx_power_uav)
+    return (
+        np.array([[rate(td, uav, *td_uav) for uav in uavs] for td in tds]),
+        np.array([rate(uav, config.hap_position, *uav_hap) for uav in uavs]),
+    )
 
 
 def expected_latency(decision, scenario, mean_sizes) -> float:

@@ -19,8 +19,7 @@ from dro_offload.ambiguity import (
     AmbiguitySet,
     Distribution,
     SampleSpace,
-    empirical_distribution,
-    generate_history,
+    reference_sets,
     tolerance_from_confidence,
     worst_case_mean_distribution,
 )
@@ -31,7 +30,7 @@ from dro_offload.evaluation import compare_methods, sweep
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
 from dro_offload.lp import LpStatus, solve_lp
 from dro_offload.mdrloa import exhaustive_solve, mdrloa_solve
-from dro_offload.model import OffloadDecision, build_p2, worst_case_distributions
+from dro_offload.model import OffloadDecision, build_p2, worst_case_means
 from helpers import confidence_from_tolerance, dual_of, highs_solve
 
 SPACE5 = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
@@ -120,9 +119,8 @@ def test_criterion_02_inner_maximization_exact():
             deco_total, grid_total, bound = 0.0, 0.0, 0.0
             for i in range(10):
                 # Q=50 history keeps the reference on the 0.02 grid
-                hist = generate_history(Distribution.uniform(3), space, 50, [500 + i, 9])
-                ref = empirical_distribution(hist, space)
-                amb = AmbiguitySet(space, ref, eps)
+                amb = reference_sets(Distribution.uniform(3), space, 50, [[500 + i, 9]], eps)[0]
+                ref = amb.reference
                 _, wc_mean = worst_case_mean_distribution(amb)
                 in_ball = np.abs(grid - ref.as_array()).sum(axis=1) <= eps + 1e-12
                 grid_mean = float((grid[in_ball] @ atoms).max())
@@ -149,7 +147,7 @@ def test_criterion_03_optimality_gap():
         i = 2 + k % 3  # I in {2, 3, 4}
         sc = _scenario(seed=3000 + k, num_tds=i, num_uavs=2, quota_uav=i)
         sets = [AmbiguitySet(SPACE5, Distribution.uniform(5), 0.3) for _ in range(i)]
-        _, means = worst_case_distributions(sets)
+        means = worst_case_means(sets)
         dive = mdrloa_solve(sc, sets)
         opt = exhaustive_solve(sc, means)
         ratio = dive.worst_case_expected_latency / opt.worst_case_expected_latency

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize as scipy_opt
 
@@ -8,13 +8,23 @@ from dro_offload.ambiguity import (
     AmbiguitySet,
     Distribution,
     SampleSpace,
-    empirical_distribution,
     generate_history,
+    reference_sets,
     tolerance_from_confidence,
     worst_case_mean_distribution,
+    worst_case_rows,
 )
-from dro_offload.errors import ConfigError, DataError
-from helpers import confidence_from_tolerance, in_ball, l1_distance, point_mass
+from dro_offload.errors import ConfigError, DataError, ShapeError
+from dro_offload.model import worst_case_means
+from helpers import (
+    choice_history,
+    confidence_from_tolerance,
+    empirical_distribution,
+    in_ball,
+    l1_distance,
+    point_mass,
+    worst_case_mean_loop,
+)
 
 ATOMS = [3e6, 9e6, 15e6, 21e6, 27e6]
 
@@ -211,3 +221,96 @@ class TestHistoryGeneration:
         hist = generate_history(truth, space, 20000, 11)
         emp = empirical_distribution(hist, space)
         assert l1_distance(emp, truth) < 0.05
+
+
+@st.composite
+def _weights(draw, k):
+    """A probability vector over k atoms from small integer weights: zeros, ties and,
+    now and then, all the mass on the top atom."""
+    if draw(st.integers(0, 5)) == 0:
+        return tuple([0.0] * (k - 1) + [1.0])
+    raw = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+    return tuple(w / sum(raw) for w in raw)
+
+
+@st.composite
+def _space_and_truth(draw):
+    k = draw(st.integers(1, 7))
+    steps = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    space = SampleSpace.with_midpoint_edges(np.cumsum(steps) * 1.5e6)
+    return space, Distribution(probs=draw(_weights(k)))
+
+
+class TestArraySampler:
+    """The array pass equals, bit for bit, each stream's `Generator.choice` followed by
+    its histogram over the bins."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=_space_and_truth(),
+        num_samples=st.integers(1, 70),
+        num_streams=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.floats(0.0, 3.0),
+    )
+    def test_matches_choice_and_histogram_per_stream(
+        self, case, num_samples, num_streams, seed, radius
+    ):
+        space, truth = case
+        streams = [[seed, 0x415, i] for i in range(num_streams)]
+        sets = reference_sets(truth, space, num_samples, streams, radius)
+        assert len(sets) == num_streams
+        for stream, amb in zip(streams, sets):
+            hist = choice_history(truth, space, num_samples, stream)
+            want = empirical_distribution(hist, space).probs
+            assert amb.reference.probs == want
+            assert [type(p) for p in amb.reference.probs] == [type(p) for p in want]
+            assert amb.space is space and amb.radius == radius
+            assert generate_history(truth, space, num_samples, stream).tobytes() == hist.tobytes()
+
+    def test_checks_run_on_the_whole_matrix(self, space):
+        truth = Distribution.uniform(5)
+        for radius in (-0.1, float("nan")):
+            with pytest.raises(ConfigError, match="radius"):
+                reference_sets(truth, space, 10, [[1, 2]], radius)
+        with pytest.raises(DataError, match="num_samples"):
+            reference_sets(truth, space, 0, [[1, 2]], 0.1)
+        with pytest.raises(ShapeError, match="truth"):
+            reference_sets(Distribution.uniform(4), space, 10, [[1, 2]], 0.1)
+
+
+class TestWorstCaseRows:
+    """The greedy shift across rows, and the means of `worst_case_means`, equal the
+    scalar loop on each set bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                _weights(5),
+                st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(2.0, 50.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        shared=st.integers(0, 3),
+    )
+    def test_matches_the_scalar_loop(self, rows, shared):
+        space = SampleSpace.with_midpoint_edges(ATOMS)
+        sets = [AmbiguitySet(space, Distribution(probs=p), r) for p, r in rows]
+        sets += sets[:1] * shared  # devices sharing a history share the set object
+        loops = [worst_case_mean_loop(amb) for amb in sets]
+        shifted = worst_case_rows([p for p, _ in rows], [r for _, r in rows])
+        for row, (probs, _) in zip(shifted, loops):
+            assert tuple(row) == probs
+        means = worst_case_means(sets)
+        assert means.tobytes() == np.array([mean for _, mean in loops]).tobytes()
+        for amb, (probs, mean) in zip(sets, loops):
+            dist, one = worst_case_mean_distribution(amb)
+            assert dist.probs == probs and one == mean
+
+    def test_sets_share_one_sample_space(self, space):
+        other = SampleSpace.with_midpoint_edges([1e6, 2e6, 3e6, 4e6, 5e6])
+        sets = [AmbiguitySet(sp, Distribution.uniform(5), 0.1) for sp in (space, other)]
+        with pytest.raises(ShapeError, match="one sample space"):
+            worst_case_means(sets)

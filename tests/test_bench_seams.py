@@ -24,7 +24,7 @@ from dro_offload.errors import InfeasibleProblemError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario
 from dro_offload.lp import LpStatus, solve_lp
-from dro_offload.model import build_p2, crash_basis, worst_case_distributions
+from dro_offload.model import build_p2, crash_basis, worst_case_means
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -60,7 +60,7 @@ def test_highs_objective_matches_solve_lp(name):
     # perfbench's root oracle skips eval-binding, whose roots have tied optima
     for seed in range(1, 21) if name == "eval-binding" else (1, 2):
         scenario = generate_scenario(cfg.scenario, seed)
-        _, means = worst_case_distributions(build_ambiguity_sets(cfg, seed))
+        means = worst_case_means(build_ambiguity_sets(cfg, seed))
         for sizes in (means, np.full(scenario.num_tds, max(cfg.ambiguity.sample_space().atoms))):
             program = build_p2(scenario, sizes)
             ours = solve_lp(program)
@@ -159,7 +159,7 @@ def test_crash_started_root_matches_cold_solve(name):
     atoms = cfg.ambiguity.sample_space().atoms
     for seed in range(1, 6):
         scenario = generate_scenario(cfg.scenario, seed)
-        _, means = worst_case_distributions(build_ambiguity_sets(cfg, seed))
+        means = worst_case_means(build_ambiguity_sets(cfg, seed))
         for sizes in (means, np.full_like(means, np.mean(atoms)), np.full_like(means, max(atoms))):
             program = build_p2(scenario, sizes)
             cold = solve_lp(program)

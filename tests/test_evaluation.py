@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -171,7 +172,7 @@ class TestReport:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(evaluation.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         csv = compare_methods(_cfg(jobs=64)).to_csv()
         assert pools == [2]  # two seeds
         assert csv == compare_methods(_cfg(jobs=1)).to_csv()

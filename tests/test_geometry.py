@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dro_offload.config import default_config
@@ -16,6 +17,7 @@ from dro_offload.geometry import (
     link_rate,
     per_bit_coefficients,
 )
+from helpers import link_rates_per_link
 
 
 def _default_scenario(seed=1):
@@ -143,3 +145,29 @@ class TestScenario:
             Position3D(0, 0, -1)
         with pytest.raises(ConfigError):
             Position3D(math.nan, 0, 0)
+
+
+class TestOnePassRates:
+    """`generate_scenario` computes every link in one pass over Python floats; its
+    rates equal `link_rate(channel_gain(euclidean_distance))` link by link."""
+
+    CONFIG = dataclasses.replace(
+        default_config().scenario, num_tds=30, num_uavs=5, quota_uav=8
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_30x5_rates_match_the_per_link_composition(self, seed):
+        sc = generate_scenario(self.CONFIG, seed)
+        td_uav, uav_hap = link_rates_per_link(self.CONFIG, seed)
+        assert sc.rate_td_uav.shape == td_uav.shape == (30, 5)
+        assert sc.rate_td_uav.tobytes() == td_uav.tobytes()
+        assert sc.rate_uav_hap.tobytes() == uav_hap.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), uav=st.integers(0, 4))
+    def test_uav_on_the_hap_rejected(self, seed, uav):
+        on_hap = generate_scenario(self.CONFIG, seed).uavs[uav]
+        config = dataclasses.replace(self.CONFIG, hap_position=on_hap)
+        with pytest.raises(ConfigError, match="distance must be > 0"):
+            generate_scenario(config, seed)

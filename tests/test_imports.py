@@ -1,6 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and importing the
+package loads no module that only a parallel run needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,21 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_and_load_config_leave_concurrent_futures_unloaded():
+    # the pool, and with it concurrent.futures and logging, is imported only when jobs > 1
+    config = PACKAGE.parent.parent / "perfbench" / "configs" / "eval-binding.json"
+    code = (
+        "import sys, dro_offload; dro_offload.load_config(sys.argv[1]); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(config)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -22,7 +22,7 @@ from dro_offload.lp import (
     check_solution,
     solve_lp,
 )
-from dro_offload.model import build_p2, worst_case_distributions
+from dro_offload.model import build_p2, crash_basis, worst_case_means
 from helpers import (
     INFEASIBLE_CHILD_REPORTED_OPTIMAL,
     ArrayLp,
@@ -526,7 +526,7 @@ class TestWarmStart:
     def test_pinned_infeasible_child_from_its_parents_basis(self):
         cfg, seed = INFEASIBLE_CHILD_REPORTED_OPTIMAL
         scenario = generate_scenario(cfg.scenario, seed)
-        p2 = build_p2(scenario, worst_case_distributions(build_ambiguity_sets(cfg, seed))[1])
+        p2 = build_p2(scenario, worst_case_means(build_ambiguity_sets(cfg, seed)))
         parent = solve_lp(_with_bounds(p2, [2, 4], 0.0, 0.0))
         assert parent.status is LpStatus.OPTIMAL
         child = _with_bounds(p2, [0, 2, 4], 0.0, 0.0)
@@ -557,6 +557,27 @@ class TestWarmStart:
             start = Basis(np.array(basic), np.array(at_upper, dtype=int))
             with pytest.raises(ConfigError, match="does not fit"):
                 solve_lp(lp, start=start)
+
+    def test_crash_basis_is_tied_to_its_p2s_form_and_checked_on_any_other(self):
+        scenarios = [
+            generate_scenario(dataclasses.replace(default_config().scenario, **size), 1)
+            for size in ({}, {"num_tds": 30, "num_uavs": 5, "quota_uav": 8})
+        ]
+        p2s = [build_p2(s, np.linspace(3e6, 27e6, s.num_tds)) for s in scenarios]
+        for p2, scenario in zip(p2s, scenarios):
+            crash = crash_basis(p2, scenario.num_tds)
+            form = p2._standard_form()
+            assert len(crash._factor) == 1 and crash._factor[0] is form
+            assert not crash.basic.flags.writeable and not crash.at_upper.flags.writeable
+            # the same ids built by hand pass every check: the crash basis fits its form
+            by_hand = Basis(crash.basic.copy(), crash.at_upper.copy())
+            assert form.basis_from(by_hand, form.ub)[2] is None
+            tied, checked = solve_lp(p2, start=crash), solve_lp(p2, start=by_hand)
+            for name in ("x", "duals", "reduced_costs"):
+                assert getattr(tied, name).tobytes() == getattr(checked, name).tobytes()
+        # tied to the 10x3 form, it is checked, and rejected, on the 30x5 one
+        with pytest.raises(ConfigError, match="does not fit"):
+            solve_lp(p2s[1], start=crash_basis(p2s[0], scenarios[0].num_tds))
 
     def test_cold_start_is_the_slack_basis_loaded_like_any_start(self):
         rng = np.random.default_rng(2024)

@@ -33,7 +33,7 @@ from dro_offload.mdrloa import (
     ro_solve,
     select_branch,
 )
-from dro_offload.model import worst_case_distributions
+from dro_offload.model import worst_case_means
 from helpers import (
     INFEASIBLE_CHILD_REPORTED_OPTIMAL,
     dive_with_both_children,
@@ -94,7 +94,7 @@ class TestMdrloaSolve:
         sc = _scenario(seed=3)
         sets = _uniform_sets(10)
         result = mdrloa_solve(sc, sets)
-        _, means = worst_case_distributions(sets)
+        means = worst_case_means(sets)
         assert result.worst_case_expected_latency == pytest.approx(
             expected_latency(result.decision, sc, means), rel=1e-12
         )
@@ -417,7 +417,7 @@ class TestAgainstExhaustive:
     def test_dive_near_optimal(self, seed):
         sc = _scenario(seed=seed, num_tds=4, num_uavs=2, quota_uav=2)
         sets = _uniform_sets(4)
-        _, means = worst_case_distributions(sets)
+        means = worst_case_means(sets)
         dive = mdrloa_solve(sc, sets)
         opt = exhaustive_solve(sc, means)
         assert dive.worst_case_expected_latency <= 1.10 * opt.worst_case_expected_latency
@@ -466,7 +466,7 @@ class TestExhaustiveTieRule:
 
     def test_first_tied_point_wins_and_survives_nudges(self, monkeypatch):
         scenario = generate_scenario(self.CONFIG.scenario, 266)
-        means = worst_case_distributions(build_ambiguity_sets(self.CONFIG, 266))[1]
+        means = worst_case_means(build_ambiguity_sets(self.CONFIG, 266))
         feasible = list(feasible_decisions(scenario, means))
         least = min(latency for _, latency in feasible)
         tied = [d.to_dict() for d, latency in feasible if latency <= least + 1e-12 * least]
@@ -561,7 +561,7 @@ def test_dive_between_relaxation_bound_and_exhaustive_optimum():
         cfg, seed = instance
         scenario = generate_scenario(cfg.scenario, seed)
         sets = build_ambiguity_sets(cfg, seed)
-        means = worst_case_distributions(sets)[1]
+        means = worst_case_means(sets)
         try:
             best = exhaustive_solve(scenario, means)
         except InfeasibleProblemError:
@@ -596,7 +596,7 @@ def test_exhaustive_matches_a_brute_force_over_decisions():
     def check(instance):
         cfg, seed = instance
         scenario = generate_scenario(cfg.scenario, seed)
-        means = worst_case_distributions(build_ambiguity_sets(cfg, seed))[1]
+        means = worst_case_means(build_ambiguity_sets(cfg, seed))
         latencies = [latency for _, latency in feasible_decisions(scenario, means)]
         if not latencies:
             outcomes["infeasible"] += 1
