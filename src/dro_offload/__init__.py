@@ -7,7 +7,6 @@ from .ambiguity import (
     Distribution,
     SampleSpace,
     tolerance_from_confidence,
-    worst_case_mean_distribution,
 )
 from .geometry import (
     ComputeParams,
@@ -58,5 +57,4 @@ __all__ = [
     "per_bit_coefficients",
     "solve_lp",
     "tolerance_from_confidence",
-    "worst_case_mean_distribution",
 ]

@@ -1,8 +1,11 @@
 """L1-ball ambiguity sets over a discrete task-size sample space.
 
-Task sizes live on a fixed grid of atoms (bits). The reference
-distribution is the histogram of historical samples over the atom bins,
-and the ambiguity set is the L1 ball of radius epsilon around it.
+Task sizes live on a fixed grid of atoms (bits). Each TD's reference
+distribution is the histogram of its historical samples over the atoms,
+and its ball is the L1 ball of radius epsilon around it. One
+`AmbiguitySet` holds every TD's ball: the I x K matrix of references,
+one row per TD, and the one radius. TDs that share a history share one
+row, spread to all I with `np.broadcast_to`.
 
 Histories are drawn in array passes. Each sample stream spends only its
 `default_rng(stream).random(Q)`; one `searchsorted` through the truth's
@@ -10,7 +13,7 @@ cdf, the way `Generator.choice(atoms, Q, p=truth)` maps its uniforms,
 turns every stream's draws into atom indices, bit for bit the atoms
 `choice` would return. Every atom lies in its own bin, so an atom's index
 is its bin, and one offset `bincount` gives every stream's histogram. The
-probability checks then run once on the matrix of references, and the
+set's constructor checks the matrix of references once, and the
 worst-case shift runs across its rows.
 """
 
@@ -39,46 +42,25 @@ def _check_probs(probs: np.ndarray) -> None:
         raise ConfigError(f"probabilities must sum to 1, got {sums[off][0]!r}")
 
 
-def _checked(cls, **fields):
-    """An instance of the frozen dataclass `cls` whose checks its caller already ran,
-    on a whole matrix at once."""
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class SampleSpace:
-    """K discrete task sizes (bits, ascending) with their histogram bins."""
+    """K discrete task sizes (bits, ascending). A sample's bin is its atom's index."""
 
     atoms: tuple[float, ...]
-    bin_edges: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.atoms) < 1:
             raise ConfigError("sample space needs at least one atom")
         if not all(a > 0 for a in self.atoms):
             raise ConfigError(f"task-size atoms must be > 0 bits, got {self.atoms}")
-        if len(self.bin_edges) != len(self.atoms) + 1:
-            raise ConfigError("need exactly K+1 bin edges for K atoms")
+        if not math.isfinite(sum(self.atoms)):  # an expected size is a sum over the atoms
+            raise ConfigError(f"task-size atoms and their sum must be finite, got {self.atoms}")
         if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
             raise ConfigError("atoms must be strictly increasing")
-        if any(b <= a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
-            raise ConfigError("bin edges must be strictly increasing")
-        for k, atom in enumerate(self.atoms):
-            if not (self.bin_edges[k] <= atom < self.bin_edges[k + 1]):
-                raise ConfigError(f"atom {atom} outside its bin [d{k}, d{k + 1})")
 
     @property
     def num_atoms(self) -> int:
         return len(self.atoms)
-
-    @classmethod
-    def with_midpoint_edges(cls, atoms: list[float]) -> "SampleSpace":
-        """Bins split halfway between atoms; first edge 0, last edge +inf."""
-        atoms = [float(a) for a in atoms]
-        mids = [(a + b) / 2.0 for a, b in zip(atoms, atoms[1:])]
-        return cls(atoms=tuple(atoms), bin_edges=tuple([0.0, *mids, math.inf]))
 
 
 @dataclass(frozen=True)
@@ -97,28 +79,32 @@ class Distribution:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def mean(self, space: SampleSpace) -> float:
-        """Expected task size in bits under this distribution."""
-        if space.num_atoms != self.num_atoms:
-            raise ShapeError("distribution/sample-space length mismatch")
-        return float(np.dot(self.probs, space.atoms))
-
     @classmethod
     def uniform(cls, num_atoms: int) -> "Distribution":
         return cls(probs=tuple([1.0 / num_atoms] * num_atoms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmbiguitySet:
+    """One L1 ball of `radius` per TD over one sample space: row i of the read-only
+    I x K matrix `references` is the center of TD i's ball."""
+
     space: SampleSpace
-    reference: Distribution
+    references: np.ndarray
     radius: float
 
     def __post_init__(self):
-        if self.space.num_atoms != self.reference.num_atoms:
-            raise ShapeError("reference distribution does not match sample space")
+        references = np.asarray(self.references, dtype=float).view()
+        if references.ndim != 2 or references.shape[1] != self.space.num_atoms:
+            raise ShapeError(
+                f"references must be a matrix with one column per atom ({self.space.num_atoms}), "
+                f"got shape {references.shape}"
+            )
+        _check_probs(references)
         if not self.radius >= 0:
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
+        references.flags.writeable = False
+        object.__setattr__(self, "references", references)
 
 
 def tolerance_from_confidence(num_atoms: int, num_samples: int, confidence: float) -> float:
@@ -130,18 +116,20 @@ def tolerance_from_confidence(num_atoms: int, num_samples: int, confidence: floa
     return num_atoms / (2.0 * num_samples) * math.log(2.0 * num_atoms / (1.0 - confidence))
 
 
-def worst_case_rows(references: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Each row's distribution in its ambiguity set maximizing the expected task size.
+def worst_case_rows(references: np.ndarray, radius: float) -> np.ndarray:
+    """Each row's distribution in its L1 ball maximizing the expected task size.
 
-    Greedy mass shift, per row of `references` with its radius: up to
+    Greedy mass shift, per row of `references`: up to
     radius/2 total probability moves from the smallest atoms onto the
     largest one. This is the exact argmax of a linear objective with
     ascending coefficients over the L1 ball intersected with the simplex.
     The shift runs across rows, atom by atom in the same order for each.
     """
-    p = np.array(references, dtype=float)
+    # C order: a plain copy of a broadcast matrix is column-major, and a dot along
+    # a strided row can differ from a contiguous one in the last bit
+    p = np.array(references, dtype=float, order="C")
     k_top = p.shape[1] - 1
-    budget = np.minimum(np.asarray(radii, dtype=float) / 2.0, 1.0 - p[:, k_top])
+    budget = np.minimum(radius / 2.0, 1.0 - p[:, k_top])
     moved = np.zeros(len(p))
     for k in range(k_top):
         # a row whose budget is spent takes nothing more
@@ -150,14 +138,6 @@ def worst_case_rows(references: np.ndarray, radii: np.ndarray) -> np.ndarray:
         moved += take
     p[:, k_top] += moved
     return p
-
-
-def worst_case_mean_distribution(amb: AmbiguitySet) -> tuple[Distribution, float]:
-    """Distribution in the ambiguity set maximizing the expected task size, and
-    that size: `worst_case_rows` on the one set."""
-    p = worst_case_rows(amb.reference.as_array()[None], np.array([amb.radius]))[0]
-    dist = Distribution(probs=tuple(p))
-    return dist, dist.mean(amb.space)
 
 
 def _atom_indices(
@@ -186,19 +166,15 @@ def generate_history(
 
 
 def reference_sets(
-    truth: Distribution, space: SampleSpace, num_samples: int, streams, radius: float
-) -> list[AmbiguitySet]:
-    """One ambiguity set of `radius` per sample stream, around the empirical
-    distribution of num_samples draws under the truth on that stream: the histogram
-    over the space's bins, normalized by num_samples. The checks of `Distribution` and
-    `AmbiguitySet` run once, on the matrix of references."""
+    truth: Distribution, space: SampleSpace, num_samples: int, streams, radius: float, num_rows: int
+) -> AmbiguitySet:
+    """The ambiguity set of `radius` around num_rows empirical distributions: row i is
+    the histogram of num_samples draws under the truth on streams[i], normalized by
+    num_samples. From one stream, every row is that stream's histogram, a broadcast
+    view with no copy."""
     bins = _atom_indices(truth, space, num_samples, streams)
     k = space.num_atoms
     offsets = k * np.arange(len(streams))[:, None]
     counts = np.bincount((bins + offsets).ravel(), minlength=k * len(streams))
-    references = counts.reshape(-1, k) / num_samples
-    _check_probs(references)
-    if not radius >= 0:
-        raise ConfigError(f"radius must be >= 0, got {radius}")
-    references = [_checked(Distribution, probs=tuple(row)) for row in references]
-    return [_checked(AmbiguitySet, space=space, reference=ref, radius=radius) for ref in references]
+    references = np.broadcast_to(counts.reshape(-1, k) / num_samples, (num_rows, k))
+    return AmbiguitySet(space, references, radius)

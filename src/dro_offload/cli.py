@@ -120,8 +120,8 @@ def _cmd_solve(args) -> int:
     cfg = _load(args)
     seed = cfg.experiment.seeds[0]
     scenario = generate_scenario(cfg.scenario, seed)
-    sets = build_ambiguity_sets(cfg, seed)
-    result = solve_with_method(args.method, scenario, sets)
+    ambiguity = build_ambiguity_sets(cfg, seed)
+    result = solve_with_method(args.method, scenario, ambiguity)
     _emit({"seed": seed, "config_sha256": cfg.hash(), **result.to_dict()}, args.out)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple
 
 from .ambiguity import Distribution, SampleSpace, tolerance_from_confidence
@@ -48,20 +48,20 @@ class TruthSpec:
         if self.kind == "categorical" and not self.probs:
             raise ConfigError("categorical truth requires 'probs'")
 
-    def distribution(self, space: SampleSpace) -> Distribution:
-        if self.kind == "uniform":
-            return Distribution.uniform(space.num_atoms)
-        return Distribution(probs=self.probs)
-
 
 @dataclass(frozen=True)
 class AmbiguityConfig:
+    """The ambiguity block. `__post_init__` derives the sample space (bits) and the
+    truth's distribution over it once; they are not config fields."""
+
     atoms_mbit: tuple[float, ...]
     history_len: int
     epsilon: float | None
     confidence: float | None
     truth: TruthSpec
     per_device_history: bool
+    space: SampleSpace = field(init=False, compare=False, repr=False)
+    truth_distribution: Distribution = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.history_len < 1:
@@ -77,27 +77,28 @@ class AmbiguityConfig:
         if self.confidence is not None and not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"ambiguity.confidence must be in (0, 1), got {self.confidence}")
         try:
-            space = self.sample_space()
+            space = SampleSpace(atoms=tuple(a * MBIT for a in self.atoms_mbit))
         except ConfigError as exc:
             raise ConfigError(f"ambiguity.atoms_mbit: {exc}") from exc
-        if self.truth.kind == "uniform" and self.truth.probs:
-            raise ConfigError(
-                "ambiguity.truth.probs must be left out for a uniform truth "
-                "(use kind \"categorical\" to give weights)"
-            )
-        if self.truth.kind == "categorical":
+        if self.truth.kind == "uniform":
+            if self.truth.probs:
+                raise ConfigError(
+                    "ambiguity.truth.probs must be left out for a uniform truth "
+                    "(use kind \"categorical\" to give weights)"
+                )
+            truth = Distribution.uniform(space.num_atoms)
+        else:
             if len(self.truth.probs) != space.num_atoms:
                 raise ConfigError(
                     f"ambiguity.truth.probs must have one entry per atom ({space.num_atoms}), "
                     f"got {len(self.truth.probs)}"
                 )
             try:
-                self.truth.distribution(space)
+                truth = Distribution(probs=self.truth.probs)
             except ConfigError as exc:
                 raise ConfigError(f"ambiguity.truth.probs is not a distribution: {exc}") from exc
-
-    def sample_space(self) -> SampleSpace:
-        return SampleSpace.with_midpoint_edges([a * MBIT for a in self.atoms_mbit])
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "truth_distribution", truth)
 
     def effective_epsilon(self) -> float:
         if self.epsilon is not None:

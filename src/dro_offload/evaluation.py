@@ -1,7 +1,7 @@
 """Monte-Carlo evaluation harness: solve, realize, compare, sweep.
 
 For each seed the harness generates a scenario, samples a task-size
-history from the ground-truth distribution, builds the ambiguity sets,
+history from the ground-truth distribution, builds the ambiguity set,
 solves with every configured method, then draws one fresh realization of
 the task sizes from the truth and scores each decision on P2 built at
 those sizes: latency is P2's objective, the energies are the activity of
@@ -12,7 +12,7 @@ seeds means byte-identical output.
 Histories and the realization come from one array sampler: each stream
 `[seed, purpose, ...]` draws only its uniforms, and one pass maps them all to
 atoms exactly as `Generator.choice` would and histograms every stream
-(`ambiguity.reference_sets`).
+(`ambiguity.reference_sets`), which returns one `AmbiguitySet` with a row per TD.
 """
 
 from __future__ import annotations
@@ -68,43 +68,37 @@ _METHOD_RANK = {m: k for k, m in enumerate(METHOD_ORDER)}
 
 def draw_realization(config: RunConfig, seed: int) -> np.ndarray:
     """One task size per TD (bits, each a space atom), drawn from the truth."""
-    space = config.ambiguity.sample_space()
-    truth = config.ambiguity.truth.distribution(space)
-    return generate_history(truth, space, config.scenario.num_tds, [int(seed), REALIZATION_STREAM])
+    amb, stream = config.ambiguity, [int(seed), REALIZATION_STREAM]
+    return generate_history(amb.truth_distribution, amb.space, config.scenario.num_tds, stream)
 
 
-def build_ambiguity_sets(config: RunConfig, seed: int) -> list[AmbiguitySet]:
-    """Histories -> empirical references -> L1 balls, one per TD.
+def build_ambiguity_sets(config: RunConfig, seed: int) -> AmbiguitySet:
+    """Histories -> empirical references -> one L1 ball per TD, in one set.
 
-    With a shared history every TD sees the same set object; otherwise TD i
-    gets its own sample stream [seed, HISTORY_STREAM, i].
+    TD i draws its own history on sample stream [seed, HISTORY_STREAM, i];
+    with a shared history, one draw on [seed, HISTORY_STREAM] is every TD's row.
     """
     amb = config.ambiguity
-    space = amb.sample_space()
     num_tds = config.scenario.num_tds
     streams = (
         [[int(seed), HISTORY_STREAM, i] for i in range(num_tds)]
         if amb.per_device_history
         else [[int(seed), HISTORY_STREAM]]
     )
-    sets = reference_sets(
-        amb.truth.distribution(space), space, amb.history_len, streams, amb.effective_epsilon()
+    return reference_sets(
+        amb.truth_distribution, amb.space, amb.history_len, streams, amb.effective_epsilon(), num_tds
     )
-    return sets * (num_tds // len(sets))  # a shared history's one set, once per TD
 
 
-def solve_with_method(
-    method: str, scenario: Scenario, ambiguity_sets: list[AmbiguitySet]
-) -> SolveResult:
-    space = ambiguity_sets[0].space
+def solve_with_method(method: str, scenario: Scenario, ambiguity: AmbiguitySet) -> SolveResult:
     if method == "dro":
-        return mdrloa_solve(scenario, ambiguity_sets)
+        return mdrloa_solve(scenario, ambiguity)
     if method == "do":
-        return do_solve(scenario, space)
+        return do_solve(scenario, ambiguity.space)
     if method == "ro":
-        return ro_solve(scenario, space)
+        return ro_solve(scenario, ambiguity.space)
     if method == "exhaustive":
-        return exhaustive_solve(scenario, worst_case_means(ambiguity_sets))
+        return exhaustive_solve(scenario, worst_case_means(ambiguity))
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -135,12 +129,12 @@ def evaluate_seed(
 ) -> list[EvaluationRow]:
     """Solve every configured method on one seeded instance and score it."""
     scenario = generate_scenario(config.scenario, seed)
-    sets = build_ambiguity_sets(config, seed)
+    ambiguity = build_ambiguity_sets(config, seed)
     p2 = build_p2(scenario, draw_realization(config, seed))
     rows = []
     for method in config.experiment.methods:
         try:
-            result = solve_with_method(method, scenario, sets)
+            result = solve_with_method(method, scenario, ambiguity)
         except InfeasibleProblemError:
             latency = max_uav = hap = math.nan
             ok = False

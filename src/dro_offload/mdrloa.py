@@ -168,9 +168,9 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     )
 
 
-def mdrloa_solve(scenario: Scenario, ambiguity_sets: list[AmbiguitySet]) -> SolveResult:
+def mdrloa_solve(scenario: Scenario, ambiguity: AmbiguitySet) -> SolveResult:
     """Distributionally robust solve: means of the worst-case distributions."""
-    return _solve(scenario, worst_case_means(ambiguity_sets), METHOD_MDRLOA)
+    return _solve(scenario, worst_case_means(ambiguity), METHOD_MDRLOA)
 
 
 def do_solve(scenario: Scenario, space: SampleSpace) -> SolveResult:

@@ -190,23 +190,14 @@ def meets_rows(p2: LinearProgram, points: np.ndarray) -> np.ndarray:
     return (np.where(p2.relations == EQ, np.abs(excess), excess) <= ROW_TOL).all(axis=-1)
 
 
-def worst_case_means(ambiguity_sets: list[AmbiguitySet]) -> np.ndarray:
-    """Per-TD means (bits) of the adversarial distributions.
+def worst_case_means(ambiguity: AmbiguitySet) -> np.ndarray:
+    """Per-TD means (bits) of the adversarial distributions: each row of the set's
+    references after the greedy shift of `worst_case_rows`, dotted with the atoms.
 
     Exact for every decision with nonnegative size coefficients, which
     covers the latency objective and both energy constraint families.
-    Every set must share one sample space (ShapeError otherwise).
     """
-    # devices that share a history share a set object: each distinct one is solved once
-    distinct = {id(amb): amb for amb in ambiguity_sets}
-    space = ambiguity_sets[0].space
-    if any(amb.space != space for amb in distinct.values()):
-        raise ShapeError("ambiguity sets must share one sample space")
-    worst = worst_case_rows(
-        [amb.reference.probs for amb in distinct.values()],
-        [amb.radius for amb in distinct.values()],
-    )
+    worst = worst_case_rows(ambiguity.references, ambiguity.radius)
+    atoms = np.asarray(ambiguity.space.atoms)
     # one dot per row: a matrix-vector product differs from it in the last bit
-    atoms = np.asarray(space.atoms)
-    row_mean = {key: float(np.dot(row, atoms)) for key, row in zip(distinct, worst)}
-    return np.array([row_mean[id(amb)] for amb in ambiguity_sets])
+    return np.array([np.dot(row, atoms) for row in worst])

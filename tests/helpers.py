@@ -2,8 +2,8 @@
 program as plain arrays in any class SciPy's HiGHS takes and HiGHS's
 solution of it, the explicit dual of a boxed min program (P3, when the
 program is P2) as such arrays, the inverse confidence map, L1 distance and
-membership for distributions, the per-stream history sampler and
-histogram, the one-set worst-case shift and the per-link rates that the
+L1-ball membership for distributions, the per-stream history sampler and
+its histogram over midpoint bins, the one-row worst-case shift and the per-link rates that the
 array passes must match bit for bit, expected latency and energy written from the
 per-bit costs independently of P2, P2 as it was before x was substituted
 out, a brute force over offloading decisions, pinned instances whose dive
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from dro_offload import lp as lp_module
-from dro_offload.ambiguity import PROB_TOL, AmbiguitySet, Distribution, SampleSpace
+from dro_offload.ambiguity import PROB_TOL, Distribution, SampleSpace
 from dro_offload.config import parse_config
 from dro_offload.errors import (
     ConfigError,
@@ -121,9 +121,9 @@ def l1_distance(a: Distribution, b: Distribution) -> float:
     return float(np.abs(a.as_array() - b.as_array()).sum())
 
 
-def in_ball(amb: AmbiguitySet, dist: Distribution, tol: float = PROB_TOL) -> bool:
-    """Whether `dist` lies in the L1 ball of `amb`."""
-    return l1_distance(amb.reference, dist) <= amb.radius + tol
+def in_ball(reference, radius: float, probs, tol: float = PROB_TOL) -> bool:
+    """Whether `probs` lies in the L1 ball of `radius` around `reference`."""
+    return float(np.abs(np.asarray(reference) - np.asarray(probs)).sum()) <= radius + tol
 
 
 def point_mass(num_atoms: int, index: int) -> Distribution:
@@ -132,14 +132,22 @@ def point_mass(num_atoms: int, index: int) -> Distribution:
     return Distribution(probs=tuple(probs))
 
 
+def midpoint_edges(atoms) -> np.ndarray:
+    """Histogram bin edges for ascending atoms: 0, the midpoint between each pair of
+    neighbors, then +inf. Each atom lies in its own right-open bin."""
+    atoms = np.asarray(atoms, dtype=float)
+    return np.concatenate([[0.0], (atoms[:-1] + atoms[1:]) / 2.0, [math.inf]])
+
+
 def empirical_distribution(samples, space: SampleSpace) -> Distribution:
-    """Histogram of the history (task sizes in bits) over the sample-space bins,
-    normalized by Q: the per-history reference, before the references of all streams
-    were built in one array pass."""
+    """Histogram of the history (task sizes in bits) over the midpoint bins of the
+    space's atoms, normalized by Q: the per-history reference, binning by edges rather
+    than by atom index, before the references of all streams were built in one array
+    pass."""
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1:
         raise DataError("history must contain at least one sample")
-    bins = np.searchsorted(space.bin_edges, samples, side="right") - 1
+    bins = np.searchsorted(midpoint_edges(space.atoms), samples, side="right") - 1
     outside = (bins < 0) | (bins >= space.num_atoms)  # NaN sorts past the last edge
     if outside.any():
         raise DataError(f"history sample {samples[outside][0]} falls outside every bin")
@@ -154,12 +162,13 @@ def choice_history(truth: Distribution, space: SampleSpace, num_samples: int, se
     return rng.choice(np.asarray(space.atoms), size=num_samples, p=truth.as_array())
 
 
-def worst_case_mean_loop(amb: AmbiguitySet) -> tuple[tuple, float]:
-    """The greedy mass shift on one set, one atom at a time, and the mean of the shifted
-    distribution: the reference for `worst_case_rows` and `worst_case_means`."""
-    p = amb.reference.as_array().copy()
-    k_top = amb.space.num_atoms - 1
-    budget = min(amb.radius / 2.0, 1.0 - p[k_top])
+def worst_case_mean_loop(reference, radius: float, atoms) -> tuple[tuple, float]:
+    """The greedy mass shift on one reference row, one atom at a time, and the mean of
+    the shifted distribution over the atoms: the reference for `worst_case_rows` and
+    `worst_case_means`."""
+    p = np.array(reference, dtype=float)
+    k_top = len(p) - 1
+    budget = min(radius / 2.0, 1.0 - p[k_top])
     moved = 0.0
     for k in range(k_top):
         if moved >= budget:
@@ -169,7 +178,7 @@ def worst_case_mean_loop(amb: AmbiguitySet) -> tuple[tuple, float]:
         moved += take
     p[k_top] += moved
     dist = Distribution(probs=tuple(p))
-    return dist.probs, dist.mean(amb.space)
+    return dist.probs, float(np.dot(dist.probs, atoms))
 
 
 def link_rates_per_link(config, seed: int) -> tuple[np.ndarray, np.ndarray]:

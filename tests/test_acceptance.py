@@ -21,7 +21,6 @@ from dro_offload.ambiguity import (
     SampleSpace,
     reference_sets,
     tolerance_from_confidence,
-    worst_case_mean_distribution,
 )
 from dro_offload.cli import main as cli_main
 from dro_offload.config import default_config, parse_config
@@ -33,7 +32,11 @@ from dro_offload.mdrloa import exhaustive_solve, mdrloa_solve
 from dro_offload.model import OffloadDecision, build_p2, worst_case_means
 from helpers import confidence_from_tolerance, dual_of, highs_solve
 
-SPACE5 = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
+SPACE5 = SampleSpace(atoms=(3e6, 9e6, 15e6, 21e6, 27e6))
+
+
+def _uniform_set(num_tds: int) -> AmbiguitySet:
+    return AmbiguitySet(SPACE5, np.full((num_tds, 5), 0.2), 0.3)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -85,7 +88,7 @@ def test_criterion_01_strong_duality():
 def test_criterion_02_inner_maximization_exact():
     start = time.monotonic()
     atoms = np.array([3e6, 15e6, 27e6])
-    space = SampleSpace.with_midpoint_edges(list(atoms))
+    space = SampleSpace(atoms=tuple(atoms.tolist()))
     step = 0.02
     # every grid point of the K=3 simplex with 0.02 spacing
     grid = []
@@ -99,6 +102,11 @@ def test_criterion_02_inner_maximization_exact():
     rng = np.random.default_rng(202)
     worst_low, worst_high = 0.0, 0.0
     for eps in (0.1, 0.3):
+        # Q=50 histories keep every reference on the 0.02 grid
+        amb = reference_sets(
+            Distribution.uniform(3), space, 50, [[500 + i, 9] for i in range(10)], eps, 10
+        )
+        wc_means = worst_case_means(amb)
         for _ in range(10):
             # random feasible decision under the quotas
             assign = rng.permutation(np.repeat(np.arange(3), 4))[:10]
@@ -118,13 +126,9 @@ def test_criterion_02_inner_maximization_exact():
 
             deco_total, grid_total, bound = 0.0, 0.0, 0.0
             for i in range(10):
-                # Q=50 history keeps the reference on the 0.02 grid
-                amb = reference_sets(Distribution.uniform(3), space, 50, [[500 + i, 9]], eps)[0]
-                ref = amb.reference
-                _, wc_mean = worst_case_mean_distribution(amb)
-                in_ball = np.abs(grid - ref.as_array()).sum(axis=1) <= eps + 1e-12
+                in_ball = np.abs(grid - amb.references[i]).sum(axis=1) <= eps + 1e-12
                 grid_mean = float((grid[in_ball] @ atoms).max())
-                deco_total += cost[i] * wc_mean
+                deco_total += cost[i] * wc_means[i]
                 grid_total += cost[i] * grid_mean
                 bound += cost[i] * (atoms[-1] - atoms[0]) * step
             diff = deco_total - grid_total
@@ -146,9 +150,9 @@ def test_criterion_03_optimality_gap():
     for k in range(30):
         i = 2 + k % 3  # I in {2, 3, 4}
         sc = _scenario(seed=3000 + k, num_tds=i, num_uavs=2, quota_uav=i)
-        sets = [AmbiguitySet(SPACE5, Distribution.uniform(5), 0.3) for _ in range(i)]
-        means = worst_case_means(sets)
-        dive = mdrloa_solve(sc, sets)
+        amb = _uniform_set(i)
+        means = worst_case_means(amb)
+        dive = mdrloa_solve(sc, amb)
         opt = exhaustive_solve(sc, means)
         ratio = dive.worst_case_expected_latency / opt.worst_case_expected_latency
         worst_ratio = max(worst_ratio, ratio)
@@ -345,7 +349,4 @@ def test_infeasible_rows_do_not_abort_runs():
     assert len(report.rows) == 3
     assert not any(r.feasible for r in report.rows)
     with pytest.raises(InfeasibleProblemError):
-        mdrloa_solve(
-            generate_scenario(cfg.scenario, 1),
-            [AmbiguitySet(SPACE5, Distribution.uniform(5), 0.3) for _ in range(3)],
-        )
+        mdrloa_solve(generate_scenario(cfg.scenario, 1), _uniform_set(3))

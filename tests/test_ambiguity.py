@@ -11,7 +11,6 @@ from dro_offload.ambiguity import (
     generate_history,
     reference_sets,
     tolerance_from_confidence,
-    worst_case_mean_distribution,
     worst_case_rows,
 )
 from dro_offload.errors import ConfigError, DataError, ShapeError
@@ -22,6 +21,7 @@ from helpers import (
     empirical_distribution,
     in_ball,
     l1_distance,
+    midpoint_edges,
     point_mass,
     worst_case_mean_loop,
 )
@@ -31,34 +31,39 @@ ATOMS = [3e6, 9e6, 15e6, 21e6, 27e6]
 
 @pytest.fixture
 def space():
-    return SampleSpace.with_midpoint_edges(ATOMS)
+    return SampleSpace(atoms=tuple(ATOMS))
+
+
+def _one_row(space, probs, radius):
+    """The worst-case distribution and mean of a one-row set around `probs`."""
+    amb = AmbiguitySet(space, np.asarray(probs, dtype=float)[None], radius)
+    return worst_case_rows(amb.references, amb.radius)[0], worst_case_means(amb)[0]
 
 
 class TestSampleSpace:
     def test_midpoint_edges(self, space):
-        assert space.bin_edges == (0.0, 6e6, 12e6, 18e6, 24e6, float("inf"))
+        # the test oracle's bins: empirical_distribution bins by these edges
+        assert tuple(midpoint_edges(space.atoms)) == (0.0, 6e6, 12e6, 18e6, 24e6, float("inf"))
         assert space.num_atoms == 5
 
     def test_atoms_must_increase(self):
         with pytest.raises(ConfigError):
-            SampleSpace.with_midpoint_edges([5.0, 5.0])
-
-    def test_atom_outside_bin_rejected(self):
-        with pytest.raises(ConfigError):
-            SampleSpace(atoms=(1.0, 2.0), bin_edges=(0.0, 0.5, 3.0))
+            SampleSpace(atoms=(5.0, 5.0))
 
     def test_nonpositive_atom_rejected(self):
         with pytest.raises(ConfigError, match="> 0"):
-            SampleSpace.with_midpoint_edges([0.0, 9e6])
+            SampleSpace(atoms=(0.0, 9e6))
 
 
 class TestDistribution:
     def test_uniform_mean(self, space):
-        assert Distribution.uniform(5).mean(space) == pytest.approx(15e6, rel=1e-12)
+        assert np.dot(Distribution.uniform(5).probs, space.atoms) == pytest.approx(
+            15e6, rel=1e-12
+        )
 
     def test_point_mass(self, space):
         d = point_mass(5, 4)
-        assert d.mean(space) == 27e6
+        assert np.dot(d.probs, space.atoms) == 27e6
 
     def test_must_sum_to_one(self):
         with pytest.raises(ConfigError):
@@ -96,12 +101,13 @@ class TestEmpirical:
     def test_matches_per_sample_binning(self, space):
         # edges, atoms and points between them, binned one sample at a time
         rng = np.random.default_rng(77)
-        points = np.concatenate([space.bin_edges[:-1], space.atoms, rng.uniform(0, 40e6, 50)])
+        edges = midpoint_edges(space.atoms)[:-1]
+        points = np.concatenate([edges, space.atoms, rng.uniform(0, 40e6, 50)])
         for _ in range(150):
             samples = rng.choice(points, size=int(rng.integers(1, 60)))
             counts = [0] * space.num_atoms
             for v in samples:
-                counts[max(k for k, edge in enumerate(space.bin_edges[:-1]) if edge <= v)] += 1
+                counts[max(k for k, edge in enumerate(edges) if edge <= v)] += 1
             expected = tuple(c / samples.size for c in counts)
             assert empirical_distribution(samples, space).probs == expected
 
@@ -140,27 +146,49 @@ class TestDistanceAndRadius:
                 tolerance_from_confidence(5, 200, bad)
 
 
-class TestWorstCase:
-    def test_nan_radius_rejected(self, space):
-        with pytest.raises(ConfigError, match="radius"):
-            AmbiguitySet(space, Distribution.uniform(5), float("nan"))
+class TestAmbiguitySet:
+    @pytest.mark.parametrize(
+        "references, radius, error, match",
+        [
+            ([[0.5, 0.4, 0.0, 0.0, 0.0]], 0.1, ConfigError, "sum to 1"),
+            ([[0.2] * 5, [1.2, -0.2, 0.0, 0.0, 0.0]], 0.1, ConfigError, "non-negative"),
+            ([[np.nan, 0.5, 0.5, 0.0, 0.0]], 0.1, ConfigError, "finite"),
+            ([[0.25] * 4], 0.1, ShapeError, "column"),
+            ([0.2] * 5, 0.1, ShapeError, "matrix"),
+            ([[0.2] * 5], float("nan"), ConfigError, "radius"),
+            ([[0.2] * 5], -0.1, ConfigError, "radius"),
+        ],
+        ids=["row-sum", "negative", "nan-entry", "columns", "vector", "nan-radius", "neg-radius"],
+    )
+    def test_constructor_checks_the_whole_matrix(self, space, references, radius, error, match):
+        with pytest.raises(error, match=match):
+            AmbiguitySet(space, np.array(references), radius)
 
+    def test_references_are_read_only_and_a_shared_row_is_not_copied(self, space):
+        row = np.full((1, 5), 0.2)
+        amb = AmbiguitySet(space, np.broadcast_to(row, (4, 5)), 0.3)
+        assert amb.references.shape == (4, 5) and not amb.references.flags.writeable
+        assert np.shares_memory(amb.references, row) and amb.references.strides[0] == 0
+        owned = np.full((2, 5), 0.2)
+        assert not AmbiguitySet(space, owned, 0.3).references.flags.writeable
+        assert owned.flags.writeable  # the caller's array is left as it was
+
+
+class TestWorstCase:
     def test_uniform_reference_eps_03(self, space):
-        amb = AmbiguitySet(space, Distribution.uniform(5), 0.3)
-        dist, mean = worst_case_mean_distribution(amb)
-        np.testing.assert_allclose(dist.probs, (0.05, 0.2, 0.2, 0.2, 0.35), atol=1e-12)
+        dist, mean = _one_row(space, [0.2] * 5, 0.3)
+        np.testing.assert_allclose(dist, (0.05, 0.2, 0.2, 0.2, 0.35), atol=1e-12)
         assert mean == pytest.approx(18.6e6, rel=1e-12)
 
     def test_zero_radius_returns_reference(self, space):
-        ref = Distribution(probs=(0.1, 0.2, 0.3, 0.2, 0.2))
-        dist, mean = worst_case_mean_distribution(AmbiguitySet(space, ref, 0.0))
-        assert dist.probs == ref.probs
-        assert mean == pytest.approx(ref.mean(space))
+        ref = (0.1, 0.2, 0.3, 0.2, 0.2)
+        dist, mean = _one_row(space, ref, 0.0)
+        assert tuple(dist) == ref
+        assert mean == pytest.approx(np.dot(ref, space.atoms))
 
     def test_huge_radius_caps_at_point_mass(self, space):
-        amb = AmbiguitySet(space, Distribution.uniform(5), 10.0)
-        dist, mean = worst_case_mean_distribution(amb)
-        assert dist.probs[-1] == pytest.approx(1.0)
+        dist, mean = _one_row(space, [0.2] * 5, 10.0)
+        assert dist[-1] == pytest.approx(1.0)
         assert mean == pytest.approx(27e6)
 
     @given(
@@ -168,13 +196,12 @@ class TestWorstCase:
         radius=st.floats(min_value=0.0, max_value=2.0),
     )
     def test_result_stays_in_set(self, raw, radius):
-        space = SampleSpace.with_midpoint_edges(ATOMS)
+        space = SampleSpace(atoms=tuple(ATOMS))
         total = sum(raw)
-        ref = Distribution(probs=tuple(v / total for v in raw))
-        amb = AmbiguitySet(space, ref, radius)
-        dist, mean = worst_case_mean_distribution(amb)
-        assert in_ball(amb, dist)
-        assert mean >= ref.mean(space) - 1e-9
+        ref = [v / total for v in raw]
+        dist, mean = _one_row(space, ref, radius)
+        assert in_ball(ref, radius, dist)
+        assert mean >= np.dot(ref, space.atoms) - 1e-9
 
     def test_matches_lp_oracle(self, space):
         # scipy solves max atoms@p over the L1 ball as an LP; the greedy
@@ -185,8 +212,7 @@ class TestWorstCase:
         for _ in range(50):
             ref = rng.dirichlet(np.ones(k))
             radius = float(rng.uniform(0.0, 2.0))
-            amb = AmbiguitySet(space, Distribution(probs=tuple(ref)), radius)
-            _, mean = worst_case_mean_distribution(amb)
+            _, mean = _one_row(space, ref, radius)
             # variables [p, t] with |p - ref| <= t elementwise, sum t <= radius
             c = np.concatenate([-atoms, np.zeros(k)])
             a_ub = np.block(
@@ -237,13 +263,13 @@ def _weights(draw, k):
 def _space_and_truth(draw):
     k = draw(st.integers(1, 7))
     steps = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
-    space = SampleSpace.with_midpoint_edges(np.cumsum(steps) * 1.5e6)
+    space = SampleSpace(atoms=tuple((np.cumsum(steps) * 1.5e6).tolist()))
     return space, Distribution(probs=draw(_weights(k)))
 
 
 class TestArraySampler:
     """The array pass equals, bit for bit, each stream's `Generator.choice` followed by
-    its histogram over the bins."""
+    its histogram over the midpoint bins."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -258,59 +284,43 @@ class TestArraySampler:
     ):
         space, truth = case
         streams = [[seed, 0x415, i] for i in range(num_streams)]
-        sets = reference_sets(truth, space, num_samples, streams, radius)
-        assert len(sets) == num_streams
-        for stream, amb in zip(streams, sets):
+        amb = reference_sets(truth, space, num_samples, streams, radius, num_streams)
+        assert amb.references.shape == (num_streams, space.num_atoms)
+        assert amb.space is space and amb.radius == radius
+        for stream, row in zip(streams, amb.references):
             hist = choice_history(truth, space, num_samples, stream)
-            want = empirical_distribution(hist, space).probs
-            assert amb.reference.probs == want
-            assert [type(p) for p in amb.reference.probs] == [type(p) for p in want]
-            assert amb.space is space and amb.radius == radius
+            assert tuple(row) == empirical_distribution(hist, space).probs
             assert generate_history(truth, space, num_samples, stream).tobytes() == hist.tobytes()
 
     def test_checks_run_on_the_whole_matrix(self, space):
         truth = Distribution.uniform(5)
         for radius in (-0.1, float("nan")):
             with pytest.raises(ConfigError, match="radius"):
-                reference_sets(truth, space, 10, [[1, 2]], radius)
+                reference_sets(truth, space, 10, [[1, 2]], radius, 3)
         with pytest.raises(DataError, match="num_samples"):
-            reference_sets(truth, space, 0, [[1, 2]], 0.1)
+            reference_sets(truth, space, 0, [[1, 2]], 0.1, 3)
         with pytest.raises(ShapeError, match="truth"):
-            reference_sets(Distribution.uniform(4), space, 10, [[1, 2]], 0.1)
+            reference_sets(Distribution.uniform(4), space, 10, [[1, 2]], 0.1, 3)
 
 
 class TestWorstCaseRows:
     """The greedy shift across rows, and the means of `worst_case_means`, equal the
-    scalar loop on each set bit for bit."""
+    scalar loop on each row bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(
-        rows=st.lists(
-            st.tuples(
-                _weights(5),
-                st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(2.0, 50.0)),
-            ),
-            min_size=1,
-            max_size=12,
-        ),
-        shared=st.integers(0, 3),
+        rows=st.lists(_weights(5), min_size=1, max_size=12),
+        radius=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(2.0, 50.0)),
+        shared=st.integers(1, 4),
     )
-    def test_matches_the_scalar_loop(self, rows, shared):
-        space = SampleSpace.with_midpoint_edges(ATOMS)
-        sets = [AmbiguitySet(space, Distribution(probs=p), r) for p, r in rows]
-        sets += sets[:1] * shared  # devices sharing a history share the set object
-        loops = [worst_case_mean_loop(amb) for amb in sets]
-        shifted = worst_case_rows([p for p, _ in rows], [r for _, r in rows])
-        for row, (probs, _) in zip(shifted, loops):
-            assert tuple(row) == probs
-        means = worst_case_means(sets)
-        assert means.tobytes() == np.array([mean for _, mean in loops]).tobytes()
-        for amb, (probs, mean) in zip(sets, loops):
-            dist, one = worst_case_mean_distribution(amb)
-            assert dist.probs == probs and one == mean
-
-    def test_sets_share_one_sample_space(self, space):
-        other = SampleSpace.with_midpoint_edges([1e6, 2e6, 3e6, 4e6, 5e6])
-        sets = [AmbiguitySet(sp, Distribution.uniform(5), 0.1) for sp in (space, other)]
-        with pytest.raises(ShapeError, match="one sample space"):
-            worst_case_means(sets)
+    def test_matches_the_scalar_loop(self, rows, radius, shared):
+        space = SampleSpace(atoms=tuple(ATOMS))
+        # one row per device, and one history's row spread to `shared` devices
+        for references in (np.array(rows), np.broadcast_to(rows[0], (shared, 5))):
+            amb = AmbiguitySet(space, references, radius)
+            loops = [worst_case_mean_loop(row, radius, space.atoms) for row in references]
+            shifted = worst_case_rows(amb.references, amb.radius)
+            for row, (probs, _) in zip(shifted, loops):
+                assert tuple(row) == probs
+            means = worst_case_means(amb)
+            assert means.tobytes() == np.array([mean for _, mean in loops]).tobytes()

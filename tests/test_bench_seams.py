@@ -61,7 +61,7 @@ def test_highs_objective_matches_solve_lp(name):
     for seed in range(1, 21) if name == "eval-binding" else (1, 2):
         scenario = generate_scenario(cfg.scenario, seed)
         means = worst_case_means(build_ambiguity_sets(cfg, seed))
-        for sizes in (means, np.full(scenario.num_tds, max(cfg.ambiguity.sample_space().atoms))):
+        for sizes in (means, np.full(scenario.num_tds, max(cfg.ambiguity.space.atoms))):
             program = build_p2(scenario, sizes)
             ours = solve_lp(program)
             reference = checks.highs_objective(program)
@@ -156,7 +156,7 @@ def test_cold_roots_take_few_pivots(dive_pivots, name):
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
 def test_crash_started_root_matches_cold_solve(name):
     cfg = load_config(PERFBENCH / "configs" / f"{name}.json")
-    atoms = cfg.ambiguity.sample_space().atoms
+    atoms = cfg.ambiguity.space.atoms
     for seed in range(1, 6):
         scenario = generate_scenario(cfg.scenario, seed)
         means = worst_case_means(build_ambiguity_sets(cfg, seed))
@@ -202,12 +202,11 @@ def test_every_dive_lp_matches_p2_with_flow_rows(monkeypatch, dive_pivots, name)
     checked = collections.Counter()
     for seed in range(1, 6):
         scenario = generate_scenario(cfg.scenario, seed)
-        sets = build_ambiguity_sets(cfg, seed)
-        space = sets[0].space
+        amb = build_ambiguity_sets(cfg, seed)
         for solve in (mdrloa.mdrloa_solve, mdrloa.do_solve, mdrloa.ro_solve):
             first = len(dive_pivots)
             try:
-                solve(scenario, sets if solve is mdrloa.mdrloa_solve else space)
+                solve(scenario, amb if solve is mdrloa.mdrloa_solve else amb.space)
             except InfeasibleProblemError:
                 checked["dead end"] += 1
             for program, solution, *_ in dive_pivots[first:]:

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from dro_offload.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, main
+from dro_offload.config import parse_config
+from dro_offload.errors import ConfigError
 from helpers import DIVE_DEAD_END
 
 
@@ -243,6 +245,18 @@ def test_out_of_range_config_exit_2_on_every_command(tmp_path, capsys, config, f
     for argv in (["generate"], ["solve", "--seed", "1"]):
         assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("atoms", [[3, 1e303], [1e302, 1.5e302]], ids=["atom", "sum"])
+def test_atoms_past_float_range_exit_2(tmp_path, capsys, atoms):
+    # 1e303 Mbit is inf bits; 1e302 and 1.5e302 Mbit are finite, but their sum is not
+    config = {"ambiguity": {"atoms_mbit": atoms}}
+    with pytest.raises(ConfigError, match=r"^ambiguity\.atoms_mbit: .*finite"):
+        parse_config(config)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--seed", "1"]) == EXIT_CONFIG
+    assert "ambiguity.atoms_mbit" in capsys.readouterr().err
 
 
 def test_sizes_that_overflow_p2_exit_2(tmp_path, capsys):

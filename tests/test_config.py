@@ -1,6 +1,9 @@
 import json
 import re
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,7 +119,7 @@ class TestDefaults:
         assert db_to_linear(-100.0) == pytest.approx(1e-10, rel=1e-12)
 
     def test_atoms_converted_to_bits(self):
-        space = default_config().ambiguity.sample_space()
+        space = default_config().ambiguity.space
         assert space.atoms == (3e6, 9e6, 15e6, 21e6, 27e6)
 
 
@@ -168,9 +171,9 @@ class TestStrictParsing:
         cfg = parse_config(
             {"ambiguity": {"truth": {"kind": "categorical", "probs": [0.1, 0.1, 0.2, 0.3, 0.3]}}}
         )
-        space = cfg.ambiguity.sample_space()
-        dist = cfg.ambiguity.truth.distribution(space)
-        assert dist.mean(space) > 15e6  # skewed toward big tasks
+        amb = cfg.ambiguity
+        assert amb.truth_distribution.probs == (0.1, 0.1, 0.2, 0.3, 0.3)
+        assert np.dot(amb.truth_distribution.probs, amb.space.atoms) > 15e6  # big tasks
 
     def test_bad_truth_kind(self):
         with pytest.raises(ConfigError):
@@ -315,6 +318,17 @@ class TestHashAndOverrides:
         cfg = parse_config(overrides)
         again = parse_config(json.loads(json.dumps(cfg.to_dict())))
         assert again.hash() == cfg.hash()
+
+    def test_derived_space_and_truth_follow_every_rebuild(self):
+        cfg = default_config()
+        keys = {"atoms_mbit", "history_len", "epsilon", "confidence", "truth", "per_device_history"}
+        assert set(cfg.to_dict()["ambiguity"]) == keys
+        assert cfg.hash() == "1a8a97bc2f243e4b8a0e6f27fd58a51d1b92fcba92fb568394eee872151f7935"
+        amb = dataclasses.replace(cfg.ambiguity, atoms_mbit=(1.0, 2.0))
+        assert amb.space.atoms == (1e6, 2e6) and amb.truth_distribution.probs == (0.5, 0.5)
+        swept = cfg.with_override("Q", 30).ambiguity
+        assert swept.history_len == 30 and swept.space == cfg.ambiguity.space
+        assert swept.truth_distribution == cfg.ambiguity.truth_distribution
 
     def test_eps_override_clears_confidence(self):
         cfg = parse_config({"ambiguity": {"epsilon": None, "confidence": 0.95}})

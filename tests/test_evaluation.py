@@ -20,7 +20,7 @@ from dro_offload.evaluation import (
 )
 from dro_offload.geometry import generate_scenario
 from dro_offload.mdrloa import mdrloa_solve
-from helpers import expected_energy, expected_latency
+from helpers import choice_history, empirical_distribution, expected_energy, expected_latency
 
 
 def _cfg(**experiment):
@@ -33,17 +33,25 @@ def _cfg(**experiment):
 
 class TestInstanceGeneration:
     def test_shared_history_shares_reference(self):
-        sets = build_ambiguity_sets(default_config(), 1)
-        assert len(sets) == 10
-        assert all(s.reference == sets[0].reference for s in sets)
+        cfg = default_config()
+        amb = build_ambiguity_sets(cfg, 1)
+        assert amb.references.shape == (10, 5)
+        assert amb.references.strides[0] == 0  # one stored row, spread to every TD
+        truth, space = cfg.ambiguity.truth_distribution, cfg.ambiguity.space
+        want = empirical_distribution(choice_history(truth, space, 200, [1, 0x415]), space)
+        assert all(tuple(row) == want.probs for row in amb.references)
 
     def test_per_device_histories_differ(self):
         cfg = default_config()
         cfg = dataclasses.replace(
             cfg, ambiguity=dataclasses.replace(cfg.ambiguity, per_device_history=True)
         )
-        sets = build_ambiguity_sets(cfg, 1)
-        assert len({s.reference.probs for s in sets}) > 1
+        amb = build_ambiguity_sets(cfg, 1)
+        assert len({tuple(row) for row in amb.references}) > 1
+        truth, space = cfg.ambiguity.truth_distribution, cfg.ambiguity.space
+        for i, row in enumerate(amb.references):
+            hist = choice_history(truth, space, 200, [1, 0x415, i])
+            assert tuple(row) == empirical_distribution(hist, space).probs
 
     def test_confidence_path_sets_radius(self):
         cfg = default_config()
@@ -51,15 +59,15 @@ class TestInstanceGeneration:
             cfg,
             ambiguity=dataclasses.replace(cfg.ambiguity, epsilon=None, confidence=0.95),
         )
-        sets = build_ambiguity_sets(cfg, 1)
-        assert sets[0].radius == pytest.approx(0.06622896708185044, abs=1e-12)
+        amb = build_ambiguity_sets(cfg, 1)
+        assert amb.radius == pytest.approx(0.06622896708185044, abs=1e-12)
 
     def test_realization_deterministic_atoms(self):
         cfg = default_config()
         a = draw_realization(cfg, 5)
         b = draw_realization(cfg, 5)
         assert (a == b).all()
-        atoms = set(cfg.ambiguity.sample_space().atoms)
+        atoms = set(cfg.ambiguity.space.atoms)
         assert set(a.tolist()) <= atoms
         assert a.shape == (10,)
 
@@ -69,9 +77,8 @@ class TestRealizedMetrics:
         # a row scores its decision at the drawn sizes, i.e. the expectation under point masses
         cfg = default_config()
         scenario = generate_scenario(cfg.scenario, 1)
-        sets = build_ambiguity_sets(cfg, 1)
         sizes = draw_realization(cfg, 1)
-        decision = mdrloa_solve(scenario, sets).decision
+        decision = mdrloa_solve(scenario, build_ambiguity_sets(cfg, 1)).decision
         row = evaluate_seed(cfg, 1)[0]
         assert row.method == "MDRLOA"
         assert row.realized_latency == pytest.approx(
@@ -213,8 +220,7 @@ class TestSweep:
         )
         radii = []
         for q in (50, 400):
-            sets = build_ambiguity_sets(cfg.with_override("Q", q), 1)
-            radii.append(sets[0].radius)
+            radii.append(build_ambiguity_sets(cfg.with_override("Q", q), 1).radius)
         assert radii[0] > radii[1]  # more history shrinks the ball
 
     def test_quota_sweep_changes_scenario(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
+from dro_offload.ambiguity import AmbiguitySet, SampleSpace
 from dro_offload.config import default_config, load_config, parse_config
 from dro_offload import lp as lp_module
 from dro_offload import evaluation, mdrloa
@@ -42,7 +42,7 @@ from helpers import (
     feasible_decisions,
 )
 
-SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
+SPACE = SampleSpace(atoms=(3e6, 9e6, 15e6, 21e6, 27e6))
 
 
 def _scenario(seed=1, **overrides):
@@ -52,8 +52,8 @@ def _scenario(seed=1, **overrides):
     return generate_scenario(cfg, seed)
 
 
-def _uniform_sets(n, radius=0.3):
-    return [AmbiguitySet(SPACE, Distribution.uniform(5), radius) for _ in range(n)]
+def _uniform_set(n, radius=0.3):
+    return AmbiguitySet(SPACE, np.full((n, 5), 0.2), radius)
 
 
 class TestSelectBranch:
@@ -76,7 +76,7 @@ class TestSelectBranch:
 class TestMdrloaSolve:
     def test_solution_valid_and_counted(self):
         sc = _scenario()
-        result = mdrloa_solve(sc, _uniform_sets(10))
+        result = mdrloa_solve(sc, _uniform_set(10))
         result.decision.validate(sc)
         assert result.method == METHOD_MDRLOA
         assert result.lp_solve_count >= 1
@@ -84,29 +84,29 @@ class TestMdrloaSolve:
 
     def test_deterministic(self):
         sc = _scenario(seed=9)
-        a = mdrloa_solve(sc, _uniform_sets(10))
-        b = mdrloa_solve(sc, _uniform_sets(10))
+        a = mdrloa_solve(sc, _uniform_set(10))
+        b = mdrloa_solve(sc, _uniform_set(10))
         np.testing.assert_array_equal(a.decision.x, b.decision.x)
         np.testing.assert_array_equal(a.decision.y, b.decision.y)
         assert a.worst_case_expected_latency == b.worst_case_expected_latency
 
     def test_latency_matches_reported(self):
         sc = _scenario(seed=3)
-        sets = _uniform_sets(10)
-        result = mdrloa_solve(sc, sets)
-        means = worst_case_means(sets)
+        amb = _uniform_set(10)
+        result = mdrloa_solve(sc, amb)
+        means = worst_case_means(amb)
         assert result.worst_case_expected_latency == pytest.approx(
             expected_latency(result.decision, sc, means), rel=1e-12
         )
 
     def test_set_count_mismatch(self):
         with pytest.raises(ShapeError):
-            mdrloa_solve(_scenario(), _uniform_sets(3))
+            mdrloa_solve(_scenario(), _uniform_set(3))
 
     def test_pigeonhole_infeasible(self):
         sc = _scenario(num_tds=3, num_uavs=1, quota_uav=2)
         with pytest.raises(InfeasibleProblemError):
-            mdrloa_solve(sc, _uniform_sets(3))
+            mdrloa_solve(sc, _uniform_set(3))
 
 
 def _binding_scenario(seed):
@@ -215,7 +215,7 @@ class TestDiveLps:
 
         monkeypatch.setattr(mdrloa, "build_p2", capture_build)
         # worst case = the largest atom: this dive branches on seed 3
-        result = mdrloa_solve(_binding_scenario(3), _uniform_sets(10, radius=2.0))
+        result = mdrloa_solve(_binding_scenario(3), _uniform_set(10, radius=2.0))
         assert result.lp_solve_count == len(dive_lps) > 2
         [(base, snapshot)] = built
         assert _lp_bytes(base) == snapshot
@@ -244,13 +244,13 @@ class TestDiveLps:
 
     def test_root_integral_dive_solves_one_lp(self, dive_lps):
         sc = _scenario()
-        result = mdrloa_solve(sc, _uniform_sets(10))
+        result = mdrloa_solve(sc, _uniform_set(10))
         assert result.lp_solve_count == len(dive_lps) == 1
         [(_, root, _)] = dive_lps
         np.testing.assert_array_equal(result.decision.vector(), np.rint(root.x))
 
     def test_a_root_then_one_or_two_children_per_branching(self, dive_lps):
-        result = mdrloa_solve(_binding_scenario(3), _uniform_sets(10, radius=2.0))
+        result = mdrloa_solve(_binding_scenario(3), _uniform_set(10, radius=2.0))
         root_lp, root, _ = dive_lps[0]
         j = result.decision.x.shape[1]
         assert _pins(root_lp, j) == {} and root.status is LpStatus.OPTIMAL
@@ -311,7 +311,7 @@ class TestDiveLps:
     @pytest.mark.usefixtures("failing_certificate")
     def test_uncertified_lp_raises(self):
         with pytest.raises(SolverError, match="max_dual_residual = 0.001 > 1e-08"):
-            mdrloa_solve(_scenario(), _uniform_sets(10))
+            mdrloa_solve(_scenario(), _uniform_set(10))
 
     @pytest.mark.usefixtures("failing_certificate")
     def test_uncertified_lp_exits_4(self, tmp_path, capsys):
@@ -416,9 +416,9 @@ class TestAgainstExhaustive:
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_dive_near_optimal(self, seed):
         sc = _scenario(seed=seed, num_tds=4, num_uavs=2, quota_uav=2)
-        sets = _uniform_sets(4)
-        means = worst_case_means(sets)
-        dive = mdrloa_solve(sc, sets)
+        amb = _uniform_set(4)
+        means = worst_case_means(amb)
+        dive = mdrloa_solve(sc, amb)
         opt = exhaustive_solve(sc, means)
         assert dive.worst_case_expected_latency <= 1.10 * opt.worst_case_expected_latency
         assert dive.relaxation_bound <= opt.worst_case_expected_latency + 1e-9
@@ -560,15 +560,15 @@ def test_dive_between_relaxation_bound_and_exhaustive_optimum():
     def check(instance):
         cfg, seed = instance
         scenario = generate_scenario(cfg.scenario, seed)
-        sets = build_ambiguity_sets(cfg, seed)
-        means = worst_case_means(sets)
+        amb = build_ambiguity_sets(cfg, seed)
+        means = worst_case_means(amb)
         try:
             best = exhaustive_solve(scenario, means)
         except InfeasibleProblemError:
             outcomes["infeasible"] += 1
             return
         try:
-            dive = mdrloa_solve(scenario, sets)
+            dive = mdrloa_solve(scenario, amb)
         except InfeasibleProblemError:
             outcomes["dead end"] += 1
             return

@@ -27,7 +27,7 @@ from helpers import (
     lp_from_rows,
 )
 
-SPACE = SampleSpace.with_midpoint_edges([3e6, 9e6, 15e6, 21e6, 27e6])
+SPACE = SampleSpace(atoms=(3e6, 9e6, 15e6, 21e6, 27e6))
 
 
 def _scenario(seed=1, **overrides):
@@ -238,7 +238,7 @@ def test_p2_row_blocks_match_row_loops(name):
     for seed in (1, 2, 3):
         scenario = generate_scenario(cfg.scenario, seed)
         wc_means = worst_case_means(build_ambiguity_sets(cfg, seed))
-        atoms = cfg.ambiguity.sample_space().atoms
+        atoms = cfg.ambiguity.space.atoms
         for means in (wc_means, np.full(scenario.num_tds, max(atoms))):
             ours, ref = build_p2(scenario, means), _build_p2_loops(scenario, means)
             for got, want in [
@@ -315,8 +315,7 @@ class TestP3:
 
 class TestWorstCaseDistributions:
     def test_matches_single_set_calls(self):
-        ref = Distribution.uniform(5)
-        sets = [AmbiguitySet(SPACE, ref, 0.3) for _ in range(4)]
-        means = worst_case_means(sets)
+        amb = AmbiguitySet(SPACE, np.broadcast_to(Distribution.uniform(5).as_array(), (4, 5)), 0.3)
+        means = worst_case_means(amb)
         assert means.shape == (4,)
         np.testing.assert_allclose(means, 18.6e6, rtol=1e-12)
