@@ -1,7 +1,6 @@
+import dataclasses
 import json
 import re
-
-import dataclasses
 
 import numpy as np
 import pytest
