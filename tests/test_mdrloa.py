@@ -380,6 +380,31 @@ def test_skipping_decided_siblings_matches_the_dive_with_both_children(monkeypat
     assert counts["dives"] > 0 and counts["skipped"] > 0 and counts["dead ends"] > 0
 
 
+@pytest.mark.parametrize(
+    "seed, lps, where",
+    [
+        (1, 75, "access phase at TD 29, UAV 0, with 200 fixed columns"),
+        (6, 105, "compute phase at TD 19, UAV 3, with 242 fixed columns"),
+    ],
+)
+def test_binding_ladder_dives_that_once_needed_a_primal_phase_two(
+    monkeypatch, dive_lps, seed, lps, where
+):
+    # eval-binding at 30x5, quota 8 and 26 J. Of the binding ladder's dives (30x5 at
+    # 26-60 J, seeds 1-8, and 50x6, seeds 1-2), these two alone had LPs that a primal
+    # phase 2 on top of the dual simplex finished, with 35 ratio tests; the dual
+    # simplex with its certify retry ends them on the same LP with the same dead end
+    binding = json.loads((PERFBENCH_CONFIGS / "eval-binding.json").read_text())
+    binding["scenario"].update(num_tds=30, num_uavs=5, quota_uav=8)
+    binding["scenario"]["energy"]["uav_budget_j"] = 26
+    cfg = parse_config(binding)
+    amb = build_ambiguity_sets(cfg, seed)
+    with pytest.raises(InfeasibleProblemError) as info:
+        mdrloa_solve(generate_scenario(cfg.scenario, seed), amb)
+    assert str(info.value) == f"no feasible decision found: both children infeasible in the {where}"
+    assert len(dive_lps) == lps
+
+
 class TestTieRobustChoice:
     def test_two_ulp_nudges_keep_the_decision(self, monkeypatch, dive_lps):
         scenario = _binding_scenario(39)  # RO: every size at the largest atom
