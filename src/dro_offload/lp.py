@@ -8,23 +8,26 @@ the package builds: minimise c'x over LE and EQ rows, with a finite
 built; a program that differs only in its bounds is
 `lp.with_bounds(lower, upper)`, which validates only the new bounds.
 
-The solver is a bounded-variable tableau simplex (Chvátal, Linear
-Programming, 1983, chs. 8 and 10). Box bounds stay out of the tableau:
-the ratio test also stops when a basic variable reaches its upper bound,
-or flips the entering variable to its own upper bound without a pivot.
-Every variable keeps a column, a fixed one with upper bound 0 that is
-never priced, so a basis means the same in every program that differs
-only in its bounds. Every solve starts from a basis (the slacks and
-artificials, or a given `start`), moves each column priced below zero to
-its upper bound, and runs a bounded dual simplex to primal feasibility or
-a proof of infeasibility; a primal phase 2 on the true costs, Dantzig's
-rule falling back to Bland's, finishes it. The final basis is loaded
-again and, once no reduced cost there is negative, x_B and the duals get
-one step of iterative refinement. Identical inputs give bit-identical
-outputs. An OPTIMAL result always passes its certificate
+The solver is one engine, a bounded dual simplex on a tableau (Chvátal,
+Linear Programming, 1983, ch. 10; Koberstein, The dual simplex method,
+2005, ch. 4). Box bounds stay out of the tableau: a nonbasic variable
+sits at its lower or its upper bound, and a basic one that leaves at its
+upper bound is complemented first. Every variable keeps a column, a fixed
+one with upper bound 0 that is never priced, so a basis means the same in
+every program that differs only in its bounds. Every structural variable
+is boxed, so any basis is made dual feasible by flips: each boxed column
+priced below zero moves to its other bound. Only a slack, which has no
+upper bound, cannot be flipped; the slack basis prices none, and a
+`start` that prices one below zero is rejected. The dual simplex then
+runs to primal feasibility or a proof of infeasibility. The final basis
+is loaded again to certify it; where roundoff left a boxed column priced
+below zero there, the solve flips it and runs the dual simplex again,
+up to six attempts. Once no reduced cost is negative, x_B and the duals
+get one step of iterative refinement. Identical inputs give
+bit-identical outputs. An OPTIMAL result always passes its certificate
 (`check_solution`); an optimum that fails it, a solve past its iteration
-cap and a ratio test that finds no bound (only slacks have none, and
-every variable is boxed) raise SolverError.
+cap and one still priced below zero after six attempts raise
+SolverError.
 
 Dual-value convention: the reported dual of an LE row is its nonnegative
 Lagrange multiplier, the amount the optimum falls per unit the rhs rises;
@@ -49,8 +52,10 @@ _RELATIONS = (LE, EQ)
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8  # dual simplex: largest bound violation of x_B, per row relative to max(1, |x_B|)
-_OPT_TOL = 1e-9  # most negative reduced cost still counted as optimal
-_CERTIFY_TOL = 1e-7  # the same after the final reload: looser, so that its roundoff forces no retry
+_OPT_TOL = 1e-9  # flip rule: a boxed column priced below -_OPT_TOL moves to its other bound
+# most negative reduced cost the final reload, and a start's slacks, may hold: looser than
+# _OPT_TOL, so that the reload's roundoff forces no retry
+_CERTIFY_TOL = 1e-7
 _BOUND_TOL = 1e-7  # distance at which check_solution treats x as sitting on a bound
 RESIDUAL_TOL = 1e-8  # certificate: primal, dual and complementarity residuals
 GAP_TOL = 1e-7  # certificate: relative duality gap
@@ -218,8 +223,10 @@ class CertificationReport:
 @dataclass(frozen=True)
 class Basis:
     """A simplex basis, for `solve_lp(..., start=...)`: the final basis of an optimal
-    solution, valid for any program with the same matrix and relations, or one built
-    from a program's structure (a crash basis).
+    solution, a start for any program that differs from its own only in its bounds,
+    or one built from a program's structure (a crash basis). Another program with
+    the same matrix and relations takes it as a start if it prices no slack below
+    zero there.
 
     `basic` has one column per row and `at_upper` lists the nonbasic columns held at
     their upper bounds. Ids are the solver's columns: the structural ones, then one
@@ -257,10 +264,9 @@ class LpSolution:
 # Every tableau column is a variable t in [0, ub]. A nonbasic variable sits
 # at 0 or at ub; one at ub is held complemented (t' = ub - t: its column and
 # cost negated, the rhs shifted), so the tableau always reads "nonbasic at 0"
-# and the entering rule is the textbook one. `flipped` marks the columns held
-# complemented.
+# and a column priced below zero is one to flip. `flipped` marks the columns
+# held complemented.
 
-_FLIP = -1  # _choose_leaving: the entering variable reaches its own bound first
 _SIDES = np.array([[1.0], [-1.0]])  # check_solution: a variable's lower, then upper side
 
 
@@ -292,69 +298,6 @@ def _flip_basic(
     tableau[row, col] = 1.0
     tableau[row, -1] = ub[col] - tableau[row, -1]
     flipped[col] = not flipped[col]
-
-
-def _choose_entering(costrow: np.ndarray, bland: bool) -> int | None:
-    # Dantzig: the most negative reduced cost, ties to the lowest index; Bland: the lowest index
-    if not costrow.size:
-        return None
-    col = int(np.argmax(costrow < -_OPT_TOL) if bland else np.argmin(costrow))
-    return col if costrow[col] < -_OPT_TOL else None
-
-
-def _choose_leaving(
-    tableau: np.ndarray, basis: np.ndarray, ub: np.ndarray, ub_basic: np.ndarray, col: int
-) -> int:
-    """Bounded ratio test: the row whose basic variable reaches 0 or its ub first, or
-    `_FLIP` when the entering variable reaches its own ub first. `ub_basic` is
-    `ub[basis]`."""
-    column = tableau[:-1, col]
-    rhs = tableau[:-1, -1]
-    down = np.flatnonzero(column > _PIVOT_TOL)
-    up = np.flatnonzero((column < -_PIVOT_TOL) & (ub_basic < np.inf))
-    rows = np.concatenate([down, up])
-    ratios = np.concatenate([rhs[down] / column[down], (ub_basic[up] - rhs[up]) / -column[up]])
-    best = ratios.min(initial=np.inf)
-    if ub[col] <= best:
-        if ub[col] == np.inf:  # only a slack is unbounded, and every variable is boxed
-            raise SolverError(f"ratio test found no bound for entering column {col}")
-        return _FLIP
-    ties = rows[ratios <= best + 1e-12]
-    # smallest basis index among ties: Bland-compatible and deterministic
-    return int(ties[np.argmin(basis[ties])])
-
-
-def _run_simplex(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    ub: np.ndarray,
-    flipped: np.ndarray,
-    bland_after: int,
-    max_iter: int,
-) -> None:
-    """Iterate to optimality over the columns with ub > 0."""
-    priced = np.flatnonzero(ub > 0.0)
-    # priced columns that form a prefix (nothing fixed) are read through a view, not a copy
-    prefix = priced.size > 0 and priced[-1] == priced.size - 1
-    view = slice(priced.size) if prefix else priced
-    ub_basic = ub[basis]
-    iters = 0
-    while True:
-        k = _choose_entering(tableau[-1, view], bland=iters >= bland_after)
-        if k is None:
-            return
-        entering = int(priced[k])
-        leaving = _choose_leaving(tableau, basis, ub, ub_basic, entering)
-        if leaving == _FLIP:
-            _flip(tableau, ub, flipped, entering)
-        else:
-            if tableau[leaving, entering] < 0.0:  # the basic variable leaves at its ub
-                _flip_basic(tableau, basis, ub, flipped, leaving)
-            _pivot(tableau, basis, leaving, entering)
-            ub_basic[leaving] = ub[entering]
-        iters += 1
-        if iters > max_iter:
-            raise SolverError(f"simplex exceeded {max_iter} iterations")
 
 
 def _dual_simplex(
@@ -516,14 +459,17 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     An OPTIMAL result always passes its certificate: it carries duals,
     reduced costs, that certificate and its final basis. An optimum that
     fails the certificate is not returned; SolverError names each failing
-    residual. With `start`, any basis of this program's columns with no slack
-    at its upper bound (a crash basis, or the final basis of a program that
-    differs from this one only in its bounds), the solve runs from that basis
-    instead of from the slack basis. The returned basis keeps the inverse of
-    its final load, so a start from it on a `with_bounds` program inverts
-    nothing. Raises SolverError on iteration blow-up, on a singular start, on
-    a ratio test that finds no bound or on a basis too ill-conditioned to
-    certify, and ConfigError on a `start` that does not fit.
+    residual. With `start`, a basis of this program's columns, the solve runs
+    from that basis instead of from the slack basis. The start must hold no
+    slack at an upper bound and price no nonbasic slack below zero: a slack
+    has no other bound to flip to. A crash basis keeps every slack basic,
+    and the final basis of a program that differs from this one only in its
+    bounds carries the cost row its certify step accepted, so both qualify.
+    The returned basis keeps the inverse of its final load, so a start from
+    it on a `with_bounds` program inverts nothing. Raises SolverError on
+    iteration blow-up, on a singular start or on a basis too ill-conditioned
+    to certify, and ConfigError on a `start` that does not fit or that
+    prices a slack below zero.
     """
     form = lp._standard_form()
     n = lp.num_vars
@@ -531,32 +477,32 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     ub[:n] = lp.upper - lp.lower
     b = lp.rhs - lp.matrix @ lp.lower
     m, n_total = form.a_full.shape
-    bland_after = 5 * (m + n_total)
     max_iter = 200 * (m + n_total) + 2000
     flipped = np.zeros(n_total, dtype=bool)
     tableau = np.zeros((m + 1, n_total + 1))
+    costrow = tableau[-1, :-1]  # a view: every load, pivot and flip writes it
+    slack = np.isinf(ub)  # only a slack has no upper bound
+    boxed = (ub > 0.0) & ~slack  # the columns a flip can move
 
     basis, at_ub, factor = form.basis_from(start or Basis(form.basis, np.zeros(0, dtype=int)), ub)
     flipped[at_ub] = True
     _load_tableau(tableau, form, ub, b, basis, flipped, factor)
-
-    # make the start dual feasible: a column priced below zero moves to its upper bound;
-    # a slack has none, and the dual simplex's ratio test reads it as priced at 0
-    negative = np.flatnonzero((ub > 0.0) & (tableau[-1, :-1] < -_OPT_TOL))
-    for col in negative[np.isfinite(ub[negative])]:
-        _flip(tableau, ub, flipped, col)
-    # primal feasibility does not depend on the costs: False means INFEASIBLE either way
-    if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
-        return LpSolution(status=LpStatus.INFEASIBLE)
+    if (costrow[slack] < -_CERTIFY_TOL).any():  # a slack has no other bound to move to
+        raise ConfigError("start basis prices a slack below zero")
 
     for _attempt in range(6):
-        _run_simplex(tableau, basis, ub, flipped, bland_after, max_iter)
+        # dual feasible: each boxed column priced below zero moves to its other bound
+        for col in np.flatnonzero(boxed & (costrow < -_OPT_TOL)):
+            _flip(tableau, ub, flipped, col)
+        # primal feasibility does not depend on the costs: False means INFEASIBLE either way
+        if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
+            return LpSolution(status=LpStatus.INFEASIBLE)
         # certify: reload the final basis, so that roundoff the pivots piled up is gone
         flipped[basis] = False
         inverse, rhs, matrix_b = _load_tableau(tableau, form, ub, b, basis, flipped)
-        if tableau[-1, :-1][ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
+        if costrow[ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
             break
-        # roundoff fooled the pivots: phase 2 goes on from the reloaded tableau
+        # roundoff fooled the pivots: flip and run the dual simplex from the reloaded tableau
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
 

@@ -172,20 +172,20 @@ def test_crash_started_root_matches_cold_solve(name):
 
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding"])
 def test_p2_lps_finish_in_the_dual_simplex(monkeypatch, dive_pivots, name):
-    # the dual simplex ends at P2's optimum: phase 2 runs no ratio test, and the
-    # slack or parent basis needs no column moved to its upper bound to start
-    calls = collections.Counter()
-    for attr in ("_choose_leaving", "_flip"):
+    # the slack, crash or parent basis needs no column moved to its other bound to
+    # start, and one dual simplex run ends at the certified optimum: no certify retry
+    flips, runs = [], []
+    for attr, calls in (("_flip", flips), ("_dual_simplex", runs)):
         original = getattr(lp_module, attr)
 
-        def counting(*args, attr=attr, original=original):
-            calls[attr] += 1
+        def counting(*args, calls=calls, original=original):
+            calls.append(len(dive_pivots))  # the LP being solved
             return original(*args)
 
         monkeypatch.setattr(lp_module, attr, counting)
     evaluation.compare_methods(_seeds_1_to_5(name))
     assert len(dive_pivots) >= 15 and sum(count for *_, count, _ in dive_pivots) > 0
-    assert calls == {}
+    assert flips == [] and runs == list(range(len(dive_pivots)))
 
 
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])

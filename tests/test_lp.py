@@ -429,40 +429,57 @@ def _assert_matches_highs(lp, sol):
     assert sol.certificate.ok()
 
 
-class TestPhaseTwo:
-    def test_a_stopped_phase_two_is_finished_from_the_certified_basis(self, monkeypatch):
-        calls = []
-        run = lp_module._run_simplex
-
-        def stop_first_phase_two(*args):
-            calls.append(args)
-            if len(calls) != 1:
-                return run(*args)
-            try:
-                return run(*args[:-1], 2)  # max_iter 2: stops after three pivots
-            except SolverError:
-                return "optimal"
-
-        monkeypatch.setattr(lp_module, "_run_simplex", stop_first_phase_two)
-        # min sum(x) over x_k <= 1, started with each x_k basic at 1: primal feasible, and
-        # each slack, with no upper bound to move to, is priced at -1, so phase 2 has four
-        # pivots to make
+class TestStartAndCertifyRetry:
+    def test_a_start_that_prices_a_slack_below_zero_is_rejected(self):
+        # min sum(x) over x_k <= 1, started with each x_k basic at 1: primal feasible, but
+        # each slack, with no upper bound to move to, is priced at -1
         lp = LinearProgram(np.ones(4), np.eye(4), [LE] * 4, np.ones(4), upper=np.full(4, 10.0))
-        sol = solve_lp(lp, start=Basis(np.arange(4), np.zeros(0, dtype=int)))
-        assert len(calls) == 2  # the stopped phase 2, the retry
+        with pytest.raises(ConfigError, match="start basis prices a slack below zero"):
+            solve_lp(lp, start=Basis(np.arange(4), np.zeros(0, dtype=int)))
+        sol = solve_lp(lp)
         _assert_matches_highs(lp, sol)
         np.testing.assert_array_equal(sol.x, np.zeros(4))
 
-    def test_a_row_folded_to_zero_keeps_its_artificial(self):
-        # every access column of TD 0 fixed: its access row reads 0 = 0, and
-        # the row's artificial stays basic at its bound 0 throughout
-        lp = _binding_p2(2)
-        lower, upper = lp.lower.copy(), lp.upper.copy()
-        lower[:3] = upper[:3] = [0.0, 1.0, 0.0]
-        lp = dataclasses.replace(lp, lower=lower, upper=upper)
+    def test_a_column_priced_below_zero_at_the_certify_reload_is_flipped(self, monkeypatch):
+        # min -x0 - x1 over x0 + x1 <= 1.5 in [0, 1]^2. The start's load hides x0's price,
+        # so the flips move x1 alone to its bound, and the dual simplex, with nothing to
+        # repair, stops at x = (0, 1). The certify reload prices x0 at -1: it is flipped
+        # and the dual simplex runs again from the reloaded tableau.
+        lp = lp_from_rows([-1.0, -1.0], [([1.0, 1.0], LE, 1.5)], upper=[1.0, 1.0])
+        loads, flips, calls = [], [], collections.Counter()
+
+        def load(tableau, *args, real=lp_module._load_tableau):
+            loaded = real(tableau, *args)
+            loads.append(tableau[-1, 0])
+            if len(loads) == 1:
+                tableau[-1, 0] = 1.0
+            return loaded
+
+        def flip(tableau, ub, flipped, col, real=lp_module._flip):
+            flips.append((calls["_dual_simplex"], col))
+            return real(tableau, ub, flipped, col)
+
+        monkeypatch.setattr(lp_module, "_load_tableau", load)
+        monkeypatch.setattr(lp_module, "_flip", flip)
+        _counted(monkeypatch, calls, lp_module, "_dual_simplex")
         sol = solve_lp(lp)
+        assert loads[:2] == [-1.0, -1.0] and len(loads) == 3  # start, two certify reloads
+        assert flips == [(0, 1), (1, 0)]  # x1 before the first run, x0 before the second
+        assert calls == {"_dual_simplex": 2}
         _assert_matches_highs(lp, sol)
-        assert sol.duals[0] == 0.0
+        assert sol.objective_value == pytest.approx(-1.5, abs=1e-12)
+
+
+def test_a_row_folded_to_zero_keeps_its_artificial():
+    # every access column of TD 0 fixed: its access row reads 0 = 0, and
+    # the row's artificial stays basic at its bound 0 throughout
+    lp = _binding_p2(2)
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    lower[:3] = upper[:3] = [0.0, 1.0, 0.0]
+    lp = dataclasses.replace(lp, lower=lower, upper=upper)
+    sol = solve_lp(lp)
+    _assert_matches_highs(lp, sol)
+    assert sol.duals[0] == 0.0
 
 
 def _with_bounds(lp, cols, lower, upper):
@@ -597,7 +614,7 @@ class TestWarmStart:
                 np.testing.assert_array_equal(cold.basis.at_upper, loaded.basis.at_upper)
 
     def test_warm_child_inverts_once_and_solves_nothing(self, monkeypatch):
-        calls = {"inv": 0, "solve": 0, "_run_simplex": 0}
+        calls = {"inv": 0, "solve": 0, "_dual_simplex": 0}
         lp = _binding_p2(1)
         parent = solve_lp(lp)
         ij = lp.num_vars // 2
@@ -605,11 +622,11 @@ class TestWarmStart:
         child = _with_bounds(lp, [link, link + ij], 0.0, 0.0)
         _counted(monkeypatch, calls, np.linalg, "inv")
         _counted(monkeypatch, calls, np.linalg, "solve")
-        _counted(monkeypatch, calls, lp_module, "_run_simplex")
+        _counted(monkeypatch, calls, lp_module, "_dual_simplex")
         sol = solve_lp(child, start=parent.basis)
         _assert_matches_highs(child, sol)
         # inv: the certify step alone; the start loads through the parent's inverse
-        assert calls == {"inv": 1, "solve": 0, "_run_simplex": 1}
+        assert calls == {"inv": 1, "solve": 0, "_dual_simplex": 1}
 
     def test_a_start_from_another_program_is_inverted(self, monkeypatch):
         lp = _binding_p2(1)

@@ -387,13 +387,11 @@ def test_skipping_decided_siblings_matches_the_dive_with_both_children(monkeypat
         (6, 105, "compute phase at TD 19, UAV 3, with 242 fixed columns"),
     ],
 )
-def test_binding_ladder_dives_that_once_needed_a_primal_phase_two(
-    monkeypatch, dive_lps, seed, lps, where
-):
-    # eval-binding at 30x5, quota 8 and 26 J. Of the binding ladder's dives (30x5 at
-    # 26-60 J, seeds 1-8, and 50x6, seeds 1-2), these two alone had LPs that a primal
-    # phase 2 on top of the dual simplex finished, with 35 ratio tests; the dual
-    # simplex with its certify retry ends them on the same LP with the same dead end
+def test_binding_ladder_dives_with_roundoff_priced_basic_columns(dive_lps, seed, lps, where):
+    # eval-binding at 30x5, quota 8 and 26 J: of the binding ladder's dives (30x5 at
+    # 26-60 J, seeds 1-8, and 50x6, seeds 1-2), the only two with LPs whose dual
+    # simplex ends with a basic column priced below -1e-9 by roundoff. The certify
+    # reload clears that price: each dive ends after this many LPs, at this dead end
     binding = json.loads((PERFBENCH_CONFIGS / "eval-binding.json").read_text())
     binding["scenario"].update(num_tds=30, num_uavs=5, quota_uav=8)
     binding["scenario"]["energy"]["uav_budget_j"] = 26
