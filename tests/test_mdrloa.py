@@ -12,7 +12,7 @@ from dro_offload.ambiguity import AmbiguitySet, SampleSpace
 from dro_offload.config import default_config, load_config, parse_config
 from dro_offload import lp as lp_module
 from dro_offload import evaluation, mdrloa
-from dro_offload.cli import EXIT_INTERNAL, main
+from dro_offload.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, main
 from dro_offload.errors import (
     ConfigError,
     InfeasibleProblemError,
@@ -400,6 +400,28 @@ def test_binding_ladder_dives_with_roundoff_priced_basic_columns(dive_lps, seed,
     with pytest.raises(InfeasibleProblemError) as info:
         mdrloa_solve(generate_scenario(cfg.scenario, seed), amb)
     assert str(info.value) == f"no feasible decision found: both children infeasible in the {where}"
+    assert len(dive_lps) == lps
+
+
+@pytest.mark.parametrize(
+    "seed, code, message, lps",
+    [
+        # a known defect: a valid config whose dive LP 301 misses its certificate by roundoff
+        (1, EXIT_INTERNAL, "max_complementarity = 3.789639787743696e-08 > 1e-08", 300),
+        (2, EXIT_INFEASIBLE, "compute phase at TD 21, UAV 8, with 1800 fixed columns", 375),
+    ],
+)
+def test_binding_dives_at_100x10(tmp_path, capsys, dive_lps, seed, code, message, lps):
+    # eval-binding at 100x10, quota 12, HAP quota 20 and 40 J: `solve` exits with this
+    # code and message after this many certified LPs
+    binding = json.loads((PERFBENCH_CONFIGS / "eval-binding.json").read_text())
+    binding["scenario"].update(num_tds=100, num_uavs=10, quota_uav=12, quota_hap=20)
+    binding["scenario"]["energy"]["uav_budget_j"] = 40
+    config = tmp_path / "binding-100x10.json"
+    config.write_text(json.dumps(binding), encoding="utf-8")
+    argv = ["solve", "--config", str(config), "--seed", str(seed), "--method", "dro"]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
     assert len(dive_lps) == lps
 
 
