@@ -15,19 +15,21 @@ sits at its lower or its upper bound, and a basic one that leaves at its
 upper bound is complemented first. Every variable keeps a column, a fixed
 one with upper bound 0 that is never priced, so a basis means the same in
 every program that differs only in its bounds. Every structural variable
-is boxed, so any basis is made dual feasible by flips: each boxed column
+is boxed, so a start is made dual feasible by flips: each boxed column
 priced below zero moves to its other bound. Only a slack, which has no
-upper bound, cannot be flipped; the slack basis prices none, and a
-`start` that prices one below zero is rejected. The dual simplex then
-runs to primal feasibility or a proof of infeasibility. The final basis
-is loaded again to certify it; where roundoff left a boxed column priced
-below zero there, the solve flips it and runs the dual simplex again,
-up to six attempts. Once no reduced cost is negative, x_B and the duals
-get one step of iterative refinement. Identical inputs give
-bit-identical outputs. An OPTIMAL result always passes its certificate
-(`check_solution`); an optimum that fails it, a solve past its iteration
-cap and one still priced below zero after six attempts raise
-SolverError.
+upper bound, cannot be flipped, and no start prices one below zero: a
+solve starts only from a basis issued for its program's standard form.
+The slack basis and a crash basis keep every slack basic, and a
+solution's final basis passed the certify reload, which prices the slacks
+too. The dual simplex then runs to primal feasibility or a proof of
+infeasibility. The final basis is loaded again to certify it; where
+roundoff left a boxed column priced below zero there, the solve flips it
+and runs the dual simplex again, up to six attempts. Once no reduced cost
+is negative, x_B and the duals get one step of iterative refinement.
+Identical inputs give bit-identical outputs. An OPTIMAL result always
+passes its certificate (`check_solution`); an optimum that fails it, a
+solve past its iteration cap and one still priced below zero after six
+attempts raise SolverError.
 
 Dual-value convention: the reported dual of an LE row is its nonnegative
 Lagrange multiplier, the amount the optimum falls per unit the rhs rises;
@@ -53,8 +55,8 @@ _RELATIONS = (LE, EQ)
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8  # dual simplex: largest bound violation of x_B, per row relative to max(1, |x_B|)
 _OPT_TOL = 1e-9  # flip rule: a boxed column priced below -_OPT_TOL moves to its other bound
-# most negative reduced cost the final reload, and a start's slacks, may hold: looser than
-# _OPT_TOL, so that the reload's roundoff forces no retry
+# most negative reduced cost the final reload may hold: looser than _OPT_TOL, so that the
+# reload's roundoff forces no retry
 _CERTIFY_TOL = 1e-7
 _BOUND_TOL = 1e-7  # distance at which check_solution treats x as sitting on a bound
 RESIDUAL_TOL = 1e-8  # certificate: primal, dual and complementarity residuals
@@ -222,23 +224,21 @@ class CertificationReport:
 
 @dataclass(frozen=True)
 class Basis:
-    """A simplex basis, for `solve_lp(..., start=...)`: the final basis of an optimal
-    solution, a start for any program that differs from its own only in its bounds,
-    or one built from a program's structure (a crash basis). Another program with
-    the same matrix and relations takes it as a start if it prices no slack below
-    zero there.
+    """A simplex basis, for `solve_lp(..., start=...)`, issued for one standard form:
+    the final basis of an optimal solution, a start for any program that shares its
+    program's form (`with_bounds`), or one built from a program's structure (a crash
+    basis).
 
     `basic` has one column per row and `at_upper` lists the nonbasic columns held at
     their upper bounds. Ids are the solver's columns: the structural ones, then one
     slack per LE row and one artificial per EQ row, each in row order.
 
-    `_factor` ties a basis to the standard form it is known to fit, which then does
-    not check it again. An optimal solution's basis, whose arrays are read-only,
-    carries `(form, inverse, tableau)`: the inverse and the tableau its certify step
-    loaded, so that a warm start on a program sharing that form (`with_bounds`)
-    loads through them instead of inverting. A crash basis built from the program's
-    structure carries `(form,)` and is inverted. A `Basis(basic, at_upper)` built by
-    hand, or one from another program, is checked and inverted.
+    `_factor` ties a basis to the standard form it was issued for, the only form
+    that takes it as a start. An optimal solution's basis, whose arrays are
+    read-only, carries `(form, inverse, tableau)`: the inverse and the tableau its
+    certify step loaded, so that a warm start loads through them instead of
+    inverting. A crash basis carries `(form,)` and is inverted. A
+    `Basis(basic, at_upper)` built by hand carries no tie, and `solve_lp` rejects it.
     """
 
     basic: np.ndarray
@@ -372,7 +372,7 @@ class _StandardForm:
     Variable x_j has column j, t_j = x_j - lower_j in [0, upper_j - lower_j]. Then
     come one +1 slack per LE row and one artificial per EQ row, each in row order; an
     artificial has `ub = 0`. The slacks and artificials form the cold-start basis,
-    whose matrix is the identity.
+    whose matrix is the identity, loaded by every cold solve.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -384,32 +384,15 @@ class _StandardForm:
         self.costs = np.zeros(self.ub.size)
         self.costs[:n] = lp.objective
 
-    def basis_from(self, start: Basis, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """Tableau basis and at-upper columns of `start`, and the inverse and tableau it
-        carries from a solve on this form (None from anywhere else); ConfigError if it
-        does not fit. A basis tied to this form, which a solve on it returned or a crash
-        basis built for it, fits it, unchecked."""
-        basic = np.asarray(start.basic, dtype=int)
-        at_upper = np.asarray(start.at_upper, dtype=int)
-        if start._factor is not None and start._factor[0] is self:
-            return basic.copy(), at_upper, start._factor[1:] or None
-        m, n = self.a_full.shape
-        ids = np.concatenate([basic, at_upper])
-        fits = (
-            basic.shape == (m,)
-            and at_upper.ndim == 1
-            and ((0 <= ids) & (ids < n)).all()
-            # distinct ids; np.unique would import numpy.ma, a megabyte, on first use
-            and (np.diff(np.sort(ids)) != 0).all()
-        )
-        if not fits:
-            raise ConfigError("start basis does not fit this program's columns")
-        unbounded = at_upper[~np.isfinite(ub[at_upper])]
-        if unbounded.size:
-            raise ConfigError(
-                f"start basis holds column {int(unbounded[0])} at an infinite upper bound"
-            )
-        return basic.copy(), at_upper, None
+    def basis_from(self, start: Basis) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+        """Tableau basis and at-upper columns of `start`, and the inverse and tableau a
+        solution's basis carries (None for a basis that names only this form).
+        ConfigError unless `start` was issued for this form: a basis tied to it fits
+        it, unchecked."""
+        if start._factor is None or start._factor[0] is not self:
+            raise ConfigError("start basis was not built for this program's standard form")
+        basic = np.array(start.basic, dtype=int)  # a copy: pivots write it
+        return basic, np.asarray(start.at_upper, dtype=int), start._factor[1:] or None
 
 
 def _load_tableau(
@@ -459,17 +442,14 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     An OPTIMAL result always passes its certificate: it carries duals,
     reduced costs, that certificate and its final basis. An optimum that
     fails the certificate is not returned; SolverError names each failing
-    residual. With `start`, a basis of this program's columns, the solve runs
-    from that basis instead of from the slack basis. The start must hold no
-    slack at an upper bound and price no nonbasic slack below zero: a slack
-    has no other bound to flip to. A crash basis keeps every slack basic,
-    and the final basis of a program that differs from this one only in its
-    bounds carries the cost row its certify step accepted, so both qualify.
-    The returned basis keeps the inverse of its final load, so a start from
-    it on a `with_bounds` program inverts nothing. Raises SolverError on
+    residual. With `start`, a basis issued for this program's standard form,
+    the solve runs from that basis instead of from the slack basis: the final
+    basis of a solve on a program that shares the form (`with_bounds`), or a
+    crash basis built for it. The returned basis keeps the inverse of its
+    final load, so a start from it inverts nothing. Raises SolverError on
     iteration blow-up, on a singular start or on a basis too ill-conditioned
-    to certify, and ConfigError on a `start` that does not fit or that
-    prices a slack below zero.
+    to certify, and ConfigError on a `start` issued for any other form or
+    built by hand.
     """
     form = lp._standard_form()
     n = lp.num_vars
@@ -481,14 +461,13 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     flipped = np.zeros(n_total, dtype=bool)
     tableau = np.zeros((m + 1, n_total + 1))
     costrow = tableau[-1, :-1]  # a view: every load, pivot and flip writes it
-    slack = np.isinf(ub)  # only a slack has no upper bound
-    boxed = (ub > 0.0) & ~slack  # the columns a flip can move
+    boxed = (ub > 0.0) & (ub < np.inf)  # the columns a flip can move: not the slacks
 
-    basis, at_ub, factor = form.basis_from(start or Basis(form.basis, np.zeros(0, dtype=int)), ub)
+    # a cold solve starts from the slack basis, issued for this form like any start
+    start = start or Basis(form.basis, form.basis[:0], (form,))
+    basis, at_ub, factor = form.basis_from(start)
     flipped[at_ub] = True
     _load_tableau(tableau, form, ub, b, basis, flipped, factor)
-    if (costrow[slack] < -_CERTIFY_TOL).any():  # a slack has no other bound to move to
-        raise ConfigError("start basis prices a slack below zero")
 
     for _attempt in range(6):
         # dual feasible: each boxed column priced below zero moves to its other bound

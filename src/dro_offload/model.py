@@ -159,21 +159,20 @@ def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
     to the lowest column id; every other row keeps its slack, and no column sits
     at its upper bound. P2's costs are >= 0 and its access rows come first, so this
     is the basis a dual simplex from the slack basis holds after its first I pivots.
-    It is built to fit P2's standard form, one column per row and all of them
-    distinct, so it is tied to that form and `solve_lp` does not check it again.
+    It is the slack basis of P2's standard form with each TD's cheapest column in
+    place of its access row's artificial, so it is tied to that form: `solve_lp`
+    takes it as a start on P2 and on every `with_bounds` program derived from P2,
+    and rejects it on any other.
     """
     i, ij = num_tds, p2.num_vars // 2
     j = ij // i
     links = p2.objective.reshape(2, i, j).transpose(1, 0, 2).reshape(i, 2 * j).argmin(axis=1)
+    form = p2._standard_form()
+    basic, at_upper = form.basis.copy(), form.basis[:0]
     # link k of TD i is y_ik for k < J, else z_i(k-J)
-    cheapest = np.arange(i) * j + links + np.where(links < j, 0, ij - j)
-    # the solver's ids: P2's columns, then one slack per LE row, in row order
-    slacks = p2.num_vars + np.arange(p2.num_constraints - i)
-    basic, at_upper = np.concatenate([cheapest, slacks]), np.zeros(0, dtype=int)
-    # tied to the form, its arrays must stay the ones built for it
-    basic.setflags(write=False)
-    at_upper.setflags(write=False)
-    return Basis(basic=basic, at_upper=at_upper, _factor=(p2._standard_form(),))
+    basic[:i] = np.arange(i) * j + links + np.where(links < j, 0, ij - j)
+    basic.setflags(write=False)  # tied to the form, it must stay the basis built for it
+    return Basis(basic=basic, at_upper=at_upper, _factor=(form,))
 
 
 def energy_use(p2: LinearProgram, decision: OffloadDecision) -> tuple[np.ndarray, float]:

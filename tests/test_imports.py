@@ -39,11 +39,15 @@ def test_no_unused_imports(path):
 
 
 def test_import_and_load_config_leave_concurrent_futures_unloaded():
-    # the pool, and with it concurrent.futures and logging, is imported only when jobs > 1
+    # the pool, and with it concurrent.futures and logging, is imported only when jobs > 1;
+    # SciPy is a test oracle only, and a run on the package loads none of it
     config = PACKAGE.parent.parent / "perfbench" / "configs" / "eval-binding.json"
+    tiny = {"scenario": {"num_tds": 4, "num_uavs": 2}, "experiment": {"seeds": [1]}}
     code = (
         "import sys, dro_offload; dro_offload.load_config(sys.argv[1]); "
-        "print('concurrent.futures' in sys.modules)"
+        "print('concurrent.futures' in sys.modules); "
+        f"dro_offload.compare_methods(dro_offload.parse_config({tiny!r})); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -53,4 +57,4 @@ def test_import_and_load_config_leave_concurrent_futures_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["False", "[]", ""]

@@ -429,17 +429,42 @@ def _assert_matches_highs(lp, sol):
     assert sol.certificate.ok()
 
 
-class TestStartAndCertifyRetry:
-    def test_a_start_that_prices_a_slack_below_zero_is_rejected(self):
-        # min sum(x) over x_k <= 1, started with each x_k basic at 1: primal feasible, but
-        # each slack, with no upper bound to move to, is priced at -1
-        lp = LinearProgram(np.ones(4), np.eye(4), [LE] * 4, np.ones(4), upper=np.full(4, 10.0))
-        with pytest.raises(ConfigError, match="start basis prices a slack below zero"):
-            solve_lp(lp, start=Basis(np.arange(4), np.zeros(0, dtype=int)))
-        sol = solve_lp(lp)
-        _assert_matches_highs(lp, sol)
-        np.testing.assert_array_equal(sol.x, np.zeros(4))
+def _one_row_lp():
+    # columns: x in [0, 2], y in [0, 1], the row's slack, which has no upper bound
+    return lp_from_rows([1.0, -1.0], [([1.0, 1.0], LE, 3.0)], upper=[2.0, 1.0])
 
+
+def _by_hand(basic, at_upper=()):
+    return lambda: (_one_row_lp(), Basis(np.array(basic), np.array(at_upper, dtype=int)))
+
+
+def _slack_basis_by_hand():
+    lp = _one_row_lp()
+    return lp, Basis(lp._standard_form().basis, [])
+
+
+def _slack_priced_below_zero():
+    # min sum(x) over x_k <= 1, with each x_k basic at 1: primal feasible, but each
+    # slack, with no upper bound to move to, is priced at -1
+    lp = LinearProgram(np.ones(4), np.eye(4), [LE] * 4, np.ones(4), upper=np.full(4, 10.0))
+    return lp, Basis(np.arange(4), np.zeros(0, dtype=int))
+
+
+def _another_programs_solution():
+    return _binding_p2(1, sizes=(27e6, 3e6)), solve_lp(_binding_p2(1)).basis
+
+
+def _a_replaced_copys_solution():
+    lp = _binding_p2(1)  # the same numbers, built again: a form of its own
+    return lp, solve_lp(dataclasses.replace(lp, upper=lp.upper.copy())).basis
+
+
+def _crash_basis_at_other_sizes():
+    other = _binding_p2(1, sizes=(27e6, 3e6))
+    return _binding_p2(1), crash_basis(other, 10)  # the default 10 TDs
+
+
+class TestStartAndCertifyRetry:
     def test_a_column_priced_below_zero_at_the_certify_reload_is_flipped(self, monkeypatch):
         # min -x0 - x1 over x0 + x1 <= 1.5 in [0, 1]^2. The start's load hides x0's price,
         # so the flips move x1 alone to its bound, and the dual simplex, with nothing to
@@ -560,20 +585,28 @@ class TestWarmStart:
         assert child.status is LpStatus.OPTIMAL and child.certificate.ok()
         np.testing.assert_array_equal(child.x, [1.0, 0.0])
 
-    def test_start_at_an_infinite_upper_bound_rejected(self):
-        # columns: x in [0, 2], y in [0, 1], the row's slack, which has no upper bound
-        lp = lp_from_rows([1.0, -1.0], [([1.0, 1.0], LE, 3.0)], upper=[2.0, 1.0])
-        assert solve_lp(lp, start=Basis(np.array([2]), np.array([0]))).objective_value == -1.0
-        with pytest.raises(ConfigError, match="column 2 at an infinite upper bound"):
-            solve_lp(lp, start=Basis(np.array([0]), np.array([2])))
-
-    def test_start_that_does_not_fit_rejected(self):
-        # columns: x in [0, 2], y in [0, 1], the row's slack
-        lp = lp_from_rows([1.0, -1.0], [([1.0, 1.0], LE, 3.0)], upper=[2.0, 1.0])
-        for basic, at_upper in (([2, 0], []), ([3], []), ([2], [2]), ([2], [0, 0]), ([-1], [])):
-            start = Basis(np.array(basic), np.array(at_upper, dtype=int))
-            with pytest.raises(ConfigError, match="does not fit"):
-                solve_lp(lp, start=start)
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # built by hand: no tie, whether or not the ids would fit
+            pytest.param(_slack_basis_by_hand, id="slack-basis-by-hand"),
+            pytest.param(_slack_priced_below_zero, id="slack-priced-below-zero"),
+            pytest.param(_by_hand([0], [2]), id="slack-at-infinite-bound"),
+            pytest.param(_by_hand([2, 0]), id="two-basic-in-one-row"),
+            pytest.param(_by_hand([3]), id="id-out-of-range"),
+            pytest.param(_by_hand([2], [2]), id="basic-and-at-upper"),
+            pytest.param(_by_hand([2], [0, 0]), id="twice-at-upper"),
+            pytest.param(_by_hand([-1]), id="negative-id"),
+            # issued for another form
+            pytest.param(_another_programs_solution, id="another-programs-solution"),
+            pytest.param(_a_replaced_copys_solution, id="a-replaced-copys-solution"),
+            pytest.param(_crash_basis_at_other_sizes, id="crash-at-other-sizes"),
+        ],
+    )
+    def test_start_not_issued_for_this_form_rejected(self, case):
+        lp, start = case()
+        with pytest.raises(ConfigError, match="start basis was not built for this program's"):
+            solve_lp(lp, start=start)
 
     def test_crash_basis_is_tied_to_its_p2s_form_and_checked_on_any_other(self):
         scenarios = [
@@ -582,18 +615,23 @@ class TestWarmStart:
         ]
         p2s = [build_p2(s, np.linspace(3e6, 27e6, s.num_tds)) for s in scenarios]
         for p2, scenario in zip(p2s, scenarios):
-            crash = crash_basis(p2, scenario.num_tds)
-            form = p2._standard_form()
-            assert len(crash._factor) == 1 and crash._factor[0] is form
+            i, j = scenario.num_tds, scenario.num_uavs
+            crash = crash_basis(p2, i)
+            assert len(crash._factor) == 1 and crash._factor[0] is p2._standard_form()
             assert not crash.basic.flags.writeable and not crash.at_upper.flags.writeable
-            # the same ids built by hand pass every check: the crash basis fits its form
-            by_hand = Basis(crash.basic.copy(), crash.at_upper.copy())
-            assert form.basis_from(by_hand, form.ub)[2] is None
-            tied, checked = solve_lp(p2, start=crash), solve_lp(p2, start=by_hand)
-            for name in ("x", "duals", "reduced_costs"):
-                assert getattr(tied, name).tobytes() == getattr(checked, name).tobytes()
+            # per access row, the TD's cheapest link (ties to the lowest id); then P2's
+            # slacks, which follow its 2IJ columns in row order
+            links = [[td * j + k, i * j + td * j + k] for td in range(i) for k in range(j)]
+            cheapest = [
+                min(np.ravel(links[td * j : td * j + j]), key=lambda c: (p2.objective[c], c))
+                for td in range(i)
+            ]
+            slacks = range(p2.num_vars, p2.num_vars + p2.num_constraints - i)
+            np.testing.assert_array_equal(crash.basic, [*cheapest, *slacks])
+            assert crash.at_upper.size == 0
+            _assert_matches_highs(p2, solve_lp(p2, start=crash))
         # tied to the 10x3 form, it is checked, and rejected, on the 30x5 one
-        with pytest.raises(ConfigError, match="does not fit"):
+        with pytest.raises(ConfigError, match="not built for this program's standard form"):
             solve_lp(p2s[1], start=crash_basis(p2s[0], scenarios[0].num_tds))
 
     def test_cold_start_is_the_slack_basis_loaded_like_any_start(self):
@@ -604,7 +642,8 @@ class TestWarmStart:
         ]
         p2s = [build_p2(s, np.linspace(3e6, 27e6, s.num_tds)) for s in scenarios]
         for lp in [*(_random_lp(rng) for _ in range(60)), *p2s]:
-            slack = Basis(lp._standard_form().basis, [])
+            form = lp._standard_form()
+            slack = Basis(form.basis, [], (form,))
             cold, loaded = solve_lp(lp), solve_lp(lp, start=slack)
             assert cold.status is loaded.status
             if cold.status is LpStatus.OPTIMAL:
@@ -612,11 +651,18 @@ class TestWarmStart:
                     assert getattr(cold, name).tobytes() == getattr(loaded, name).tobytes()
                 np.testing.assert_array_equal(cold.basis.basic, loaded.basis.basic)
                 np.testing.assert_array_equal(cold.basis.at_upper, loaded.basis.at_upper)
+        # min sum(x) over x_k <= 1 in [0, 10]: the slack basis is optimal as loaded
+        lp = LinearProgram(np.ones(4), np.eye(4), [LE] * 4, np.ones(4), upper=np.full(4, 10.0))
+        sol = solve_lp(lp)
+        _assert_matches_highs(lp, sol)
+        np.testing.assert_array_equal(sol.x, np.zeros(4))
 
     def test_warm_child_inverts_once_and_solves_nothing(self, monkeypatch):
         calls = {"inv": 0, "solve": 0, "_dual_simplex": 0}
         lp = _binding_p2(1)
         parent = solve_lp(lp)
+        for ids in (parent.basis.basic, parent.basis.at_upper):
+            assert not ids.flags.writeable  # the carried inverse stays that of these ids
         ij = lp.num_vars // 2
         link = int(np.argmax(parent.x)) % ij  # a link the parent uses, closed: y = z = 0
         child = _with_bounds(lp, [link, link + ij], 0.0, 0.0)
@@ -627,36 +673,6 @@ class TestWarmStart:
         _assert_matches_highs(child, sol)
         # inv: the certify step alone; the start loads through the parent's inverse
         assert calls == {"inv": 1, "solve": 0, "_dual_simplex": 1}
-
-    def test_a_start_from_another_program_is_inverted(self, monkeypatch):
-        lp = _binding_p2(1)
-        parent = solve_lp(lp)
-        for ids in (parent.basis.basic, parent.basis.at_upper):
-            assert not ids.flags.writeable  # the carried inverse stays that of these ids
-        ij = lp.num_vars // 2
-        link = int(np.argmax(parent.x)) % ij
-        other_means = _binding_p2(1, sizes=(27e6, 3e6))
-        matrix = lp.matrix.copy()
-        matrix[-1] *= 1.5  # the HAP's energy row
-        others = [
-            _with_bounds(other_means, [link, link + ij], 0.0, 0.0),
-            _with_bounds(dataclasses.replace(lp, matrix=matrix), [link, link + ij], 0.0, 0.0),
-        ]
-        assert all(other._standard_form() is not lp._form for other in others)
-        for other in others:
-            fresh = solve_lp(other, start=Basis(parent.basis.basic, parent.basis.at_upper))
-            factors = []
-
-            def load(*args, factor=None, real=lp_module._load_tableau):
-                factors.append(args[6] if len(args) > 6 else factor)
-                return real(*args)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(lp_module, "_load_tableau", load)
-                carried = solve_lp(other, start=parent.basis)
-            assert len(factors) >= 2 and factors == [None] * len(factors)  # every load inverts
-            assert _solution_bytes(carried) == _solution_bytes(fresh)
-            _assert_matches_highs(other, carried)
 
     def test_chains_of_children_match_the_replace_path(self):
         rng = np.random.default_rng(2024)
@@ -680,7 +696,9 @@ class TestWarmStart:
                 replaced = dataclasses.replace(replaced, lower=lo, upper=hi)
                 assert shared._form is root._form
                 sol = solve_lp(shared, start=sol.basis)
-                old = solve_lp(replaced, start=old.basis)
+                # the same ids, tied to the replaced copy's own form: inverted afresh
+                ids = Basis(old.basis.basic, old.basis.at_upper, (replaced._standard_form(),))
+                old = solve_lp(replaced, start=ids)
                 assert _solution_bytes(sol) == _solution_bytes(old)
                 _assert_status_and_objective_match_highs(shared, sol)
                 depth += 1
@@ -691,8 +709,9 @@ class TestWarmStart:
         # columns: x, y, then the two rows' slacks; x and y have one column in both rows
         rows = [([1.0, 1.0], LE, 2.0), ([1.0, 1.0], LE, 3.0)]
         lp = lp_from_rows([1.0, 1.0], rows, upper=[1.0, 1.0])
+        start = Basis(np.array([0, 1]), np.zeros(0, dtype=int), (lp._standard_form(),))
         with pytest.raises(SolverError, match="singular basis matrix"):
-            solve_lp(lp, start=Basis(np.array([0, 1]), np.zeros(0, dtype=int)))
+            solve_lp(lp, start=start)
 
 
 def _permutation_cases():
