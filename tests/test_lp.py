@@ -619,12 +619,11 @@ class TestWarmStart:
             crash = crash_basis(p2, i)
             assert len(crash._factor) == 1 and crash._factor[0] is p2._standard_form()
             assert not crash.basic.flags.writeable and not crash.at_upper.flags.writeable
-            # per access row, the TD's cheapest link (ties to the lowest id); then P2's
-            # slacks, which follow its 2IJ columns in row order
-            links = [[td * j + k, i * j + td * j + k] for td in range(i) for k in range(j)]
+            # per access row, the TD's cheapest link over [y_i., z_i.] (ties to the lowest
+            # id); then P2's slacks, which follow its 2IJ columns in row order
+            ids = np.arange(2 * i * j).reshape(2, i, j)
             cheapest = [
-                min(np.ravel(links[td * j : td * j + j]), key=lambda c: (p2.objective[c], c))
-                for td in range(i)
+                min(ids[:, td].ravel(), key=lambda c: (p2.objective[c], c)) for td in range(i)
             ]
             slacks = range(p2.num_vars, p2.num_vars + p2.num_constraints - i)
             np.testing.assert_array_equal(crash.basic, [*cheapest, *slacks])
