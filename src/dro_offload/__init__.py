@@ -11,7 +11,6 @@ from .ambiguity import (
 from .geometry import (
     ComputeParams,
     EnergyParams,
-    Position3D,
     RadioParams,
     Scenario,
     ScenarioConfig,
@@ -47,7 +46,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "LpStatus",
-    "Position3D",
     "RadioParams",
     "SampleSpace",
     "Scenario",

@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 
 from .ambiguity import Distribution, SampleSpace, tolerance_from_confidence
 from .errors import ConfigError
-from .geometry import ComputeParams, EnergyParams, Position3D, RadioParams, ScenarioConfig
+from .geometry import ComputeParams, EnergyParams, RadioParams, ScenarioConfig
 
 MBIT = 1e6
 
@@ -231,16 +231,6 @@ def _list_of(kind: _Kind) -> _Kind:
     return _Kind(parse, lambda values: [kind.dump(v) for v in values])
 
 
-def _point(value, path: str) -> Position3D:
-    if not (isinstance(value, list) and len(value) == 3):
-        raise ConfigError(f"{path} must be a list of 3 numbers, got {value!r}")
-    coordinates = [_real(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    try:
-        return Position3D(*coordinates)
-    except ConfigError as exc:
-        raise ConfigError(f"{path} is out of range: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class _Object:
     """A JSON object read into `cls`; `rows` maps json key -> (attribute, kind, default)."""
@@ -271,7 +261,6 @@ _INTEGER = _Kind(_integer)
 _DB = _Kind(_db_in, _db_out)
 _BOOL = _instance(bool, "true or false")
 _STRING = _instance(str, "a string")
-_POINT = _Kind(_point, lambda p: list(p.to_tuple()))
 
 _RADIO = _Object(RadioParams, {
     "ref_gain_td_uav_db": ("ref_gain_td_uav", _DB, -60.0),
@@ -302,7 +291,7 @@ _SCENARIO = _Object(ScenarioConfig, {
     "num_uavs": ("num_uavs", _INTEGER, 3),
     "area_size_m": ("area_size", _REAL, 10000.0),
     "uav_altitude_m": ("uav_altitude", _REAL, 2000.0),
-    "hap_position_m": ("hap_position", _POINT, [5000.0, 5000.0, 20000.0]),
+    "hap_position_m": ("hap_position", _list_of(_REAL), [5000.0, 5000.0, 20000.0]),
     "quota_uav": ("quota_uav", _INTEGER, 4),
     "quota_hap": ("quota_hap", _INTEGER, 4),
     "radio": ("radio", _RADIO, {}),

@@ -16,24 +16,6 @@ from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
-class Position3D:
-    """Cartesian coordinates in meters; z is altitude above ground."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ConfigError("position coordinates must be finite")
-        if self.z < 0:
-            raise ConfigError(f"altitude must be >= 0, got {self.z}")
-
-    def to_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
 class RadioParams:
     """Link-budget parameters, all linear and strictly positive."""
 
@@ -85,34 +67,6 @@ class EnergyParams:
             raise ConfigError("UAV relay power must be > 0")
 
 
-def euclidean_distance(a: Position3D, b: Position3D) -> float:
-    """Straight-line distance in meters between two nodes."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-
-
-def channel_gain(ref_gain: float, distance: float) -> float:
-    """Inverse-square line-of-sight gain: ref_gain * distance**-2."""
-    if distance <= 0:
-        raise ConfigError(f"distance must be > 0, got {distance}")
-    return ref_gain / (distance * distance)
-
-
-def link_rate(bandwidth: float, tx_power: float, gain: float, noise: float) -> float:
-    """Shannon rate B*log2(1 + p*g/sigma^2) in bits/s.
-
-    A zero gain is allowed and yields a zero rate (the zero-SNR limit).
-    """
-    if bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be > 0, got {bandwidth}")
-    if noise <= 0:
-        raise ConfigError(f"noise power must be > 0, got {noise}")
-    if tx_power <= 0:
-        raise ConfigError(f"tx power must be > 0, got {tx_power}")
-    if gain < 0:
-        raise ConfigError(f"gain must be >= 0, got {gain}")
-    return bandwidth * math.log2(1.0 + tx_power * gain / noise)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Immutable snapshot of the physical network.
@@ -121,9 +75,9 @@ class Scenario:
     shared read-only by all solvers and evaluation workers.
     """
 
-    tds: tuple[Position3D, ...]
-    uavs: tuple[Position3D, ...]
-    hap: Position3D
+    tds: np.ndarray = field(repr=False)  # I x 3, meters; z is altitude above ground
+    uavs: np.ndarray = field(repr=False)  # J x 3, meters
+    hap: tuple[float, float, float]
     radio: RadioParams
     compute: ComputeParams
     energy: EnergyParams
@@ -141,8 +95,8 @@ class Scenario:
             raise ShapeError("rate_uav_hap shape mismatch")
         if not (self.rate_td_uav > 0).all() or not (self.rate_uav_hap > 0).all():
             raise ConfigError("all link rates must be strictly positive")
-        self.rate_td_uav.setflags(write=False)
-        self.rate_uav_hap.setflags(write=False)
+        for array in (self.tds, self.uavs, self.rate_td_uav, self.rate_uav_hap):
+            array.setflags(write=False)
 
     @property
     def num_tds(self) -> int:
@@ -154,9 +108,9 @@ class Scenario:
 
     def to_dict(self) -> dict:
         return {
-            "tds": [p.to_tuple() for p in self.tds],
-            "uavs": [p.to_tuple() for p in self.uavs],
-            "hap": self.hap.to_tuple(),
+            "tds": self.tds.tolist(),
+            "uavs": self.uavs.tolist(),
+            "hap": list(self.hap),
             "radio": vars(self.radio).copy(),
             "compute": vars(self.compute).copy(),
             "energy": vars(self.energy).copy(),
@@ -224,7 +178,7 @@ class ScenarioConfig:
     num_uavs: int
     area_size: float  # side of the square deployment area, meters
     uav_altitude: float
-    hap_position: Position3D
+    hap_position: tuple[float, float, float]  # meters
     radio: RadioParams
     compute: ComputeParams
     energy: EnergyParams
@@ -242,6 +196,12 @@ class ScenarioConfig:
             raise ConfigError(f"scenario.area_size_m must be > 0, got {self.area_size}")
         if not self.uav_altitude > 0:
             raise ConfigError(f"scenario.uav_altitude_m must be > 0, got {self.uav_altitude}")
+        hap = self.hap_position
+        if not (len(hap) == 3 and all(map(math.isfinite, hap)) and hap[2] >= 0):
+            raise ConfigError(
+                f"scenario.hap_position_m must be 3 finite coordinates with altitude >= 0, "
+                f"got {list(hap)}"
+            )
         for name in ("quota_uav", "quota_hap"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"scenario.{name} must be >= 0, got {getattr(self, name)}")
@@ -264,34 +224,42 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     Deterministic for a given (config, seed) pair.
     """
     rng = np.random.default_rng([int(seed), 0x6E0])
-    # Python floats: their arithmetic is numpy's, bit for bit, at a fraction of the cost
-    td_xy = rng.uniform(0.0, config.area_size, size=(config.num_tds, 2)).tolist()
-    uav_xy = rng.uniform(0.0, config.area_size, size=(config.num_uavs, 2)).tolist()
-    tds = tuple(Position3D(x, y, 0.0) for x, y in td_xy)
-    uavs = tuple(Position3D(x, y, config.uav_altitude) for x, y in uav_xy)
-    hap, radio = config.hap_position, config.radio
-    # every link in one scalar pass, the TD-UAV links in row-major order and then the
-    # UAV-HAP links: numpy's log2 and power differ from math's in the last bit
+    num_tds, num_uavs, radio = config.num_tds, config.num_uavs, config.radio
+    tds = np.column_stack([rng.uniform(0.0, config.area_size, (num_tds, 2)), np.zeros(num_tds)])
+    uavs = np.column_stack(
+        [rng.uniform(0.0, config.area_size, (num_uavs, 2)), np.full(num_uavs, config.uav_altitude)]
+    )
+    # every link in one scalar pass over Python floats, the TD-UAV links in row-major order
+    # and then the UAV-HAP links: numpy's log2 and power differ from math's in the last
+    # bit, and x ** 2 differs from x * x
     td_uav = (radio.ref_gain_td_uav, radio.bandwidth_td_uav, radio.tx_power_td)
     uav_hap = (radio.ref_gain_uav_hap, radio.bandwidth_uav_hap, radio.tx_power_uav)
-    links = [(td, uav, td_uav) for td in tds for uav in uavs]
-    links += [(uav, hap, uav_hap) for uav in uavs]
-    rates = np.array(
-        [
-            link_rate(bw, power, channel_gain(gain, euclidean_distance(a, b)), radio.noise_power)
-            for a, b, (gain, bw, power) in links
-        ]
-    )
-    num_links = config.num_tds * config.num_uavs
+    uav_points = uavs.tolist()
+    links = [(td, uav, td_uav) for td in tds.tolist() for uav in uav_points]
+    links += [(uav, config.hap_position, uav_hap) for uav in uav_points]
+    rates = []
+    try:
+        for (ax, ay, az), (bx, by, bz), (gain, bandwidth, power) in links:
+            distance = math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+            if distance <= 0:
+                raise ConfigError(f"link distance must be > 0, got {distance}: two nodes meet")
+            gain /= distance * distance
+            rates.append(bandwidth * math.log2(1.0 + power * gain / radio.noise_power))
+    except OverflowError:
+        raise ConfigError(
+            "a squared link distance is past the float range: scenario.area_size_m, "
+            "scenario.uav_altitude_m and scenario.hap_position_m must place the nodes closer"
+        ) from None
+    num_links = num_tds * num_uavs
     return Scenario(
         tds=tds,
         uavs=uavs,
-        hap=hap,
+        hap=config.hap_position,
         radio=radio,
         compute=config.compute,
         energy=config.energy,
         quota_uav=config.quota_uav,
         quota_hap=config.quota_hap,
-        rate_td_uav=rates[:num_links].reshape(config.num_tds, config.num_uavs),
-        rate_uav_hap=rates[num_links:],
+        rate_td_uav=np.array(rates[:num_links]).reshape(num_tds, num_uavs),
+        rate_uav_hap=np.array(rates[num_links:]),
     )

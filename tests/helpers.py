@@ -29,13 +29,7 @@ from dro_offload.errors import (
     SolverError,
 )
 from dro_offload.lp import EQ, GE, LE, LinearProgram, LpStatus, solve_lp
-from dro_offload.geometry import (
-    Position3D,
-    channel_gain,
-    euclidean_distance,
-    link_rate,
-    per_bit_coefficients,
-)
+from dro_offload.geometry import per_bit_coefficients
 from dro_offload.mdrloa import SolveResult, select_branch
 from dro_offload.model import OffloadDecision, build_p2, crash_basis
 
@@ -183,18 +177,19 @@ def worst_case_mean_loop(reference, radius: float, atoms) -> tuple[tuple, float]
 
 def link_rates_per_link(config, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The TD-UAV and UAV-HAP rates of `generate_scenario(config, seed)`, link by link
-    from positions whose coordinates are NumPy scalars: the reference for its one pass
-    over Python floats."""
+    from points whose x and y are NumPy scalars, each a distance, then an inverse-square
+    gain, then a Shannon rate: the reference for its one pass over Python floats."""
     rng = np.random.default_rng([int(seed), 0x6E0])
     td_xy = rng.uniform(0.0, config.area_size, size=(config.num_tds, 2))
     uav_xy = rng.uniform(0.0, config.area_size, size=(config.num_uavs, 2))
-    tds = [Position3D(x, y, 0.0) for x, y in td_xy]
-    uavs = [Position3D(x, y, config.uav_altitude) for x, y in uav_xy]
+    tds = [(x, y, 0.0) for x, y in td_xy]
+    uavs = [(x, y, config.uav_altitude) for x, y in uav_xy]
     radio = config.radio
 
-    def rate(a, b, gain, bandwidth, power):
-        distance = euclidean_distance(a, b)
-        return link_rate(bandwidth, power, channel_gain(gain, distance), radio.noise_power)
+    def rate(a, b, ref_gain, bandwidth, power):
+        distance = math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
+        gain = ref_gain / (distance * distance)
+        return bandwidth * math.log2(1.0 + power * gain / radio.noise_power)
 
     td_uav = (radio.ref_gain_td_uav, radio.bandwidth_td_uav, radio.tx_power_td)
     uav_hap = (radio.ref_gain_uav_hap, radio.bandwidth_uav_hap, radio.tx_power_uav)

@@ -237,12 +237,17 @@ def test_sweep_non_integral_quota_exit_2(cfg_path, tmp_path, capsys):
             {"ambiguity": {"truth": {"kind": "categorical", "probs": [0.2, 0.3, 0.5]}}},
             "ambiguity.truth.probs",
         ),
+        # a squared link distance past the float range
+        ({"scenario": {"area_size_m": 1e200}}, "scenario.area_size_m"),
+        ({"scenario": {"uav_altitude_m": 1e300}}, "scenario.uav_altitude_m"),
+        ({"scenario": {"hap_position_m": [0, 0, 1e200]}}, "scenario.hap_position_m"),
     ],
 )
 def test_out_of_range_config_exit_2_on_every_command(tmp_path, capsys, config, field):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
-    for argv in (["generate"], ["solve", "--seed", "1"]):
+    evaluate = ["evaluate", "--seed", "1", "--out", str(tmp_path / "out")]
+    for argv in (["generate"], ["solve", "--seed", "1"], evaluate):
         assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
 

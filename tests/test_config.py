@@ -96,7 +96,7 @@ class TestDefaults:
         sc = cfg.scenario
         assert sc.num_tds == 10 and sc.num_uavs == 3
         assert sc.area_size == 10000.0 and sc.uav_altitude == 2000.0
-        assert sc.hap_position.to_tuple() == (5000.0, 5000.0, 20000.0)
+        assert sc.hap_position == (5000.0, 5000.0, 20000.0)
         assert sc.quota_uav == 4 and sc.quota_hap == 4
         assert sc.radio.ref_gain_td_uav == pytest.approx(1e-6, rel=1e-12)
         assert sc.radio.noise_power == pytest.approx(1e-10, rel=1e-12)

@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from dro_offload.config import default_config
 from dro_offload.errors import ConfigError
-from dro_offload.geometry import (
-    Position3D,
-    channel_gain,
-    euclidean_distance,
-    generate_scenario,
-    link_rate,
-    per_bit_coefficients,
-)
+from dro_offload.geometry import generate_scenario, per_bit_coefficients
 from helpers import link_rates_per_link
 
 
@@ -24,60 +17,88 @@ def _default_scenario(seed=1):
     return generate_scenario(default_config().scenario, seed)
 
 
+def _one_link(altitude=2000.0, hap=(0.0, 0.0, 20000.0), **radio):
+    """A 1x1 scenario whose area collapses to a point at the origin: its TD sits
+    `altitude` right below its UAV, so each rate is the rate at a chosen distance."""
+    cfg = default_config().scenario
+    cfg = dataclasses.replace(
+        cfg,
+        num_tds=1,
+        num_uavs=1,
+        area_size=5e-324,
+        uav_altitude=altitude,
+        hap_position=hap,
+        radio=dataclasses.replace(cfg.radio, **radio),
+    )
+    return generate_scenario(cfg, 1)
+
+
+def _uav_hap_rate_at(sc, distance):
+    r = sc.radio
+    gain = r.ref_gain_uav_hap / (distance * distance)
+    return r.bandwidth_uav_hap * math.log2(1.0 + r.tx_power_uav * gain / r.noise_power)
+
+
 class TestDistanceAndGain:
     def test_345_triangle(self):
-        assert euclidean_distance(Position3D(0, 0, 0), Position3D(3, 4, 0)) == 5.0
+        sc = _one_link(hap=(3.0, 4.0, 2000.0))
+        assert sc.rate_uav_hap[0] == _uav_hap_rate_at(sc, 5.0)
 
     def test_corner_distance(self):
-        d = euclidean_distance(Position3D(0, 0, 0), Position3D(10000, 10000, 2000))
-        assert d == pytest.approx(14282.8568570857, abs=1e-9)
+        sc = _one_link(hap=(10000.0, 10000.0, 0.0))
+        expected = _uav_hap_rate_at(sc, 14282.8568570857)
+        assert sc.rate_uav_hap[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gain_inverse_square(self):
-        assert channel_gain(1e-6, 1000.0) == pytest.approx(1e-12, rel=1e-15)
+        sc = _one_link(altitude=1000.0)
+        r = sc.radio
+        expected = r.bandwidth_td_uav * math.log2(1.0 + r.tx_power_td * 1e-12 / r.noise_power)
+        assert sc.rate_td_uav[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_gain_rejects_nonpositive_distance(self):
-        with pytest.raises(ConfigError):
-            channel_gain(1e-6, 0.0)
+        with pytest.raises(ConfigError, match="distance must be > 0"):
+            _one_link(hap=(0.0, 0.0, 2000.0))
 
     @given(
         d1=st.floats(min_value=1.0, max_value=1e6),
         factor=st.floats(min_value=1.001, max_value=100.0),
     )
     def test_gain_decreases_with_distance(self, d1, factor):
-        assert channel_gain(1e-6, d1 * factor) < channel_gain(1e-6, d1)
+        far, near = (_one_link(altitude=d, hap=(0.0, 0.0, 0.0)) for d in (d1 * factor, d1))
+        assert far.rate_td_uav[0, 0] < near.rate_td_uav[0, 0]
 
 
 class TestLinkRate:
+    """Section-IV rates: a TD under its UAV at 2 km, and that UAV to the HAP at 18 km."""
+
     def test_overhead_td_rate(self):
-        # TD directly under a UAV at 2 km with section-IV radio defaults
-        g = channel_gain(1e-6, 2000.0)
-        assert link_rate(1e6, 0.5, g, 1e-10) == pytest.approx(1802.242633985384, rel=1e-12)
+        sc = _one_link()
+        assert sc.rate_td_uav[0, 0] == pytest.approx(1802.242633985384, rel=1e-12)
 
     def test_corner_td_rate(self):
-        g = channel_gain(1e-6, 14282.8568570857)
-        assert link_rate(1e6, 0.5, g, 1e-10) == pytest.approx(35.35973924240811, rel=1e-9)
+        sc = _one_link(altitude=14282.8568570857, hap=(0.0, 0.0, 0.0))
+        assert sc.rate_td_uav[0, 0] == pytest.approx(35.35973924240811, rel=1e-9)
 
     def test_uav_hap_rate(self):
-        g = channel_gain(1e-6, 18000.0)
-        assert link_rate(2e7, 10.0, g, 1e-10) == pytest.approx(8904.150917069082, rel=1e-12)
+        sc = _one_link()
+        assert sc.rate_uav_hap[0] == pytest.approx(8904.150917069082, rel=1e-12)
 
-    def test_zero_gain_zero_rate(self):
-        assert link_rate(1e6, 0.5, 0.0, 1e-10) == 0.0
+    def test_zero_rate_rejected(self):
+        # at 1e10 m the SNR is below half an ulp of 1, so the rate rounds to 0
+        with pytest.raises(ConfigError, match="strictly positive"):
+            _one_link(altitude=1e10, hap=(0.0, 0.0, 0.0))
 
     def test_invalid_inputs(self):
-        for kwargs in (
-            dict(bandwidth=0.0, tx_power=1, gain=1, noise=1),
-            dict(bandwidth=1, tx_power=0.0, gain=1, noise=1),
-            dict(bandwidth=1, tx_power=1, gain=-1.0, noise=1),
-            dict(bandwidth=1, tx_power=1, gain=1, noise=0.0),
-        ):
-            with pytest.raises(ConfigError):
-                link_rate(**kwargs)
+        radio = default_config().scenario.radio
+        for name in ("bandwidth_td_uav", "tx_power_td", "ref_gain_td_uav", "noise_power"):
+            with pytest.raises(ConfigError, match=name):
+                dataclasses.replace(radio, **{name: 0.0})
 
     @given(p=st.floats(min_value=0.01, max_value=100.0))
     def test_rate_increases_with_power(self, p):
-        g, n = 1e-10, 1e-10
-        assert link_rate(1e6, 2 * p, g, n) > link_rate(1e6, p, g, n)
+        # gain 1e-6 / 100**2 = 1e-10 over noise 1e-10: the SNR is the power
+        stronger, weaker = (_one_link(altitude=100.0, tx_power_td=q) for q in (2 * p, p))
+        assert stronger.rate_td_uav[0, 0] > weaker.rate_td_uav[0, 0]
 
 
 class TestPerBitCoefficients:
@@ -112,15 +133,17 @@ class TestScenario:
 
     def test_rate_matrices_read_only(self):
         sc = _default_scenario()
-        with pytest.raises(ValueError):
-            sc.rate_td_uav[0, 0] = 1.0
+        for array in (sc.rate_td_uav, sc.tds, sc.uavs):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
     def test_round_trip_dict(self):
         # `generate` prints to_dict(); it must survive JSON without loss
         sc = _default_scenario()
         data = json.loads(json.dumps(sc.to_dict()))
         np.testing.assert_array_equal(data["rate_td_uav"], sc.rate_td_uav)
-        assert [tuple(p) for p in data["tds"]] == [p.to_tuple() for p in sc.tds]
+        assert data["tds"] == sc.tds.tolist() and data["uavs"] == sc.uavs.tolist()
+        assert data["hap"] == list(sc.hap)
         assert data["energy"] == vars(sc.energy)
 
     def test_generation_is_deterministic(self):
@@ -128,28 +151,27 @@ class TestScenario:
         a = generate_scenario(cfg, 42)
         b = generate_scenario(cfg, 42)
         c = generate_scenario(cfg, 43)
-        assert a.tds == b.tds and a.uavs == b.uavs
-        assert a.tds != c.tds
+        assert np.array_equal(a.tds, b.tds) and np.array_equal(a.uavs, b.uavs)
+        assert not np.array_equal(a.tds, c.tds)
 
     def test_positions_inside_area(self):
         cfg = default_config().scenario
         sc = generate_scenario(cfg, 5)
-        for p in sc.tds:
-            assert 0 <= p.x <= cfg.area_size and 0 <= p.y <= cfg.area_size
-            assert p.z == 0.0
-        for p in sc.uavs:
-            assert p.z == cfg.uav_altitude
+        assert sc.tds.shape == (10, 3) and sc.uavs.shape == (3, 3)
+        for points in (sc.tds, sc.uavs):
+            assert ((0 <= points[:, :2]) & (points[:, :2] <= cfg.area_size)).all()
+        assert (sc.tds[:, 2] == 0.0).all() and (sc.uavs[:, 2] == cfg.uav_altitude).all()
 
     def test_validation_errors(self):
-        with pytest.raises(ConfigError):
-            Position3D(0, 0, -1)
-        with pytest.raises(ConfigError):
-            Position3D(math.nan, 0, 0)
+        cfg = default_config().scenario
+        for hap in ((0.0, 0.0, -1.0), (0.0, math.nan, 0.0), (0.0, 0.0)):
+            with pytest.raises(ConfigError, match=r"scenario\.hap_position_m"):
+                dataclasses.replace(cfg, hap_position=hap)
 
 
 class TestOnePassRates:
     """`generate_scenario` computes every link in one pass over Python floats; its
-    rates equal `link_rate(channel_gain(euclidean_distance))` link by link."""
+    rates equal those composed link by link in `helpers.link_rates_per_link`."""
 
     CONFIG = dataclasses.replace(
         default_config().scenario, num_tds=30, num_uavs=5, quota_uav=8
@@ -167,7 +189,7 @@ class TestOnePassRates:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), uav=st.integers(0, 4))
     def test_uav_on_the_hap_rejected(self, seed, uav):
-        on_hap = generate_scenario(self.CONFIG, seed).uavs[uav]
+        on_hap = tuple(generate_scenario(self.CONFIG, seed).uavs[uav].tolist())
         config = dataclasses.replace(self.CONFIG, hap_position=on_hap)
         with pytest.raises(ConfigError, match="distance must be > 0"):
             generate_scenario(config, seed)

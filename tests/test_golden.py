@@ -1,18 +1,23 @@
-"""Golden results CSVs: `evaluate` on the benchmark configs, seeds 1-5, and `sweep`
-over eps and over Q on the binding config, seeds 1-3.
+"""Golden outputs: results CSVs of `evaluate` on the benchmark configs, seeds 1-5, and
+of `sweep` over eps and over Q on the binding config, seeds 1-3; the `generate` JSON of
+the default config at seed 1 and of the 30x5 ladder config at seed 2; and the config
+hashes of those two configs.
 
 A change that moves a row must list the moved rows in CHANGES.md and
 rewrite the files with `PYTHONPATH=src python tests/test_golden.py`,
 which prints each changed row's old and new line, per file.
 """
 
+import contextlib
 import dataclasses
+import io
 import itertools
 from pathlib import Path
 
 import pytest
 
-from dro_offload.config import load_config
+from dro_offload.cli import main
+from dro_offload.config import default_config, load_config
 from dro_offload.evaluation import EvaluationReport, compare_methods, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +28,17 @@ GOLDENS = {
     "eval-binding": ("eval-binding", (1, 2, 3, 4, 5), ()),
     "ladder-30x5": ("ladder-30x5", (1, 2, 3, 4, 5), ()),
     "sweep-binding": ("eval-binding", (1, 2, 3), (("eps", (0.1, 0.3, 1.0)), ("Q", (10, 30, 100)))),
+}
+# golden file -> `generate` arguments
+GENERATE = {
+    "generate-default-seed1": ["--seed", "1"],
+    "generate-ladder-30x5-seed2": [
+        "--seed", "2", "--config", str(ROOT / "perfbench" / "configs" / "ladder-30x5.json")
+    ],
+}
+CONFIG_SHA256 = {
+    "default": "1a8a97bc2f243e4b8a0e6f27fd58a51d1b92fcba92fb568394eee872151f7935",
+    "ladder-30x5": "b53c40a5324318cc2fc048fef7510e8ed96c8bc2443492e1c35075eab8cc3528",
 }
 
 
@@ -36,16 +52,36 @@ def _csv(name: str) -> str:
     return EvaluationReport(rows=rows).to_csv()
 
 
+def _generate(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["generate", *GENERATE[name]]) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", GOLDENS)
 def test_results_csv_matches_golden(name):
     assert _csv(name).encode() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", GENERATE)
+def test_generate_matches_golden(name):
+    assert _generate(name).encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_config_hashes_are_pinned():
+    ladder = load_config(ROOT / "perfbench" / "configs" / "ladder-30x5.json")
+    assert default_config().hash() == CONFIG_SHA256["default"]
+    assert ladder.hash() == CONFIG_SHA256["ladder-30x5"]
+
+
 if __name__ == "__main__":
-    for name in GOLDENS:
-        path = GOLDEN / f"{name}.csv"
+    outputs = [(name, ".csv", _csv) for name in GOLDENS]
+    outputs += [(name, ".json", _generate) for name in GENERATE]
+    for name, suffix, render in outputs:
+        path = GOLDEN / f"{name}{suffix}"
         old = path.read_text().splitlines() if path.exists() else []
-        new = _csv(name)
+        new = render(name)
         changed = [
             (before, after)
             for before, after in itertools.zip_longest(old, new.splitlines(), fillvalue="")
