@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -86,7 +86,7 @@ def _check_bounds(lower: np.ndarray, upper: np.ndarray, n: int) -> None:
         raise ShapeError("objective, lower and upper must be vectors of one length")
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ConfigError("bounds must be finite numbers: every variable needs a box")
-    empty = np.flatnonzero(lower > upper)
+    empty = (lower > upper).nonzero()[0]
     if empty.size:
         j = int(empty[0])
         raise ConfigError(f"variable {j} has empty bound interval [{lower[j]}, {upper[j]}]")
@@ -271,13 +271,28 @@ _SIDES = np.array([[1.0], [-1.0]])  # check_solution: a variable's lower, then u
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot `col` into the basis at `row`: scale the pivot row, then subtract its
+    multiples from every other row.
+
+    A pivot column with more than half of its entries nonzero updates the whole tableau
+    with one broadcast rank-1 product, the pivot row's own multiple zeroed; a sparser
+    one updates its nonzero rows alone. Both give every value the same bytes: a row
+    whose entry in the column is zero gets x - 0·y, which is x for a tableau's finite
+    entries. Only a -0 may turn +0, and no choice reads a zero's sign, nor does any
+    output, which the certify step computes from a fresh load. Each product is
+    np.outer's, bit for bit, without its ravels.
+    """
     tableau[row] /= tableau[row, col]
     column = tableau[:, col]
-    rows = column.nonzero()[0]
-    rows = rows[rows != row]
-    # the broadcast product is np.outer's, bit for bit, without its ravels
-    tableau[rows] -= column[rows, None] * tableau[row]
-    tableau[rows, col] = 0.0
+    if 2 * np.count_nonzero(column) > column.size:
+        update = column[:, None] * tableau[row]
+        update[row] = 0.0
+        tableau -= update
+    else:
+        rows = column.nonzero()[0]
+        rows = rows[rows != row]
+        tableau[rows] -= column[rows, None] * tableau[row]
+    column[:] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
@@ -408,14 +423,15 @@ def _load_tableau(
     reduced costs, which no bound value changes; only x_B and the objective are
     computed."""
     m = basis.size
-    at_ub = np.flatnonzero(flipped)
+    at_ub = flipped.nonzero()[0]
     costs = form.costs
     held, rhs, at_ub_cost = costs, b, 0.0  # held: each column's cost as the tableau holds it
     if at_ub.size:
+        ub_at = ub[at_ub]
         held = costs.copy()
         held[at_ub] *= -1.0
-        rhs = b - form.a_full[:, at_ub] @ ub[at_ub]
-        at_ub_cost = costs[at_ub] @ ub[at_ub]
+        rhs = b - form.a_full[:, at_ub] @ ub_at
+        at_ub_cost = costs[at_ub] @ ub_at
     matrix_b = None
     if factor is None:
         matrix_b = form.a_full[:, basis]
@@ -461,7 +477,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     flipped = np.zeros(n_total, dtype=bool)
     tableau = np.zeros((m + 1, n_total + 1))
     costrow = tableau[-1, :-1]  # a view: every load, pivot and flip writes it
-    boxed = (ub > 0.0) & (ub < np.inf)  # the columns a flip can move: not the slacks
+    priced = ub > 0.0  # the columns the certify step prices: not the fixed ones
+    boxed = priced & (ub < np.inf)  # the columns a flip can move: not the slacks
 
     # a cold solve starts from the slack basis, issued for this form like any start
     start = start or Basis(form.basis, form.basis[:0], (form,))
@@ -471,7 +488,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
 
     for _attempt in range(6):
         # dual feasible: each boxed column priced below zero moves to its other bound
-        for col in np.flatnonzero(boxed & (costrow < -_OPT_TOL)):
+        for col in (boxed & (costrow < -_OPT_TOL)).nonzero()[0]:
             _flip(tableau, ub, flipped, col)
         # primal feasibility does not depend on the costs: False means INFEASIBLE either way
         if not _dual_simplex(tableau, basis, ub, flipped, max_iter):
@@ -479,22 +496,23 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         # certify: reload the final basis, so that roundoff the pivots piled up is gone
         flipped[basis] = False
         inverse, rhs, matrix_b = _load_tableau(tableau, form, ub, b, basis, flipped)
-        if costrow[ub > 0.0].min(initial=0.0) >= -_CERTIFY_TOL:
+        if costrow[priced].min(initial=0.0) >= -_CERTIFY_TOL:
             break
         # roundoff fooled the pivots: flip and run the dual simplex from the reloaded tableau
     else:
         raise SolverError("simplex failed to reach a certified optimal basis")
 
     # one step of iterative refinement for x_B and y, through the load's inverse
-    at_ub = np.flatnonzero(flipped)
-    xb = tableau[:m, -1] + inverse @ (rhs - matrix_b @ tableau[:m, -1])
+    at_ub = flipped.nonzero()[0]
+    xb = tableau[:m, -1]
+    xb = xb + inverse @ (rhs - matrix_b @ xb)
     c_b = form.costs[basis]
     y = c_b @ inverse
     y += (c_b - y @ matrix_b) @ inverse
 
     t_values = np.zeros(n_total)
     t_values[at_ub] = ub[at_ub]
-    t_values[basis] = np.clip(xb, 0.0, ub[basis])
+    t_values[basis] = xb.clip(0.0, ub[basis])
     x = lp.lower + t_values[:n]
 
     # the returned basis carries this load: its arrays must stay the ones loaded
@@ -512,7 +530,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     failures = certificate.failures()
     if failures:
         raise SolverError("optimal solution fails its certificate: " + "; ".join(failures))
-    return replace(solution, certificate=certificate)
+    # the certificate checks the solution it then completes: set once, before anyone reads it
+    object.__setattr__(solution, "certificate", certificate)
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -540,27 +560,27 @@ def check_solution(lp: LinearProgram, solution: LpSolution) -> CertificationRepo
     if solution.status is not LpStatus.OPTIMAL:
         raise ConfigError("check_solution requires an Optimal solution")
     form = lp._standard_form()
-    x, duals, rhs = solution.x, solution.duals, lp.rhs
+    x, duals, rhs, ineq = solution.x, solution.duals, lp.rhs, form.ineq
     excess = lp.matrix @ x - rhs
     # [lower; upper] side of each variable: the point, the bound and the reduced cost,
     # signed so that the bound is a lower one
     point = _SIDES * x
-    bound = _SIDES * (lp.lower, lp.upper)
+    bound = np.array((lp.lower, -lp.upper))
     reduced = _SIDES * solution.reduced_costs
     below = bound - point
     # the bound a reduced cost prices: the side on which it is positive
     on = reduced > 0
     priced = reduced[on]  # the lower sides' entries, then the upper sides'
-    ineq_duals = duals[form.ineq]
+    ineq_duals = duals[ineq]
 
-    row_violation = np.where(form.ineq, excess, np.abs(excess))
+    row_violation = np.where(ineq, excess, np.abs(excess))
     primal = _larger(row_violation.max(initial=0.0), below.max(initial=0.0))
     # a reduced cost positive on a side is a violation unless x sits on that side's
     # bound (a variable on both, a fixed one, may take any)
     wrong_sign = reduced * (point > bound + _BOUND_TOL)
-    dual = _larger((-ineq_duals).max(initial=0.0), wrong_sign.max(initial=0.0))
+    dual = _larger(-ineq_duals.min(initial=0.0), wrong_sign.max(initial=0.0))
     comp = _larger(
-        np.abs(ineq_duals * excess[form.ineq]).max(initial=0.0),
+        np.abs(ineq_duals * excess[ineq]).max(initial=0.0),
         (priced * np.abs(below[on])).max(initial=0.0),
     )
 

@@ -93,7 +93,9 @@ def _solve_child(
     base: LinearProgram, bounds: np.ndarray, parent: LpSolution
 ) -> tuple[float, LpSolution]:
     """P2 `base` with `bounds` ([lower/upper, y/z block, TD, UAV]) solved warm from
-    `parent`'s final basis, and its objective (+inf unless it is optimal)."""
+    `parent`'s final basis, and its objective (+inf unless it is optimal). `bounds`
+    becomes read-only: the child's program keeps it rather than copy it."""
+    bounds.setflags(write=False)
     lo, hi = bounds
     child = solve_lp(base.with_bounds(lo.ravel(), hi.ravel()), start=parent.basis)
     return child.objective_value if child.status is LpStatus.OPTIMAL else np.inf, child
@@ -154,6 +156,7 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
             bounds, current = narrowed[chosen], child
         # every later child keeps x at its integral values: the unused links stay closed
         x = np.rint(current.x.reshape(2, i, j).sum(axis=0))
+        bounds = bounds.copy()  # the kept child's program holds the read-only original
         bounds[1, :, x == 0] = 0.0
 
     y, z = np.rint(current.x).astype(int).reshape(2, i, j)

@@ -822,10 +822,13 @@ def _dive_lps(
 
 def test_kernels_match_their_per_call_references_byte_for_byte(monkeypatch):
     """`_pivot` and `_dual_simplex` give every LP of perfbench's eval-binding at `--seed`
-    1-3 (seeds 1-22) the bytes that the versions kept in `helpers` give it."""
+    1-3 (seeds 1-22) and ladder-30x5 at `--seed` 1-3 (seeds 1-4) the bytes that the
+    versions kept in `helpers` give it. Both of `_pivot`'s updates run: the whole
+    tableau's, on a pivot column more than half nonzero, and the nonzero rows'."""
 
     def outputs():
         solved = _dive_lps(monkeypatch, names=("eval-binding",), seeds=tuple(range(1, 23)))
+        solved += _dive_lps(monkeypatch, names=("ladder-30x5",), seeds=(1, 2, 3, 4))
         return [
             (sol.status, *(sol.basis.basic.tobytes(), sol.basis.at_upper.tobytes()))
             + tuple(getattr(sol, name).tobytes() for name in ("x", "duals", "reduced_costs"))
@@ -835,7 +838,16 @@ def test_kernels_match_their_per_call_references_byte_for_byte(monkeypatch):
             for _, sol in solved
         ]
 
+    updates = collections.Counter()
+
+    def pivot(tableau, basis, row, col, real=lp_module._pivot):
+        column = tableau[:, col]
+        updates["dense" if 2 * np.count_nonzero(column) > column.size else "sparse"] += 1
+        real(tableau, basis, row, col)
+
+    monkeypatch.setattr(lp_module, "_pivot", pivot)
     current = outputs()
+    assert updates["dense"] > 0 and updates["sparse"] > 0
     monkeypatch.setattr(lp_module, "_pivot", pivot_with_outer)
     monkeypatch.setattr(lp_module, "_dual_simplex", dual_simplex_per_call)
     assert outputs() == current

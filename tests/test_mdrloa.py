@@ -40,6 +40,7 @@ from helpers import (
     expected_energy,
     expected_latency,
     feasible_decisions,
+    highs_solve,
 )
 
 SPACE = SampleSpace(atoms=(3e6, 9e6, 15e6, 21e6, 27e6))
@@ -423,6 +424,75 @@ def test_binding_dives_at_100x10(tmp_path, capsys, dive_lps, seed, code, message
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert len(dive_lps) == lps
+
+
+# known defects: valid configs whose root LP exits 4, though HiGHS solves that same LP to
+# optimality. Each is (config, seed, the SolverError message that `solve --method dro`
+# prints, HiGHS's optimum of the root LP)
+ROOT_LPS_THAT_EXIT_4 = {
+    # a 1e9 W relay power and two-sample per-device histories: residuals far past the bound
+    "relay-power-1e9": (
+        {
+            "scenario": {
+                "num_tds": 3,
+                "radio": {"ref_gain_uav_hap_db": -10},
+                "energy": {"uav_relay_power_w": 1e9},
+            },
+            "ambiguity": {
+                "atoms_mbit": [0.001, 1, 3, 9, 15],
+                "history_len": 2,
+                "per_device_history": True,
+            },
+        },
+        19,
+        "optimal solution fails its certificate: "
+        "max_primal_residual = 99994.98672816923 > 1e-08; "
+        "max_complementarity = 501071614.2392889 > 1e-08; "
+        "duality_gap_rel = 4781.569225965965 > 1e-07",
+        104717.7922358835,
+    ),
+    # UAVs 1e7 m up: every cost is about 2.4579e11 s, and the costs agree to 12 digits, so
+    # the absolute certify tolerance lies below their roundoff
+    "altitude-1e7": (
+        {"scenario": {"uav_altitude_m": 1e7, "radio": {"ref_gain_uav_hap_db": 30}}},
+        0,
+        "simplex failed to reach a certified optimal basis",
+        2457899698974.151,
+    ),
+    # a 1e8 m area with a single atom: a dual residual of one ulp of its largest cost, 7.8e8 s
+    "area-1e8": (
+        {
+            "scenario": {"num_tds": 3, "num_uavs": 2, "quota_uav": 2, "area_size_m": 1e8},
+            "ambiguity": {"atoms_mbit": [0.001]},
+        },
+        1,
+        "optimal solution fails its certificate: "
+        "max_dual_residual = 1.1920928955078125e-07 > 1e-08; "
+        "max_complementarity = 1.1920928955078125e-07 > 1e-08",
+        1404799962.9471147,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROOT_LPS_THAT_EXIT_4)
+def test_root_lps_that_exit_4_though_highs_solves_them(tmp_path, capsys, monkeypatch, case):
+    config, seed, message, optimum = ROOT_LPS_THAT_EXIT_4[case]
+    roots = []
+    solve = mdrloa.solve_lp
+
+    def record(lp, start=None):
+        roots.append(lp)
+        return solve(lp, start=start)
+
+    monkeypatch.setattr(mdrloa, "solve_lp", record)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["solve", "--config", str(path), "--seed", str(seed), "--method", "dro"]
+    assert main(argv) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"internal error: SolverError: {message}\n"
+    assert len(roots) == 1  # the dive stops at its root
+    reference = highs_solve(roots[0])
+    assert reference.status == 0 and reference.fun == pytest.approx(optimum, rel=1e-9)
 
 
 class TestTieRobustChoice:
