@@ -5,8 +5,8 @@ A `LinearProgram` is an immutable record of read-only arrays (objective,
 constraint matrix, relations, rhs and bounds) for the one class of program
 the package builds: minimise c'x over LE and EQ rows, with a finite
 [lower, upper] box on every variable. It is validated once when it is
-built; a program that differs only in its bounds is
-`lp.with_bounds(lower, upper)`, which validates only the new bounds.
+built; `lp.derive(**arrays)` is the program with some arrays replaced,
+and validates only those.
 
 The solver is one engine, a bounded dual simplex on a tableau (Chvátal,
 Linear Programming, 1983, ch. 10; Koberstein, The dual simplex method,
@@ -98,9 +98,9 @@ class LinearProgram:
     lower <= x <= upper, every bound finite.
 
     Immutable: the constructor validates every array once and stores it
-    read-only. A program that differs only in its bounds is
-    `lp.with_bounds(lower, upper)`: it validates the new bounds alone and
-    shares the rest, the solver's standard form included.
+    read-only. A program that differs from this one in some arrays is
+    `lp.derive(**arrays)`: it validates the new arrays alone and shares the
+    rest, and new bounds alone share the solver's standard form too.
     `dataclasses.replace` gives a fully validated program that builds its
     own standard form. `matrix=None` means no rows and `lower` defaults to
     0; `upper` has no default.
@@ -149,18 +149,14 @@ class LinearProgram:
                 f"got {unknown}"
             )
 
-    def with_bounds(self, lower, upper) -> LinearProgram:
-        """This program with bounds `lower` and `upper`, the only arrays validated. It
-        shares every other array, the standard form included."""
-        return self._derive(lower=lower, upper=upper)
-
-    def _derive(self, **arrays) -> LinearProgram:
+    def derive(self, **arrays) -> LinearProgram:
         """This program with some of its objective, matrix, rhs and bounds replaced: the
-        one way a program is derived from another, used by `with_bounds` and by P2's
-        builds from their validated template. Only the new arrays are checked, against
-        this program's shapes: bounds as the constructor checks them, an objective, a
-        matrix or a rhs for its shape and for finite entries. New bounds alone keep the
-        standard form; otherwise the new program builds its own when first solved."""
+        one way a program is derived from another, used by the dive's children and by
+        P2's builds from their validated template. Only the new arrays are checked,
+        against this program's shapes: bounds as the constructor checks them, an
+        objective, a matrix or a rhs for its shape and for finite entries. New bounds
+        alone keep the standard form; otherwise the new program builds its own when
+        first solved."""
         new = {name: _frozen(value) for name, value in arrays.items()}
         child = object.__new__(LinearProgram)
         vars(child).update(vars(self), **new, _form=None)
@@ -226,8 +222,8 @@ class CertificationReport:
 class Basis:
     """A simplex basis, for `solve_lp(..., start=...)`, issued for one standard form:
     the final basis of an optimal solution, a start for any program that shares its
-    program's form (`with_bounds`), or one built from a program's structure (a crash
-    basis).
+    program's form (`derive` with bounds alone), or one built from a program's
+    structure (a crash basis).
 
     `basic` has one column per row and `at_upper` lists the nonbasic columns held at
     their upper bounds. Ids are the solver's columns: the structural ones, then one
@@ -380,8 +376,8 @@ def _layout(relations: bytes, kind: str, n: int) -> dict:
 
 class _StandardForm:
     """Reduction to `A t = b, 0 <= t <= ub` with slack and artificial columns, built
-    once per program and shared by every program `with_bounds` derives from it: the
-    columns' widths and the rhs are all a solve adds. Of it, only the matrix and the
+    once per program and shared by every program `derive` makes from it with new
+    bounds alone: the columns' widths and the rhs are all a solve adds. Of it, only the matrix and the
     costs depend on the program's numbers; the rest is its `_layout`.
 
     Variable x_j has column j, t_j = x_j - lower_j in [0, upper_j - lower_j]. Then
@@ -460,8 +456,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     fails the certificate is not returned; SolverError names each failing
     residual. With `start`, a basis issued for this program's standard form,
     the solve runs from that basis instead of from the slack basis: the final
-    basis of a solve on a program that shares the form (`with_bounds`), or a
-    crash basis built for it. The returned basis keeps the inverse of its
+    basis of a solve on a program that shares the form (`derive` with bounds
+    alone), or a crash basis built for it. The returned basis keeps the inverse of its
     final load, so a start from it inverts nothing. Raises SolverError on
     iteration blow-up, on a singular start or on a basis too ill-conditioned
     to certify, and ConfigError on a `start` issued for any other form or

@@ -15,14 +15,15 @@ lower bound to 1, and once the access phase ends every link with x = 0
 stays closed. The root LP is P2 itself and starts from P2's crash basis,
 each TD's cheapest link already basic in its access row (`crash_basis`);
 each child differs from the LP it branches from by its bounds only, so it
-is `base.with_bounds(...)`, sharing P2's standard form, built once per
-dive, and starts from that LP's final basis, loading through the inverse
-that LP's certify step computed. Both starts are dual feasible. The
-decision is read from the last LP. Because the dive is greedy, optimality
-is measured against the exhaustive oracle rather than assumed: it
-enumerates the integral points of the same P2 and keeps the cheapest one
-that meets every row. Both report P2's objective at their integral point,
-so the model's latency and energy formulas live in `build_p2` alone.
+is `base.derive(lower=..., upper=...)`, sharing P2's standard form, built
+once per dive, and starts from that LP's final basis, loading through the
+inverse that LP's certify step computed. Both starts are dual feasible.
+Because the dive is greedy, optimality is measured against the exhaustive
+oracle rather than assumed: it enumerates the integral points of the same
+P2 and keeps the cheapest one that meets every row, ties as in the dive.
+Both read their decision out of an integral [y, z] point of P2 in
+`_result` and report P2's objective there, so the model's latency and
+energy formulas live in `build_p2` alone.
 """
 
 from __future__ import annotations
@@ -97,8 +98,18 @@ def _solve_child(
     becomes read-only: the child's program keeps it rather than copy it."""
     bounds.setflags(write=False)
     lo, hi = bounds
-    child = solve_lp(base.with_bounds(lo.ravel(), hi.ravel()), start=parent.basis)
+    child = solve_lp(base.derive(lower=lo.ravel(), upper=hi.ravel()), start=parent.basis)
     return child.objective_value if child.status is LpStatus.OPTIMAL else np.inf, child
+
+
+def _result(
+    scenario: Scenario, point: np.ndarray, latency: float, bound: float, count: int, method: str
+) -> SolveResult:
+    """The validated decision at P2's integral `point`, reported at `latency`."""
+    y, z = np.rint(point).astype(int).reshape(2, scenario.num_tds, scenario.num_uavs)
+    decision = OffloadDecision(y=y, z=z)
+    decision.validate(scenario)
+    return SolveResult(decision, latency, bound, count, method)
 
 
 def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
@@ -159,16 +170,8 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
         bounds = bounds.copy()  # the kept child's program holds the read-only original
         bounds[1, :, x == 0] = 0.0
 
-    y, z = np.rint(current.x).astype(int).reshape(2, i, j)
-    decision = OffloadDecision(x=y + z, y=y, z=z)
-    decision.validate(scenario)
-    return SolveResult(
-        decision=decision,
-        worst_case_expected_latency=float(base.objective @ decision.vector()),
-        relaxation_bound=bound,
-        lp_solve_count=count,
-        method=method,
-    )
+    point = np.rint(current.x)
+    return _result(scenario, point, float(base.objective @ point), bound, count, method)
 
 
 def mdrloa_solve(scenario: Scenario, ambiguity: AmbiguitySet) -> SolveResult:
@@ -190,9 +193,9 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
     """Enumerate P2's integral points and keep the cheapest one that meets every row.
 
     The points are every access choice (J^I) times every relay-or-compute
-    choice (2^I), in that order, laid out [x - z, z] like P2's columns, and
-    each is held to `meets_rows`. The first point within 1e-12 relative of
-    the least objective wins, as in the dive. Optimality oracle for small
+    choice (2^I), in that order, laid out [y, z] like P2's columns, and
+    each is held to `meets_rows`. The first point that ties with the least
+    objective wins, by the dive's `_tie_limit`. Optimality oracle for small
     cases.
     """
     i, j = scenario.num_tds, scenario.num_uavs
@@ -202,23 +205,14 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
             f"J <= {EXHAUSTIVE_MAX_UAVS}; got I={i}, J={j}"
         )
     lp = build_p2(scenario, mean_sizes)
-    access = np.eye(j)[np.array(list(itertools.product(range(j), repeat=i)))]
+    access = np.eye(j)[np.array(list(itertools.product(range(j), repeat=i)))][:, None]
     relay = np.array(list(itertools.product((0, 1), repeat=i)))[:, :, None]
-    x = np.repeat(access, len(relay), axis=0)  # (J^I * 2^I, I, J)
-    z = x * np.tile(relay, (len(access), 1, 1))
-    points = np.concatenate([m.reshape(len(x), -1) for m in (x - z, z)], axis=1)
+    # [access choice, relay choice, y/z block, TD, UAV]
+    points = np.stack([access * (1 - relay), access * relay], axis=2).reshape(-1, 2 * i * j)
     objective = np.where(meets_rows(lp, points), points @ lp.objective, np.inf)
     least = objective.min()
     if not np.isfinite(least):
         raise InfeasibleProblemError("no feasible decision exists for this instance")
-    k = int(np.argmax(objective <= least + 1e-12 * abs(least)))
-    decision = OffloadDecision(*(m[k].astype(int) for m in (x, x - z, z)))
-    decision.validate(scenario)
+    k = int(np.argmax(objective <= _tie_limit(least)))
     latency = float(objective[k])
-    return SolveResult(
-        decision=decision,
-        worst_case_expected_latency=latency,
-        relaxation_bound=latency,
-        lp_solve_count=0,
-        method=METHOD_EXHAUSTIVE,
-    )
+    return _result(scenario, points[k], latency, latency, 0, METHOD_EXHAUSTIVE)

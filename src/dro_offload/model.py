@@ -2,8 +2,9 @@
 
 Decision variables per (TD i, UAV j): x (access), y (compute on the
 UAV), z (relay to the HAP), with y + z = x. P2 substitutes x out: its
-columns are [y..., z...] in row-major (i, j) order, 2*I*J in total
-(`OffloadDecision.vector`), and every row that x enters carries y + z.
+columns are [y..., z...] in row-major (i, j) order, 2*I*J in total, and
+every row that x enters carries y + z. A decision is one integral point of
+those columns (`OffloadDecision.vector`), and its x is the sum y + z.
 Every decision is scored on P2 itself: its objective is the expected
 latency, its last J + 1 rows give the expected energy above the basic
 costs (`energy_use`), and `meets_rows` is the one rule for meeting its rows.
@@ -40,21 +41,25 @@ ROW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OffloadDecision:
-    """Binary access/compute/relay matrices, all I x J."""
+    """Binary compute and relay matrices, both I x J: P2's [y, z] at one integral point."""
 
-    x: np.ndarray
     y: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        if not (self.x.shape == self.y.shape == self.z.shape) or self.x.ndim != 2:
-            raise ShapeError("x, y, z must share one I x J shape")
-        for name, mat in (("x", self.x), ("y", self.y), ("z", self.z)):
+        if self.y.shape != self.z.shape or self.y.ndim != 2:
+            raise ShapeError("y and z must share one I x J shape")
+        for name, mat in (("y", self.y), ("z", self.z)):
             if not ((mat == 0) | (mat == 1)).all():
                 raise ShapeError(f"{name} entries must be 0 or 1")
 
+    @property
+    def x(self) -> np.ndarray:
+        """The access matrix, y + z."""
+        return self.y + self.z
+
     def validate(self, scenario: Scenario) -> None:
-        """Check the flow and quota constraints; raises on violation."""
+        """Check the access and quota constraints; raises on violation."""
         if self.x.shape != (scenario.num_tds, scenario.num_uavs):
             raise ShapeError("decision shape does not match scenario")
         if not (self.x.sum(axis=1) == 1).all():
@@ -63,8 +68,6 @@ class OffloadDecision:
             raise ShapeError("a UAV exceeds its access quota")
         if self.z.sum() > scenario.quota_hap:
             raise ShapeError("HAP quota exceeded")
-        if not (self.y + self.z == self.x).all():
-            raise ShapeError("flow conservation y + z = x violated")
 
     def vector(self) -> np.ndarray:
         """The decision as P2's columns: [y, z], each in row-major (i, j) order."""
@@ -149,7 +152,7 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     # read-only arrays are kept as they are, not copied again
     for array in (objective, matrix, rhs):
         array.setflags(write=False)
-    return template._derive(objective=objective, matrix=matrix, rhs=rhs)
+    return template.derive(objective=objective, matrix=matrix, rhs=rhs)
 
 
 def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
@@ -161,8 +164,8 @@ def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
     is the basis a dual simplex from the slack basis holds after its first I pivots.
     It is the slack basis of P2's standard form with each TD's cheapest column in
     place of its access row's artificial, so it is tied to that form: `solve_lp`
-    takes it as a start on P2 and on every `with_bounds` program derived from P2,
-    and rejects it on any other.
+    takes it as a start on P2 and on every program `derive` makes from P2 with new
+    bounds alone, and rejects it on any other.
     """
     i, ij = num_tds, p2.num_vars // 2
     j = ij // i
@@ -178,7 +181,7 @@ def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
 def energy_use(p2: LinearProgram, decision: OffloadDecision) -> tuple[np.ndarray, float]:
     """Activity of P2's energy rows, its last J + 1, at the decision: expected joules
     above the basic costs, per UAV and at the HAP."""
-    activity = p2.matrix[-(decision.x.shape[1] + 1) :] @ decision.vector()
+    activity = p2.matrix[-(decision.y.shape[1] + 1) :] @ decision.vector()
     return activity[:-1], float(activity[-1])
 
 

@@ -302,7 +302,7 @@ def feasible_decisions(scenario, mean_sizes):
         x = np.eye(j, dtype=int)[list(access)]
         for relay in itertools.product((0, 1), repeat=i):
             z = x * np.array(relay)[:, None]
-            decision = OffloadDecision(x=x, y=x - z, z=z)
+            decision = OffloadDecision(y=x - z, z=z)
             try:
                 decision.validate(scenario)
             except ShapeError:
@@ -377,7 +377,7 @@ def dive_with_both_children(scenario, means, method):
                 narrowed[0][1, :, td, uav] = 0.0
                 narrowed[1][1, :, td, np.arange(j) != uav] = 0.0
             children = [
-                solve_lp(base.with_bounds(lo.ravel(), hi.ravel()), start=current.basis)
+                solve_lp(base.derive(lower=lo.ravel(), upper=hi.ravel()), start=current.basis)
                 for lo, hi in narrowed
             ]
             count += 2
@@ -399,7 +399,7 @@ def dive_with_both_children(scenario, means, method):
         bounds[1, :, x == 0] = 0.0
 
     y, z = np.rint(current.x).astype(int).reshape(2, i, j)
-    decision = OffloadDecision(x=y + z, y=y, z=z)
+    decision = OffloadDecision(y=y, z=z)
     decision.validate(scenario)
     result = SolveResult(
         decision=decision,

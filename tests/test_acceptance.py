@@ -116,7 +116,7 @@ def test_criterion_02_inner_maximization_exact():
             x = np.zeros((10, 3), dtype=int)
             x[np.arange(10), assign] = 1
             z = x * relay[:, None]
-            decision = OffloadDecision(x=x, y=x - z, z=z)
+            decision = OffloadDecision(y=x - z, z=z)
             decision.validate(sc)
             cost = (
                 decision.x * coeffs.access_delay

@@ -1,6 +1,7 @@
 """Golden outputs: results CSVs of `evaluate` on the benchmark configs, seeds 1-5, and
 of `sweep` over eps and over Q on the binding config, seeds 1-3; the `generate` JSON of
-the default config at seed 1 and of the 30x5 ladder config at seed 2; the config
+the default config at seed 1 and of the 30x5 ladder config at seed 2; the `solve` JSON
+of `exhaustive` and `dro` at seeds 1-5 on a 4x2 and a binding 6x3 config; the config
 hashes of those two configs; and one SHA-256 over every LP the benchmark's dives solve.
 
 A change that moves a row must list the moved rows in CHANGES.md and
@@ -15,7 +16,9 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import re
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +46,17 @@ GENERATE = {
         "--seed", "2", "--config", str(ROOT / "perfbench" / "configs" / "ladder-30x5.json")
     ],
 }
+# `solve` golden: config name -> config JSON, each solved by both methods at seeds 1-5
+SOLVE_CONFIGS = {
+    "small-4x2": {"scenario": {"num_tds": 4, "num_uavs": 2, "quota_uav": 2}},
+    "binding-6x3": {
+        "scenario": {
+            "num_tds": 6, "num_uavs": 3, "quota_uav": 3, "quota_hap": 2,
+            "radio": {"ref_gain_uav_hap_db": -10}, "energy": {"uav_budget_j": 20},
+        },
+        "ambiguity": {"per_device_history": True, "history_len": 30},
+    },
+}
 CONFIG_SHA256 = {
     "default": "1a8a97bc2f243e4b8a0e6f27fd58a51d1b92fcba92fb568394eee872151f7935",
     "ladder-30x5": "b53c40a5324318cc2fc048fef7510e8ed96c8bc2443492e1c35075eab8cc3528",
@@ -66,6 +80,24 @@ def _generate(name: str) -> str:
     with contextlib.redirect_stdout(out):
         assert main(["generate", *GENERATE[name]]) == 0
     return out.getvalue()
+
+
+def _solve(name: str) -> str:
+    """Every `solve` run of the golden, in order: a header line with its exit code, then
+    its stdout, or its stderr when it fails."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for config_name, data in SOLVE_CONFIGS.items():
+            path = Path(tmp) / f"{config_name}.json"
+            path.write_text(json.dumps(data))
+            for method, seed in itertools.product(("exhaustive", "dro"), range(1, 6)):
+                argv = ["solve", "--config", str(path), "--seed", str(seed), "--method", method]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                header = f"== {config_name} --method {method} --seed {seed}: exit {code}\n"
+                runs.append(header + (out if code == 0 else err).getvalue())
+    return "".join(runs)
 
 
 def _lp_digest() -> tuple[int, str]:
@@ -110,6 +142,10 @@ def test_generate_matches_golden(name):
     assert _generate(name).encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_solve_matches_golden():
+    assert _solve("solve").encode() == (GOLDEN / "solve.txt").read_bytes()
+
+
 def test_config_hashes_are_pinned():
     ladder = load_config(ROOT / "perfbench" / "configs" / "ladder-30x5.json")
     assert default_config().hash() == CONFIG_SHA256["default"]
@@ -124,6 +160,7 @@ def test_every_benchmark_lp_matches_its_digest():
 if __name__ == "__main__":
     outputs = [(name, ".csv", _csv) for name in GOLDENS]
     outputs += [(name, ".json", _generate) for name in GENERATE]
+    outputs += [("solve", ".txt", _solve)]
     for name, suffix, render in outputs:
         path = GOLDEN / f"{name}{suffix}"
         old = path.read_text().splitlines() if path.exists() else []

@@ -163,7 +163,7 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="bounds must be finite numbers"):
             LinearProgram([1.0, 1.0], lower=lower, upper=upper)
         with pytest.raises(ConfigError, match="bounds must be finite numbers"):
-            LinearProgram([1.0, 1.0], upper=[1.0, 1.0]).with_bounds(lower, upper)
+            LinearProgram([1.0, 1.0], upper=[1.0, 1.0]).derive(lower=lower, upper=upper)
 
     def test_empty_bound_interval_rejected(self):
         message = r"variable 1 has empty bound interval \[2.0, 1.0\]"
@@ -171,9 +171,9 @@ class TestConstruction:
         with pytest.raises(ConfigError, match=message):
             LinearProgram([1.0, 1.0], lower=[0.0, 2.0], upper=[1.0, 1.0])
         with pytest.raises(ConfigError, match=message):
-            lp.with_bounds([0.0, 2.0], [1.0, 1.0])
+            lp.derive(lower=[0.0, 2.0], upper=[1.0, 1.0])
         with pytest.raises(ShapeError):
-            lp.with_bounds([0.0], [1.0])
+            lp.derive(lower=[0.0], upper=[1.0])
 
     @pytest.mark.parametrize(
         "kwargs, error, message",
@@ -224,9 +224,9 @@ class TestConstruction:
         np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
         assert solve_lp(child).objective_value == pytest.approx(3.0, abs=1e-12)
 
-    def test_with_bounds_shares_the_program_and_its_standard_form(self):
+    def test_derived_bounds_share_the_program_and_its_standard_form(self):
         lp = LinearProgram([1.0, 2.0], np.diag([1.0, -1.0]), [LE, LE], [3.0, -1.0], upper=[4, 4])
-        child = lp.with_bounds([1.0, 0.0], [1.0, 2.0])
+        child = lp.derive(lower=[1.0, 0.0], upper=[1.0, 2.0])
         for name in ("objective", "matrix", "relations", "rhs", "sense"):
             assert getattr(child, name) is getattr(lp, name)
         assert child._form is lp._form is not None
@@ -236,9 +236,21 @@ class TestConstruction:
             child.lower[0] = 0.0
         assert solve_lp(child).objective_value == pytest.approx(3.0, abs=1e-12)
         # every child shares the form, a child of a child too
-        grandchild = child.with_bounds([1.0, 1.0], [1.0, 1.0])
+        grandchild = child.derive(lower=[1.0, 1.0], upper=[1.0, 1.0])
         assert grandchild._form is lp._form
         assert solve_lp(grandchild).objective_value == pytest.approx(3.0, abs=1e-12)
+
+    def test_a_derived_objective_is_checked_and_builds_its_own_form(self):
+        lp = LinearProgram([1.0, 2.0], np.diag([1.0, -1.0]), [LE, LE], [3.0, -1.0], upper=[4, 4])
+        solve_lp(lp)
+        child = lp.derive(objective=[2.0, 1.0])
+        assert child.matrix is lp.matrix and child.lower is lp.lower
+        assert child._form is None and lp._form is not None
+        assert solve_lp(child).objective_value == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ShapeError, match="keep the program's shapes"):
+            lp.derive(rhs=[3.0])
+        with pytest.raises(ConfigError, match="must be finite"):
+            lp.derive(objective=[np.nan, 1.0])
 
 
 class TestDualConvention:
@@ -510,7 +522,7 @@ def test_a_row_folded_to_zero_keeps_its_artificial():
 def _with_bounds(lp, cols, lower, upper):
     lo, hi = lp.lower.copy(), lp.upper.copy()
     lo[cols], hi[cols] = lower, upper
-    return lp.with_bounds(lo, hi)
+    return lp.derive(lower=lo, upper=hi)
 
 
 def _counted(monkeypatch, calls, module, name):
@@ -691,7 +703,7 @@ class TestWarmStart:
                 else:  # halve the box around its current value
                     mid = (lo[j] + hi[j]) / 2.0
                     lo[j], hi[j] = (lo[j], mid) if sol.x[j] <= mid else (mid, hi[j])
-                shared = shared.with_bounds(lo, hi)  # a child of the last child
+                shared = shared.derive(lower=lo, upper=hi)  # a child of the last child
                 replaced = dataclasses.replace(replaced, lower=lo, upper=hi)
                 assert shared._form is root._form
                 sol = solve_lp(shared, start=sol.basis)

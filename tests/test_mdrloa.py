@@ -600,6 +600,29 @@ class TestExhaustiveTieRule:
             monkeypatch.setattr(mdrloa, "build_p2", nudged)
             assert exhaustive_solve(scenario, means).decision.to_dict() == tied[0]
 
+    def test_ties_within_1e_12_s_when_every_latency_is_below_1_s(self, monkeypatch):
+        # the dive's rule: within 1e-12 * max(1, |least|), so within 1e-12 s below 1 s
+        scenario = generate_scenario(self.CONFIG.scenario, 266)
+        means = worst_case_means(build_ambiguity_sets(self.CONFIG, 266))
+        feasible = list(feasible_decisions(scenario, means))
+        least = min(latency for _, latency in feasible)
+        first, second = [d for d, latency in feasible if latency <= least + 1e-12 * least][:2]
+        # 1e-14 s on each TD that the first tied point relays and the second does not
+        nudge = 1e-14 * np.concatenate([np.zeros(first.y.size), (first.z > second.z).ravel()])
+        build = mdrloa.build_p2
+
+        def scaled(*args):
+            lp = build(*args)  # in units of 2^30 s, which is exact
+            return lp.derive(objective=lp.objective * 2.0**-30 + nudge)
+
+        monkeypatch.setattr(mdrloa, "build_p2", scaled)
+        result = exhaustive_solve(scenario, means)
+        assert result.decision.to_dict() == first.to_dict()
+        p2 = scaled(scenario, means)
+        least = min(p2.objective @ d.vector() for d, _ in feasible)
+        latency = result.worst_case_expected_latency
+        assert latency < 1.0 and 1e-12 * least < latency - least < 1e-12
+
 
 class TestBaselines:
     def test_do_uses_mean_atom(self):

@@ -40,7 +40,7 @@ def _scenario(seed=1, **overrides):
 def _all_local(i, j):
     x = np.zeros((i, j), dtype=int)
     x[:, 0] = 1
-    return OffloadDecision(x=x, y=x.copy(), z=np.zeros((i, j), dtype=int))
+    return OffloadDecision(y=x, z=np.zeros((i, j), dtype=int))
 
 
 class TestOffloadDecision:
@@ -48,14 +48,17 @@ class TestOffloadDecision:
         for value in (0.5, 2.0, -1.0, np.nan):
             m = np.array([[value]])
             with pytest.raises(ShapeError, match="entries must be 0 or 1"):
-                OffloadDecision(x=m, y=m, z=np.zeros((1, 1)))
+                OffloadDecision(y=m, z=np.zeros((1, 1)))
 
-    def test_flow_violation(self):
+    def test_access_is_y_plus_z(self):
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
-        x = np.array([[1, 0], [0, 1]])
-        bad = OffloadDecision(x=x, y=np.zeros_like(x), z=np.zeros_like(x))
-        with pytest.raises(ShapeError):
-            bad.validate(sc)
+        y, z = np.array([[1, 0], [0, 0]]), np.array([[0, 0], [0, 1]])
+        np.testing.assert_array_equal(OffloadDecision(y=y, z=z).x, np.eye(2))
+        # a link both computed and relayed counts twice toward its TD's one access
+        with pytest.raises(ShapeError, match="exactly one UAV"):
+            OffloadDecision(y=y, z=y).validate(sc)
+        with pytest.raises(ShapeError, match="exactly one UAV"):
+            OffloadDecision(y=np.zeros_like(y), z=np.zeros_like(z)).validate(sc)
 
     def test_quota_violation(self):
         sc = _scenario(num_tds=3, num_uavs=2, quota_uav=1)
@@ -67,15 +70,17 @@ class TestOffloadDecision:
         sc = _scenario(num_tds=3, num_uavs=2, quota_uav=3, quota_hap=1)
         x = np.zeros((3, 2), dtype=int)
         x[:, 0] = 1
-        d = OffloadDecision(x=x, y=np.zeros_like(x), z=x.copy())
+        d = OffloadDecision(y=np.zeros_like(x), z=x)
         with pytest.raises(ShapeError):
             d.validate(sc)
 
     def test_round_trip(self):
         d = _all_local(2, 2)
-        again = OffloadDecision(**{k: np.asarray(v) for k, v in d.to_dict().items()})
-        np.testing.assert_array_equal(d.x, again.x)
+        data = d.to_dict()
+        assert list(data) == ["x", "y", "z"] and data["x"] == d.x.tolist()
+        again = OffloadDecision(y=np.asarray(data["y"]), z=np.asarray(data["z"]))
         np.testing.assert_array_equal(d.y, again.y)
+        np.testing.assert_array_equal(d.z, again.z)
 
 
 class TestExpectedCosts:
@@ -96,8 +101,8 @@ class TestExpectedCosts:
         sc = _scenario(num_tds=1, num_uavs=1, quota_uav=1)
         coeffs = per_bit_coefficients(sc)
         x = np.array([[1]])
-        relay = OffloadDecision(x=x, y=np.zeros_like(x), z=x.copy())
-        local = OffloadDecision(x=x, y=x.copy(), z=np.zeros_like(x))
+        relay = OffloadDecision(y=np.zeros_like(x), z=x)
+        local = OffloadDecision(y=x, z=np.zeros_like(x))
         objective = build_p2(sc, np.array([1e6])).objective
         gap = objective @ relay.vector() - objective @ local.vector()
         assert gap == pytest.approx(
@@ -120,7 +125,7 @@ class TestExpectedCosts:
         sizes = np.array([1e6, 2e6])
         x = np.eye(2, dtype=int)
         z = np.array([[0, 0], [0, 1]])
-        uav, hap = energy_use(build_p2(sc, sizes), OffloadDecision(x=x, y=x - z, z=z))
+        uav, hap = energy_use(build_p2(sc, sizes), OffloadDecision(y=x - z, z=z))
         assert uav[0] == pytest.approx(1e6 * coeffs.uav_compute_energy[0], rel=1e-12)
         assert uav[1] == pytest.approx(2e6 * coeffs.uav_relay_energy[1], rel=1e-12)
         assert hap == pytest.approx(2e6 * coeffs.hap_compute_energy, rel=1e-12)
@@ -160,7 +165,7 @@ class TestP2:
                 x[i, j] = 1
             if (x.sum(axis=0) > sc.quota_uav).any():
                 continue
-            d = OffloadDecision(x=x, y=x.copy(), z=np.zeros_like(x))
+            d = OffloadDecision(y=x, z=np.zeros_like(x))
             assert sol.objective_value <= expected_latency(d, sc, sizes) + 1e-9
 
     def test_solution_is_feasible_relaxation(self):
