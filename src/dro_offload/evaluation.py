@@ -141,7 +141,7 @@ def evaluate_seed(
         else:
             v = result.decision.vector()
             latency = float(p2.objective @ v)
-            uav, hap = energy_use(p2, result.decision)
+            uav, hap = energy_use(p2, v, scenario.num_uavs)
             max_uav, ok = float(uav.max()), bool(meets_rows(p2, v))
         rows.append(
             EvaluationRow(

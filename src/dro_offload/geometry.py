@@ -72,7 +72,8 @@ class Scenario:
     """Immutable snapshot of the physical network.
 
     `generate_scenario` derives the rate matrices from the geometry; they are
-    shared read-only by all solvers and evaluation workers.
+    shared read-only by all solvers and evaluation workers, and so are the
+    per-bit costs that `per_bit_coefficients` computes from them once.
     """
 
     tds: np.ndarray = field(repr=False)  # I x 3, meters; z is altitude above ground
@@ -85,6 +86,8 @@ class Scenario:
     quota_hap: int
     rate_td_uav: np.ndarray = field(repr=False)  # I x J, bits/s
     rate_uav_hap: np.ndarray = field(repr=False)  # J, bits/s
+    # the per-bit costs, computed on first use by `per_bit_coefficients`
+    _coeffs: DelayEnergyCoeffs | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.tds) < 1 or len(self.uavs) < 1:
@@ -136,6 +139,16 @@ class DelayEnergyCoeffs:
     uav_compute_energy: np.ndarray
     hap_compute_energy: float
 
+    def __post_init__(self):
+        for array in (
+            self.access_delay,
+            self.uav_compute_delay,
+            self.relay_path_delay,
+            self.uav_relay_energy,
+            self.uav_compute_energy,
+        ):
+            array.setflags(write=False)
+
 
 def _compute_energy_per_bit(chip_coeff: float, capability: float, cycles_per_bit: float) -> float:
     """beta * C^3 * (lambda/C) = beta * C^2 * lambda joules per bit; inf past the float range."""
@@ -146,7 +159,17 @@ def _compute_energy_per_bit(chip_coeff: float, capability: float, cycles_per_bit
 
 
 def per_bit_coefficients(scenario: Scenario) -> DelayEnergyCoeffs:
-    """Collapse rates, capabilities, and chip coefficients into per-bit costs."""
+    """Collapse rates, capabilities, and chip coefficients into per-bit costs.
+
+    Computed once per scenario and kept on it, read-only: every P2 of a seed
+    (each method's and the realized one) reads the same arrays.
+    """
+    if scenario._coeffs is None:
+        object.__setattr__(scenario, "_coeffs", _per_bit_costs(scenario))
+    return scenario._coeffs
+
+
+def _per_bit_costs(scenario: Scenario) -> DelayEnergyCoeffs:
     cp, en = scenario.compute, scenario.energy
     uav_compute_delay = np.full(
         scenario.num_uavs, cp.uav_cycles_per_bit / cp.uav_capability

@@ -270,17 +270,22 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Pivot `col` into the basis at `row`: scale the pivot row, then subtract its
     multiples from every other row.
 
-    A pivot column with more than half of its entries nonzero updates the whole tableau
-    with one broadcast rank-1 product, the pivot row's own multiple zeroed; a sparser
-    one updates its nonzero rows alone. Both give every value the same bytes: a row
-    whose entry in the column is zero gets x - 0·y, which is x for a tableau's finite
-    entries. Only a -0 may turn +0, and no choice reads a zero's sign, nor does any
-    output, which the certify step computes from a fresh load. Each product is
-    np.outer's, bit for bit, without its ravels.
+    A tableau of at most 4096 entries, or a pivot column with more than half of its
+    entries nonzero, takes the whole-tableau update: one broadcast rank-1 product, the
+    pivot row's own multiple zeroed. A sparser column of a larger tableau updates its
+    nonzero rows alone. The rule comes from timing both per pivot (timeit, Xeon, NumPy
+    2.4): on a 19 x 79 tableau (P2 at 10 x 3) the whole update took about 4.7 µs at any
+    density, the nonzero rows 6.7 µs with 2 of 19 nonzero and 9.7 µs with all; on a
+    43 x 343 tableau (P2 at 30 x 5) the whole update took about 23 µs, the nonzero rows
+    7 µs with 2 of 43 nonzero, 21 µs with half and 36 µs with all. Both give every value
+    the same bytes: a row whose entry in the column is zero gets x - 0·y, which is x for
+    a tableau's finite entries. Only a -0 may turn +0, and no choice reads a zero's sign,
+    nor does any output, which the certify step computes from a fresh load. Each product
+    is np.outer's, bit for bit, without its ravels.
     """
     tableau[row] /= tableau[row, col]
     column = tableau[:, col]
-    if 2 * np.count_nonzero(column) > column.size:
+    if tableau.size <= 4096 or 2 * np.count_nonzero(column) > column.size:
         update = column[:, None] * tableau[row]
         update[row] = 0.0
         tableau -= update

@@ -115,25 +115,41 @@ def _result(
 def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
     """Dive on P2 for one per-TD mean-size vector; dro, do and ro all end here.
 
-    Branch on x = y + z until it is integral, keep it fixed, then branch on
-    y; the decision is the last LP's rounded [y, z], scored by P2's objective.
-    Each branching solves child 1 and keeps it if it ties with the current LP;
-    otherwise it solves child 0 and keeps child 1 on a tie, child 0 if it is
-    cheaper. Both children infeasible is a dead end, InfeasibleProblemError: the
-    dive found no feasible decision, which does not prove that none exists.
-    `lp_solve_count` counts the LPs solved: the root, then one or two per
+    The decision is the last LP's rounded [y, z], scored by P2's objective. A
+    root LP with nothing to branch on in x = y + z and then nothing in y, the
+    first test of each phase of `_dive`, is that last LP: it is read out as it
+    is. `lp_solve_count` counts the LPs solved: the root, then one or two per
     branching.
     """
     i, j = scenario.num_tds, scenario.num_uavs
     base = build_p2(scenario, means)
-    current = solve_lp(base, start=crash_basis(base, i))
-    count = 1
-    if current.status is not LpStatus.OPTIMAL:
+    root = solve_lp(base, start=crash_basis(base, i))
+    if root.status is not LpStatus.OPTIMAL:
         raise InfeasibleProblemError(
             "root relaxation is infeasible "
             f"(I={i}, J={j}, N_u={scenario.quota_uav}, N_H={scenario.quota_hap})"
         )
-    bound = current.objective_value
+    current, count = root, 1
+    blocks = root.x.reshape(2, i, j)
+    if select_branch(blocks.sum(axis=0)) is not None or select_branch(blocks[0]) is not None:
+        current, count = _dive(base, root, i, j)
+    point = np.rint(current.x)
+    return _result(
+        scenario, point, float(base.objective @ point), root.objective_value, count, method
+    )
+
+
+def _dive(base: LinearProgram, current: LpSolution, i: int, j: int) -> tuple[LpSolution, int]:
+    """The dive from P2 `base`'s optimal root LP `current`: its last LP and the number
+    of LPs solved, the root included.
+
+    Branch on x = y + z until it is integral, keep it fixed, then branch on
+    y. Each branching solves child 1 and keeps it if it ties with the current LP;
+    otherwise it solves child 0 and keeps child 1 on a tie, child 0 if it is
+    cheaper. Both children infeasible is a dead end, InfeasibleProblemError: the
+    dive found no feasible decision, which does not prove that none exists.
+    """
+    count = 1
     # the current LP's bounds, indexed [lower/upper, y/z block, TD, UAV]
     bounds = np.stack([base.lower, base.upper]).reshape(2, 2, i, j)
 
@@ -169,9 +185,7 @@ def _solve(scenario: Scenario, means: np.ndarray, method: str) -> SolveResult:
         x = np.rint(current.x.reshape(2, i, j).sum(axis=0))
         bounds = bounds.copy()  # the kept child's program holds the read-only original
         bounds[1, :, x == 0] = 0.0
-
-    point = np.rint(current.x)
-    return _result(scenario, point, float(base.objective @ point), bound, count, method)
+    return current, count
 
 
 def mdrloa_solve(scenario: Scenario, ambiguity: AmbiguitySet) -> SolveResult:
@@ -195,8 +209,9 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
     The points are every access choice (J^I) times every relay-or-compute
     choice (2^I), in that order, laid out [y, z] like P2's columns, and
     each is held to `meets_rows`. The first point that ties with the least
-    objective wins, by the dive's `_tie_limit`. Optimality oracle for small
-    cases.
+    objective wins, by the dive's `_tie_limit`, and its latency is P2's
+    objective dotted with it, as the dive reports its decision. Optimality
+    oracle for small cases.
     """
     i, j = scenario.num_tds, scenario.num_uavs
     if i > EXHAUSTIVE_MAX_TDS or j > EXHAUSTIVE_MAX_UAVS:
@@ -214,5 +229,6 @@ def exhaustive_solve(scenario: Scenario, mean_sizes: np.ndarray) -> SolveResult:
     if not np.isfinite(least):
         raise InfeasibleProblemError("no feasible decision exists for this instance")
     k = int(np.argmax(objective <= _tie_limit(least)))
-    latency = float(objective[k])
+    # a row of the matrix product may differ from the dot product in the last bit
+    latency = float(lp.objective @ points[k])
     return _result(scenario, points[k], latency, latency, 0, METHOD_EXHAUSTIVE)

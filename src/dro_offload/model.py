@@ -60,11 +60,12 @@ class OffloadDecision:
 
     def validate(self, scenario: Scenario) -> None:
         """Check the access and quota constraints; raises on violation."""
-        if self.x.shape != (scenario.num_tds, scenario.num_uavs):
+        x = self.x
+        if x.shape != (scenario.num_tds, scenario.num_uavs):
             raise ShapeError("decision shape does not match scenario")
-        if not (self.x.sum(axis=1) == 1).all():
+        if not (x.sum(axis=1) == 1).all():
             raise ShapeError("every TD must access exactly one UAV")
-        if (self.x.sum(axis=0) > scenario.quota_uav).any():
+        if (x.sum(axis=0) > scenario.quota_uav).any():
             raise ShapeError("a UAV exceeds its access quota")
         if self.z.sum() > scenario.quota_hap:
             raise ShapeError("HAP quota exceeded")
@@ -128,9 +129,10 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     coeffs = per_bit_coefficients(scenario)
     i, j = scenario.num_tds, scenario.num_uavs
     sized = mean_sizes[:, None]
-    access = sized * coeffs.access_delay
-    delays = (coeffs.uav_compute_delay, coeffs.relay_path_delay)
-    objective = np.concatenate([(access + sized * delay).ravel() for delay in delays])
+    # both blocks in one broadcast over [y/z block, TD, UAV], entry by entry as
+    # sized * access delay + sized * the block's delay
+    delays = np.array((coeffs.uav_compute_delay, coeffs.relay_path_delay))[:, None]
+    objective = (sized * coeffs.access_delay + sized * delays).ravel()
 
     en = scenario.energy
     caps = (en.uav_budget - en.uav_basic, en.hap_budget - en.hap_basic)
@@ -147,7 +149,7 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     # row cannot bind (Andersen and Andersen 1995): a budget of 1e17 J beside entries
     # of at most 1e4 J once put roundoff of that size into the tableau
     rhs = template.rhs.copy()
-    reach = (np.maximum(matrix[i + j + 1 :], 0.0) * template.upper).sum(axis=1)
+    reach = np.maximum(matrix[i + j + 1 :], 0.0).sum(axis=1)  # every upper bound is 1
     rhs[i + j + 1 :] = np.minimum(rhs[i + j + 1 :], reach)
     # read-only arrays are kept as they are, not copied again
     for array in (objective, matrix, rhs):
@@ -178,10 +180,11 @@ def crash_basis(p2: LinearProgram, num_tds: int) -> Basis:
     return Basis(basic=basic, at_upper=at_upper, _factor=(form,))
 
 
-def energy_use(p2: LinearProgram, decision: OffloadDecision) -> tuple[np.ndarray, float]:
-    """Activity of P2's energy rows, its last J + 1, at the decision: expected joules
-    above the basic costs, per UAV and at the HAP."""
-    activity = p2.matrix[-(decision.y.shape[1] + 1) :] @ decision.vector()
+def energy_use(p2: LinearProgram, point: np.ndarray, num_uavs: int) -> tuple[np.ndarray, float]:
+    """Activity of P2's energy rows, its last J + 1, at a decision's `point` (P2's
+    columns, as `OffloadDecision.vector` gives them): expected joules above the basic
+    costs, per UAV and at the HAP."""
+    activity = p2.matrix[-(num_uavs + 1) :] @ point
     return activity[:-1], float(activity[-1])
 
 

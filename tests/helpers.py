@@ -3,8 +3,9 @@ program as plain arrays in any class SciPy's HiGHS takes and HiGHS's
 solution of it, the explicit dual of a boxed min program (P3, when the
 program is P2) as such arrays, the inverse confidence map, L1 distance and
 L1-ball membership for distributions, the per-stream history sampler and
-its histogram over midpoint bins, the one-row worst-case shift and the per-link rates that the
-array passes must match bit for bit, expected latency and energy written from the
+its histogram over midpoint bins, the one-row worst-case shift, the
+per-link rates and P2's arrays by their earlier formulas, which the array
+passes must match bit for bit, expected latency and energy written from the
 per-bit costs independently of P2, P2 as it was before x was substituted
 out, a brute force over offloading decisions, pinned instances whose dive
 meets an infeasible child or dead-ends, and earlier versions of the dive
@@ -31,7 +32,7 @@ from dro_offload.errors import (
 from dro_offload.lp import EQ, GE, LE, LinearProgram, LpStatus, solve_lp
 from dro_offload.geometry import per_bit_coefficients
 from dro_offload.mdrloa import SolveResult, select_branch
-from dro_offload.model import OffloadDecision, build_p2, crash_basis
+from dro_offload.model import OffloadDecision, _p2_template, build_p2, crash_basis
 
 
 def lp_from_rows(objective, rows=(), **kwargs) -> LinearProgram:
@@ -224,6 +225,34 @@ def expected_energy(decision, scenario, mean_sizes) -> tuple[np.ndarray, float]:
     )
     hap = en.hap_basic + weighted_z.sum() * coeffs.hap_compute_energy
     return uav, float(hap)
+
+
+def build_p2_arrays(scenario, mean_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P2's objective, matrix and rhs by the formulas `model.build_p2` used before the
+    per-bit costs were kept on the scenario: the costs computed afresh, on a copy of
+    the scenario that holds none, each objective block in its own broadcast, and each
+    energy row's reach weighted by the template's upper bounds. The byte-identity
+    reference for `build_p2`."""
+    mean_sizes = np.asarray(mean_sizes, dtype=float)
+    coeffs = per_bit_coefficients(dataclasses.replace(scenario))
+    i, j = scenario.num_tds, scenario.num_uavs
+    sized = mean_sizes[:, None]
+    access = sized * coeffs.access_delay
+    delays = (coeffs.uav_compute_delay, coeffs.relay_path_delay)
+    objective = np.concatenate([(access + sized * delay).ravel() for delay in delays])
+    en = scenario.energy
+    caps = (en.uav_budget - en.uav_basic, en.hap_budget - en.hap_basic)
+    template = _p2_template(i, j, float(scenario.quota_uav), float(scenario.quota_hap), *caps)
+    matrix = template.matrix.copy()
+    energy = matrix[i + j + 1 :].reshape(j + 1, 2, i, j)
+    uavs = np.arange(j)
+    for block, per_bit in enumerate((coeffs.uav_compute_energy, coeffs.uav_relay_energy)):
+        energy[uavs, block, :, uavs] = np.multiply.outer(per_bit, mean_sizes)
+    energy[-1, 1] = (mean_sizes * coeffs.hap_compute_energy)[:, None]
+    rhs = template.rhs.copy()
+    reach = (np.maximum(matrix[i + j + 1 :], 0.0) * template.upper).sum(axis=1)
+    rhs[i + j + 1 :] = np.minimum(rhs[i + j + 1 :], reach)
+    return objective, matrix, rhs
 
 
 def build_p2_with_flow(scenario, mean_sizes) -> LinearProgram:

@@ -3,7 +3,8 @@
 perfbench times the program by replacing module globals (`spans.PATCH_POINTS`)
 and checks root LPs against HiGHS through the `LinearProgram` accessors, so a
 refactor that renames or bypasses one of them breaks the benchmark while the
-rest of this suite stays green. The dive's warm-started children, which
+rest of this suite stays green. The benchmark's own correctness checks run
+on one pass of each workload. The dive's warm-started children, which
 perfbench never checks, are checked against HiGHS here, and so is every dive
 LP against P2 with its x columns and flow rows kept. The crash-started roots
 are checked against cold solves, and the pivots of the dive's LPs are counted.
@@ -29,6 +30,7 @@ from dro_offload.model import build_p2, crash_basis, worst_case_means
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import bench  # noqa: E402
 import checks  # noqa: E402
 import spans  # noqa: E402
 from helpers import build_p2_with_flow, with_flow_bounds  # noqa: E402
@@ -52,6 +54,21 @@ def test_traced_pass_records_every_span(small_cfg):
     for decision in tracer.decisions:
         assert decision.lp_count == decision.result.lp_solve_count == len(decision.lps)
     assert tracer.p2_shape == (4 + 2 + 1 + 2 + 1, 2 * 8)
+
+
+@pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])
+def test_benchmark_correctness_gate_passes(name):
+    # the checks the benchmark runs on its captured pass, on that pass at `--seed 1`
+    workload = bench.WORKLOADS[name]
+    assert workload.binding == (name == "eval-binding")
+    cfg = bench.workload_config(workload, 1)
+    tracer = spans.Tracer(capture=True)
+    report, _ = bench.run_pass(cfg, tracer)
+    assert len(tracer.decisions) == len(cfg.experiment.seeds) * len(cfg.experiment.methods)
+    assert checks.check_decisions(tracer.decisions, workload.oracle) == []
+    if workload.binding:
+        assert checks.check_binding(tracer.decisions, report) == []
+    assert sum(d.failed for d in tracer.decisions) == 0
 
 
 @pytest.mark.parametrize("name", ["eval-default", "eval-binding", "ladder-30x5"])

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import dro_offload
-from dro_offload import evaluation
+from dro_offload import evaluation, geometry, model
 from dro_offload.config import METHODS, default_config, parse_config
 from dro_offload.errors import ConfigError
 from dro_offload.evaluation import (
@@ -114,6 +114,20 @@ class TestEvaluateSeed:
             monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
         evaluate_seed(small_cfg, 1)
         assert sorted(calls) == ["do_solve", "mdrloa_solve", "ro_solve"]
+
+    def test_per_bit_costs_are_computed_once_per_seed(self, monkeypatch):
+        # dro, do, ro and the realized P2 all read the scenario's one copy
+        computed = []
+        compute = geometry._per_bit_costs
+        monkeypatch.setattr(
+            geometry, "_per_bit_costs", lambda sc: computed.append(sc) or compute(sc)
+        )
+        reads = []
+        read = model.per_bit_coefficients
+        monkeypatch.setattr(model, "per_bit_coefficients", lambda sc: reads.append(sc) or read(sc))
+        cfg = _cfg(seeds=(1,))
+        assert len(evaluate_seed(cfg, 1)) == len(cfg.experiment.methods) == 3
+        assert len(reads) == 4 and len(computed) == 1
 
     def test_infeasible_recorded_not_raised(self):
         cfg = parse_config(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dro_offload import geometry
 from dro_offload.config import default_config
 from dro_offload.errors import ConfigError
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
@@ -115,6 +116,32 @@ class TestPerBitCoefficients:
         coeffs = per_bit_coefficients(sc)
         expected = sc.energy.uav_relay_power / sc.rate_uav_hap
         np.testing.assert_allclose(coeffs.uav_relay_energy, expected, rtol=1e-14)
+
+    def test_costs_are_computed_once_and_read_only(self, monkeypatch):
+        computed = []
+        compute = geometry._per_bit_costs
+        monkeypatch.setattr(
+            geometry, "_per_bit_costs", lambda sc: computed.append(sc) or compute(sc)
+        )
+        sc = _default_scenario()
+        coeffs = per_bit_coefficients(sc)
+        assert per_bit_coefficients(sc) is coeffs and computed == [sc]
+        arrays = [value for value in vars(coeffs).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 5
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_cache_stays_out_of_repr_dict_and_copies(self):
+        sc = _default_scenario()
+        coeffs = per_bit_coefficients(sc)
+        assert "coeffs" not in repr(sc) and "_coeffs" not in sc.to_dict()
+        copy = dataclasses.replace(sc)
+        assert copy._coeffs is None
+        fresh = per_bit_coefficients(copy)
+        assert fresh is not coeffs
+        for name, value in vars(coeffs).items():
+            assert np.asarray(getattr(fresh, name)).tobytes() == np.asarray(value).tobytes()
 
     def test_relay_dominates_uav_compute(self):
         # the relay path costs orders of magnitude more per bit than local

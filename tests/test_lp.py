@@ -836,7 +836,8 @@ def test_kernels_match_their_per_call_references_byte_for_byte(monkeypatch):
     """`_pivot` and `_dual_simplex` give every LP of perfbench's eval-binding at `--seed`
     1-3 (seeds 1-22) and ladder-30x5 at `--seed` 1-3 (seeds 1-4) the bytes that the
     versions kept in `helpers` give it. Both of `_pivot`'s updates run: the whole
-    tableau's, on a pivot column more than half nonzero, and the nonzero rows'."""
+    tableau's, on a tableau of at most 4096 entries (eval-binding's) or a pivot column
+    more than half nonzero, and the nonzero rows' (on ladder-30x5's)."""
 
     def outputs():
         solved = _dive_lps(monkeypatch, names=("eval-binding",), seeds=tuple(range(1, 23)))
@@ -854,7 +855,8 @@ def test_kernels_match_their_per_call_references_byte_for_byte(monkeypatch):
 
     def pivot(tableau, basis, row, col, real=lp_module._pivot):
         column = tableau[:, col]
-        updates["dense" if 2 * np.count_nonzero(column) > column.size else "sparse"] += 1
+        whole = tableau.size <= 4096 or 2 * np.count_nonzero(column) > column.size
+        updates["dense" if whole else "sparse"] += 1
         real(tableau, basis, row, col)
 
     monkeypatch.setattr(lp_module, "_pivot", pivot)

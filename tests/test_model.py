@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
-from dro_offload.config import default_config, load_config
+from dro_offload.config import default_config, load_config, parse_config
 from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.evaluation import build_ambiguity_sets
 from dro_offload.geometry import generate_scenario, per_bit_coefficients
@@ -18,6 +20,7 @@ from dro_offload.model import (
     worst_case_means,
 )
 from helpers import (
+    build_p2_arrays,
     build_p2_with_flow,
     dual_of,
     expected_energy,
@@ -113,7 +116,7 @@ class TestExpectedCosts:
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
         coeffs = per_bit_coefficients(sc)
         sizes = np.array([1e6, 2e6])
-        uav, hap = energy_use(build_p2(sc, sizes), _all_local(2, 2))
+        uav, hap = energy_use(build_p2(sc, sizes), _all_local(2, 2).vector(), 2)
         assert uav[0] == pytest.approx(3e6 * coeffs.uav_compute_energy[0], rel=1e-12)
         assert uav[1] == pytest.approx(0.0, abs=1e-15)
         assert hap == pytest.approx(0.0, abs=1e-15)
@@ -125,7 +128,7 @@ class TestExpectedCosts:
         sizes = np.array([1e6, 2e6])
         x = np.eye(2, dtype=int)
         z = np.array([[0, 0], [0, 1]])
-        uav, hap = energy_use(build_p2(sc, sizes), OffloadDecision(y=x - z, z=z))
+        uav, hap = energy_use(build_p2(sc, sizes), OffloadDecision(y=x - z, z=z).vector(), 2)
         assert uav[0] == pytest.approx(1e6 * coeffs.uav_compute_energy[0], rel=1e-12)
         assert uav[1] == pytest.approx(2e6 * coeffs.uav_relay_energy[1], rel=1e-12)
         assert hap == pytest.approx(2e6 * coeffs.hap_compute_energy, rel=1e-12)
@@ -139,7 +142,7 @@ class TestExpectedCosts:
         assert len(decisions) == 2**4 * 2**4
         for d, latency in decisions:
             assert p2.objective @ d.vector() == pytest.approx(latency, rel=1e-12)
-            uav, hap = energy_use(p2, d)
+            uav, hap = energy_use(p2, d.vector(), sc.num_uavs)
             want_uav, want_hap = expected_energy(d, sc, sizes)
             np.testing.assert_allclose(uav, want_uav - en.uav_basic, rtol=1e-12, atol=0)
             assert hap == pytest.approx(want_hap - en.hap_basic, rel=1e-12, abs=0)
@@ -324,3 +327,39 @@ class TestWorstCaseDistributions:
         means = worst_case_means(amb)
         assert means.shape == (4,)
         np.testing.assert_allclose(means, 18.6e6, rtol=1e-12)
+
+
+@st.composite
+def _scenarios_with_sizes(draw):
+    """A valid scenario of up to 8 TDs and 4 UAVs, with energy budgets and chip
+    coefficients that bind or not, and any finite mean size per TD."""
+    i, j = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cfg = parse_config(
+        {
+            "scenario": {
+                "num_tds": i,
+                "num_uavs": j,
+                "quota_uav": draw(st.integers(0, i)),
+                "quota_hap": draw(st.integers(0, i)),
+                "radio": {"ref_gain_uav_hap_db": draw(st.floats(-80.0, 0.0))},
+                "energy": {
+                    "uav_budget_j": draw(st.floats(1e-3, 1e7)),
+                    "hap_budget_j": draw(st.floats(1e-3, 1e9)),
+                    "uav_chip_coeff": draw(st.floats(0.0, 1e-26)),
+                    "hap_chip_coeff": draw(st.floats(0.0, 1e-26)),
+                    "uav_relay_power_w": draw(st.floats(1e-3, 1e3)),
+                },
+            }
+        }
+    )
+    sizes = draw(st.lists(st.floats(-1e9, 1e9), min_size=i, max_size=i))
+    return generate_scenario(cfg.scenario, draw(st.integers(0, 2**32 - 1))), np.array(sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios_with_sizes())
+def test_build_p2_matches_its_earlier_formulas_bit_for_bit(instance):
+    scenario, sizes = instance
+    p2 = build_p2(scenario, sizes)
+    for got, want in zip((p2.objective, p2.matrix, p2.rhs), build_p2_arrays(scenario, sizes)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
