@@ -15,7 +15,6 @@ from .geometry import (
     Scenario,
     ScenarioConfig,
     generate_scenario,
-    per_bit_coefficients,
 )
 from .config import RunConfig, default_config, load_config, parse_config
 from .evaluation import EvaluationReport, compare_methods, sweep
@@ -52,7 +51,6 @@ __all__ = [
     "ScenarioConfig",
     "check_solution",
     "generate_scenario",
-    "per_bit_coefficients",
     "solve_lp",
     "tolerance_from_confidence",
 ]

@@ -71,9 +71,9 @@ class EnergyParams:
 class Scenario:
     """Immutable snapshot of the physical network.
 
-    `generate_scenario` derives the rate matrices from the geometry; they are
-    shared read-only by all solvers and evaluation workers, and so are the
-    per-bit costs that `per_bit_coefficients` computes from them once.
+    `generate_scenario` derives the rate matrices from the geometry, and
+    `__post_init__` derives the per-bit costs `coeffs` from them; both are
+    shared read-only by all solvers and evaluation workers.
     """
 
     tds: np.ndarray = field(repr=False)  # I x 3, meters; z is altitude above ground
@@ -86,8 +86,7 @@ class Scenario:
     quota_hap: int
     rate_td_uav: np.ndarray = field(repr=False)  # I x J, bits/s
     rate_uav_hap: np.ndarray = field(repr=False)  # J, bits/s
-    # the per-bit costs, computed on first use by `per_bit_coefficients`
-    _coeffs: DelayEnergyCoeffs | None = field(default=None, init=False, compare=False, repr=False)
+    coeffs: DelayEnergyCoeffs = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.tds) < 1 or len(self.uavs) < 1:
@@ -100,6 +99,7 @@ class Scenario:
             raise ConfigError("all link rates must be strictly positive")
         for array in (self.tds, self.uavs, self.rate_td_uav, self.rate_uav_hap):
             array.setflags(write=False)
+        object.__setattr__(self, "coeffs", _per_bit_costs(self))
 
     @property
     def num_tds(self) -> int:
@@ -158,18 +158,8 @@ def _compute_energy_per_bit(chip_coeff: float, capability: float, cycles_per_bit
         return math.inf
 
 
-def per_bit_coefficients(scenario: Scenario) -> DelayEnergyCoeffs:
-    """Collapse rates, capabilities, and chip coefficients into per-bit costs.
-
-    Computed once per scenario and kept on it, read-only: every P2 of a seed
-    (each method's and the realized one) reads the same arrays.
-    """
-    if scenario._coeffs is None:
-        object.__setattr__(scenario, "_coeffs", _per_bit_costs(scenario))
-    return scenario._coeffs
-
-
 def _per_bit_costs(scenario: Scenario) -> DelayEnergyCoeffs:
+    """Collapse rates, capabilities, and chip coefficients into per-bit costs."""
     cp, en = scenario.compute, scenario.energy
     uav_compute_delay = np.full(
         scenario.num_uavs, cp.uav_cycles_per_bit / cp.uav_capability

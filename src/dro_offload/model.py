@@ -32,7 +32,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, worst_case_rows
 from .errors import ShapeError
-from .geometry import Scenario, per_bit_coefficients
+from .geometry import Scenario
 from .lp import EQ, LE, Basis, LinearProgram
 
 INTEGRALITY_TOL = 1e-6
@@ -126,7 +126,7 @@ def build_p2(scenario: Scenario, mean_sizes: np.ndarray) -> LinearProgram:
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     if mean_sizes.shape != (scenario.num_tds,):
         raise ShapeError("mean_sizes must have one entry per TD")
-    coeffs = per_bit_coefficients(scenario)
+    coeffs = scenario.coeffs
     i, j = scenario.num_tds, scenario.num_uavs
     sized = mean_sizes[:, None]
     # both blocks in one broadcast over [y/z block, TD, UAV], entry by entry as

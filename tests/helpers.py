@@ -30,7 +30,6 @@ from dro_offload.errors import (
     SolverError,
 )
 from dro_offload.lp import EQ, GE, LE, LinearProgram, LpStatus, solve_lp
-from dro_offload.geometry import per_bit_coefficients
 from dro_offload.mdrloa import SolveResult, select_branch
 from dro_offload.model import OffloadDecision, _p2_template, build_p2, crash_basis
 
@@ -83,8 +82,8 @@ def dual_of(lp: LinearProgram) -> ArrayLp:
     """
     free = lp.lower != 0.0
     eye = np.eye(lp.num_vars)
-    a = np.vstack([lp.row_matrix(), eye[free], eye])
-    rhs = np.concatenate([lp.rhs_vector(), lp.lower[free], lp.upper])
+    a = np.vstack([lp.matrix, eye[free], eye])
+    rhs = np.concatenate([lp.rhs, lp.lower[free], lp.upper])
     relations = np.concatenate([lp.relations, np.full(free.sum(), GE), np.full(lp.num_vars, LE)])
     # the signed multiplier enters stationarity: -y on an LE row, +y on the others
     sign = np.where(relations == LE, -1.0, 1.0)
@@ -202,7 +201,7 @@ def link_rates_per_link(config, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def expected_latency(decision, scenario, mean_sizes) -> float:
     """Total expected delay in seconds of a decision; mean_sizes[i] is E[phi_i] in bits."""
-    coeffs = per_bit_coefficients(scenario)
+    coeffs = scenario.coeffs
     per_td = (
         decision.x * coeffs.access_delay
         + decision.y * coeffs.uav_compute_delay
@@ -213,7 +212,7 @@ def expected_latency(decision, scenario, mean_sizes) -> float:
 
 def expected_energy(decision, scenario, mean_sizes) -> tuple[np.ndarray, float]:
     """Expected energy (per-UAV vector, HAP total) in joules, basics included."""
-    coeffs = per_bit_coefficients(scenario)
+    coeffs = scenario.coeffs
     en = scenario.energy
     mean_sizes = np.asarray(mean_sizes, dtype=float)
     weighted_y = mean_sizes[:, None] * decision.y
@@ -229,12 +228,12 @@ def expected_energy(decision, scenario, mean_sizes) -> tuple[np.ndarray, float]:
 
 def build_p2_arrays(scenario, mean_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P2's objective, matrix and rhs by the formulas `model.build_p2` used before the
-    per-bit costs were kept on the scenario: the costs computed afresh, on a copy of
-    the scenario that holds none, each objective block in its own broadcast, and each
-    energy row's reach weighted by the template's upper bounds. The byte-identity
-    reference for `build_p2`."""
+    per-bit costs were kept on the scenario: the costs computed afresh, by a copy of
+    the scenario, each objective block in its own broadcast, and each energy row's
+    reach weighted by the template's upper bounds. The byte-identity reference for
+    `build_p2`."""
     mean_sizes = np.asarray(mean_sizes, dtype=float)
-    coeffs = per_bit_coefficients(dataclasses.replace(scenario))
+    coeffs = dataclasses.replace(scenario).coeffs
     i, j = scenario.num_tds, scenario.num_uavs
     sized = mean_sizes[:, None]
     access = sized * coeffs.access_delay
@@ -263,7 +262,7 @@ def build_p2_with_flow(scenario, mean_sizes) -> LinearProgram:
     budget. Its optimum over any bounds on y and z equals `build_p2`'s.
     """
     mean_sizes = np.asarray(mean_sizes, dtype=float)
-    coeffs = per_bit_coefficients(scenario)
+    coeffs = scenario.coeffs
     i, j = scenario.num_tds, scenario.num_uavs
     ij = i * j
     n = 3 * ij

@@ -26,7 +26,7 @@ from dro_offload.cli import main as cli_main
 from dro_offload.config import default_config, parse_config
 from dro_offload.errors import InfeasibleProblemError, SolverError
 from dro_offload.evaluation import compare_methods, sweep
-from dro_offload.geometry import generate_scenario, per_bit_coefficients
+from dro_offload.geometry import generate_scenario
 from dro_offload.lp import LpStatus, solve_lp
 from dro_offload.mdrloa import exhaustive_solve, mdrloa_solve
 from dro_offload.model import OffloadDecision, build_p2, worst_case_means
@@ -98,7 +98,7 @@ def test_criterion_02_inner_maximization_exact():
     grid = np.array(grid)
 
     sc = _scenario(seed=7)
-    coeffs = per_bit_coefficients(sc)
+    coeffs = sc.coeffs
     rng = np.random.default_rng(202)
     worst_low, worst_high = 0.0, 0.0
     for eps in (0.1, 0.3):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import dro_offload
-from dro_offload import evaluation, geometry, model
+from dro_offload import evaluation, geometry, mdrloa, model
 from dro_offload.config import METHODS, default_config, parse_config
 from dro_offload.errors import ConfigError
 from dro_offload.evaluation import (
@@ -116,18 +116,25 @@ class TestEvaluateSeed:
         assert sorted(calls) == ["do_solve", "mdrloa_solve", "ro_solve"]
 
     def test_per_bit_costs_are_computed_once_per_seed(self, monkeypatch):
-        # dro, do, ro and the realized P2 all read the scenario's one copy
+        # dro, do, ro and the realized P2 all read the costs the seed's scenario derived
         computed = []
         compute = geometry._per_bit_costs
         monkeypatch.setattr(
-            geometry, "_per_bit_costs", lambda sc: computed.append(sc) or compute(sc)
+            geometry, "_per_bit_costs", lambda sc: computed.append(compute(sc)) or computed[-1]
         )
         reads = []
-        read = model.per_bit_coefficients
-        monkeypatch.setattr(model, "per_bit_coefficients", lambda sc: reads.append(sc) or read(sc))
+        build = model.build_p2
+
+        def reading(scenario, mean_sizes):
+            reads.append(scenario.coeffs)
+            return build(scenario, mean_sizes)
+
+        for module in (mdrloa, evaluation):
+            monkeypatch.setattr(module, "build_p2", reading)
         cfg = _cfg(seeds=(1,))
         assert len(evaluate_seed(cfg, 1)) == len(cfg.experiment.methods) == 3
-        assert len(reads) == 4 and len(computed) == 1
+        assert len(computed) == 1 and len(reads) == 4
+        assert all(coeffs is computed[0] for coeffs in reads)
 
     def test_infeasible_recorded_not_raised(self):
         cfg = parse_config(

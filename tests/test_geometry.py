@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dro_offload import geometry
 from dro_offload.config import default_config
 from dro_offload.errors import ConfigError
-from dro_offload.geometry import generate_scenario, per_bit_coefficients
+from dro_offload.geometry import generate_scenario
 from helpers import link_rates_per_link
 
 
@@ -104,7 +104,7 @@ class TestLinkRate:
 
 class TestPerBitCoefficients:
     def test_section_iv_values(self):
-        coeffs = per_bit_coefficients(_default_scenario())
+        coeffs = _default_scenario().coeffs
         assert coeffs.uav_compute_delay == pytest.approx(9e-8, rel=1e-12)
         # relay path bundles the hop and the HAP compute stage (22 ns/bit)
         assert (coeffs.relay_path_delay > 1100 / 5e10).all()
@@ -113,7 +113,7 @@ class TestPerBitCoefficients:
 
     def test_relay_energy_per_bit(self):
         sc = _default_scenario()
-        coeffs = per_bit_coefficients(sc)
+        coeffs = sc.coeffs
         expected = sc.energy.uav_relay_power / sc.rate_uav_hap
         np.testing.assert_allclose(coeffs.uav_relay_energy, expected, rtol=1e-14)
 
@@ -124,29 +124,41 @@ class TestPerBitCoefficients:
             geometry, "_per_bit_costs", lambda sc: computed.append(sc) or compute(sc)
         )
         sc = _default_scenario()
-        coeffs = per_bit_coefficients(sc)
-        assert per_bit_coefficients(sc) is coeffs and computed == [sc]
-        arrays = [value for value in vars(coeffs).values() if isinstance(value, np.ndarray)]
+        assert computed == [sc]
+        arrays = [value for value in vars(sc.coeffs).values() if isinstance(value, np.ndarray)]
         assert len(arrays) == 5
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
-    def test_cache_stays_out_of_repr_dict_and_copies(self):
+    def test_costs_stay_out_of_repr_dict_and_equality(self):
         sc = _default_scenario()
-        coeffs = per_bit_coefficients(sc)
-        assert "coeffs" not in repr(sc) and "_coeffs" not in sc.to_dict()
+        assert "coeffs" not in repr(sc) and "coeffs" not in sc.to_dict()
+        # the copy shares every array but derives its own costs; comparing them would
+        # raise on their arrays' truth value
         copy = dataclasses.replace(sc)
-        assert copy._coeffs is None
-        fresh = per_bit_coefficients(copy)
-        assert fresh is not coeffs
-        for name, value in vars(coeffs).items():
-            assert np.asarray(getattr(fresh, name)).tobytes() == np.asarray(value).tobytes()
+        assert copy == sc and copy.coeffs is not sc.coeffs
+
+    def test_replace_derives_the_costs_of_the_replaced_fields(self):
+        sc = _default_scenario()
+        for changes in (
+            {"energy": dataclasses.replace(sc.energy, uav_relay_power=3.0)},
+            {"compute": dataclasses.replace(sc.compute, uav_capability=7e9, hap_capability=9e10)},
+        ):
+            changed = dataclasses.replace(sc, **changes)
+            fresh = geometry._per_bit_costs(changed)
+            for name, value in vars(fresh).items():
+                derived = getattr(changed.coeffs, name)
+                assert np.asarray(derived).tobytes() == np.asarray(value).tobytes()
+            assert any(
+                np.asarray(value).tobytes() != np.asarray(getattr(sc.coeffs, name)).tobytes()
+                for name, value in vars(fresh).items()
+            )
 
     def test_relay_dominates_uav_compute(self):
         # the relay path costs orders of magnitude more per bit than local
         # UAV compute under the defaults; solvers should never relay
-        coeffs = per_bit_coefficients(_default_scenario())
+        coeffs = _default_scenario().coeffs
         assert (coeffs.relay_path_delay > 100 * coeffs.uav_compute_delay).all()
 
 

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, no module reads another
-module's private names beyond the pinned ones, and importing the package loads no
-module that only a parallel run needs."""
+module's private names beyond the pinned ones, importing the package loads no module
+that only a parallel run needs, and no warning that an import raises keeps a failing
+property from reporting its example."""
 
 import ast
 import os
@@ -108,3 +109,21 @@ def test_import_and_load_config_leave_concurrent_futures_unloaded():
         check=True,
     )
     assert out.stdout.split("\n") == ["False", "[]", ""]
+
+
+def test_a_failing_property_prints_its_falsifying_example(tmp_path):
+    # hypothesis's failure report imports a module that warns; under the project's
+    # warnings-as-errors that warning must not end the run in INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 0\n"
+    )
+    options = ["-c", str(PACKAGE.parent.parent / "pyproject.toml"), "-p", "no:cacheprovider"]
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", *options, "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1 and "Falsifying example" in out.stdout
+    assert "INTERNALERROR" not in out.stdout + out.stderr

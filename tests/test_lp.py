@@ -106,9 +106,11 @@ class TestKnownSolutions:
         rows = lp_from_rows([1.0, 2.0], rows, upper=[4.0, 4.0])
         block = LinearProgram([1.0, 2.0], np.eye(2), [LE, LE], [3.0, 3.0], upper=[4.0, 4.0])
         assert block.relations.tolist() == rows.relations.tolist() == [LE, LE]
-        np.testing.assert_array_equal(block.row_matrix(), rows.row_matrix())
-        np.testing.assert_array_equal(block.rhs_vector(), rows.rhs_vector())
-        assert block.row_matrix() is block.matrix and block.num_constraints == 2
+        np.testing.assert_array_equal(block.matrix, rows.matrix)
+        np.testing.assert_array_equal(block.rhs, rows.rhs)
+        # the accessors that perfbench's HiGHS oracle reads
+        assert block.row_matrix() is block.matrix and block.rhs_vector() is block.rhs
+        assert block.num_constraints == 2
         with pytest.raises(ShapeError):
             LinearProgram([1.0, 2.0], np.ones(2), [LE], [1.0], upper=[4.0, 4.0])
 
@@ -198,7 +200,7 @@ class TestConstruction:
     def test_defaults_no_rows_and_nonnegative_variables(self):
         lp = LinearProgram([1.0, 2.0], upper=[3.0, 4.0])
         assert (lp.num_vars, lp.num_constraints) == (2, 0)
-        assert lp.row_matrix().shape == (0, 2) and lp.rhs_vector().shape == (0,)
+        assert lp.matrix.shape == (0, 2) and lp.rhs.shape == (0,)
         np.testing.assert_array_equal(lp.lower, [0.0, 0.0])
         # upper has no default: omitting it is omitting the box
         with pytest.raises(ConfigError, match="upper is required"):
@@ -762,8 +764,8 @@ class TestRowPermutation:
 def _check_solution_loops(lp, solution):
     """Per-row and per-variable loops that check_solution's array form must reproduce."""
     x = solution.x
-    a = lp.row_matrix()
-    rhs = lp.rhs_vector()
+    a = lp.matrix
+    rhs = lp.rhs
     relations = lp.relations
     ax = a @ x
     primal = 0.0

@@ -10,7 +10,7 @@ from dro_offload.ambiguity import AmbiguitySet, Distribution, SampleSpace
 from dro_offload.config import default_config, load_config, parse_config
 from dro_offload.errors import ConfigError, ShapeError
 from dro_offload.evaluation import build_ambiguity_sets
-from dro_offload.geometry import generate_scenario, per_bit_coefficients
+from dro_offload.geometry import generate_scenario
 from dro_offload.lp import EQ, LE, LinearProgram, LpStatus, solve_lp
 from dro_offload.model import (
     OffloadDecision,
@@ -91,7 +91,7 @@ class TestExpectedCosts:
 
     def test_latency_hand_value(self):
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
-        coeffs = per_bit_coefficients(sc)
+        coeffs = sc.coeffs
         sizes = np.array([1e6, 2e6])
         d = _all_local(2, 2)
         expected = float(
@@ -102,7 +102,7 @@ class TestExpectedCosts:
 
     def test_relay_latency_uses_relay_path(self):
         sc = _scenario(num_tds=1, num_uavs=1, quota_uav=1)
-        coeffs = per_bit_coefficients(sc)
+        coeffs = sc.coeffs
         x = np.array([[1]])
         relay = OffloadDecision(y=np.zeros_like(x), z=x)
         local = OffloadDecision(y=x, z=np.zeros_like(x))
@@ -114,7 +114,7 @@ class TestExpectedCosts:
 
     def test_energy_hand_value(self):
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2)
-        coeffs = per_bit_coefficients(sc)
+        coeffs = sc.coeffs
         sizes = np.array([1e6, 2e6])
         uav, hap = energy_use(build_p2(sc, sizes), _all_local(2, 2).vector(), 2)
         assert uav[0] == pytest.approx(3e6 * coeffs.uav_compute_energy[0], rel=1e-12)
@@ -124,7 +124,7 @@ class TestExpectedCosts:
     def test_relay_energy_hand_value(self):
         # TD 1 relays through UAV 1: the UAV pays for the relay link, the HAP computes
         sc = _scenario(num_tds=2, num_uavs=2, quota_uav=2, quota_hap=1)
-        coeffs = per_bit_coefficients(sc)
+        coeffs = sc.coeffs
         sizes = np.array([1e6, 2e6])
         x = np.eye(2, dtype=int)
         z = np.array([[0, 0], [0, 1]])
@@ -189,7 +189,7 @@ def _build_p2_loops(scenario, mean_sizes) -> LinearProgram:
     """P2 built one zero-filled row at a time: the reference for build_p2's row blocks.
     Each energy row's rhs is at most the row's largest activity over the [0, 1] box, the
     sum of its positive entries."""
-    coeffs = per_bit_coefficients(scenario)
+    coeffs = scenario.coeffs
     access = coeffs.access_delay
     i, j = scenario.num_tds, scenario.num_uavs
     uav_cp = np.broadcast_to(coeffs.uav_compute_delay, (i, j))
@@ -250,8 +250,8 @@ def test_p2_row_blocks_match_row_loops(name):
         for means in (wc_means, np.full(scenario.num_tds, max(atoms))):
             ours, ref = build_p2(scenario, means), _build_p2_loops(scenario, means)
             for got, want in [
-                (ours.row_matrix(), ref.row_matrix()),
-                (ours.rhs_vector(), ref.rhs_vector()),
+                (ours.matrix, ref.matrix),
+                (ours.rhs, ref.rhs),
                 (ours.objective, ref.objective),
                 (ours.lower, ref.lower),
                 (ours.upper, ref.upper),
